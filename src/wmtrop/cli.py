@@ -10,6 +10,11 @@ with keys sorted and no timestamps, so identical inputs give identical
 bytes.  Exit code 0 means the check passed, 1 means it ran and failed,
 2 means the input was malformed or the computation was inapplicable.
 
+Handlers do not build error reports: parsers and the computations raise
+ValueError (SchemaError names the offending field), and run() alone turns
+any ValueError into an error report with exit code 2.  Other exceptions
+are defects and are left to surface.
+
 Rationals travel as decimal-free strings "a/b" (or "a"); matrices are
 row-major arrays of arrays.
 """
@@ -27,23 +32,9 @@ from typing import Any, Callable
 from . import monodromy as mono
 from . import tropbundle as tb
 from . import troplattice as tl
-from .ratlin import DimensionMismatch, Matrix, Subspace
+from .ratlin import Matrix, Subspace
 
 SCHEMA_VERSION = 1
-
-COMMANDS = (
-    "wmc-check",
-    "monodromy-filtration",
-    "weight-filtration",
-    "trop-model",
-    "trop-tower",
-    "bundle-extend",
-    "bundle-minlevel",
-    "bundle-construct-f",
-    "bundle-verify-f",
-    "bundle-ample",
-    "batch",
-)
 
 
 class SchemaError(ValueError):
@@ -208,7 +199,6 @@ def serialize_dual_graph(g: tl.DualGraph) -> dict:
 class JobSpec:
     command: str
     payload: dict
-    fmt: str = "json"
     tol: Fraction = mono.DEFAULT_TOL
 
 
@@ -252,16 +242,23 @@ def _get_int(payload: dict, key: str, minimum: int | None = None, default=None) 
     return v
 
 
+def parse_width(payload: dict) -> tl.CellWidth:
+    alpha = parse_rational(_get(payload, "alpha"), "alpha")
+    if alpha <= 0:
+        raise SchemaError("alpha", "cell width must be positive")
+    return tl.CellWidth(alpha)
+
+
+def _bundle(payload: dict) -> tb.BundleData:
+    return parse_bundle(_get(payload, "bundle"), "bundle")
+
+
 # ---------------------------------------------------------------------------
 # command handlers
 
 
 def _cmd_monodromy_filtration(payload: dict, tol: Fraction) -> Report:
-    n_mat = parse_matrix(_get(payload, "n"), "n")
-    try:
-        op = mono.NilpotentOperator(n_mat)
-    except mono.NotNilpotentError as err:
-        return Report("monodromy-filtration", "error", diagnostics=(str(err),))
+    op = mono.NilpotentOperator(parse_matrix(_get(payload, "n"), "n"))
     fil = mono.monodromy_filtration(op)
     return Report(
         "monodromy-filtration",
@@ -277,14 +274,7 @@ def _cmd_monodromy_filtration(payload: dict, tol: Fraction) -> Report:
 def _cmd_weight_filtration(payload: dict, tol: Fraction) -> Report:
     phi = parse_matrix(_get(payload, "phi"), "phi")
     q = _get_int(payload, "q", minimum=2)
-    try:
-        frob = mono.FrobeniusData(phi, q)
-    except ValueError as err:
-        return Report("weight-filtration", "error", diagnostics=(str(err),))
-    try:
-        decomp = mono.weight_decomposition(frob, tol)
-    except mono.NotPureError as err:
-        return Report("weight-filtration", "error", diagnostics=(str(err),))
+    decomp = mono.weight_decomposition(mono.FrobeniusData(phi, q), tol)
     fil = mono.weight_filtration(decomp)
     return Report(
         "weight-filtration",
@@ -301,12 +291,9 @@ def _cmd_wmc_check(payload: dict, tol: Fraction) -> Report:
     phi = parse_matrix(_get(payload, "phi"), "phi")
     q = _get_int(payload, "q", minimum=2)
     i = _get_int(payload, "i")
-    try:
-        op = mono.NilpotentOperator(n_mat)
-        frob = mono.FrobeniusData(phi, q)
-        report = mono.check_wmc(op, frob, i, tol)
-    except (mono.NotNilpotentError, ValueError, DimensionMismatch) as err:
-        return Report("wmc-check", "error", diagnostics=(str(err),))
+    op = mono.NilpotentOperator(n_mat)
+    frob = mono.FrobeniusData(phi, q)
+    report = mono.check_wmc(op, frob, i, tol)
     diags = tuple(json.dumps(v, sort_keys=True) for v in report.violations)
     return Report(
         "wmc-check",
@@ -326,7 +313,7 @@ def _cmd_wmc_check(payload: dict, tol: Fraction) -> Report:
 
 def _parse_quotient_model(payload: dict) -> tl.QuotientModel:
     lat = parse_lattice(_get(payload, "lattice"), "lattice")
-    alpha = tl.CellWidth(parse_rational(_get(payload, "alpha"), "alpha"))
+    alpha = parse_width(payload)
     p = _get_int(payload, "p", minimum=2, default=2)
     level = _get_int(payload, "level", minimum=0, default=0)
     try:
@@ -355,35 +342,32 @@ def _cmd_trop_tower(payload: dict, tol: Fraction) -> Report:
     model = _parse_quotient_model(payload)
     op = _get(payload, "op")
     cell = _get_int(payload, "cell", minimum=0)
-    try:
-        if op == "project":
-            projected = tl.tower_project(cell, model)
-            out = {
-                "op": "project",
-                "cell": cell,
-                "level_from": model.level + 1,
-                "level_to": model.level,
-                "projected": projected,
-            }
-        elif op == "preimages":
-            steps = _get_int(payload, "steps", minimum=0, default=1)
-            pre = tl.tower_preimages(cell, model, steps)
-            out = {
-                "op": "preimages",
-                "cell": cell,
-                "level_from": model.level,
-                "level_to": model.level + steps,
-                "preimages": pre,
-            }
-        else:
-            raise SchemaError("op", "expected 'project' or 'preimages'")
-    except (tl.UnsupportedRankError, tl.InvalidResidueError) as err:
-        return Report("trop-tower", "error", diagnostics=(str(err),))
+    if op == "project":
+        projected = tl.tower_project(cell, model)
+        out = {
+            "op": "project",
+            "cell": cell,
+            "level_from": model.level + 1,
+            "level_to": model.level,
+            "projected": projected,
+        }
+    elif op == "preimages":
+        steps = _get_int(payload, "steps", minimum=0, default=1)
+        pre = tl.tower_preimages(cell, model, steps)
+        out = {
+            "op": "preimages",
+            "cell": cell,
+            "level_from": model.level,
+            "level_to": model.level + steps,
+            "preimages": pre,
+        }
+    else:
+        raise SchemaError("op", "expected 'project' or 'preimages'")
     return Report("trop-tower", "pass", payload=out)
 
 
 def _cmd_bundle_ample(payload: dict, tol: Fraction) -> Report:
-    b = parse_bundle(_get(payload, "bundle"), "bundle")
+    b = _bundle(payload)
     s = tb.form_matrix(b)
     minors = [format_rational(s.leading_minor(k).det()) for k in range(1, b.rank + 1)]
     ample = tb.ample_check(b)
@@ -396,12 +380,9 @@ def _cmd_bundle_ample(payload: dict, tol: Fraction) -> Report:
 
 
 def _cmd_bundle_extend(payload: dict, tol: Fraction) -> Report:
-    b = parse_bundle(_get(payload, "bundle"), "bundle")
-    alpha = tl.CellWidth(parse_rational(_get(payload, "alpha"), "alpha"))
-    try:
-        ok = tb.extends_to(b, alpha)
-    except tb.ModelUndefinedError as err:
-        return Report("bundle-extend", "error", diagnostics=(str(err),))
+    b = _bundle(payload)
+    alpha = parse_width(payload)
+    ok = tb.extends_to(b, alpha)
     diags: tuple[str, ...] = ()
     if not ok and "p" in payload:
         p = _get_int(payload, "p", minimum=2)
@@ -419,13 +400,11 @@ def _cmd_bundle_extend(payload: dict, tol: Fraction) -> Report:
 
 
 def _cmd_bundle_minlevel(payload: dict, tol: Fraction) -> Report:
-    b = parse_bundle(_get(payload, "bundle"), "bundle")
-    alpha = tl.CellWidth(parse_rational(_get(payload, "alpha"), "alpha"))
+    b = _bundle(payload)
+    alpha = parse_width(payload)
     p = _get_int(payload, "p", minimum=2)
     try:
         level = tb.minimal_level(b, alpha, p)
-    except tb.ModelUndefinedError as err:
-        return Report("bundle-minlevel", "error", diagnostics=(str(err),))
     except tb.NoPLevelError as err:
         return Report(
             "bundle-minlevel",
@@ -441,22 +420,14 @@ def _cmd_bundle_minlevel(payload: dict, tol: Fraction) -> Report:
 
 
 def _cmd_bundle_construct_f(payload: dict, tol: Fraction) -> Report:
-    b = parse_bundle(_get(payload, "bundle"), "bundle")
-    alpha = tl.CellWidth(parse_rational(_get(payload, "alpha"), "alpha"))
-    try:
-        section = tb.construct_f(b, alpha)
-    except (tb.ModelUndefinedError, ValueError) as err:
-        return Report("bundle-construct-f", "error", diagnostics=(str(err),))
+    section = tb.construct_f(_bundle(payload), parse_width(payload))
     return Report("bundle-construct-f", "pass", payload={"section": serialize_section(section)})
 
 
 def _cmd_bundle_verify_f(payload: dict, tol: Fraction) -> Report:
-    b = parse_bundle(_get(payload, "bundle"), "bundle")
+    b = _bundle(payload)
     section = parse_section(_get(payload, "section"), "section")
-    try:
-        report = tb.verify_section(b, section)
-    except ValueError as err:
-        return Report("bundle-verify-f", "error", diagnostics=(str(err),))
+    report = tb.verify_section(b, section)
     faces = [
         {
             "position": format_rational(f.position),
@@ -512,13 +483,14 @@ _HANDLERS: dict[str, Callable[[dict, Fraction], Report]] = {
 
 
 def run(job: JobSpec) -> Report:
-    """Dispatch a job to its handler; schema problems become error reports."""
-    if job.command not in _HANDLERS:
+    """Dispatch a job to its handler; any ValueError it raises becomes an error report."""
+    # a batch entry may name its command with any JSON value, hashable or not
+    if not isinstance(job.command, str) or job.command not in _HANDLERS:
         return Report(job.command, "error", diagnostics=(f"unknown command '{job.command}'",))
     if not isinstance(job.payload, dict):
         return Report(job.command, "error", diagnostics=("field 'input': expected an object",))
     version = job.payload.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         return Report(
             job.command,
             "error",
@@ -526,9 +498,7 @@ def run(job: JobSpec) -> Report:
         )
     try:
         return _HANDLERS[job.command](job.payload, job.tol)
-    except SchemaError as err:
-        return Report(job.command, "error", diagnostics=(str(err),))
-    except DimensionMismatch as err:
+    except ValueError as err:
         return Report(job.command, "error", diagnostics=(str(err),))
 
 
@@ -590,7 +560,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="wmtrop",
         description="Exact weight/monodromy filtration checks and tropical models",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=tuple(_HANDLERS))
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--input", help="path to a JSON input file")
     source.add_argument("--json", dest="inline", help="inline JSON input")
@@ -607,35 +577,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.inline is not None:
-        raw = args.inline
-    else:
-        try:
+    try:
+        if args.inline is not None:
+            raw = args.inline
+        else:
             with open(args.input, "r", encoding="utf-8") as handle:
                 raw = handle.read()
-        except OSError as err:
-            report = Report(args.command, "error", diagnostics=(f"cannot read input: {err}",))
-            sys.stdout.write(render_json(report))
-            return report.exit_code
-    try:
         payload = json.loads(raw)
-    except json.JSONDecodeError as err:
-        report = Report(args.command, "error", diagnostics=(f"invalid JSON: {err}",))
-        sys.stdout.write(render_json(report))
-        return report.exit_code
-    tol = mono.DEFAULT_TOL
-    if args.tol is not None:
-        try:
+        tol = mono.DEFAULT_TOL
+        if args.tol is not None:
             tol = parse_rational(args.tol, "tol")
             if tol <= 0:
                 raise SchemaError("tol", "tolerance must be positive")
-        except SchemaError as err:
-            report = Report(args.command, "error", diagnostics=(str(err),))
-            sys.stdout.write(render_json(report))
-            return report.exit_code
-    report = run(JobSpec(args.command, payload, fmt=args.format, tol=tol))
-    text, report = render(report, args.format)
-    sys.stdout.write(text)
+    except (OSError, UnicodeDecodeError) as err:
+        diagnostic = f"cannot read input: {err}"
+    except json.JSONDecodeError as err:
+        diagnostic = f"invalid JSON: {err}"
+    except SchemaError as err:
+        diagnostic = str(err)
+    else:
+        text, report = render(run(JobSpec(args.command, payload, tol=tol)), args.format)
+        sys.stdout.write(text)
+        return report.exit_code
+    # the command line itself is malformed: always a JSON error report
+    report = Report(args.command, "error", diagnostics=(diagnostic,))
+    sys.stdout.write(render_json(report))
     return report.exit_code
 
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
+from mpmath.libmp import NoConvergence
 
 from .polyfactor import factor_rational
 from .ratlin import (
@@ -398,7 +399,12 @@ def weil_weight(g: RatPoly, q: int, tol: Fraction = DEFAULT_TOL) -> int:
             mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
             for c in reversed(g.coeffs)
         ]
-        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=2 * dps)
+        try:
+            roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=2 * dps)
+        except NoConvergence:
+            raise ValueError(
+                f"root finding did not converge for a degree-{n} factor at {dps} digits"
+            ) from None
         target = mpmath.mpf(q) ** j
         bar = mpmath.mpf(tol.numerator) / mpmath.mpf(tol.denominator)
         for root in roots:

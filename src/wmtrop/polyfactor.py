@@ -246,10 +246,6 @@ def _center(c: int, m: int) -> int:
     return c - m if c > m // 2 else c
 
 
-def _int_poly_to_ratpoly(a: list[int]) -> RatPoly:
-    return RatPoly(a)
-
-
 def _exact_div(num: RatPoly, den: RatPoly) -> RatPoly | None:
     q, r = divmod(num, den)
     return q if r.is_zero() else None
@@ -292,7 +288,7 @@ def _zassenhaus_monic(g: list[int], rng: random.Random) -> list[list[int]]:
             cand = [_center(c, target) for c in prod]
             if remaining[0] != 0 and cand[0] != 0 and remaining[0] % cand[0] != 0:
                 continue
-            quo = _exact_div(_int_poly_to_ratpoly(remaining), _int_poly_to_ratpoly(cand))
+            quo = _exact_div(RatPoly(remaining), RatPoly(cand))
             if quo is not None and all(c.denominator == 1 for c in quo.coeffs):
                 hit = (combo, cand, [int(c) for c in quo.coeffs])
                 break
@@ -342,9 +338,7 @@ def _factor_squarefree_monic(f: RatPoly) -> list[RatPoly]:
     n = f.degree
     if n == 1:
         return [f]
-    scale = 1
-    for c in f.coeffs:
-        scale = scale * c.denominator // math.gcd(scale, c.denominator)
+    scale = math.lcm(*(c.denominator for c in f.coeffs))
     # y = scale * x turns f into a monic integer polynomial in y
     g_int = []
     for k in range(n + 1):

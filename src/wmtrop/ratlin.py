@@ -104,9 +104,6 @@ class Matrix:
         n = len(d)
         return cls([[d[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)], cols=n)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self._rows[i][j]
-
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         return self._rows[ij[0]][ij[1]]
 
@@ -255,9 +252,6 @@ class Matrix:
     def leading_minor(self, k: int) -> "Matrix":
         """Top-left k-by-k submatrix."""
         return Matrix([r[:k] for r in self._rows[:k]], cols=k)
-
-    def to_lists(self) -> list[list[Fraction]]:
-        return self.rows_list()
 
     def __eq__(self, other) -> bool:
         return (

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .ratlin import Matrix, _frac
-from .troplattice import CellWidth, TropicalLattice, divides
+from .troplattice import CellWidth, TropicalLattice, _prime_factors, divides
 
 
 class ModelUndefinedError(ValueError):
@@ -186,20 +186,6 @@ def extends_to(b: BundleData, alpha: CellWidth) -> bool:
         raise ModelUndefinedError("alpha does not divide the lattice; no model at this width")
     a = alpha.alpha
     return all((v / a).denominator == 1 for v in b.chi_vals)
-
-
-def _prime_factors(n: int) -> tuple[int, ...]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return tuple(out)
 
 
 def minimal_level(b: BundleData, alpha: CellWidth, p: int) -> int:

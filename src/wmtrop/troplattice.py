@@ -29,19 +29,18 @@ class InvalidResidueError(ValueError):
     """Cell index out of range for the model's component count."""
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
+def _prime_factors(n: int) -> tuple[int, ...]:
+    out = []
+    f = 2
     while f * f <= n:
         if n % f == 0:
-            return False
-        f += 2
-    return True
+            out.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out.append(n)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -123,7 +122,7 @@ class QuotientModel:
     level: int
 
     def __post_init__(self):
-        if not _is_prime(self.p):
+        if _prime_factors(self.p) != (self.p,):
             raise ValueError("p must be prime")
         if self.level < 0:
             raise ValueError("level must be nonnegative")
@@ -308,10 +307,7 @@ def lattice_hnf(lat: TropicalLattice) -> Matrix:
     """Canonical rational basis of the lattice: equal lattices compare equal."""
     if lat.rank == 0:
         return Matrix([], cols=0)
-    scale = 1
-    for i in range(lat.rank):
-        for x in lat.generators.column(i):
-            scale = scale * x.denominator // math.gcd(scale, x.denominator)
+    scale = math.lcm(*(x.denominator for row in lat.generators.row_tuples for x in row))
     rows = [[int(x * scale) for x in lat.generators.column(i)] for i in range(lat.rank)]
     hnf = _hnf_rows(rows)
     return Matrix([[Fraction(x, scale) for x in r] for r in hnf], cols=lat.rank)

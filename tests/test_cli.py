@@ -3,11 +3,14 @@ import json
 from contextlib import redirect_stdout
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import NoConvergence
 
 from wmtrop.cli import (
+    _HANDLERS,
     JobSpec,
     SchemaError,
     format_rational,
@@ -37,6 +40,66 @@ def run_cli(args):
 TATE_WMC = {"n": [[0, 1], [0, 0]], "phi": [[1, 0], [0, 5]], "q": 5, "i": 1}
 TATE_MODEL = {"lattice": {"rank": 1, "generators": [["2"]]}, "alpha": "1"}
 TATE_BUNDLE = {"lattice": {"rank": 1, "generators": [["2"]]}, "sigma": [[0]], "chi": ["1/5"]}
+RANK2_MODEL = {"lattice": {"rank": 2, "generators": [["2", "0"], ["0", "2"]]}, "alpha": "1"}
+RANK2_BUNDLE = {
+    "lattice": RANK2_MODEL["lattice"],
+    "sigma": [[0, 0], [0, 0]],
+    "chi": ["0", "0"],
+}
+
+
+# Well-formed structure with zero, negative and huge values in the
+# rational fields.  p, level, steps and cell stay small: the cost of
+# the primality test grows with p, and preimages lists p**steps cells.
+_extreme = st.one_of(
+    st.sampled_from(["0", "-1/2", "-3", str(10**40), str(-(10**40)), f"{10**40 + 1}/3"]),
+    st.fractions(-4, 4, max_denominator=6).map(str),
+)
+
+
+def _square(size, entries):
+    return st.lists(st.lists(entries, min_size=size, max_size=size), min_size=size, max_size=size)
+
+
+_small_matrix = st.integers(1, 2).flatmap(lambda d: _square(d, st.integers(-6, 6)))
+_lattice = st.integers(1, 2).flatmap(
+    lambda r: st.fixed_dictionaries({
+        "rank": st.just(r),
+        "generators": _square(r, st.sampled_from(["0", "1", "2", "-2", "3", "1/2"])),
+    })
+)
+_bundle = _lattice.flatmap(
+    lambda lat: st.fixed_dictionaries({
+        "lattice": st.just(lat),
+        "sigma": _square(lat["rank"], st.integers(-2, 2)),
+        "chi": st.lists(_extreme, min_size=lat["rank"], max_size=lat["rank"]),
+    })
+)
+_well_formed_input = st.fixed_dictionaries({
+    "n": _small_matrix,
+    "phi": _small_matrix,
+    "q": st.integers(-1, 7),
+    "i": st.integers(-3, 3),
+    "lattice": _lattice,
+    "alpha": _extreme,
+    "p": st.integers(-1, 13),
+    "level": st.integers(-1, 3),
+    "op": st.sampled_from(["project", "preimages", "sideways"]),
+    "cell": st.integers(-1, 30),
+    "steps": st.integers(-1, 3),
+    "bundle": _bundle,
+    "section": st.fixed_dictionaries({
+        "alpha": _extreme,
+        "slopes": st.lists(st.integers(-3, 3), max_size=6),
+        "base_value": _extreme,
+        "slope_increment": st.integers(-3, 3),
+        "value_increment": _extreme,
+    }),
+})
+# a batch runs every command on the same input
+_well_formed = _well_formed_input.map(
+    lambda inp: {**inp, "jobs": [{"command": c, "input": inp} for c in _HANDLERS]}
+)
 
 
 class TestParsing:
@@ -247,25 +310,87 @@ class TestErrorContract:
         assert code == 2
 
     def test_schema_version_rejected(self):
-        payload = dict(TATE_WMC, schema_version=2)
-        code, out = run_cli(["wmc-check", "--json", json.dumps(payload)])
-        assert code == 2
+        for version, shown in ((2, "2"), (True, "True")):
+            payload = dict(TATE_WMC, schema_version=version)
+            code, out = run_cli(["wmc-check", "--json", json.dumps(payload)])
+            assert code == 2
+            assert json.loads(out)["diagnostics"] == [
+                f"field 'schema_version': unsupported version {shown}"
+            ]
 
     def test_error_reports_have_diagnostics(self):
+        no_model = "alpha does not divide the lattice; no model at this width"
         bad_inputs = [
-            ("wmc-check", {}),
-            ("trop-model", {"lattice": {"rank": 1, "generators": [["0"]]}, "alpha": "1"}),
-            ("bundle-extend", {"bundle": TATE_BUNDLE, "alpha": "3/4"}),
-            ("trop-tower", dict(TATE_MODEL, op="sideways", cell=0)),
+            ("wmc-check", {}, 2, "field 'n': missing required field"),
+            ("wmc-check", dict(TATE_WMC, n=[[1, 0], [0, 0]]), 2, "matrix is not nilpotent"),
+            ("wmc-check", dict(TATE_WMC, phi=[[0, 0], [0, 5]]), 2,
+             "Frobenius matrix must be invertible"),
+            ("wmc-check", dict(TATE_WMC, phi=[[1]]), 2, "operator dimensions differ"),
+            ("monodromy-filtration", {"n": [[1, 0], [0, 0]]}, 2, "matrix is not nilpotent"),
+            ("weight-filtration", {"phi": [[0, 0], [0, 5]], "q": 5}, 2,
+             "Frobenius matrix must be invertible"),
+            ("weight-filtration", {"phi": [[3]], "q": 5}, 2,
+             "RatPoly(x - 3) is not weight-pure for q=5: "
+             "constant term squared is not a power of q"),
+            ("trop-model", {"lattice": {"rank": 1, "generators": [["0"]]}, "alpha": "1"}, 2,
+             "field 'lattice.generators': generator matrix must have full rank"),
+            ("trop-model", dict(TATE_MODEL, alpha="3/4"), 2,
+             "field 'alpha': alpha / p^level must divide the lattice"),
+            ("trop-model", dict(TATE_MODEL, p=4), 2, "field 'alpha': p must be prime"),
+            ("trop-tower", dict(TATE_MODEL, op="sideways", cell=0), 2,
+             "field 'op': expected 'project' or 'preimages'"),
+            ("trop-tower", dict(TATE_MODEL, op="preimages", cell=9), 2,
+             "cell index 9 invalid at level 0"),
+            ("trop-tower", dict(TATE_MODEL, op="project", cell=99, p=3), 2,
+             "cell index 99 invalid at level 1"),
+            ("trop-tower", dict(RANK2_MODEL, op="project", cell=0), 2,
+             "tower index maps are only computed for rank 1"),
+            ("bundle-extend", {"bundle": TATE_BUNDLE, "alpha": "3/4"}, 2, no_model),
+            ("bundle-extend", {"bundle": dict(TATE_BUNDLE, chi=["1/3"]), "alpha": "1", "p": 2}, 1,
+             "valuation denominators contain primes coprime to p (3); choose a finer base width"),
+            ("bundle-minlevel", {"bundle": TATE_BUNDLE, "alpha": "3/4", "p": 5}, 2, no_model),
+            ("bundle-construct-f", {"bundle": TATE_BUNDLE, "alpha": "3/4"}, 2, no_model),
+            ("bundle-construct-f", {"bundle": RANK2_BUNDLE, "alpha": "1"}, 2,
+             "explicit witnesses are only constructed for rank 1"),
+            ("bundle-verify-f", {"bundle": RANK2_BUNDLE, "section": {"alpha": "1", "slopes": [0]}},
+             2, "rank-1 bundle required"),
         ]
-        for command, payload in bad_inputs:
+        # a non-positive cell width is named like any other rejected field
+        for alpha in ("0", "-1/2"):
+            for command, payload in (
+                ("trop-model", dict(TATE_MODEL, alpha=alpha)),
+                ("trop-tower", dict(TATE_MODEL, alpha=alpha, op="project", cell=0)),
+                ("bundle-extend", {"bundle": TATE_BUNDLE, "alpha": alpha}),
+                ("bundle-minlevel", {"bundle": TATE_BUNDLE, "alpha": alpha, "p": 5}),
+                ("bundle-construct-f", {"bundle": TATE_BUNDLE, "alpha": alpha}),
+            ):
+                bad_inputs.append((command, payload, 2, "field 'alpha': cell width must be positive"))
+        for command, payload, code, diagnostic in bad_inputs:
             report = run(JobSpec(command, payload))
-            assert report.status == "error"
-            assert report.diagnostics, (command, payload)
+            assert (report.exit_code, report.diagnostics) == (code, (diagnostic,)), (command, payload)
 
     def test_unknown_command(self):
         report = run(JobSpec("no-such-thing", {}))
         assert report.status == "error"
+        # a batch entry can name its command with an unhashable JSON value
+        report = run(JobSpec("batch", {"jobs": [{"command": ["wmc-check"], "input": {}}]}))
+        assert report.status == "error"
+        assert report.payload["reports"][0]["diagnostics"] == ["unknown command '['wmc-check']'"]
+
+    def test_root_finding_failure_is_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise NoConvergence("polyroots failed to converge")
+
+        monkeypatch.setattr(mpmath, "polyroots", no_convergence)
+        for command, payload in (
+            ("wmc-check", TATE_WMC),
+            ("weight-filtration", {"phi": [[1, 0], [0, 5]], "q": 5}),
+        ):
+            code, out = run_cli([command, "--json", json.dumps(payload)])
+            assert code == 2
+            assert json.loads(out)["diagnostics"] == [
+                "root finding did not converge for a degree-1 factor at 64 digits"
+            ]
 
     _json_scalars = st.one_of(
         st.none(), st.booleans(), st.integers(-50, 50), st.text(max_size=8)
@@ -280,17 +405,23 @@ class TestErrorContract:
     )
 
     @given(
-        command=st.sampled_from(
-            ["wmc-check", "trop-model", "trop-tower", "bundle-extend", "bundle-verify-f"]
+        command=st.sampled_from(list(_HANDLERS)),
+        payload=st.one_of(
+            st.dictionaries(st.text(max_size=8), _json_values, max_size=4),
+            _well_formed,
         ),
-        payload=st.dictionaries(st.text(max_size=8), _json_values, max_size=4),
     )
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_malformed_inputs_never_crash(self, command, payload):
-        report = run(JobSpec(command, payload))
-        assert report.status in ("pass", "fail", "error")
-        if report.status == "error":
-            assert report.diagnostics
+        reports = [run(JobSpec(command, payload)).to_dict()]
+        while reports:
+            report = reports.pop()
+            assert report["status"] in ("pass", "fail", "error")
+            # a batch names no cause itself; its failing entries do
+            inner = report["payload"].get("reports", [])
+            if report["status"] == "error":
+                assert report["diagnostics"] or any(r["status"] == "error" for r in inner)
+            reports.extend(inner)
 
     def test_tol_flag(self):
         # a huge tolerance accepts the reciprocal-but-impure quadratic
@@ -307,6 +438,10 @@ class TestErrorContract:
         assert code == 0
         code, _ = run_cli(["trop-model", "--input", str(tmp_path / "missing.json")])
         assert code == 2
+        path.write_bytes(b"\xff{}")
+        code, out = run_cli(["trop-model", "--input", str(path)])
+        assert code == 2
+        assert json.loads(out)["diagnostics"][0].startswith("cannot read input:")
 
 
 class TestDeterminism:
