@@ -452,6 +452,7 @@ def _cmd_batch(payload: dict, tol: Fraction) -> Report:
     if not isinstance(jobs, list):
         raise SchemaError("jobs", "expected an array of job objects")
     reports = []
+    diagnostics = []  # the causes of the error entries, so an error batch names them
     worst = "pass"
     rank = {"pass": 0, "fail": 1, "error": 2}
     for idx, entry in enumerate(jobs):
@@ -462,9 +463,11 @@ def _cmd_batch(payload: dict, tol: Fraction) -> Report:
             sub_tol = parse_rational(entry["tol"], f"jobs[{idx}].tol")
         sub = run(JobSpec(entry["command"], entry.get("input", {}), tol=sub_tol))
         reports.append(sub.to_dict())
+        if sub.status == "error":
+            diagnostics.extend(f"jobs[{idx}]: {d}" for d in sub.diagnostics)
         if rank[sub.status] > rank[worst]:
             worst = sub.status
-    return Report("batch", worst, payload={"reports": reports})
+    return Report("batch", worst, payload={"reports": reports}, diagnostics=tuple(diagnostics))
 
 
 _HANDLERS: dict[str, Callable[[dict, Fraction], Report]] = {

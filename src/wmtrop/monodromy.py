@@ -35,12 +35,11 @@ from .ratlin import (
     Matrix,
     RatPoly,
     Subspace,
-    apply_to_subspace,
+    _rref,
     char_poly,
     contains,
     image,
     kernel,
-    solve,
     subspace_intersect,
     subspace_sum,
 )
@@ -68,26 +67,23 @@ class NotPureError(ValueError):
 
 
 class NilpotentOperator:
-    """Square matrix N with N^dim = 0, with its nilpotency index."""
+    """Square matrix N with N^dim = 0, its nilpotency index, and its nonzero
+    powers N^0, ..., N^(index-1) in `powers`."""
 
-    __slots__ = ("n_matrix", "nilpotency_index")
+    __slots__ = ("n_matrix", "nilpotency_index", "powers")
 
     def __init__(self, n_matrix: Matrix):
         if not n_matrix.is_square():
             raise DimensionMismatch("nilpotent operator must be square")
         d = n_matrix.rows
-        power = Matrix.identity(d)
-        index = 0
-        for k in range(1, d + 1):
-            power = power * n_matrix
-            if power.is_zero():
-                index = k
-                break
-        else:
-            if d > 0:
+        powers = [Matrix.identity(d)]
+        while not powers[-1].is_zero():
+            if len(powers) > d:
                 raise NotNilpotentError("matrix is not nilpotent")
+            powers.append(powers[-1] * n_matrix)
         object.__setattr__(self, "n_matrix", n_matrix)
-        object.__setattr__(self, "nilpotency_index", index)
+        object.__setattr__(self, "nilpotency_index", len(powers) - 1)
+        object.__setattr__(self, "powers", tuple(powers[:-1]))
 
     def __setattr__(self, name, value):
         raise AttributeError("NilpotentOperator is immutable")
@@ -276,14 +272,11 @@ def log_unipotent(u: Matrix) -> NilpotentOperator:
 
 def exp_nilpotent(n: NilpotentOperator) -> Matrix:
     """Exact exponential of a nilpotent operator (the series terminates)."""
-    d = n.dimension
-    out = Matrix.identity(d)
-    power = Matrix.identity(d)
+    out = Matrix.identity(n.dimension)
     fact = 1
     for k in range(1, n.nilpotency_index):
-        power = power * n.n_matrix
         fact *= k
-        out = out + power.scale(Fraction(1, fact))
+        out = out + n.powers[k].scale(Fraction(1, fact))
     return out
 
 
@@ -300,11 +293,10 @@ def monodromy_filtration(n: NilpotentOperator) -> Filtration:
     d = n.dimension
     if d == 0:
         return Filtration.trivial(0)
-    powers = [Matrix.identity(d)]
-    for _ in range(d):
-        powers.append(powers[-1] * n.n_matrix)
-    kers = [kernel(p) for p in powers]  # kers[k] = ker N^k
-    ims = [image(p) for p in powers]  # ims[k] = im N^k
+    # kers[k] = ker N^k and ims[k] = im N^k for k = 0..d; N^k = 0 from the index on
+    beyond = d + 1 - n.nilpotency_index
+    kers = [kernel(p) for p in n.powers] + [Subspace.full(d)] * beyond
+    ims = [image(p) for p in n.powers] + [Subspace.zero(d)] * beyond
     mapping: dict[int, Subspace] = {}
     for j in range(-d, d + 1):
         acc = Subspace.zero(d)
@@ -433,7 +425,8 @@ def weight_decomposition(f: FrobeniusData, tol: Fraction = DEFAULT_TOL) -> Weigh
         by_weight[j] = by_weight.get(j, RatPoly.one()) * g**mult
     components = {j: kernel(h.eval_matrix(f.phi_matrix)) for j, h in by_weight.items()}
     total = sum(s.dim for s in components.values())
-    assert total == d, "primary components must fill the space"
+    if total != d:
+        raise ArithmeticError(f"weight components span {total} of {d} dimensions")
     return WeightDecomposition(d, components)
 
 
@@ -463,17 +456,6 @@ def check_commutation(n: NilpotentOperator, f: FrobeniusData) -> bool:
 # induced maps on graded pieces
 
 
-def _quotient_reps(big: Subspace, small: Subspace) -> list[tuple[Fraction, ...]]:
-    """Rows of big's basis that are independent modulo small."""
-    reps = []
-    current = small
-    for v in big.vectors():
-        if not current.contains_vector(v):
-            reps.append(v)
-            current = subspace_sum(current, Subspace.span(big.ambient_dim, [v]))
-    return reps
-
-
 def induced_quotient_matrix(
     op: Matrix,
     src_big: Subspace,
@@ -483,21 +465,25 @@ def induced_quotient_matrix(
 ) -> Matrix:
     """Matrix of the map src_big/src_small -> dst_big/dst_small induced by op.
 
-    Assumes op(src_big) <= dst_big and op(src_small) <= dst_small.
+    Assumes op(src_big) <= dst_big and op(src_small) <= dst_small.  One
+    RREF per side, on vectors as columns.  The pivots of
+    [src_small | src_big] past src_small pick the source representatives,
+    greedily independent modulo src_small.  In the RREF of
+    [dst_small | dst_big | op(reps)] the pivots past dst_small pick the
+    destination representatives the same way, a pivot among the images
+    means op leaves dst_big, and each image's coordinates on the
+    representatives are its entries in their pivot rows.
     """
-    src_reps = _quotient_reps(src_big, src_small)
-    dst_reps = _quotient_reps(dst_big, dst_small)
-    ambient = dst_big.ambient_dim
-    basis_cols = [list(v) for v in dst_small.vectors()] + [list(v) for v in dst_reps]
-    basis = Matrix.from_columns(basis_cols, ambient) if basis_cols else Matrix([], cols=0)
-    cols = []
-    for v in src_reps:
-        w = op.apply(v)
-        x = solve(basis, w) if basis_cols else (tuple() if all(c == 0 for c in w) else None)
-        if x is None:
-            raise ArithmeticError("operator does not map into the target subspace")
-        cols.append(x[dst_small.dim :])
-    return Matrix.from_columns(cols, len(dst_reps))
+    src_vecs = src_big.vectors()
+    _, pivots = _rref([list(r) for r in zip(*src_small.vectors(), *src_vecs)])
+    reps = [src_vecs[c - src_small.dim] for c in pivots[src_small.dim :]]
+    dst_cols = dst_small.vectors() + dst_big.vectors()
+    images = [op.apply(v) for v in reps]
+    rows, pivots = _rref([list(r) for r in zip(*dst_cols, *images)])
+    if pivots and pivots[-1] >= len(dst_cols):
+        raise ArithmeticError("operator does not map into the target subspace")
+    coords = rows[dst_small.dim : len(pivots)]
+    return Matrix([row[len(dst_cols) :] for row in coords], cols=len(images))
 
 
 def graded_map_is_bijective(n: NilpotentOperator, fil: Filtration, j: int) -> bool:
@@ -510,8 +496,11 @@ def graded_map_is_bijective(n: NilpotentOperator, fil: Filtration, j: int) -> bo
         return False
     if dim_src == 0:
         return True
-    power = n.n_matrix**j
-    induced = induced_quotient_matrix(power, fil.at(j), fil.at(j - 1), fil.at(-j), fil.at(-j - 1))
+    if j >= n.nilpotency_index:
+        return False  # N^j = 0 kills a nonzero graded piece
+    induced = induced_quotient_matrix(
+        n.powers[j], fil.at(j), fil.at(j - 1), fil.at(-j), fil.at(-j - 1)
+    )
     return induced.rank() == dim_src
 
 
@@ -576,8 +565,9 @@ def check_wmc(
 
     graded_weights: dict[int, list[tuple[int, int]]] = {}
     for j in mono.jump_indices():
-        stable = contains(mono.at(j), apply_to_subspace(f.phi_matrix, mono.at(j)))
-        if not stable:
+        piece = mono.at(j)
+        images = (f.phi_matrix.apply(v) for v in piece.vectors())
+        if not piece.is_full() and not all(map(piece.contains_vector, images)):
             violations.append(
                 {
                     "kind": "graded_not_phi_stable",

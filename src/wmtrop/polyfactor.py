@@ -68,7 +68,8 @@ def _mx_mul(a: list[int], b: list[int], m: int) -> list[int]:
 
 def _mx_divmod_monic(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
     """Division by a monic polynomial; valid over any modulus."""
-    assert b and b[-1] == 1, "divisor must be monic"
+    if not b or b[-1] != 1:
+        raise ArithmeticError("divisor must be monic")
     rem = list(a)
     db = len(b) - 1
     if len(rem) - 1 < db:
@@ -149,7 +150,8 @@ def _ddf(f: list[int], p: int) -> list[tuple[list[int], int]]:
         if len(g) - 1 > 0:
             out.append((g, d))
             v, r = _mx_divmod_monic(v, g, p)
-            assert not r
+            if r:
+                raise ArithmeticError("distinct-degree factor does not divide the polynomial")
             h = _mx_divmod_monic(h, v, p)[1] if len(v) > 1 else []
     if len(v) - 1 > 0:
         out.append((v, len(v) - 1))
@@ -173,7 +175,8 @@ def _edf(f: list[int], d: int, p: int, rng: random.Random) -> list[list[int]]:
         if 0 < len(g) - 1 < n:
             break
     q, rem = _mx_divmod_monic(f, g, p)
-    assert not rem
+    if rem:
+        raise ArithmeticError("equal-degree factor does not divide the polynomial")
     return _edf(g, d, p, rng) + _edf(q, d, p, rng)
 
 
@@ -206,7 +209,8 @@ def _hensel_step(f, g, h, s, t, m):
 def _hensel_pair(f, u, v, p, target):
     """Lift f = u*v from mod p to mod `target` (a 2-power power of p)."""
     g, s, t = _mx_xgcd(u, v, p)
-    assert g == [1], "lift requires coprime cofactors mod p"
+    if g != [1]:
+        raise ArithmeticError("lift requires coprime cofactors mod p")
     m = p
     while m < target:
         u, v, s, t = _hensel_step(f, u, v, s, t, m)
@@ -343,7 +347,8 @@ def _factor_squarefree_monic(f: RatPoly) -> list[RatPoly]:
     g_int = []
     for k in range(n + 1):
         val = f.coefficient(k) * scale ** (n - k)
-        assert val.denominator == 1
+        if val.denominator != 1:
+            raise ArithmeticError("scaled polynomial is not integral")
         g_int.append(val.numerator)
     rng = random.Random(hash((tuple(g_int), 0x7ea9)))
     out = []

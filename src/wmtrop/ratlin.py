@@ -395,22 +395,19 @@ def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
+    """u /\\ v by Zassenhaus's method: one RREF of the rows (x | x), x in u's
+    basis, and (y | 0), y in v's basis.  The rows with zero left half,
+    (x + y | x) with x = -y, hold the canonical basis of u /\\ v on the right.
+    """
     if u.ambient_dim != v.ambient_dim:
         raise DimensionMismatch("ambient dimension mismatch")
+    n = u.ambient_dim
     if u.is_zero() or v.is_zero():
-        return Subspace.zero(u.ambient_dim)
-    # x*U = y*V  <=>  (x, y) in ker [U^T | -V^T]
-    cols = [list(r) for r in u.vectors()] + [[-x for x in r] for r in v.vectors()]
-    stacked = Matrix.from_columns(cols, u.ambient_dim)
-    vecs = []
-    for coeffs in kernel(stacked).vectors():
-        xs = coeffs[: u.dim]
-        vec = [Fraction(0)] * u.ambient_dim
-        for c, row in zip(xs, u.vectors()):
-            if c != 0:
-                vec = [a + c * b for a, b in zip(vec, row)]
-        vecs.append(vec)
-    return Subspace.span(u.ambient_dim, vecs)
+        return Subspace.zero(n)
+    zero = [Fraction(0)] * n
+    rows, pivots = _rref([list(x + x) for x in u.vectors()] + [list(y) + zero for y in v.vectors()])
+    basis = [row[n:] for row, c in zip(rows, pivots) if c >= n]
+    return Subspace(n, Matrix(basis, cols=n), _trusted=True)
 
 
 def contains(u: Subspace, v: Subspace) -> bool:

@@ -332,12 +332,10 @@ def construct_f(b: BundleData, alpha: CellWidth) -> TropicalSection:
             "bundle does not extend at this width; refine alpha (see minimal_level)"
         )
     lam, _, d_eff, v_eff = _rank1_generator_data(b)
-    k_frac = lam / alpha.alpha
-    assert k_frac.denominator == 1
-    k = int(k_frac)
-    total_frac = v_eff / alpha.alpha
-    assert total_frac.denominator == 1
-    total = int(total_frac)
+    k_frac, total_frac = lam / alpha.alpha, v_eff / alpha.alpha
+    if k_frac.denominator != 1 or total_frac.denominator != 1:
+        raise ArithmeticError("cell count or slope sum over a period is not an integer")
+    k, total = int(k_frac), int(total_frac)
     base = total // k
     rem = total - base * k
     slopes = tuple([base + 1] * rem + [base] * (k - rem))

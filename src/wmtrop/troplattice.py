@@ -210,7 +210,8 @@ def quotient_components(q: QuotientModel) -> int:
     """Number of special-fiber components: covolume / (cell width)^rank."""
     beta = q.width().alpha
     count = q.lattice.covolume() / beta**q.lattice.rank
-    assert count.denominator == 1 and count > 0
+    if count.denominator != 1 or count <= 0:
+        raise ArithmeticError(f"component count {count} is not a positive integer")
     return int(count)
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from wmtrop.ratlin import Matrix, Subspace, kernel, subspace_sum
+from wmtrop.ratlin import Matrix, Subspace, kernel, solve, subspace_sum
 from wmtrop.tropbundle import BundleData, TropicalSection, form_matrix
 
 
@@ -50,6 +50,54 @@ def jordan_filtration_pieces(n_matrix: Matrix) -> dict[int, Subspace]:
     return {
         j: Subspace.span(d, [v for idx, v in indexed if idx <= j]) for j in range(-d, d + 1)
     }
+
+
+def kernel_intersect(u: Subspace, v: Subspace) -> Subspace:
+    """u /\\ v from the kernel of [U^T | -V^T]: x*U = y*V gives the vector x*U."""
+    if u.is_zero() or v.is_zero():
+        return Subspace.zero(u.ambient_dim)
+    cols = [list(r) for r in u.vectors()] + [[-x for x in r] for r in v.vectors()]
+    stacked = Matrix.from_columns(cols, u.ambient_dim)
+    vecs = []
+    for coeffs in kernel(stacked).vectors():
+        vec = [Fraction(0)] * u.ambient_dim
+        for c, row in zip(coeffs[: u.dim], u.vectors()):
+            vec = [a + c * b for a, b in zip(vec, row)]
+        vecs.append(vec)
+    return Subspace.span(u.ambient_dim, vecs)
+
+
+def greedy_quotient_reps(big: Subspace, small: Subspace) -> list[tuple[Fraction, ...]]:
+    """Rows of big's basis independent modulo small, one membership test each."""
+    reps = []
+    current = small
+    for v in big.vectors():
+        if not current.contains_vector(v):
+            reps.append(v)
+            current = subspace_sum(current, Subspace.span(big.ambient_dim, [v]))
+    return reps
+
+
+def solve_induced_matrix(
+    op: Matrix, src_big: Subspace, src_small: Subspace, dst_big: Subspace, dst_small: Subspace
+) -> Matrix:
+    """Induced map on quotients, solving for each image on [dst_small | dst reps]."""
+    src_reps = greedy_quotient_reps(src_big, src_small)
+    dst_reps = greedy_quotient_reps(dst_big, dst_small)
+    basis_cols = [list(v) for v in dst_small.vectors()] + [list(v) for v in dst_reps]
+    cols = []
+    for v in src_reps:
+        w = op.apply(v)
+        if not basis_cols:
+            if any(c != 0 for c in w):
+                raise ArithmeticError("operator does not map into the target subspace")
+            cols.append(())
+            continue
+        x = solve(Matrix.from_columns(basis_cols, dst_big.ambient_dim), w)
+        if x is None:
+            raise ArithmeticError("operator does not map into the target subspace")
+        cols.append(x[dst_small.dim :])
+    return Matrix.from_columns(cols, len(dst_reps))
 
 
 def rational_gcd_bruteforce(values: list[Fraction]) -> Fraction:

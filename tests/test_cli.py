@@ -1,6 +1,7 @@
 import io
 import json
 from contextlib import redirect_stdout
+from pathlib import Path
 from fractions import Fraction as F
 
 import mpmath
@@ -377,6 +378,26 @@ class TestErrorContract:
         assert report.status == "error"
         assert report.payload["reports"][0]["diagnostics"] == ["unknown command '['wmc-check']'"]
 
+    def test_error_batch_names_its_error_entries(self):
+        jobs = [
+            {"command": "nope"},
+            {"command": "trop-model", "input": TATE_MODEL},
+            {"command": "wmc-check", "input": {}},
+            {"command": "bundle-extend", "input": {"bundle": TATE_BUNDLE, "alpha": "1"}},
+        ]
+        code, out = run_cli(["batch", "--json", json.dumps({"jobs": jobs})])
+        assert code == 2
+        assert json.loads(out)["diagnostics"] == [
+            "jobs[0]: unknown command 'nope'",
+            "jobs[2]: field 'n': missing required field",
+        ]
+        nested = {"jobs": [{"command": "batch", "input": {"jobs": jobs[1:3]}}]}
+        report = run(JobSpec("batch", nested))
+        assert report.diagnostics == ("jobs[0]: jobs[1]: field 'n': missing required field",)
+        # a batch without error entries carries no diagnostics
+        report = run(JobSpec("batch", {"jobs": [jobs[1], jobs[3]]}))
+        assert (report.status, report.diagnostics) == ("fail", ())
+
     def test_root_finding_failure_is_error(self, monkeypatch):
         def no_convergence(*args, **kwargs):
             raise NoConvergence("polyroots failed to converge")
@@ -417,11 +438,9 @@ class TestErrorContract:
         while reports:
             report = reports.pop()
             assert report["status"] in ("pass", "fail", "error")
-            # a batch names no cause itself; its failing entries do
-            inner = report["payload"].get("reports", [])
             if report["status"] == "error":
-                assert report["diagnostics"] or any(r["status"] == "error" for r in inner)
-            reports.extend(inner)
+                assert report["diagnostics"]
+            reports.extend(report["payload"].get("reports", []))
 
     def test_tol_flag(self):
         # a huge tolerance accepts the reciprocal-but-impure quadratic
@@ -486,3 +505,33 @@ class TestDeterminism:
         code, out = run_cli(["trop-model", "--format", "text", "--json", json.dumps(TATE_MODEL)])
         assert code == 0
         assert out.startswith("trop-model: pass")
+
+
+class TestGoldenReports:
+    """Reports compared byte for byte with stored ones, exit codes too.
+
+    The inputs are conjugated, so the reported canonical bases are dense
+    and a change of canonical form shows.  They cover wmc-check passes and
+    failures (one with graded_not_phi_stable), monodromy-filtration and
+    weight-filtration at dimensions 6 to 12.  Rewrite the file only for a
+    deliberate change of the reports.
+    """
+
+    CASES = json.loads((Path(__file__).parent / "golden_reports.json").read_text())
+
+    @pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+    def test_report_bytes(self, case):
+        code, out = run_cli([case["command"], "--json", json.dumps(case["input"])])
+        assert (code, out) == (case["exit_code"], case["report"])
+
+    def test_cases_cover_the_commands_and_outcomes(self):
+        kinds = {
+            v["kind"]
+            for c in self.CASES
+            for v in json.loads(c["report"])["payload"].get("violations", [])
+        }
+        assert "graded_not_phi_stable" in kinds
+        assert {c["command"] for c in self.CASES} == {
+            "wmc-check", "monodromy-filtration", "weight-filtration"
+        }
+        assert {c["exit_code"] for c in self.CASES} == {0, 1}

@@ -5,6 +5,7 @@ import pytest
 
 from gens import random_jordan_nilpotent, random_unipotent, random_wmc_pair
 from oracles import jordan_filtration_pieces
+from wmtrop import monodromy
 from wmtrop.monodromy import (
     Filtration,
     FrobeniusData,
@@ -66,6 +67,15 @@ class TestNilpotentOperator:
     def test_rejects_non_nilpotent(self):
         with pytest.raises(NotNilpotentError):
             NilpotentOperator(Matrix.identity(2))
+
+    def test_powers_are_the_nonzero_powers(self):
+        rng = random.Random(53)
+        for _ in range(20):
+            n_mat, blocks = random_jordan_nilpotent(rng, rng.randint(1, 6))
+            op = NilpotentOperator(n_mat)
+            assert op.nilpotency_index == blocks[0]
+            assert op.powers == tuple(n_mat**k for k in range(blocks[0]))
+        assert NilpotentOperator(Matrix([], cols=0)).powers == ()
 
 
 class TestMonodromyFiltration:
@@ -210,6 +220,12 @@ class TestWeightDecomposition:
     def test_not_pure_propagates(self):
         with pytest.raises(NotPureError):
             weight_decomposition(FrobeniusData(Matrix.diagonal([3]), 5))
+
+    def test_components_short_of_the_space_raise(self, monkeypatch):
+        # a kernel that lost its vectors is caught by an explicit check, also under python -O
+        monkeypatch.setattr(monodromy, "kernel", lambda m: Subspace.zero(m.cols))
+        with pytest.raises(ArithmeticError, match="weight components span 0 of 2 dimensions"):
+            weight_decomposition(FrobeniusData(TATE_PHI, 5))
 
     def test_components_phi_invariant(self):
         rng = random.Random(47)
