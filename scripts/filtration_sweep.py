@@ -2,7 +2,7 @@
 """Sweep random nilpotent operators and tabulate jump patterns.
 
 For each random conjugated Jordan type the centered filtration is
-computed from the closed intersection formula; the sweep records the
+computed by its descending recurrence; the sweep records the
 jump indices and graded dimensions, which recover the Jordan type - a
 quick empirical illustration that the filtration sees exactly the block
 structure and nothing else.

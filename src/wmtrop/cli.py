@@ -318,6 +318,8 @@ def _parse_quotient_model(payload: dict) -> tl.QuotientModel:
     level = _get_int(payload, "level", minimum=0, default=0)
     try:
         return tl.QuotientModel(lat, alpha, p, level)
+    except tl.NotPrimeError as err:
+        raise SchemaError("p", str(err)) from None
     except ValueError as err:
         raise SchemaError("alpha", str(err)) from None
 

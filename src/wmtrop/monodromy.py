@@ -6,8 +6,8 @@ degree i.  The module computes
 
 * the canonical increasing filtration attached to N, centered at 0, the
   unique one with N Fil_j <= Fil_{j-2} and N^j an isomorphism between the
-  j-th and (-j)-th graded pieces, via the closed formula
-  Fil_j = sum over j1-j2=j of ker N^(j1+1) /\\ im N^(j2);
+  j-th and (-j)-th graded pieces, downward by the recurrence
+  Fil_j = ker N^(j+1) + N Fil_(j+2);
 * the weight-space decomposition of Phi (generalized eigenspaces grouped
   by the power of q carried by the eigenvalue moduli) and the increasing
   filtration it spans;
@@ -38,9 +38,7 @@ from .ratlin import (
     _rref,
     char_poly,
     contains,
-    image,
     kernel,
-    subspace_intersect,
     subspace_sum,
 )
 
@@ -171,23 +169,6 @@ class Filtration:
         raise AttributeError("Filtration is immutable")
 
     @classmethod
-    def from_map(cls, ambient_dim: int, mapping: dict[int, Subspace]) -> "Filtration":
-        """Build from a contiguous map of pieces, trimming to the jump range."""
-        if not mapping:
-            return cls.trivial(ambient_dim)
-        keys = sorted(mapping)
-        jumps = []
-        prev = Subspace.zero(ambient_dim)
-        for j in keys:
-            if mapping[j] != prev:
-                jumps.append(j)
-            prev = mapping[j]
-        if not jumps:
-            return cls.trivial(ambient_dim)
-        lo, hi = jumps[0], jumps[-1]
-        return cls(ambient_dim, {j: mapping[j] for j in range(lo, hi + 1)}, lo, hi)
-
-    @classmethod
     def trivial(cls, ambient_dim: int) -> "Filtration":
         return cls(ambient_dim, {0: Subspace.full(ambient_dim)}, 0, 0)
 
@@ -287,34 +268,25 @@ def exp_nilpotent(n: NilpotentOperator) -> Matrix:
 def monodromy_filtration(n: NilpotentOperator) -> Filtration:
     """Canonical centered filtration of a nilpotent operator.
 
-    Computed directly from the closed formula
-    Fil_j = sum over j1 - j2 = j, j1, j2 >= 0 of ker N^(j1+1) /\\ im N^(j2).
+    One span per index, downward by Fil_j = ker N^(j+1) + N Fil_(j+2) from
+    Fil_index = Fil_(index-1) = Q^d, with ker N^k = 0 for k <= 0; pieces
+    below Fil_(1-index) are 0.  This is the closed formula Fil_j = sum over
+    j1 - j2 = j of ker N^(j1+1) /\\ im N^(j2): as ker N^a /\\ im N^b =
+    N^b(ker N^(a+b)), Fil_j = sum over b >= 0 of N^b ker N^(j+2b+1), where
+    terms with j + b < 0 vanish, b = 0 gives ker N^(j+1), and the terms
+    with b >= 1 sum to N Fil_(j+2).
     """
-    d = n.dimension
+    d, top = n.dimension, n.nilpotency_index
     if d == 0:
         return Filtration.trivial(0)
-    # kers[k] = ker N^k and ims[k] = im N^k for k = 0..d; N^k = 0 from the index on
-    beyond = d + 1 - n.nilpotency_index
-    kers = [kernel(p) for p in n.powers] + [Subspace.full(d)] * beyond
-    ims = [image(p) for p in n.powers] + [Subspace.zero(d)] * beyond
-    mapping: dict[int, Subspace] = {}
-    for j in range(-d, d + 1):
-        acc = Subspace.zero(d)
-        for j1 in range(max(0, j), d + 1):
-            j2 = j1 - j
-            if j2 > d or ims[j2].is_zero():
-                break  # images only shrink as j2 grows
-            ker_exp = min(j1 + 1, d)
-            if kers[ker_exp].is_full():
-                term = ims[j2]
-            else:
-                term = subspace_intersect(kers[ker_exp], ims[j2])
-            if not term.is_zero():
-                acc = subspace_sum(acc, term)
-            if acc.is_full():
-                break
-        mapping[j] = acc
-    return Filtration.from_map(d, mapping)
+    n_t = n.n_matrix.transpose()
+    fil = {top: Subspace.full(d), top - 1: Subspace.full(d)}
+    for j in range(top - 2, -top, -1):
+        kers = kernel(n.powers[j + 1]).vectors() if j >= 0 else ()
+        fil[j] = Subspace.span(d, [*kers, *(fil[j + 2].basis * n_t).row_tuples])
+    # both ends are jumps: gr_(1-index) = im N^(index-1) is not 0, and N^(index-1)
+    # maps gr_(index-1) onto it
+    return Filtration(d, fil, 1 - top, top - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +498,9 @@ def check_wmc(
     The report records (a) whether N Phi = q Phi N, (b) whether
     Fil_j = W_(i+j) for every j as an identity of canonical subspaces,
     and (c) the Frobenius weights on each graded piece gr_j, which must
-    all equal i+j.  Failures land in `violations`; nothing raises.
+    all equal i+j.  A piece that Phi moves is a violation, and gr_j gets
+    weights only when Phi preserves both Fil_j and Fil_(j-1), so that it
+    induces a map there.  Failures land in `violations`; nothing raises.
     """
     if n.dimension != f.dimension:
         raise DimensionMismatch("operator dimensions differ")
@@ -564,10 +538,12 @@ def check_wmc(
         filtrations_equal = not mismatches
 
     graded_weights: dict[int, list[tuple[int, int]]] = {}
+    below_stable = True  # Phi preserves Fil_(j-1), the previous jump's piece or 0
     for j in mono.jump_indices():
         piece = mono.at(j)
         images = (f.phi_matrix.apply(v) for v in piece.vectors())
-        if not piece.is_full() and not all(map(piece.contains_vector, images)):
+        stable = piece.is_full() or all(map(piece.contains_vector, images))
+        if not stable:
             violations.append(
                 {
                     "kind": "graded_not_phi_stable",
@@ -575,6 +551,9 @@ def check_wmc(
                     "detail": "Phi does not preserve the filtration piece",
                 }
             )
+        induced = stable and below_stable
+        below_stable = stable
+        if not induced:
             continue
         try:
             pairs = _graded_frobenius_weights(f, mono, j, tol)

@@ -29,7 +29,18 @@ class InvalidResidueError(ValueError):
     """Cell index out of range for the model's component count."""
 
 
+class NotPrimeError(ValueError):
+    """The p of a quotient model is not a prime, or too large to test."""
+
+
+#: largest n `_prime_factors` accepts; trial division to its root takes ~0.1 s
+FACTOR_LIMIT = 10**12
+
+
 def _prime_factors(n: int) -> tuple[int, ...]:
+    """Distinct prime factors of n, ascending; ValueError above FACTOR_LIMIT."""
+    if n > FACTOR_LIMIT:
+        raise ValueError(f"cannot factor {n}: trial division stops at 10**12")
     out = []
     f = 2
     while f * f <= n:
@@ -122,8 +133,10 @@ class QuotientModel:
     level: int
 
     def __post_init__(self):
+        if self.p > FACTOR_LIMIT:
+            raise NotPrimeError("p is above the primality-test limit 10**12")
         if _prime_factors(self.p) != (self.p,):
-            raise ValueError("p must be prime")
+            raise NotPrimeError("p must be prime")
         if self.level < 0:
             raise ValueError("level must be nonnegative")
         if not divides(self.width(), self.lattice):

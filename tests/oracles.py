@@ -6,7 +6,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from wmtrop.ratlin import Matrix, Subspace, kernel, solve, subspace_sum
+from wmtrop.ratlin import (
+    Matrix,
+    Subspace,
+    image,
+    kernel,
+    solve,
+    subspace_intersect,
+    subspace_sum,
+)
 from wmtrop.tropbundle import BundleData, TropicalSection, form_matrix
 
 
@@ -16,7 +24,7 @@ def jordan_filtration_pieces(n_matrix: Matrix) -> dict[int, Subspace]:
     Chains are extracted greedily from the kernels of the powers, top
     length first; a chain of length s contributes its vectors at indices
     s-1, s-3, ..., 1-s, and piece j is the span of everything at index
-    <= j.  Completely independent of the closed intersection formula.
+    <= j.  Independent of both the recurrence and the closed formula.
     """
     d = n_matrix.rows
     powers = [Matrix.identity(d)]
@@ -50,6 +58,27 @@ def jordan_filtration_pieces(n_matrix: Matrix) -> dict[int, Subspace]:
     return {
         j: Subspace.span(d, [v for idx, v in indexed if idx <= j]) for j in range(-d, d + 1)
     }
+
+
+def closed_formula_pieces(n_matrix: Matrix) -> dict[int, Subspace]:
+    """Pieces Fil_j, -d-1 <= j <= d, of the filtration of a nilpotent matrix
+    by Deligne's closed formula: Fil_j is the sum over j1 - j2 = j,
+    j1, j2 >= 0, of ker N^(j1+1) /\\ im N^(j2).  Every term is built, with
+    no reuse between indices and no early exit.
+    """
+    d = n_matrix.rows
+    powers = [Matrix.identity(d)]
+    for _ in range(2 * d + 1):
+        powers.append(powers[-1] * n_matrix)
+    kers = [kernel(p) for p in powers]
+    ims = [image(p) for p in powers]
+    pieces = {}
+    for j in range(-d - 1, d + 1):
+        acc = Subspace.zero(d)
+        for j1 in range(max(0, j), d + 1):
+            acc = subspace_sum(acc, subspace_intersect(kers[j1 + 1], ims[j1 - j]))
+        pieces[j] = acc
+    return pieces
 
 
 def kernel_intersect(u: Subspace, v: Subspace) -> Subspace:

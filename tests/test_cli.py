@@ -337,7 +337,7 @@ class TestErrorContract:
              "field 'lattice.generators': generator matrix must have full rank"),
             ("trop-model", dict(TATE_MODEL, alpha="3/4"), 2,
              "field 'alpha': alpha / p^level must divide the lattice"),
-            ("trop-model", dict(TATE_MODEL, p=4), 2, "field 'alpha': p must be prime"),
+            ("trop-model", dict(TATE_MODEL, p=4), 2, "field 'p': p must be prime"),
             ("trop-tower", dict(TATE_MODEL, op="sideways", cell=0), 2,
              "field 'op': expected 'project' or 'preimages'"),
             ("trop-tower", dict(TATE_MODEL, op="preimages", cell=9), 2,
@@ -369,6 +369,22 @@ class TestErrorContract:
         for command, payload, code, diagnostic in bad_inputs:
             report = run(JobSpec(command, payload))
             assert (report.exit_code, report.diagnostics) == (code, (diagnostic,)), (command, payload)
+
+    def test_trial_division_is_bounded(self):
+        # 2**61 - 1 is prime; trial division up to its square root would hang
+        mersenne = 2**61 - 1
+        code, out = run_cli(["trop-model", "--json", json.dumps(dict(TATE_MODEL, p=mersenne))])
+        assert code == 2
+        assert json.loads(out)["diagnostics"] == [
+            "field 'p': p is above the primality-test limit 10**12"
+        ]
+        bundle = dict(TATE_BUNDLE, chi=[f"1/{mersenne}"])
+        payload = {"bundle": bundle, "alpha": "1", "p": 5}
+        code, out = run_cli(["bundle-minlevel", "--json", json.dumps(payload)])
+        assert code == 2
+        assert json.loads(out)["diagnostics"] == [
+            f"cannot factor {mersenne}: trial division stops at 10**12"
+        ]
 
     def test_unknown_command(self):
         report = run(JobSpec("no-such-thing", {}))

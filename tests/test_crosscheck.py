@@ -2,7 +2,8 @@
 
 The intersection and the induced quotient maps are each one elimination;
 here they meet the kernel-and-solve constructions of tests/oracles.py,
-and rref, kernel and intersection dimensions meet sympy.
+the monodromy filtration's recurrence meets the closed formula, and
+rref, kernel and intersection dimensions meet sympy.
 """
 
 import random
@@ -10,7 +11,7 @@ import random
 import pytest
 
 from gens import random_fraction, random_invertible, random_matrix, random_subspace, random_wmc_pair
-from oracles import kernel_intersect, solve_induced_matrix
+from oracles import closed_formula_pieces, kernel_intersect, solve_induced_matrix
 from wmtrop.monodromy import NilpotentOperator, induced_quotient_matrix, monodromy_filtration
 from wmtrop.ratlin import Matrix, Subspace, kernel, subspace_intersect, subspace_sum
 
@@ -39,7 +40,40 @@ def _outcome(fn, *args):
         return "raises"
 
 
+def _jordan_sum(rng, sizes):
+    """Direct sum of nilpotent Jordan blocks of the given sizes, conjugated."""
+    d = sum(sizes)
+    rows = [[0] * d for _ in range(d)]
+    pos = 0
+    for s in sizes:
+        for i in range(s - 1):
+            rows[pos + i][pos + i + 1] = 1
+        pos += s
+    p = random_invertible(rng, d)
+    return p * Matrix(rows) * p.inverse()
+
+
 class TestOracleAgreement:
+    def test_filtration_recurrence_matches_closed_formula(self):
+        rng = random.Random(109)
+        cases = [Matrix.zero(d, d) for d in (1, 2, 4)]  # N = 0, index 1
+        cases += [_jordan_sum(rng, [s]) for s in (1, 2, 3, 5, 7)]
+        unequal = ([2, 1], [3, 1], [4, 2, 1], [5, 2, 2], [3, 3, 1, 1])
+        cases += [_jordan_sum(rng, sizes) for sizes in unequal]
+        for _ in range(40):
+            cases.append(random_wmc_pair(rng, 3, max_dim=8, center=rng.choice([None, 2]))[0])
+        indices = set()
+        for n_mat in cases:
+            op = NilpotentOperator(n_mat)
+            fil = monodromy_filtration(op)
+            expected = closed_formula_pieces(n_mat)
+            for j, piece in expected.items():
+                assert fil.at(j).basis == piece.basis, (n_mat, j)
+            jumps = fil.jump_indices()
+            assert (fil.lo, fil.hi) == (jumps[0], jumps[-1])  # stored on the jump range
+            indices.add(op.nilpotency_index)
+        assert {1, 2, 3, 5, 7} <= indices
+
     def test_intersection_matches_kernel_construction(self):
         rng = random.Random(101)
         dims = set()

@@ -344,6 +344,11 @@ class TestCheckWmc:
         kinds = {v["kind"] for v in report.violations}
         assert "commutation" in kinds
         assert "graded_not_phi_stable" in kinds
+        # Fil_1 = Q^2 is stable but Fil_0 = Fil_-1 is not, so Phi induces no
+        # map on gr_1: it gets no weights, and only Fil_-1 is named
+        assert report.graded_weights == {}
+        graded = [v for v in report.violations if v["kind"].startswith("graded")]
+        assert [(v["kind"], v["index"]) for v in graded] == [("graded_not_phi_stable", -1)]
 
     def test_weight_one_quartic_block(self):
         # x^4 - x^3 + 2x^2 - 2x + 4 has all roots of squared modulus 2
@@ -363,9 +368,7 @@ class TestCheckWmc:
 class TestFiltrationType:
     def test_semantic_equality_across_ranges(self):
         a = Filtration(2, {0: Subspace.full(2)}, 0, 0)
-        b = Filtration.from_map(
-            2, {-1: Subspace.zero(2), 0: Subspace.full(2), 1: Subspace.full(2)}
-        )
+        b = Filtration(2, {-1: Subspace.zero(2), 0: Subspace.full(2), 1: Subspace.full(2)}, -1, 1)
         assert a == b
 
     def test_monotonicity_enforced(self):

@@ -1,6 +1,8 @@
 """Checks on the program text itself."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import wmtrop
@@ -16,3 +18,24 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_traced_layers_exist():
+    # the benchmark's tracer wraps these names; one that no longer exists
+    # would only fail a traced benchmark run, so it fails here first
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for mod_name, names in tracer.LAYERS.items():
+        module = importlib.import_module(f"wmtrop.{mod_name}")
+        for name in names:
+            if "." in name:  # a method, wrapped on its class
+                cls_name, attr = name.split(".")
+                found = callable(vars(getattr(module, cls_name, object)).get(attr))
+            else:
+                found = callable(getattr(module, name, None))
+            if not found:
+                missing.append(f"{mod_name}.{name}")
+    assert missing == []

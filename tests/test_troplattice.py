@@ -7,11 +7,14 @@ from gens import random_fraction
 from oracles import rational_gcd_bruteforce
 from wmtrop.ratlin import Matrix
 from wmtrop.troplattice import (
+    FACTOR_LIMIT,
     CellWidth,
     InvalidResidueError,
+    NotPrimeError,
     QuotientModel,
     TropicalLattice,
     UnsupportedRankError,
+    _prime_factors,
     cell_index,
     descriptor,
     divides,
@@ -125,8 +128,16 @@ class TestQuotientModels:
     def test_invariant_checked(self):
         with pytest.raises(ValueError):
             QuotientModel(TropicalLattice.from_columns([[F(1, 2)]]), CellWidth(1), 2, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(NotPrimeError):
             QuotientModel(self.TATE, CellWidth(1), 4, 0)  # p must be prime
+        with pytest.raises(NotPrimeError):
+            QuotientModel(self.TATE, CellWidth(1), 2**61 - 1, 0)  # prime, but too large to test
+
+    def test_trial_division_is_bounded(self):
+        assert _prime_factors(FACTOR_LIMIT) == (2, 5)
+        assert _prime_factors(999999999989) == (999999999989,)  # the largest prime below
+        with pytest.raises(ValueError):
+            _prime_factors(FACTOR_LIMIT + 1)
 
     def test_component_counts(self):
         q = QuotientModel(self.TATE, CellWidth(1), 3, 0)
