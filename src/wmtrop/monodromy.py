@@ -40,6 +40,7 @@ from .ratlin import (
     contains,
     kernel,
     subspace_sum,
+    valuation,
 )
 
 #: default tolerance for the numeric root-modulus check: 10^-20
@@ -179,9 +180,6 @@ class Filtration:
             return Subspace.full(self.ambient_dim)
         return self._pieces[j]
 
-    def pieces(self) -> dict[int, Subspace]:
-        return dict(self._pieces)
-
     def jump_indices(self) -> list[int]:
         return [j for j in range(self.lo, self.hi + 1) if self.at(j) != self.at(j - 1)]
 
@@ -297,18 +295,9 @@ def _exact_q_power(r: Fraction, q: int) -> int | None:
     """m with r == q**m, or None."""
     if r <= 0:
         return None
-    if r == 1:
-        return 0
-    if r > 1:
-        if r.denominator != 1:
-            return None
-        num, m = r.numerator, 0
-        while num % q == 0:
-            num //= q
-            m += 1
-        return m if num == 1 and m > 0 else None
-    inv = _exact_q_power(1 / r, q)
-    return -inv if inv is not None else None
+    m, num = valuation(r.numerator, q)
+    k, den = valuation(r.denominator, q)
+    return m - k if num == den == 1 else None
 
 
 def _tolerance_digits(tol: Fraction) -> int:

@@ -23,7 +23,7 @@ import math
 import random
 from fractions import Fraction
 
-from .ratlin import RatPoly, poly_gcd
+from .ratlin import RatPoly, poly_gcd, prime_factors
 
 # ---------------------------------------------------------------------------
 # arithmetic in (Z/m)[x]; coefficients are ints in [0, m), lowest degree first
@@ -239,10 +239,7 @@ def _hensel_lift_all(f, factors, p, target):
 # Zassenhaus over Z, monic squarefree input
 
 
-_PRIMES = (
-    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
-    73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
-)
+_PRIMES = tuple(p for p in range(3, 150) if prime_factors(p) == (p,))
 
 
 def _center(c: int, m: int) -> int:

@@ -1,7 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Matrices with Fraction entries, subspaces of Q^n held in canonical
-reduced-row-echelon form, and dense univariate polynomials over Q.
+reduced-row-echelon form, dense univariate polynomials over Q, and the
+small integer helpers (p-adic valuation, trial-division factoring) that
+decide weights and refinement levels.
 There are no floats anywhere in this module, so every predicate built on
 top of it (filtration equality, lattice divisibility, positive
 definiteness) is decided exactly.
@@ -28,33 +30,54 @@ def _frac(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
+def _echelon(rows: list[list[Fraction]]) -> tuple[list[int], Fraction]:
+    """In-place row echelon form with unit pivots, the one elimination loop.
+
+    Returns the pivot columns and the signed product of the pivots divided
+    out (the sign flips on each row swap): for a square input with a pivot
+    in every column, that product is the determinant.
+    """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
+    scale = Fraction(1)
     r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        if inv != 1:
-            rows[r] = [v * inv for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                rows[i] = [a - f * b if b else a for a, b in zip(ri, rr)]
-        pivots.append(c)
-        r += 1
         if r == nrows:
             break
+        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            scale = -scale
+        piv = rows[r][c]
+        if piv != 1:
+            scale *= piv
+            inv = 1 / piv
+            rows[r] = [v * inv for v in rows[r]]
+        rr = rows[r]
+        for i in range(r + 1, nrows):
+            f = rows[i][c]
+            if f != 0:
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rr)]
+        pivots.append(c)
+        r += 1
+    return pivots, scale
+
+
+def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """In-place reduced row echelon form; returns (rows, pivot columns).
+
+    Zero rows come last, so the first len(pivots) rows span the row space.
+    """
+    pivots, _ = _echelon(rows)
+    for r in range(len(pivots) - 1, 0, -1):
+        c, rr = pivots[r], rows[r]
+        for i in range(r):
+            f = rows[i][c]
+            if f != 0:
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rr)]
     return rows, pivots
 
 
@@ -210,34 +233,13 @@ class Matrix:
         return Matrix(rows, cols=self.cols), tuple(pivots)
 
     def rank(self) -> int:
-        _, pivots = _rref(self.rows_list())
-        return len(pivots)
+        return len(_echelon(self.rows_list())[0])
 
     def det(self) -> Fraction:
         if not self.is_square():
             raise DimensionMismatch("determinant of a non-square matrix")
-        n = self.rows
-        a = self.rows_list()
-        sign = 1
-        out = Fraction(1)
-        for c in range(n):
-            pr = None
-            for i in range(c, n):
-                if a[i][c] != 0:
-                    pr = i
-                    break
-            if pr is None:
-                return Fraction(0)
-            if pr != c:
-                a[c], a[pr] = a[pr], a[c]
-                sign = -sign
-            piv = a[c][c]
-            out *= piv
-            for i in range(c + 1, n):
-                if a[i][c] != 0:
-                    f = a[i][c] / piv
-                    a[i] = [x - f * y for x, y in zip(a[i], a[c])]
-        return out * sign
+        pivots, scale = _echelon(self.rows_list())
+        return scale if len(pivots) == self.rows else Fraction(0)
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
@@ -298,9 +300,7 @@ class Subspace:
         if basis.cols != ambient_dim:
             raise DimensionMismatch("basis width does not match ambient dimension")
         if not _trusted:
-            rows, _ = _rref(basis.rows_list())
-            rows = [r for r in rows if any(x != 0 for x in r)]
-            basis = Matrix(rows, cols=ambient_dim)
+            basis = Subspace.span(ambient_dim, basis.row_tuples).basis
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
 
@@ -313,9 +313,8 @@ class Subspace:
         for r in rows:
             if len(r) != ambient_dim:
                 raise DimensionMismatch("vector length mismatch")
-        rows, _ = _rref(rows)
-        rows = [r for r in rows if any(x != 0 for x in r)]
-        return cls(ambient_dim, Matrix(rows, cols=ambient_dim), _trusted=True)
+        rows, pivots = _rref(rows)
+        return cls(ambient_dim, Matrix(rows[: len(pivots)], cols=ambient_dim), _trusted=True)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -448,14 +447,6 @@ class RatPoly:
     @classmethod
     def one(cls) -> "RatPoly":
         return cls([1])
-
-    @classmethod
-    def x(cls) -> "RatPoly":
-        return cls([0, 1])
-
-    @classmethod
-    def constant(cls, c) -> "RatPoly":
-        return cls([c])
 
     @property
     def degree(self) -> int:
@@ -625,3 +616,34 @@ def char_poly(m: Matrix) -> RatPoly:
         if k < n:
             work = work + Matrix.identity(n).scale(ck)
     return RatPoly(list(reversed(coeffs_high)))
+
+
+#: largest n `prime_factors` accepts; trial division to its root takes ~0.1 s
+FACTOR_LIMIT = 10**12
+
+
+def valuation(n: int, p: int) -> tuple[int, int]:
+    """(k, rest) with n == p**k * rest and rest not divisible by p."""
+    if n == 0 or p < 2:
+        raise ValueError(f"valuation needs n != 0 and p >= 2, got n={n}, p={p}")
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k, n
+
+
+def prime_factors(n: int) -> tuple[int, ...]:
+    """Distinct prime factors of n, ascending; ValueError above FACTOR_LIMIT."""
+    if n > FACTOR_LIMIT:
+        raise ValueError(f"cannot factor {n}: trial division stops at 10**12")
+    out = []
+    f = 2
+    while f * f <= n:
+        if n % f == 0:
+            out.append(f)
+            _, n = valuation(n, f)
+        f += 1 if f == 2 else 2
+    if n > 1:
+        out.append(n)
+    return tuple(out)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .ratlin import Matrix, _frac
-from .troplattice import CellWidth, TropicalLattice, _prime_factors, divides
+from .ratlin import Matrix, _frac, prime_factors, valuation
+from .troplattice import CELL_LIMIT, CellWidth, TropicalLattice, divides
 
 
 class ModelUndefinedError(ValueError):
@@ -201,13 +201,9 @@ def minimal_level(b: BundleData, alpha: CellWidth, p: int) -> int:
     level = 0
     bad: set[int] = set()
     for v in b.chi_vals:
-        den = (v / alpha.alpha).denominator
-        n = 0
-        while den % p == 0:
-            den //= p
-            n += 1
+        n, den = valuation((v / alpha.alpha).denominator, p)
         if den != 1:
-            bad.update(_prime_factors(den))
+            bad.update(prime_factors(den))
         level = max(level, n)
     if bad:
         raise NoPLevelError(tuple(sorted(bad)))
@@ -336,6 +332,8 @@ def construct_f(b: BundleData, alpha: CellWidth) -> TropicalSection:
     if k_frac.denominator != 1 or total_frac.denominator != 1:
         raise ArithmeticError("cell count or slope sum over a period is not an integer")
     k, total = int(k_frac), int(total_frac)
+    if k > CELL_LIMIT:
+        raise ValueError(f"{k} cells per period are above the cell limit {CELL_LIMIT}")
     base = total // k
     rem = total - base * k
     slopes = tuple([base + 1] * rem + [base] * (k - rem))
@@ -351,11 +349,11 @@ def construct_f(b: BundleData, alpha: CellWidth) -> TropicalSection:
 def verify_section(b: BundleData, f: TropicalSection) -> SectionReport:
     """Check a rank-1 witness cell by cell; failures are report content.
 
-    Checks: integer slopes; agreement of adjacent affine pieces at every
-    shared face over one period plus its translate (the valuation form of
-    "transition units have absolute value 1"); and that crossing a period
-    adds exactly the affine function z of the lattice generator, both in
-    slope and in value.
+    Checks agreement of adjacent affine pieces at every shared face over
+    one period plus its translate (the valuation form of "transition units
+    have absolute value 1"), and that crossing a period adds exactly the
+    affine function z of the lattice generator, both in slope and in value.
+    Integer slopes need no check here: TropicalSection rejects any other.
     """
     lam, _, d_eff, v_eff = _rank1_generator_data(b)
     failures: list[str] = []
@@ -365,9 +363,6 @@ def verify_section(b: BundleData, f: TropicalSection) -> SectionReport:
             f"do not tile a period of length {lam}"
         )
         return SectionReport(ok=False, failures=tuple(failures), faces=())
-    for s in f.slopes:
-        if not isinstance(s, int):
-            failures.append(f"non-integer slope {s}")
     if f.slope_increment != d_eff:
         failures.append(
             f"periodicity (slope): increment per period is {f.slope_increment}, "

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .ratlin import Matrix, _frac
+from .ratlin import FACTOR_LIMIT, Matrix, _frac, prime_factors
 
 
 class UnsupportedRankError(ValueError):
@@ -33,25 +33,9 @@ class NotPrimeError(ValueError):
     """The p of a quotient model is not a prime, or too large to test."""
 
 
-#: largest n `_prime_factors` accepts; trial division to its root takes ~0.1 s
-FACTOR_LIMIT = 10**12
-
-
-def _prime_factors(n: int) -> tuple[int, ...]:
-    """Distinct prime factors of n, ascending; ValueError above FACTOR_LIMIT."""
-    if n > FACTOR_LIMIT:
-        raise ValueError(f"cannot factor {n}: trial division stops at 10**12")
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.append(n)
-    return tuple(out)
+#: most cells one rank-1 call builds (dual-graph components, witness slopes,
+#: tower preimages); time and memory grow with the count, to seconds near 10**6
+CELL_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -135,7 +119,7 @@ class QuotientModel:
     def __post_init__(self):
         if self.p > FACTOR_LIMIT:
             raise NotPrimeError("p is above the primality-test limit 10**12")
-        if _prime_factors(self.p) != (self.p,):
+        if prime_factors(self.p) != (self.p,):
             raise NotPrimeError("p must be prime")
         if self.level < 0:
             raise ValueError("level must be nonnegative")
@@ -171,27 +155,16 @@ class DualGraph:
 # widths and cells
 
 
-def _rational_gcd(a: Fraction, b: Fraction) -> Fraction:
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
-    num = math.gcd(a.numerator, b.numerator)
-    den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
-    return Fraction(num, den)
-
-
 def max_dividing_width(lat: TropicalLattice) -> CellWidth:
     """Largest alpha with every generator coordinate in alpha*Z.
 
     This is the gcd, taken over positive rationals, of all the generator
-    coordinates; the lattice is full rank, so it is nonzero.
+    coordinates: the gcd of their numerators over the lcm of their
+    denominators.  The lattice is full rank, so it is nonzero.
     """
-    g = Fraction(0)
-    for i in range(lat.rank):
-        for x in lat.generators.column(i):
-            g = _rational_gcd(g, x)
-    return CellWidth(g)
+    xs = [x for row in lat.generators.row_tuples for x in row]
+    num = math.gcd(*(x.numerator for x in xs))
+    return CellWidth(Fraction(num, math.lcm(*(x.denominator for x in xs))))
 
 
 def divides(alpha: CellWidth, lat: TropicalLattice) -> bool:
@@ -238,6 +211,8 @@ def dual_graph(q: QuotientModel) -> DualGraph:
     if q.lattice.rank != 1:
         raise UnsupportedRankError("dual graphs are only computed for rank 1")
     k = quotient_components(q)
+    if k > CELL_LIMIT:
+        raise ValueError(f"{k} components are above the cell limit {CELL_LIMIT}")
     vertices = tuple(range(k))
     if k == 1:
         edges = ((0, 0, 1),)
@@ -270,6 +245,9 @@ def tower_preimages(e: int, q: QuotientModel, steps: int = 1) -> list[int]:
         raise UnsupportedRankError("tower index maps are only computed for rank 1")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
+    # p >= 2, so steps beyond CELL_LIMIT's bit length is over without the power
+    if steps > CELL_LIMIT.bit_length() or q.p**steps > CELL_LIMIT:
+        raise ValueError(f"{q.p}**{steps} preimages are above the cell limit {CELL_LIMIT}")
     count = quotient_components(q)
     if not 0 <= e < count:
         raise InvalidResidueError(f"cell index {e} invalid at level {q.level}")

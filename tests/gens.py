@@ -14,6 +14,16 @@ def random_fraction(rng: random.Random, num_bound: int = 6, den_bound: int = 4) 
     return Fraction(rng.randint(-num_bound, num_bound), rng.randint(1, den_bound))
 
 
+def random_lattice(rng: random.Random, rank: int) -> TropicalLattice:
+    """Full-rank lattice with small rational generator coordinates."""
+    while True:
+        cols = [[random_fraction(rng) for _ in range(rank)] for _ in range(rank)]
+        try:
+            return TropicalLattice.from_columns(cols)
+        except ValueError:
+            continue
+
+
 def random_matrix(rng: random.Random, rows: int, cols: int, **kw) -> Matrix:
     return Matrix([[random_fraction(rng, **kw) for _ in range(cols)] for _ in range(rows)])
 

@@ -129,6 +129,68 @@ def solve_induced_matrix(
     return Matrix.from_columns(cols, len(dst_reps))
 
 
+def gaussian_det(m: Matrix) -> Fraction:
+    """Determinant by its own elimination: pivots stay unscaled, only the
+    rows below a pivot are cleared, each row swap flips the sign, and the
+    first column without a pivot ends the loop with 0."""
+    n = m.rows
+    a = m.rows_list()
+    sign = 1
+    out = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            a[c], a[pr] = a[pr], a[c]
+            sign = -sign
+        piv = a[c][c]
+        out *= piv
+        for i in range(c + 1, n):
+            if a[i][c] != 0:
+                f = a[i][c] / piv
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return out * sign
+
+
+def exact_q_power_recursive(r: Fraction, q: int) -> int | None:
+    """m with r == q**m, or None: divides an integer r > 1 by q until it
+    stops, and reduces r < 1 to its reciprocal."""
+    if r <= 0:
+        return None
+    if r == 1:
+        return 0
+    if r > 1:
+        if r.denominator != 1:
+            return None
+        num, m = r.numerator, 0
+        while num % q == 0:
+            num //= q
+            m += 1
+        return m if num == 1 and m > 0 else None
+    inv = exact_q_power_recursive(1 / r, q)
+    return -inv if inv is not None else None
+
+
+def _rational_gcd(a: Fraction, b: Fraction) -> Fraction:
+    if a == 0:
+        return abs(b)
+    if b == 0:
+        return abs(a)
+    num = math.gcd(a.numerator, b.numerator)
+    den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
+    return Fraction(num, den)
+
+
+def rational_gcd_fold(values: list[Fraction]) -> Fraction:
+    """gcd of rationals folded pairwise: each step takes the gcd of two
+    numerators over the lcm of two denominators, 0 acting as identity."""
+    g = Fraction(0)
+    for x in values:
+        g = _rational_gcd(g, x)
+    return g
+
+
 def rational_gcd_bruteforce(values: list[Fraction]) -> Fraction:
     """gcd of rationals via a single common denominator and integer gcd."""
     den = 1

@@ -346,6 +346,10 @@ class TestErrorContract:
              "cell index 99 invalid at level 1"),
             ("trop-tower", dict(RANK2_MODEL, op="project", cell=0), 2,
              "tower index maps are only computed for rank 1"),
+            ("trop-model", dict(TATE_MODEL, alpha="1/10000000"), 2,
+             "20000000 components are above the cell limit 1000000"),
+            ("trop-tower", dict(TATE_MODEL, op="preimages", cell=0, steps=10**9), 2,
+             "2**1000000000 preimages are above the cell limit 1000000"),
             ("bundle-extend", {"bundle": TATE_BUNDLE, "alpha": "3/4"}, 2, no_model),
             ("bundle-extend", {"bundle": dict(TATE_BUNDLE, chi=["1/3"]), "alpha": "1", "p": 2}, 1,
              "valuation denominators contain primes coprime to p (3); choose a finer base width"),
@@ -353,6 +357,8 @@ class TestErrorContract:
             ("bundle-construct-f", {"bundle": TATE_BUNDLE, "alpha": "3/4"}, 2, no_model),
             ("bundle-construct-f", {"bundle": RANK2_BUNDLE, "alpha": "1"}, 2,
              "explicit witnesses are only constructed for rank 1"),
+            ("bundle-construct-f", {"bundle": TATE_BUNDLE, "alpha": "1/10000000"}, 2,
+             "20000000 cells per period are above the cell limit 1000000"),
             ("bundle-verify-f", {"bundle": RANK2_BUNDLE, "section": {"alpha": "1", "slopes": [0]}},
              2, "rank-1 bundle required"),
         ]

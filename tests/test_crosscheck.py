@@ -1,19 +1,52 @@
-"""The subspace steps of the exact core against independent computation paths.
+"""The exact core against independent computation paths.
 
 The intersection and the induced quotient maps are each one elimination;
 here they meet the kernel-and-solve constructions of tests/oracles.py,
-the monodromy filtration's recurrence meets the closed formula, and
-rref, kernel and intersection dimensions meet sympy.
+the monodromy filtration's recurrence meets the closed formula, and the
+determinant, the q-power test and the lattice width meet the loops they
+replaced.  rref, kernel and intersection dimensions, det, char_poly,
+factor_rational and the lattice HNF meet sympy.
 """
 
+import itertools
 import random
+from fractions import Fraction as F
 
 import pytest
 
-from gens import random_fraction, random_invertible, random_matrix, random_subspace, random_wmc_pair
-from oracles import closed_formula_pieces, kernel_intersect, solve_induced_matrix
-from wmtrop.monodromy import NilpotentOperator, induced_quotient_matrix, monodromy_filtration
-from wmtrop.ratlin import Matrix, Subspace, kernel, subspace_intersect, subspace_sum
+from gens import (
+    random_fraction,
+    random_invertible,
+    random_lattice,
+    random_matrix,
+    random_subspace,
+    random_wmc_pair,
+)
+from oracles import (
+    closed_formula_pieces,
+    exact_q_power_recursive,
+    gaussian_det,
+    kernel_intersect,
+    rational_gcd_fold,
+    solve_induced_matrix,
+)
+from wmtrop.monodromy import (
+    NilpotentOperator,
+    _exact_q_power,
+    induced_quotient_matrix,
+    monodromy_filtration,
+)
+from wmtrop.polyfactor import factor_rational
+from wmtrop.ratlin import (
+    Matrix,
+    RatPoly,
+    Subspace,
+    char_poly,
+    kernel,
+    subspace_intersect,
+    subspace_sum,
+)
+from wmtrop.troplattice import lattice_hnf, max_dividing_width
 
 
 def _random_vectors(rng, ambient, count):
@@ -123,13 +156,101 @@ class TestOracleAgreement:
         assert outcomes == {False, True}
 
 
+def _needs_swaps(rng, n):
+    """Nonsingular n x n matrix whose rows arrive in a shuffled order, with
+    a zero at the top of the first column so elimination must swap."""
+    rows = [list(r) for r in random_invertible(rng, n).row_tuples]
+    rng.shuffle(rows)
+    if n > 1:
+        rows[0][0] = F(0)
+    return Matrix(rows, cols=n)
+
+
+def _square_cases(rng, count, max_n=6):
+    """Seeded square matrices: shuffled and swap-forcing ones, singular ones
+    (a repeated row, a zero column) and products of lower rank."""
+    cases = [Matrix([], cols=0)]
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        kind = rng.randrange(4)
+        if kind == 0:
+            cases.append(_needs_swaps(rng, n))
+        elif kind == 1:
+            cases.append(random_matrix(rng, n, n))
+        elif kind == 2:
+            cases.append(_low_rank(rng, n, n))
+        else:
+            rows = [list(r) for r in random_matrix(rng, n, n).row_tuples]
+            if n > 1 and rng.random() < 0.5:
+                rows[-1] = list(rows[0])
+            else:
+                c = rng.randrange(n)
+                for r in rows:
+                    r[c] = F(0)
+            cases.append(Matrix(rows, cols=n))
+    return cases
+
+
+def _permutation_sign(perm):
+    return (-1) ** sum(1 for i, j in itertools.combinations(range(len(perm)), 2) if perm[i] > perm[j])
+
+
+class TestReplacedPaths:
+    def test_det_matches_gaussian_elimination(self):
+        rng = random.Random(127)
+        signs = set()
+        swapped = 0
+        for m in _square_cases(rng, 200):
+            got = m.det()
+            assert got == gaussian_det(m), m
+            signs.add((got > 0) - (got < 0))
+            swapped += m.rows > 1 and m[0, 0] == 0 and got != 0
+        assert Matrix([], cols=0).det() == 1
+        assert signs == {-1, 0, 1}
+        assert swapped > 20
+
+    def test_det_of_permutation_matrices(self):
+        for n in range(1, 6):
+            for perm in itertools.permutations(range(n)):
+                m = Matrix([[int(perm[i] == j) for j in range(n)] for i in range(n)], cols=n)
+                assert m.det() == _permutation_sign(perm), perm
+
+    def test_exact_q_power_matches_recursion(self):
+        seen = set()
+        for q in (2, 3, 5, 4, 6):
+            for m in range(-5, 6):
+                power = F(q) ** m
+                assert _exact_q_power(power, q) == exact_q_power_recursive(power, q) == m
+                # near misses: off by one, a stray factor, a smaller prime power of q
+                misses = [power + 1, power - 1, -power, power * F(2, 3), power * F(3, 2),
+                          power * 2, power / 2, F(2) ** m, F(0)]
+                for r in misses:
+                    got = _exact_q_power(r, q)
+                    assert got == exact_q_power_recursive(r, q), (r, q)
+                    seen.add(got is None)
+        assert _exact_q_power(F(2), 4) is None and _exact_q_power(F(1, 8), 4) is None
+        assert _exact_q_power(F(1, 36), 6) == -2 and _exact_q_power(F(4, 9), 6) is None
+        assert seen == {False, True}
+
+    def test_max_dividing_width_matches_fold(self):
+        rng = random.Random(131)
+        for _ in range(150):
+            lat = random_lattice(rng, rng.randint(1, 5))
+            entries = [x for row in lat.generators.row_tuples for x in row]
+            assert max_dividing_width(lat).alpha == rational_gcd_fold(entries), lat
+
+
 @pytest.fixture
 def sympy():
     return pytest.importorskip("sympy")
 
 
+def _to_sympy_rational(sympy, x: F):
+    return sympy.Rational(x.numerator, x.denominator)
+
+
 def _to_sympy(sympy, m: Matrix):
-    entries = [sympy.Rational(x.numerator, x.denominator) for r in m.row_tuples for x in r]
+    entries = [_to_sympy_rational(sympy, x) for r in m.row_tuples for x in r]
     return sympy.Matrix(m.rows, m.cols, entries)
 
 
@@ -161,3 +282,52 @@ class TestSympyDifferential:
             if got.dim:
                 basis = _to_sympy(sympy, got.basis)
                 assert basis.rref()[0] == basis
+
+    def test_det(self, sympy):
+        rng = random.Random(137)
+        for m in _square_cases(rng, 80):
+            if m.rows:
+                assert _to_sympy(sympy, m).det() == _to_sympy_rational(sympy, m.det()), m
+
+    def test_char_poly(self, sympy):
+        rng = random.Random(139)
+        x = sympy.Symbol("x")
+        for m in _square_cases(rng, 60):
+            if not m.rows:
+                continue
+            expected = _to_sympy(sympy, m).charpoly(x).all_coeffs()[::-1]
+            got = char_poly(m).coeffs
+            assert [_to_sympy_rational(sympy, c) for c in got] == expected, m
+
+    def test_factor_rational(self, sympy):
+        rng = random.Random(149)
+        x = sympy.Symbol("x")
+        for _ in range(40):
+            p = RatPoly([random_fraction(rng)])
+            if p.is_zero():
+                p = RatPoly([1])
+            for _ in range(rng.randint(1, 4)):
+                degree = rng.randint(1, 3)
+                factor = RatPoly([rng.randint(-3, 3) for _ in range(degree)] + [rng.randint(1, 2)])
+                p = p * factor ** rng.randint(1, 2)
+            expr = sum(_to_sympy_rational(sympy, c) * x**i for i, c in enumerate(p.coeffs))
+            _, sym_factors = sympy.factor_list(expr, x, domain="QQ")
+            expected = sorted(
+                (tuple(sympy.Poly(f, x).monic().all_coeffs()[::-1]), k) for f, k in sym_factors
+            )
+            got = sorted(
+                (tuple(_to_sympy_rational(sympy, c) for c in f.coeffs), k)
+                for f, k in factor_rational(p)
+            )
+            assert got == expected, p
+
+    def test_lattice_hnf_spans_the_lattice(self, sympy):
+        rng = random.Random(151)
+        for _ in range(60):
+            lat = random_lattice(rng, rng.randint(1, 5))
+            gens = _to_sympy(sympy, lat.generators)  # generators are the columns
+            basis = _to_sympy(sympy, lattice_hnf(lat)).T  # basis vectors are the rows
+            assert abs(basis.det()) == abs(gens.det()), lat
+            # each side's generators have integer coordinates on the other's
+            for m in (basis.inv() * gens, gens.inv() * basis):
+                assert all(e.is_integer for e in m), lat

@@ -24,7 +24,7 @@ from wmtrop.tropbundle import (
     verify_section,
     z_affine,
 )
-from wmtrop.troplattice import CellWidth, TropicalLattice, divides
+from wmtrop.troplattice import CELL_LIMIT, CellWidth, TropicalLattice, divides
 
 TATE = TropicalLattice.from_columns([[2]])
 
@@ -298,6 +298,11 @@ class TestConstructVerify:
         b = BundleData(lat, Matrix([[1, 0], [0, 1]]), [0, 0])
         with pytest.raises(ValueError):
             construct_f(b, CellWidth(1))
+
+    def test_cell_limit(self):
+        message = f"^20000000 cells per period are above the cell limit {CELL_LIMIT}$"
+        with pytest.raises(ValueError, match=message):
+            construct_f(tate_bundle(0, F(1, 5)), CellWidth(F(1, 10**7)))
 
     def test_construct_always_verifies(self):
         rng = random.Random(137)

@@ -3,18 +3,17 @@ from fractions import Fraction as F
 
 import pytest
 
-from gens import random_fraction
+from gens import random_fraction, random_lattice
 from oracles import rational_gcd_bruteforce
-from wmtrop.ratlin import Matrix
+from wmtrop.ratlin import FACTOR_LIMIT, Matrix, prime_factors
 from wmtrop.troplattice import (
-    FACTOR_LIMIT,
+    CELL_LIMIT,
     CellWidth,
     InvalidResidueError,
     NotPrimeError,
     QuotientModel,
     TropicalLattice,
     UnsupportedRankError,
-    _prime_factors,
     cell_index,
     descriptor,
     divides,
@@ -25,15 +24,6 @@ from wmtrop.troplattice import (
     tower_preimages,
     tower_project,
 )
-
-
-def random_lattice(rng, rank):
-    while True:
-        cols = [[random_fraction(rng) for _ in range(rank)] for _ in range(rank)]
-        try:
-            return TropicalLattice.from_columns(cols)
-        except ValueError:
-            continue
 
 
 class TestWidths:
@@ -134,10 +124,10 @@ class TestQuotientModels:
             QuotientModel(self.TATE, CellWidth(1), 2**61 - 1, 0)  # prime, but too large to test
 
     def test_trial_division_is_bounded(self):
-        assert _prime_factors(FACTOR_LIMIT) == (2, 5)
-        assert _prime_factors(999999999989) == (999999999989,)  # the largest prime below
+        assert prime_factors(FACTOR_LIMIT) == (2, 5)
+        assert prime_factors(999999999989) == (999999999989,)  # the largest prime below
         with pytest.raises(ValueError):
-            _prime_factors(FACTOR_LIMIT + 1)
+            prime_factors(FACTOR_LIMIT + 1)
 
     def test_component_counts(self):
         q = QuotientModel(self.TATE, CellWidth(1), 3, 0)
@@ -209,6 +199,14 @@ class TestDualGraph:
         with pytest.raises(UnsupportedRankError):
             dual_graph(QuotientModel(lat, CellWidth(1), 2, 0))
 
+    def test_cell_limit(self):
+        over = QuotientModel(self.TATE, CellWidth(F(2, CELL_LIMIT + 1)), 2, 0)
+        message = f"^{CELL_LIMIT + 1} components are above the cell limit {CELL_LIMIT}$"
+        with pytest.raises(ValueError, match=message):
+            dual_graph(over)
+        with pytest.raises(ValueError, match="^20000000 components"):
+            dual_graph(QuotientModel(self.TATE, CellWidth(F(1, 10**7)), 2, 0))
+
 
 class TestTower:
     TATE = TropicalLattice.from_columns([[2]])
@@ -231,6 +229,17 @@ class TestTower:
             tower_project(6, self.q(0))
         with pytest.raises(InvalidResidueError):
             tower_preimages(2, self.q(0))
+
+    def test_preimage_limit(self):
+        assert len(tower_preimages(0, self.q(0, p=2), 19)) == 2**19
+        limit = f"preimages are above the cell limit {CELL_LIMIT}$"
+        with pytest.raises(ValueError, match=rf"^2\*\*20 {limit}"):
+            tower_preimages(0, self.q(0, p=2), 20)
+        with pytest.raises(ValueError, match=rf"^1000003\*\*1 {limit}"):
+            tower_preimages(0, self.q(0, p=1000003), 1)
+        # decided from the bit length alone: 2**(10**9) is never computed
+        with pytest.raises(ValueError, match=rf"^2\*\*1000000000 {limit}"):
+            tower_preimages(0, self.q(0, p=2), 10**9)
 
     def test_functoriality(self):
         rng = random.Random(83)
