@@ -320,6 +320,8 @@ def _parse_quotient_model(payload: dict) -> tl.QuotientModel:
         return tl.QuotientModel(lat, alpha, p, level)
     except tl.NotPrimeError as err:
         raise SchemaError("p", str(err)) from None
+    except tl.LevelLimitError as err:
+        raise SchemaError("level", str(err)) from None
     except ValueError as err:
         raise SchemaError("alpha", str(err)) from None
 
@@ -449,10 +451,33 @@ def _cmd_bundle_verify_f(payload: dict, tol: Fraction) -> Report:
     )
 
 
+#: deepest nesting of batches a batch accepts; a level is three JSON
+#: containers deep, to decode and to render, against Python's recursion
+#: limit of 1000 frames
+BATCH_DEPTH_LIMIT = 100
+
+
+def _batch_depth(payload: dict) -> int:
+    """Levels of batch nesting in a batch payload, counted without recursing."""
+    depth, level = 0, [payload]
+    while level:
+        depth += 1
+        level = [
+            entry.get("input")
+            for p in level
+            if isinstance(p, dict) and isinstance(p.get("jobs"), list)
+            for entry in p["jobs"]
+            if isinstance(entry, dict) and entry.get("command") == "batch"
+        ]
+    return depth
+
+
 def _cmd_batch(payload: dict, tol: Fraction) -> Report:
     jobs = _get(payload, "jobs")
     if not isinstance(jobs, list):
         raise SchemaError("jobs", "expected an array of job objects")
+    if _batch_depth(payload) > BATCH_DEPTH_LIMIT:
+        raise SchemaError("jobs", f"batches nest deeper than the limit {BATCH_DEPTH_LIMIT}")
     reports = []
     diagnostics = []  # the causes of the error entries, so an error batch names them
     worst = "pass"
@@ -598,6 +623,8 @@ def main(argv: list[str] | None = None) -> int:
         diagnostic = f"cannot read input: {err}"
     except json.JSONDecodeError as err:
         diagnostic = f"invalid JSON: {err}"
+    except RecursionError:
+        diagnostic = "invalid JSON: nested too deeply to decode"
     except SchemaError as err:
         diagnostic = str(err)
     else:

@@ -15,19 +15,19 @@ degree i.  The module computes
   the Frobenius eigenvalues on each graded piece of the N-filtration
   must be pure of weight i+j.
 
-Weight recognition is exact where possible (constant-term power-of-q
-test, reciprocal functional equation) and finishes with a high-precision
-check that every complex root has the right modulus; only that last step
-is numeric, at 64+ decimal digits against a caller-adjustable tolerance.
+Weight recognition is exact where it can be: a constant-term power-of-q
+test, the reciprocal functional equation, and an exact purity test (a
+Sturm count on the trace polynomial) that decides every factor whose
+roots all have the right modulus.  Only a factor that test does not
+decide pure reaches a numeric check of each complex root's modulus, at
+64+ decimal digits against a caller-adjustable tolerance; mpmath is
+imported there, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import mpmath
-from mpmath.libmp import NoConvergence
 
 from .polyfactor import factor_rational
 from .ratlin import (
@@ -39,6 +39,7 @@ from .ratlin import (
     char_poly,
     contains,
     kernel,
+    poly_gcd,
     subspace_sum,
     valuation,
 )
@@ -309,6 +310,59 @@ def _tolerance_digits(tol: Fraction) -> int:
     return digits
 
 
+def _sign_changes(seq: list[RatPoly], x: Fraction) -> int:
+    signs = [v > 0 for v in (p.eval(x) for p in seq) if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _roots_in(f: RatPoly, lo: Fraction, hi: Fraction) -> bool:
+    """Whether every complex root of f is real and lies in [lo, hi].
+
+    A Sturm sequence of the squarefree part counts its distinct roots in
+    (lo, hi]; a root at lo itself is tested directly.
+    """
+    sf = f // poly_gcd(f, f.derivative())
+    seq = [sf, sf.derivative()]
+    while seq[-1].degree > 0:
+        seq.append(-(seq[-2] % seq[-1]))
+    inside = _sign_changes(seq, lo) - _sign_changes(seq, hi) + (sf.eval(lo) == 0)
+    return inside == sf.degree
+
+
+def _exactly_pure(g: RatPoly, qj: Fraction) -> bool:
+    """True when every root of g has squared modulus exactly qj.
+
+    Expects what weil_weight has checked: the constant term and the
+    reciprocal equation x^n g(qj/x) = c0 g(x).  False means undecided, not
+    impure.  Degree 1 and x^2 - qj are pure.  For degree 2m with
+    c0 = qj^m, g = x^m P(x + qj/x), and a root x has |x|^2 = qj exactly
+    when y = x + qj/x is real with y^2 <= 4qj.  P's coefficients come from
+    the Dickson polynomials V_0 = 2, V_1 = y, V_(s+1) = y V_s - qj V_(s-1)
+    (V_s(x + qj/x) = x^s + (qj/x)^s); with P = E(y^2) + y O(y^2), the roots
+    of S(z) = E(z)^2 - z O(z)^2 = P(y)P(-y) at z = y^2 are the squares of
+    P's roots, so g is pure exactly when every root of S is real and lies
+    in [0, 4qj] (Kedlaya, "Search techniques for root-unitary
+    polynomials", 2008).
+    """
+    n, c0 = g.degree, g.coefficient(0)
+    if n == 1 or (n == 2 and c0 == -qj):
+        return True
+    if n % 2 or c0 != qj ** (n // 2):
+        return False
+    m = n // 2
+    y = RatPoly([0, 1])
+    dickson = [RatPoly([2]), y]
+    for _ in range(m - 1):
+        dickson.append(y * dickson[-1] - dickson[-2] * qj)
+    p = RatPoly([g.coefficient(m)])
+    for k in range(1, m + 1):
+        p = p + dickson[k] * g.coefficient(m + k)
+    even = RatPoly(p.coeffs[0::2])
+    odd = RatPoly(p.coeffs[1::2])
+    s = even * even - y * odd * odd
+    return _roots_in(s, Fraction(0), 4 * qj)
+
+
 def weil_weight(g: RatPoly, q: int, tol: Fraction = DEFAULT_TOL) -> int:
     """Weight j such that every complex root of g has squared modulus q^j.
 
@@ -316,9 +370,11 @@ def weil_weight(g: RatPoly, q: int, tol: Fraction = DEFAULT_TOL) -> int:
     caller's responsibility).  Exact necessary conditions run first: the
     constant term must be (up to sign) q^(j*deg/2), and the root set must
     be stable under r -> q^j / r, i.e. x^deg * g(q^j/x) must be
-    proportional to g.  The genuinely archimedean condition - that each
-    individual root modulus is right - is then verified numerically to
-    within tol at 64+ decimal digits.  Raises NotPureError otherwise.
+    proportional to g.  The archimedean condition - that each individual
+    root modulus is right - is then decided exactly when it holds (see
+    _exactly_pure); a factor that test does not decide pure is checked
+    numerically to within tol at 64+ decimal digits, the only numeric step.
+    Raises NotPureError otherwise.
     """
     if g.is_zero() or g.degree < 1:
         raise ValueError("weight of a constant polynomial is undefined")
@@ -343,6 +399,11 @@ def weil_weight(g: RatPoly, q: int, tol: Fraction = DEFAULT_TOL) -> int:
     for i in range(n + 1):
         if g.coefficient(n - i) * qj ** (n - i) != c0 * g.coefficient(i):
             raise NotPureError(g, q, f"roots not stable under r -> q^{j}/r")
+    if _exactly_pure(g, qj):
+        return j
+    import mpmath
+    from mpmath.libmp import NoConvergence
+
     # enough digits that the absolute comparison against q^j stays sharp
     # even when q^j itself is large
     magnitude_digits = abs(j) * len(str(q))
@@ -373,7 +434,8 @@ def weight_decomposition(f: FrobeniusData, tol: Fraction = DEFAULT_TOL) -> Weigh
 
     The component of weight j is the kernel of h_j(Phi), with h_j the
     product (with multiplicity) of the weight-j irreducible factors of
-    the characteristic polynomial.  A factor that is pure of no integer
+    the characteristic polynomial.  With a single weight, h_j is the
+    characteristic polynomial and the component is all of Q^d.  A factor that is pure of no integer
     weight aborts the decomposition with NotPureError.
     """
     d = f.dimension
@@ -384,6 +446,8 @@ def weight_decomposition(f: FrobeniusData, tol: Fraction = DEFAULT_TOL) -> Weigh
     for g, mult in factor_rational(cp):
         j = weil_weight(g, f.q, tol)
         by_weight[j] = by_weight.get(j, RatPoly.one()) * g**mult
+    if len(by_weight) == 1:  # h_j is cp itself, and cp(Phi) = 0 (Cayley-Hamilton)
+        return WeightDecomposition(d, {j: Subspace.full(d) for j in by_weight})
     components = {j: kernel(h.eval_matrix(f.phi_matrix)) for j, h in by_weight.items()}
     total = sum(s.dim for s in components.values())
     if total != d:
@@ -445,24 +509,6 @@ def induced_quotient_matrix(
         raise ArithmeticError("operator does not map into the target subspace")
     coords = rows[dst_small.dim : len(pivots)]
     return Matrix([row[len(dst_cols) :] for row in coords], cols=len(images))
-
-
-def graded_map_is_bijective(n: NilpotentOperator, fil: Filtration, j: int) -> bool:
-    """Whether N^j induces an isomorphism gr_j -> gr_(-j)."""
-    if j < 0:
-        raise ValueError("j must be nonnegative")
-    dim_src = fil.graded_dimension(j)
-    dim_dst = fil.graded_dimension(-j)
-    if dim_src != dim_dst:
-        return False
-    if dim_src == 0:
-        return True
-    if j >= n.nilpotency_index:
-        return False  # N^j = 0 kills a nonzero graded piece
-    induced = induced_quotient_matrix(
-        n.powers[j], fil.at(j), fil.at(j - 1), fil.at(-j), fil.at(-j - 1)
-    )
-    return induced.rank() == dim_src
 
 
 def _graded_frobenius_weights(

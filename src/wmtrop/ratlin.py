@@ -14,6 +14,7 @@ functions, safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -222,11 +223,6 @@ class Matrix:
             [[self._rows[i][j] for i in range(self.rows)] for j in range(self.cols)],
             cols=self.rows,
         )
-
-    def trace(self) -> Fraction:
-        if not self.is_square():
-            raise DimensionMismatch("trace of a non-square matrix")
-        return sum((self._rows[i][i] for i in range(self.rows)), Fraction(0))
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
         rows, pivots = _rref(self.rows_list())
@@ -551,11 +547,25 @@ class RatPoly:
         return out
 
     def eval_matrix(self, m: Matrix) -> Matrix:
+        """self(m) by Paterson-Stockmeyer: with s = isqrt(deg) + 1, each run
+        of s coefficients is a combination of m^0..m^(s-1), and the runs are
+        joined by Horner in m^s, so about 2*sqrt(deg) matrix products."""
         if not m.is_square():
             raise DimensionMismatch("polynomial of a non-square matrix")
-        out = Matrix.zero(m.rows, m.cols)
-        for c in reversed(self.coeffs):
-            out = out * m + Matrix.identity(m.rows).scale(c)
+        n, c = m.rows, self.coeffs
+        if not c:
+            return Matrix.zero(n, n)
+        s = math.isqrt(len(c) - 1) + 1
+        width = min(s, len(c))
+        powers = [Matrix.identity(n), m][:width]
+        while len(powers) < width:
+            powers.append(powers[-1] * m)
+        blocks = [_combination(c[k : k + s], powers) for k in range(0, len(c), s)]
+        out = blocks.pop()
+        if blocks:
+            step = powers[-1] * m
+            for block in reversed(blocks):
+                out = out * step + block
         return out
 
     def __eq__(self, other) -> bool:
@@ -597,25 +607,68 @@ def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
     return a.monic()
 
 
-def char_poly(m: Matrix) -> RatPoly:
-    """Characteristic polynomial det(xI - m), monic, by Faddeev-LeVerrier.
+def _combination(coeffs: Sequence[Fraction], mats: Sequence[Matrix]) -> Matrix:
+    """sum of coeffs[k] * mats[k], entry by entry, with no matrix product."""
+    n = mats[0].rows
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for a, mat in zip(coeffs, mats):
+        if a:
+            rows = [
+                [x + a * y if y else x for x, y in zip(r, mr)]
+                for r, mr in zip(rows, mat.row_tuples)
+            ]
+    return Matrix(rows, cols=n)
 
-    The only divisions are by the integers 1..n, which are exact over Q.
+
+def char_poly(m: Matrix) -> RatPoly:
+    """Characteristic polynomial det(xI - m), monic.
+
+    Reduces m to upper Hessenberg form H by similarity (a row swap with
+    the matching column swap; row r -= u * row piv together with column
+    piv += u * column r), then runs the recurrence for the characteristic
+    polynomials p_k of the leading k-by-k blocks of H (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.2.9).  O(n^3) field
+    operations and no matrix product.
     """
     if not m.is_square():
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
     n = m.rows
-    if n == 0:
-        return RatPoly.one()
-    coeffs_high = [Fraction(1)]  # x^n, then x^(n-1), ...
-    work = Matrix.identity(n)
-    for k in range(1, n + 1):
-        work = m * work
-        ck = -work.trace() / k
-        coeffs_high.append(ck)
-        if k < n:
-            work = work + Matrix.identity(n).scale(ck)
-    return RatPoly(list(reversed(coeffs_high)))
+    h = m.rows_list()
+    for c in range(n - 2):
+        piv = c + 1
+        pr = next((i for i in range(piv, n) if h[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != piv:
+            h[pr], h[piv] = h[piv], h[pr]
+            for row in h:
+                row[pr], row[piv] = row[piv], row[pr]
+        t = h[piv][c]
+        for r in range(piv + 1, n):
+            if h[r][c] == 0:
+                continue
+            u = h[r][c] / t
+            h[r] = [a - u * b if b else a for a, b in zip(h[r], h[piv])]
+            for row in h:
+                if row[r]:
+                    row[piv] += u * row[r]
+    # p[k] = det(xI - H_k) on coefficient lists, lowest degree first
+    p = [[Fraction(1)]]
+    for k in range(n):
+        nxt = [Fraction(0)] + p[k]
+        for i, a in enumerate(p[k]):
+            nxt[i] -= h[k][k] * a
+        t = Fraction(1)
+        for i in range(k - 1, -1, -1):
+            t *= h[i + 1][i]
+            if t == 0:
+                break
+            f = t * h[i][k]
+            if f:
+                for e, a in enumerate(p[i]):
+                    nxt[e] -= f * a
+        p.append(nxt)
+    return RatPoly(p[n])
 
 
 #: largest n `prime_factors` accepts; trial division to its root takes ~0.1 s

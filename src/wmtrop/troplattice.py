@@ -33,9 +33,18 @@ class NotPrimeError(ValueError):
     """The p of a quotient model is not a prime, or too large to test."""
 
 
+class LevelLimitError(ValueError):
+    """The level of a quotient model is above LEVEL_LIMIT."""
+
+
 #: most cells one rank-1 call builds (dual-graph components, witness slopes,
 #: tower preimages); time and memory grow with the count, to seconds near 10**6
 CELL_LIMIT = 10**6
+
+#: highest refinement level of a quotient model, checked before p**level is
+#: taken; each level multiplies the component count by p**rank, so a rank-1
+#: model is past CELL_LIMIT from level 20 on
+LEVEL_LIMIT = 64
 
 
 @dataclass(frozen=True)
@@ -123,6 +132,8 @@ class QuotientModel:
             raise NotPrimeError("p must be prime")
         if self.level < 0:
             raise ValueError("level must be nonnegative")
+        if self.level > LEVEL_LIMIT:
+            raise LevelLimitError(f"level is above the level limit {LEVEL_LIMIT}")
         if not divides(self.width(), self.lattice):
             raise ValueError("alpha / p^level must divide the lattice")
 

@@ -89,7 +89,7 @@ def random_unipotent(rng: random.Random, dim: int) -> Matrix:
     return p * Matrix(rows) * p.inverse()
 
 
-def _weight_block(rng: random.Random, q: int, w: int) -> Matrix:
+def weight_block(rng: random.Random, q: int, w: int) -> Matrix:
     """Small matrix whose eigenvalues all have squared modulus q^w."""
     if w % 2 == 0:
         return Matrix([[Fraction(q) ** (w // 2)]])
@@ -124,7 +124,7 @@ def random_wmc_pair(
             base_w = rng.randint(0, 3)
         else:
             base_w = center - (length - 1)
-        block = _weight_block(rng, q, base_w)
+        block = weight_block(rng, q, base_w)
         m = block.rows
         if dim + m * length > max_dim:
             if dim > 0:

@@ -6,8 +6,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from wmtrop.monodromy import Filtration, NilpotentOperator, induced_quotient_matrix
 from wmtrop.ratlin import (
     Matrix,
+    RatPoly,
     Subspace,
     image,
     kernel,
@@ -246,3 +248,46 @@ def section_ok_bruteforce(b: BundleData, f: TropicalSection) -> bool:
             if f.eval(u + lam) - f.eval(u) != z_slope * u + z_const:
                 return False
     return True
+
+
+def faddeev_leverrier_char_poly(m: Matrix) -> RatPoly:
+    """det(xI - m) by Faddeev-LeVerrier: n dense products, one trace each,
+    and the only divisions are by the integers 1..n."""
+    n = m.rows
+    if n == 0:
+        return RatPoly.one()
+    coeffs_high = [Fraction(1)]  # x^n, then x^(n-1), ...
+    work = Matrix.identity(n)
+    for k in range(1, n + 1):
+        work = m * work
+        ck = -sum(work[i, i] for i in range(n)) / k
+        coeffs_high.append(ck)
+        if k < n:
+            work = work + Matrix.identity(n).scale(ck)
+    return RatPoly(list(reversed(coeffs_high)))
+
+
+def horner_eval_matrix(p: RatPoly, m: Matrix) -> Matrix:
+    """p(m) by Horner's rule: one dense product per coefficient."""
+    out = Matrix.zero(m.rows, m.cols)
+    for c in reversed(p.coeffs):
+        out = out * m + Matrix.identity(m.rows).scale(c)
+    return out
+
+
+def graded_map_is_bijective(n: NilpotentOperator, fil: Filtration, j: int) -> bool:
+    """Whether N^j induces an isomorphism gr_j -> gr_(-j)."""
+    if j < 0:
+        raise ValueError("j must be nonnegative")
+    dim_src = fil.graded_dimension(j)
+    dim_dst = fil.graded_dimension(-j)
+    if dim_src != dim_dst:
+        return False
+    if dim_src == 0:
+        return True
+    if j >= n.nilpotency_index:
+        return False  # N^j = 0 kills a nonzero graded piece
+    induced = induced_quotient_matrix(
+        n.powers[j], fil.at(j), fil.at(j - 1), fil.at(-j), fil.at(-j - 1)
+    )
+    return induced.rank() == dim_src

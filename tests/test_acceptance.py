@@ -12,7 +12,7 @@ from contextlib import redirect_stdout
 from fractions import Fraction as F
 
 from gens import random_bundle, random_fraction, random_jordan_nilpotent, random_wmc_pair
-from oracles import jordan_filtration_pieces, rational_gcd_bruteforce
+from oracles import graded_map_is_bijective, jordan_filtration_pieces, rational_gcd_bruteforce
 from wmtrop.cli import JobSpec, main, run
 from wmtrop.monodromy import (
     DEFAULT_TOL,
@@ -21,7 +21,6 @@ from wmtrop.monodromy import (
     NotPureError,
     check_commutation,
     check_wmc,
-    graded_map_is_bijective,
     monodromy_filtration,
     weight_decomposition,
     weight_filtration,

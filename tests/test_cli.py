@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 from fractions import Fraction as F
@@ -350,6 +353,9 @@ class TestErrorContract:
              "20000000 components are above the cell limit 1000000"),
             ("trop-tower", dict(TATE_MODEL, op="preimages", cell=0, steps=10**9), 2,
              "2**1000000000 preimages are above the cell limit 1000000"),
+            *[("trop-model", dict(TATE_MODEL, p=3, level=level), 2,
+               "field 'level': level is above the level limit 64")
+              for level in (10**4, 10**7, 10**100)],
             ("bundle-extend", {"bundle": TATE_BUNDLE, "alpha": "3/4"}, 2, no_model),
             ("bundle-extend", {"bundle": dict(TATE_BUNDLE, chi=["1/3"]), "alpha": "1", "p": 2}, 1,
              "valuation denominators contain primes coprime to p (3); choose a finer base width"),
@@ -392,6 +398,45 @@ class TestErrorContract:
             f"cannot factor {mersenne}: trial division stops at 10**12"
         ]
 
+    def test_batch_nesting_is_bounded(self, tmp_path):
+        leaf = {"command": "trop-model", "input": TATE_MODEL}
+
+        def nested(depth):
+            payload = {"jobs": [leaf]}
+            for _ in range(depth - 1):
+                payload = {"jobs": [{"command": "batch", "input": payload}]}
+            return payload
+
+        too_deep = ("field 'jobs': batches nest deeper than the limit 100",)
+        assert run(JobSpec("batch", nested(100))).status == "pass"
+        for depth in (101, 2000):
+            report = run(JobSpec("batch", nested(depth)))
+            assert (report.exit_code, report.diagnostics) == (2, too_deep)
+        # 1000 levels are 3000 JSON containers: the decoder itself recurses too deep
+        text = '{"jobs":[{"command":"batch","input":' * 999 + json.dumps(nested(1)) + "}]}" * 999
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out = run_cli(["batch", "--input", str(path)])
+        assert code == 2
+        assert json.loads(out)["diagnostics"] == ["invalid JSON: nested too deeply to decode"]
+        path.write_text(json.dumps(nested(100)))
+        code, out = run_cli(["batch", "--input", str(path)])
+        assert code == 0
+
+    def test_pure_check_never_imports_mpmath(self):
+        # every factor of the Tate pair is decided pure exactly
+        script = (
+            "import sys; from wmtrop.cli import main; "
+            f"code = main(['wmc-check', '--json', {json.dumps(json.dumps(TATE_WMC))}]); "
+            "assert code == 0 and 'mpmath' not in sys.modules"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+
     def test_unknown_command(self):
         report = run(JobSpec("no-such-thing", {}))
         assert report.status == "error"
@@ -425,14 +470,17 @@ class TestErrorContract:
             raise NoConvergence("polyroots failed to converge")
 
         monkeypatch.setattr(mpmath, "polyroots", no_convergence)
+        # x^2 - 3x + 1 passes the exact constant-term and reciprocity tests
+        # for q = 5 but is not pure, so only the numeric check can reject it
+        impure = [[0, -1], [1, 3]]
         for command, payload in (
-            ("wmc-check", TATE_WMC),
-            ("weight-filtration", {"phi": [[1, 0], [0, 5]], "q": 5}),
+            ("wmc-check", {"n": [[0, 0], [0, 0]], "phi": impure, "q": 5, "i": 0}),
+            ("weight-filtration", {"phi": impure, "q": 5}),
         ):
             code, out = run_cli([command, "--json", json.dumps(payload)])
             assert code == 2
             assert json.loads(out)["diagnostics"] == [
-                "root finding did not converge for a degree-1 factor at 64 digits"
+                "root finding did not converge for a degree-2 factor at 64 digits"
             ]
 
     _json_scalars = st.one_of(

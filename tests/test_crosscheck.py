@@ -4,11 +4,14 @@ The intersection and the induced quotient maps are each one elimination;
 here they meet the kernel-and-solve constructions of tests/oracles.py,
 the monodromy filtration's recurrence meets the closed formula, and the
 determinant, the q-power test and the lattice width meet the loops they
-replaced.  rref, kernel and intersection dimensions, det, char_poly,
-factor_rational and the lattice HNF meet sympy.
+replaced, char_poly and eval_matrix meet Faddeev-LeVerrier and Horner,
+and the exact purity test meets the numeric root-modulus check.  rref,
+kernel and intersection dimensions, det, char_poly, factor_rational and
+the lattice HNF meet sympy.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -21,20 +24,29 @@ from gens import (
     random_matrix,
     random_subspace,
     random_wmc_pair,
+    weight_block,
 )
 from oracles import (
     closed_formula_pieces,
     exact_q_power_recursive,
+    faddeev_leverrier_char_poly,
     gaussian_det,
+    horner_eval_matrix,
     kernel_intersect,
     rational_gcd_fold,
     solve_induced_matrix,
 )
+from wmtrop import monodromy
 from wmtrop.monodromy import (
+    FrobeniusData,
     NilpotentOperator,
+    NotPureError,
     _exact_q_power,
+    _exactly_pure,
     induced_quotient_matrix,
     monodromy_filtration,
+    weight_decomposition,
+    weil_weight,
 )
 from wmtrop.polyfactor import factor_rational
 from wmtrop.ratlin import (
@@ -43,6 +55,7 @@ from wmtrop.ratlin import (
     Subspace,
     char_poly,
     kernel,
+    poly_gcd,
     subspace_intersect,
     subspace_sum,
 )
@@ -238,6 +251,156 @@ class TestReplacedPaths:
             lat = random_lattice(rng, rng.randint(1, 5))
             entries = [x for row in lat.generators.row_tuples for x in row]
             assert max_dividing_width(lat).alpha == rational_gcd_fold(entries), lat
+
+
+def _block_diagonal(blocks):
+    d = sum(b.rows for b in blocks)
+    rows = [[F(0)] * d for _ in range(d)]
+    pos = 0
+    for b in blocks:
+        for i, row in enumerate(b.row_tuples):
+            rows[pos + i][pos : pos + b.rows] = row
+        pos += b.rows
+    return Matrix(rows, cols=d)
+
+
+def _hessenberg_cases(rng):
+    """Square matrices for char_poly: 0x0 and 1x1, integral and rational,
+    nilpotent, block upper triangular, and ones whose first column makes the
+    Hessenberg reduction swap rows or skip a zero column below the diagonal."""
+    cases = [Matrix([], cols=0), Matrix([[F(-7, 3)]]), Matrix([[0]])]
+    for _ in range(25):
+        n = rng.randint(1, 7)
+        cases.append(Matrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]))
+        cases.append(random_matrix(rng, n, n))
+        cases.append(_jordan_sum(rng, [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]))
+        top, bottom = rng.randint(1, 3), rng.randint(1, 3)
+        rows = [list(r) for r in random_matrix(rng, top + bottom, top + bottom).row_tuples]
+        for i in range(top, top + bottom):
+            rows[i][:top] = [F(0)] * top
+        cases.append(Matrix(rows))
+        n = rng.randint(3, 7)
+        rows = [list(r) for r in random_matrix(rng, n, n).row_tuples]
+        rows[1][0] = F(0)  # below-diagonal pivot must come from a lower row
+        rows[rng.randrange(2, n)][0] = F(rng.choice([-2, -1, 1, 3]))
+        cases.append(Matrix(rows))
+        rows = [list(r) for r in random_matrix(rng, n, n).row_tuples]
+        for i in range(1, n):
+            rows[i][0] = F(0)  # nothing to reduce in the first column
+        cases.append(Matrix(rows))
+    return cases
+
+
+class _MulCounter:
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        original = Matrix.__mul__
+
+        def counting(a, b):
+            self.calls += isinstance(b, Matrix)
+            return original(a, b)
+
+        monkeypatch.setattr(Matrix, "__mul__", counting)
+
+
+def _trace_factor(rng, q, j):
+    """(g, built_pure): g = x^m P(x + q^j/x), m <= 3, for a seeded monic P,
+    built as the sum of p_k (x^2 + q^j)^k x^(m-k).  P has random
+    coefficients (mostly impure), or is a product of y - a and y^2 - c with
+    a^2, c in [0, 4q^j) (pure), in the impure case times one y - b with
+    b^2 > 4q^j."""
+    qj = F(q) ** j
+    while True:
+        m = rng.randint(1, 3)
+        kind = rng.randrange(3)
+        if kind == 2:
+            p = RatPoly([rng.randint(-6, 6) for _ in range(m)] + [1])
+        else:
+            p = RatPoly.one()
+            if kind == 1:
+                b = 2 * qj + rng.randint(1, 5)
+                p = RatPoly([rng.choice([-b, b]), 1])
+            while p.degree < m:
+                a = F(rng.randint(-12, 12), rng.randint(1, 3))
+                if a * a < 4 * qj:
+                    quadratic = p.degree + 2 <= m and rng.random() < 0.4
+                    p = p * (RatPoly([-abs(a), 0, 1]) if quadratic else RatPoly([-a, 1]))
+        shift = RatPoly([qj, 0, 1])
+        g = RatPoly.zero()
+        for k, c in enumerate(p.coeffs):
+            g = g + shift**k * RatPoly([0] * (m - k) + [c])
+        if poly_gcd(g, g.derivative()).degree == 0:  # simple roots, for the numeric side
+            return g, kind == 0
+
+
+class TestHessenbergAndPatersonStockmeyer:
+    def test_char_poly_matches_faddeev_leverrier(self, monkeypatch):
+        rng = random.Random(157)
+        cases = _hessenberg_cases(rng)
+        firsts = {(m[1, 0] == 0, any(m[i, 0] != 0 for i in range(2, m.rows)))
+                  for m in cases if m.rows >= 3}
+        assert firsts >= {(True, True), (True, False)}  # a swap, and a zero column
+        expected = [faddeev_leverrier_char_poly(m) for m in cases]
+        counter = _MulCounter(monkeypatch)
+        for m, cp in zip(cases, expected):
+            assert char_poly(m) == cp, m
+        assert counter.calls == 0
+
+    def test_eval_matrix_matches_horner(self, monkeypatch):
+        rng = random.Random(163)
+        for degree in range(-1, 31):
+            for m in (Matrix([], cols=0), Matrix([[F(2, 3)]]), random_matrix(rng, 3, 3),
+                      _jordan_sum(rng, [2, 2]), random_matrix(rng, 4, 4, num_bound=3)):
+                p = RatPoly([random_fraction(rng) for _ in range(degree)] + [rng.randint(1, 3)]
+                            if degree >= 0 else [])
+                expected = horner_eval_matrix(p, m)
+                counter = _MulCounter(monkeypatch)
+                assert p.eval_matrix(m) == expected, (p, m)
+                monkeypatch.undo()
+                assert counter.calls <= 2 * math.isqrt(max(p.degree, 0)) + 2, p
+
+    def test_exact_purity_matches_numeric(self, monkeypatch):
+        rng = random.Random(167)
+        factors = []
+        for q in (2, 3, 5):
+            for _ in range(135):
+                j = rng.choice([-1, 0, 1, 1, 2, 2, 3])
+                g, built_pure = _trace_factor(rng, q, j)
+                exact = _exactly_pure(g, F(q) ** j)
+                assert exact or not built_pure, g  # a pure construction is decided pure
+                factors.append((g, q, j, exact))
+        monkeypatch.setattr(monodromy, "_exactly_pure", lambda g, qj: False)
+        verdicts = []
+        for g, q, j, exact in factors:
+            try:
+                numeric = weil_weight(g, q) == j
+            except NotPureError:
+                numeric = False
+            assert exact == numeric, (g, q, j)
+            verdicts.append(exact)
+        assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+
+    def test_weight_components_are_kernels_of_h(self):
+        rng = random.Random(173)
+        singles = 0
+        for k in range(40):
+            q = rng.choice([2, 3, 5])
+            if k % 2:  # one weight: the component is the whole space
+                w = rng.randint(0, 3)
+                blocks = [weight_block(rng, q, w) for _ in range(rng.randint(1, 3))]
+                phi = _block_diagonal(blocks)
+                p = random_invertible(rng, phi.rows)
+                phi = p * phi * p.inverse()
+            else:
+                phi = random_wmc_pair(rng, q, max_dim=6)[1]
+            by_weight = {}
+            for g, mult in factor_rational(faddeev_leverrier_char_poly(phi)):
+                j = weil_weight(g, q)
+                by_weight[j] = by_weight.get(j, RatPoly.one()) * g**mult
+            expected = {j: kernel(horner_eval_matrix(h, phi)) for j, h in by_weight.items()}
+            assert weight_decomposition(FrobeniusData(phi, q)).components == expected, phi
+            singles += len(by_weight) == 1
+        assert 20 <= singles < 40
 
 
 @pytest.fixture

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from gens import random_jordan_nilpotent, random_unipotent, random_wmc_pair
-from oracles import jordan_filtration_pieces
+from oracles import graded_map_is_bijective, jordan_filtration_pieces
 from wmtrop import monodromy
 from wmtrop.monodromy import (
     Filtration,
@@ -16,7 +17,6 @@ from wmtrop.monodromy import (
     check_commutation,
     check_wmc,
     exp_nilpotent,
-    graded_map_is_bijective,
     log_unipotent,
     monodromy_filtration,
     weight_decomposition,
@@ -201,6 +201,18 @@ class TestWeilWeight:
     def test_requires_monic(self):
         with pytest.raises(ValueError):
             weil_weight(RatPoly([1, 2]), 5)
+
+    def test_pure_factors_skip_the_numeric_step(self, monkeypatch):
+        def numeric(*args, **kwargs):
+            raise AssertionError("pure factor reached the numeric check")
+
+        monkeypatch.setattr(mpmath, "polyroots", numeric)
+        assert weil_weight(RatPoly([-25, 1]), 5) == 4  # degree 1
+        assert weil_weight(RatPoly([-5, 0, 1]), 5) == 1  # x^2 - q^j
+        assert weil_weight(RatPoly([F(1, 5), 0, 1]), 5) == -1  # trace 0: Sturm's lower end
+        # (x^2 - 5)^2 has trace polynomial y^2 - 20, roots at Sturm's upper end 4q^j
+        assert weil_weight(RatPoly([25, 0, -10, 0, 1]), 5) == 1
+        assert weil_weight(RatPoly([25, 5, 8, 1, 1]), 5) == 1  # trace roots 1 and -2
 
 
 class TestWeightDecomposition:

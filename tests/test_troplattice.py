@@ -9,7 +9,9 @@ from wmtrop.ratlin import FACTOR_LIMIT, Matrix, prime_factors
 from wmtrop.troplattice import (
     CELL_LIMIT,
     CellWidth,
+    LEVEL_LIMIT,
     InvalidResidueError,
+    LevelLimitError,
     NotPrimeError,
     QuotientModel,
     TropicalLattice,
@@ -122,6 +124,13 @@ class TestQuotientModels:
             QuotientModel(self.TATE, CellWidth(1), 4, 0)  # p must be prime
         with pytest.raises(NotPrimeError):
             QuotientModel(self.TATE, CellWidth(1), 2**61 - 1, 0)  # prime, but too large to test
+
+    def test_level_is_bounded(self):
+        top = QuotientModel(self.TATE, CellWidth(1), 3, LEVEL_LIMIT)
+        assert quotient_components(top) == 2 * 3**LEVEL_LIMIT
+        for level in (LEVEL_LIMIT + 1, 10**100):  # rejected before 3**level is taken
+            with pytest.raises(LevelLimitError):
+                QuotientModel(self.TATE, CellWidth(1), 3, level)
 
     def test_trial_division_is_bounded(self):
         assert prime_factors(FACTOR_LIMIT) == (2, 5)
