@@ -65,6 +65,8 @@ def parse_rational(value: Any, fieldname: str = "value") -> Fraction:
             return Fraction(text)
         except ZeroDivisionError:
             raise SchemaError(fieldname, f"malformed rational {value!r}") from None
+        except ValueError as err:  # more digits than int() converts
+            raise SchemaError(fieldname, str(err)) from None
     raise SchemaError(fieldname, f"expected int or 'a/b' string, got {type(value).__name__}")
 
 
@@ -621,12 +623,12 @@ def main(argv: list[str] | None = None) -> int:
                 raise SchemaError("tol", "tolerance must be positive")
     except (OSError, UnicodeDecodeError) as err:
         diagnostic = f"cannot read input: {err}"
-    except json.JSONDecodeError as err:
-        diagnostic = f"invalid JSON: {err}"
     except RecursionError:
         diagnostic = "invalid JSON: nested too deeply to decode"
     except SchemaError as err:
         diagnostic = str(err)
+    except ValueError as err:  # json.loads: bad syntax, or an integer too long for int()
+        diagnostic = f"invalid JSON: {err}"
     else:
         text, report = render(run(JobSpec(args.command, payload, tol=tol)), args.format)
         sys.stdout.write(text)

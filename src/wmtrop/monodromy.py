@@ -435,8 +435,9 @@ def weight_decomposition(f: FrobeniusData, tol: Fraction = DEFAULT_TOL) -> Weigh
     The component of weight j is the kernel of h_j(Phi), with h_j the
     product (with multiplicity) of the weight-j irreducible factors of
     the characteristic polynomial.  With a single weight, h_j is the
-    characteristic polynomial and the component is all of Q^d.  A factor that is pure of no integer
-    weight aborts the decomposition with NotPureError.
+    characteristic polynomial and the component is all of Q^d.  A factor
+    that is pure of no integer weight aborts the decomposition with
+    NotPureError.
     """
     d = f.dimension
     if d == 0:
@@ -530,12 +531,24 @@ def check_wmc(
 ) -> WmcReport:
     """Compare the N-filtration with the weight filtration shifted by i.
 
-    The report records (a) whether N Phi = q Phi N, (b) whether
-    Fil_j = W_(i+j) for every j as an identity of canonical subspaces,
-    and (c) the Frobenius weights on each graded piece gr_j, which must
-    all equal i+j.  A piece that Phi moves is a violation, and gr_j gets
-    weights only when Phi preserves both Fil_j and Fil_(j-1), so that it
-    induces a map there.  Failures land in `violations`; nothing raises.
+    The report records whether N Phi = q Phi N, whether Fil_j = W_(i+j)
+    for every j as an identity of canonical subspaces, and the Frobenius
+    weights on each graded piece gr_j, which must all equal i+j.  A piece
+    that Phi moves is a violation, and gr_j gets weights only when Phi
+    preserves both Fil_j and Fil_(j-1), so that it induces a map there.
+    Failures land in `violations`; nothing raises.
+
+    Two facts decide the pieces without testing them:
+
+    (a) If N Phi = q Phi N, Phi preserves every Fil_j: from
+        Phi N^k = q^-k N^k Phi, Phi maps each ker N^a and im N^b into
+        itself, and so every sum of their intersections.
+    (b) If Fil_j = W_(i+j) for every j, gr_j has the weights
+        [(i+j, dim gr_j)]: the pieces are sums of Phi-stable weight
+        components, so gr_j is Phi-isomorphic to the component of weight i+j.
+
+    Only when neither holds is each piece tested for stability and the
+    map induced on each gr_j factored and weighed.
     """
     if n.dimension != f.dimension:
         raise DimensionMismatch("operator dimensions differ")
@@ -572,12 +585,17 @@ def check_wmc(
         violations.extend(mismatches)
         filtrations_equal = not mismatches
 
+    if filtrations_equal:  # fact (b)
+        weights = {j: [(i + j, mono.graded_dimension(j))] for j in mono.jump_indices()}
+        return WmcReport(commutation_ok, filtrations_equal, weights, violations)
+
     graded_weights: dict[int, list[tuple[int, int]]] = {}
     below_stable = True  # Phi preserves Fil_(j-1), the previous jump's piece or 0
     for j in mono.jump_indices():
         piece = mono.at(j)
         images = (f.phi_matrix.apply(v) for v in piece.vectors())
-        stable = piece.is_full() or all(map(piece.contains_vector, images))
+        # fact (a), before any image is tested
+        stable = commutation_ok or piece.is_full() or all(map(piece.contains_vector, images))
         if not stable:
             violations.append(
                 {

@@ -46,6 +46,10 @@ CELL_LIMIT = 10**6
 #: model is past CELL_LIMIT from level 20 on
 LEVEL_LIMIT = 64
 
+#: most decimal digits of a quotient model's component count, which reports
+#: print; Python converts no longer int to a string by default
+COUNT_DIGIT_LIMIT = 4300
+
 
 @dataclass(frozen=True)
 class CellWidth:
@@ -136,6 +140,8 @@ class QuotientModel:
             raise LevelLimitError(f"level is above the level limit {LEVEL_LIMIT}")
         if not divides(self.width(), self.lattice):
             raise ValueError("alpha / p^level must divide the lattice")
+        if quotient_components(self) >= 10**COUNT_DIGIT_LIMIT:
+            raise ValueError(f"the component count has more than {COUNT_DIGIT_LIMIT} digits")
 
     def width(self) -> CellWidth:
         return CellWidth(self.alpha.alpha / self.p**self.level)

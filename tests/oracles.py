@@ -6,7 +6,16 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from wmtrop.monodromy import Filtration, NilpotentOperator, induced_quotient_matrix
+from wmtrop.monodromy import (
+    DEFAULT_TOL,
+    Filtration,
+    FrobeniusData,
+    NilpotentOperator,
+    NotPureError,
+    _graded_frobenius_weights,
+    induced_quotient_matrix,
+    monodromy_filtration,
+)
 from wmtrop.ratlin import (
     Matrix,
     RatPoly,
@@ -291,3 +300,55 @@ def graded_map_is_bijective(n: NilpotentOperator, fil: Filtration, j: int) -> bo
         n.powers[j], fil.at(j), fil.at(j - 1), fil.at(-j), fil.at(-j - 1)
     )
     return induced.rank() == dim_src
+
+
+def graded_weights_every_piece(
+    n: NilpotentOperator, f: FrobeniusData, i: int, tol: Fraction = DEFAULT_TOL
+) -> tuple[dict[int, list[tuple[int, int]]], list[dict], dict[int, bool]]:
+    """The graded-piece part of check_wmc with neither of its shortcuts.
+
+    Every jump piece of the N-filtration is tested for Phi-stability, and
+    the map Phi induces on every gr_j whose Fil_j and Fil_(j-1) are both
+    stable is factored and weighed.  Returns the graded weights, the
+    graded violations in check_wmc's order, and each jump piece's
+    stability.
+    """
+    mono = monodromy_filtration(n)
+    graded_weights: dict[int, list[tuple[int, int]]] = {}
+    violations: list[dict] = []
+    stable_at: dict[int, bool] = {}
+    below_stable = True
+    for j in mono.jump_indices():
+        piece = mono.at(j)
+        images = (f.phi_matrix.apply(v) for v in piece.vectors())
+        stable = stable_at[j] = piece.is_full() or all(map(piece.contains_vector, images))
+        if not stable:
+            violations.append(
+                {
+                    "kind": "graded_not_phi_stable",
+                    "index": j,
+                    "detail": "Phi does not preserve the filtration piece",
+                }
+            )
+        induced = stable and below_stable
+        below_stable = stable
+        if not induced:
+            continue
+        try:
+            pairs = _graded_frobenius_weights(f, mono, j, tol)
+        except NotPureError as err:
+            violations.append({"kind": "graded_not_pure", "index": j, "detail": str(err)})
+            continue
+        graded_weights[j] = pairs
+        for w, mult in pairs:
+            if w != i + j:
+                violations.append(
+                    {
+                        "kind": "graded_weight",
+                        "index": j,
+                        "weight": w,
+                        "multiplicity": mult,
+                        "expected": i + j,
+                    }
+                )
+    return graded_weights, violations, stable_at

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import NoConvergence
 
+from wmtrop import troplattice as tl
 from wmtrop.cli import (
     _HANDLERS,
     JobSpec,
@@ -397,6 +398,38 @@ class TestErrorContract:
         assert json.loads(out)["diagnostics"] == [
             f"cannot factor {mersenne}: trial division stops at 10**12"
         ]
+
+    def test_numbers_past_the_int_string_limit(self):
+        # Python converts at most 4300 digits between int and str
+        digits = "1" + "0" * 5000
+        code, out = run_cli(["trop-model", "--json", f'{{"level": {digits}}}'])
+        assert code == 2
+        assert json.loads(out)["diagnostics"][0].startswith("invalid JSON: Exceeds the limit")
+        code, out = run_cli(["wmc-check", "--tol", f"1/{digits}", "--json", "{}"])
+        assert code == 2
+        assert json.loads(out)["diagnostics"][0].startswith("field 'tol': Exceeds the limit")
+        for command, payload, name in (
+            ("trop-model", dict(TATE_MODEL, alpha=f"1/{digits}"), "alpha"),
+            ("wmc-check", dict(TATE_WMC, phi=[[digits, 0], [0, 5]]), "phi[0][0]"),
+        ):
+            code, out = run_cli([command, "--json", json.dumps(payload)])
+            assert code == 2
+            assert json.loads(out)["diagnostics"][0].startswith(f"field '{name}': Exceeds")
+
+    def test_component_count_past_the_digit_limit(self, monkeypatch):
+        unit_square = {"lattice": {"rank": 2, "generators": [["1", "0"], ["0", "1"]]}}
+        drawn = ["dual graph omitted: only rank-1 special fibers are drawn"]
+        too_long = ["field 'alpha': the component count has more than 4300 digits"]
+        # the count is 10**(2 * zeros): 4299 digits, then 4301 and 4401
+        for zeros, code, diagnostics in (
+            (2149, 0, drawn), (2150, 2, too_long), (2200, 2, too_long)
+        ):
+            payload = dict(unit_square, alpha="1/1" + "0" * zeros)
+            got, out = run_cli(["trop-model", "--json", json.dumps(payload)])
+            assert (got, json.loads(out)["diagnostics"]) == (code, diagnostics)
+        monkeypatch.setattr(tl, "COUNT_DIGIT_LIMIT", 3)
+        for alpha, code in (("1/31", 0), ("1/32", 2)):  # 961 and 1024 components
+            assert run(JobSpec("trop-model", dict(unit_square, alpha=alpha))).exit_code == code
 
     def test_batch_nesting_is_bounded(self, tmp_path):
         leaf = {"command": "trop-model", "input": TATE_MODEL}

@@ -2,7 +2,8 @@
 
 The intersection and the induced quotient maps are each one elimination;
 here they meet the kernel-and-solve constructions of tests/oracles.py,
-the monodromy filtration's recurrence meets the closed formula, and the
+the monodromy filtration's recurrence meets the closed formula, check_wmc's
+shortcuts meet the loop that tests and weighs every graded piece, and the
 determinant, the q-power test and the lattice width meet the loops they
 replaced, char_poly and eval_matrix meet Faddeev-LeVerrier and Horner,
 and the exact purity test meets the numeric root-modulus check.  rref,
@@ -31,6 +32,7 @@ from oracles import (
     exact_q_power_recursive,
     faddeev_leverrier_char_poly,
     gaussian_det,
+    graded_weights_every_piece,
     horner_eval_matrix,
     kernel_intersect,
     rational_gcd_fold,
@@ -38,11 +40,14 @@ from oracles import (
 )
 from wmtrop import monodromy
 from wmtrop.monodromy import (
+    Filtration,
     FrobeniusData,
     NilpotentOperator,
     NotPureError,
     _exact_q_power,
     _exactly_pure,
+    check_commutation,
+    check_wmc,
     induced_quotient_matrix,
     monodromy_filtration,
     weight_decomposition,
@@ -167,6 +172,74 @@ class TestOracleAgreement:
             assert got == _outcome(solve_induced_matrix, *args)
             outcomes.add(got == "raises")
         assert outcomes == {False, True}
+
+
+def _wmc_cases(rng, count):
+    """`count` cases (kind, N, (Phi, q), i) of each kind: "centred" pairs,
+    whose filtrations are equal; "uncentred" ones, which commute; and
+    "perturbed" (Phi + cN) and "unstable" (Phi conjugated by an elementary
+    basis change) ones, which do not commute."""
+    cases = []
+    for kind in ("centred", "uncentred", "perturbed", "unstable"):
+        while sum(c[0] == kind for c in cases) < count:
+            q = rng.choice([2, 3, 5])
+            center = rng.randint(0, 3)
+            if kind == "uncentred" or (kind != "centred" and rng.random() < 0.5):
+                center = None
+            n_mat, phi, i = random_wmc_pair(rng, q, max_dim=7, center=center)
+            if kind == "perturbed":  # keeps every piece, commutes only if N^2 = 0
+                phi = phi + n_mat.scale(rng.choice([-2, -1, 1, 2]))
+            elif kind == "unstable" and phi.rows > 1:  # moves only some pieces
+                rows = [list(r) for r in Matrix.identity(phi.rows).row_tuples]
+                a, b = rng.sample(range(phi.rows), 2)
+                rows[a][b] = rng.choice([-1, 1])
+                g = Matrix(rows)
+                phi = g * phi * g.inverse()
+            op = NilpotentOperator(n_mat)
+            if phi.det() == 0 or (kind in ("perturbed", "unstable")) == check_commutation(
+                op, FrobeniusData(phi, q)
+            ):
+                continue
+            cases.append((kind, op, FrobeniusData(phi, q), i))
+    return cases
+
+
+def _against_every_piece(op, fd, i):
+    """check_wmc's report, and whether its graded weights and violations
+    are those of the loop over every piece; checks fact (a) on that loop."""
+    report = check_wmc(op, fd, i)
+    weights, graded, stable = graded_weights_every_piece(op, fd, i)
+    if check_commutation(op, fd):
+        assert all(stable.values()), (op.n_matrix, fd.phi_matrix)
+    ungraded = [v for v in report.violations if not v["kind"].startswith("graded_")]
+    return report, report.graded_weights == weights and report.violations == ungraded + graded
+
+
+class TestWmcShortcuts:
+    def test_shortcuts_match_every_piece(self):
+        rng = random.Random(179)
+        seen = set()
+        for kind, op, fd, i in _wmc_cases(rng, 12):
+            report, agrees = _against_every_piece(op, fd, i)
+            assert agrees, (kind, op.n_matrix, fd.phi_matrix, i)
+            moved = any(v["kind"] == "graded_not_phi_stable" for v in report.violations)
+            weighed = bool(report.graded_weights)
+            seen.add((kind, report.commutation_ok, report.filtrations_equal, moved, weighed))
+        assert {k for k in seen if k[0] == "centred"} == {("centred", True, True, False, True)}
+        # fact (a) alone, fact (b) alone, and neither: some pieces weighed, some moved
+        assert seen >= {
+            ("uncentred", True, False, False, True),
+            ("perturbed", False, True, False, True),
+            ("perturbed", False, False, False, True),
+            ("unstable", False, False, True, True),
+        }
+
+    def test_a_wrong_multiplicity_is_caught(self, monkeypatch):
+        rng = random.Random(181)
+        centred = [c for c in _wmc_cases(rng, 4) if c[0] == "centred"]
+        original = Filtration.graded_dimension
+        monkeypatch.setattr(Filtration, "graded_dimension", lambda fil, j: original(fil, j) + 1)
+        assert not any(_against_every_piece(op, fd, i)[1] for _, op, fd, i in centred)
 
 
 def _needs_swaps(rng, n):
