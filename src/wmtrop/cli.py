@@ -52,6 +52,13 @@ class SchemaError(ValueError):
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
+def _int_limit_message(err: ValueError) -> str:
+    """The message of err without the advice Python appends to its int/str
+    digit-limit error, to call sys.set_int_max_str_digits(), which a CLI
+    user cannot act on."""
+    return str(err).split("; use sys.set_int_max_str_digits()")[0]
+
+
 def parse_rational(value: Any, fieldname: str = "value") -> Fraction:
     if isinstance(value, bool):
         raise SchemaError(fieldname, "expected a rational, got a boolean")
@@ -66,7 +73,7 @@ def parse_rational(value: Any, fieldname: str = "value") -> Fraction:
         except ZeroDivisionError:
             raise SchemaError(fieldname, f"malformed rational {value!r}") from None
         except ValueError as err:  # more digits than int() converts
-            raise SchemaError(fieldname, str(err)) from None
+            raise SchemaError(fieldname, _int_limit_message(err)) from None
     raise SchemaError(fieldname, f"expected int or 'a/b' string, got {type(value).__name__}")
 
 
@@ -293,6 +300,8 @@ def _cmd_wmc_check(payload: dict, tol: Fraction) -> Report:
     phi = parse_matrix(_get(payload, "phi"), "phi")
     q = _get_int(payload, "q", minimum=2)
     i = _get_int(payload, "i")
+    if abs(i) > mono.DEGREE_LIMIT:
+        raise SchemaError("i", f"|i| is above the degree limit {mono.DEGREE_LIMIT}")
     op = mono.NilpotentOperator(n_mat)
     frob = mono.FrobeniusData(phi, q)
     report = mono.check_wmc(op, frob, i, tol)
@@ -375,12 +384,16 @@ def _cmd_trop_tower(payload: dict, tol: Fraction) -> Report:
 def _cmd_bundle_ample(payload: dict, tol: Fraction) -> Report:
     b = _bundle(payload)
     s = tb.form_matrix(b)
-    minors = [format_rational(s.leading_minor(k).det()) for k in range(1, b.rank + 1)]
-    ample = tb.ample_check(b)
+    minors = tb.leading_minors(s)
+    ample = tb.ample_check(b, minors)
     return Report(
         "bundle-ample",
         "pass" if ample else "fail",
-        payload={"ample": ample, "form": serialize_matrix(s), "leading_minors": minors},
+        payload={
+            "ample": ample,
+            "form": serialize_matrix(s),
+            "leading_minors": [format_rational(m) for m in minors],
+        },
         diagnostics=() if ample else ("induced form is not positive definite",),
     )
 
@@ -628,7 +641,7 @@ def main(argv: list[str] | None = None) -> int:
     except SchemaError as err:
         diagnostic = str(err)
     except ValueError as err:  # json.loads: bad syntax, or an integer too long for int()
-        diagnostic = f"invalid JSON: {err}"
+        diagnostic = f"invalid JSON: {_int_limit_message(err)}"
     else:
         text, report = render(run(JobSpec(args.command, payload, tol=tol)), args.format)
         sys.stdout.write(text)

@@ -47,6 +47,11 @@ from .ratlin import (
 #: default tolerance for the numeric root-modulus check: 10^-20
 DEFAULT_TOL = Fraction(1, 10**20)
 
+#: largest |i| that wmc-check takes; check_wmc compares the filtrations at
+#: about |i| indices and reports each mismatch, so time and report size
+#: grow linearly with it (the 2x2 Tate pair lists 1003 at the limit)
+DEGREE_LIMIT = 1000
+
 
 class NotUnipotentError(ValueError):
     """The matrix is not of the form identity + nilpotent."""

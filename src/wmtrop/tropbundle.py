@@ -18,6 +18,7 @@ part of a non-degenerate quotient enters solely through the opaque
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,14 +119,22 @@ def form_matrix(b: BundleData) -> Matrix:
     return b.lattice.generators.transpose() * b.sigma
 
 
-def ample_check(b: BundleData) -> bool:
+def leading_minors(s: Matrix) -> list[Fraction]:
+    """Determinants of the top-left k-by-k submatrices of s, k = 1..rows."""
+    return [s.leading_minor(k).det() for k in range(1, s.rows + 1)]
+
+
+def ample_check(b: BundleData, minors: Sequence[Fraction] | None = None) -> bool:
     """Positive definiteness of S by exact leading principal minors.
 
+    `minors` are S's leading minors when the caller already holds them
+    (from `leading_minors(form_matrix(b))`); otherwise they are computed.
     Covers the torus part only; whether the abelian-part bundle is ample
     is the caller's concern (see `abelian_part_ample`).
     """
-    s = form_matrix(b)
-    return all(s.leading_minor(k).det() > 0 for k in range(1, b.rank + 1))
+    if minors is None:
+        minors = leading_minors(form_matrix(b))
+    return all(m > 0 for m in minors)
 
 
 def chi_valuation(b: BundleData, a: Sequence[int]) -> Fraction:
@@ -268,7 +277,7 @@ class TropicalSection:
         return self.corner_value(j) + self.slope_in_cell(j) * (u - j * self.alpha)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaceTransition:
     """Data at a shared cell face: the valuation shadow of a transition unit."""
 
@@ -354,6 +363,8 @@ def verify_section(b: BundleData, f: TropicalSection) -> SectionReport:
     have absolute value 1"), and that crossing a period adds exactly the
     affine function z of the lattice generator, both in slope and in value.
     Integer slopes need no check here: TropicalSection rejects any other.
+    Linear in the number of cells: the slope prefix is summed once, and
+    values are compared as integer numerators over one common denominator.
     """
     lam, _, d_eff, v_eff = _rank1_generator_data(b)
     failures: list[str] = []
@@ -373,20 +384,37 @@ def verify_section(b: BundleData, f: TropicalSection) -> SectionReport:
             f"periodicity (value): increment per period is {f.value_increment}, "
             f"the bundle requires {v_eff}"
         )
-    slope_sum = sum(f.slopes) * f.alpha
+    slopes, k, d = f.slopes, f.period_cells, f.slope_increment
+    prefix = list(itertools.accumulate(slopes, initial=0))
+    slope_sum = prefix[k] * f.alpha
     if slope_sum != f.value_increment:
         failures.append(
             f"periodicity: slopes sum to {slope_sum} over one period "
             f"but the value increment is {f.value_increment}"
         )
-    k = f.period_cells
+    # every corner value lies in (1/den)Z: compare the numerators over den,
+    # from corner_value's closed form with the prefix sums taken once
+    den = math.lcm(f.alpha.denominator, f.base_value.denominator, f.value_increment.denominator)
+    step = f.alpha.numerator * (den // f.alpha.denominator)
+    base = f.base_value.numerator * (den // f.base_value.denominator)
+    shift = f.value_increment.numerator * (den // f.value_increment.denominator)
+
+    def corner(j: int) -> int:
+        """corner_value(j) * den."""
+        t, i = divmod(j, k)
+        periods = t * (d * i * step + shift) + t * (t - 1) // 2 * d * k * step
+        return base + step * prefix[i] + periods
+
     faces = []
+    left_corner = base
     for j in range(2 * k):
-        pos = (j + 1) * f.alpha
-        left_slope = f.slope_in_cell(j)
-        right_slope = f.slope_in_cell(j + 1)
-        left_value = f.corner_value(j) + left_slope * f.alpha
-        right_value = f.corner_value(j + 1)
+        pos = Fraction((j + 1) * f.alpha.numerator, f.alpha.denominator)
+        left_slope = slopes[j % k] + j // k * d
+        right_slope = slopes[(j + 1) % k] + (j + 1) // k * d
+        left_num = left_corner + left_slope * step
+        right_num = corner(j + 1)
+        left_value = Fraction(left_num, den)
+        right_value = left_value if left_num == right_num else Fraction(right_num, den)
         faces.append(
             FaceTransition(
                 position=pos,
@@ -397,11 +425,12 @@ def verify_section(b: BundleData, f: TropicalSection) -> SectionReport:
                 right_value=right_value,
             )
         )
-        if left_value != right_value:
+        if left_num != right_num:
             failures.append(
                 f"discontinuity at u={pos}: left piece gives {left_value}, "
                 f"right piece gives {right_value}"
             )
+        left_corner = right_num
     return SectionReport(ok=not failures, failures=tuple(failures), faces=tuple(faces))
 
 

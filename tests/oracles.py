@@ -26,7 +26,14 @@ from wmtrop.ratlin import (
     subspace_intersect,
     subspace_sum,
 )
-from wmtrop.tropbundle import BundleData, TropicalSection, form_matrix
+from wmtrop.tropbundle import (
+    BundleData,
+    FaceTransition,
+    SectionReport,
+    TropicalSection,
+    _rank1_generator_data,
+    form_matrix,
+)
 
 
 def jordan_filtration_pieces(n_matrix: Matrix) -> dict[int, Subspace]:
@@ -257,6 +264,59 @@ def section_ok_bruteforce(b: BundleData, f: TropicalSection) -> bool:
             if f.eval(u + lam) - f.eval(u) != z_slope * u + z_const:
                 return False
     return True
+
+
+def verify_section_by_corner_value(b: BundleData, f: TropicalSection) -> SectionReport:
+    """verify_section with its quadratic face loop: each face calls
+    corner_value, which re-sums the slope prefix in Fractions."""
+    lam, _, d_eff, v_eff = _rank1_generator_data(b)
+    failures: list[str] = []
+    if f.alpha * f.period_cells != lam:
+        failures.append(
+            f"period mismatch: {f.period_cells} cells of width {f.alpha} "
+            f"do not tile a period of length {lam}"
+        )
+        return SectionReport(ok=False, failures=tuple(failures), faces=())
+    if f.slope_increment != d_eff:
+        failures.append(
+            f"periodicity (slope): increment per period is {f.slope_increment}, "
+            f"the bundle requires {d_eff}"
+        )
+    if f.value_increment != v_eff:
+        failures.append(
+            f"periodicity (value): increment per period is {f.value_increment}, "
+            f"the bundle requires {v_eff}"
+        )
+    slope_sum = sum(f.slopes) * f.alpha
+    if slope_sum != f.value_increment:
+        failures.append(
+            f"periodicity: slopes sum to {slope_sum} over one period "
+            f"but the value increment is {f.value_increment}"
+        )
+    k = f.period_cells
+    faces = []
+    for j in range(2 * k):
+        pos = (j + 1) * f.alpha
+        left_slope = f.slope_in_cell(j)
+        right_slope = f.slope_in_cell(j + 1)
+        left_value = f.corner_value(j) + left_slope * f.alpha
+        right_value = f.corner_value(j + 1)
+        faces.append(
+            FaceTransition(
+                position=pos,
+                left_slope=left_slope,
+                right_slope=right_slope,
+                slope_difference=left_slope - right_slope,
+                left_value=left_value,
+                right_value=right_value,
+            )
+        )
+        if left_value != right_value:
+            failures.append(
+                f"discontinuity at u={pos}: left piece gives {left_value}, "
+                f"right piece gives {right_value}"
+            )
+    return SectionReport(ok=not failures, failures=tuple(failures), faces=tuple(faces))
 
 
 def faddeev_leverrier_char_poly(m: Matrix) -> RatPoly:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 from fractions import Fraction as F
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import NoConvergence
 
+from wmtrop import monodromy as mono
 from wmtrop import troplattice as tl
 from wmtrop.cli import (
     _HANDLERS,
@@ -283,6 +285,37 @@ class TestCommands:
         code, out = run_cli(["bundle-ample", "--json", json.dumps({"bundle": bundle})])
         assert code == 1
 
+    def test_bundle_ample_takes_each_minor_once(self, monkeypatch):
+        minors = []
+        original = Matrix.leading_minor
+
+        def counted(m, k):
+            minors.append(k)
+            return original(m, k)
+
+        monkeypatch.setattr(Matrix, "leading_minor", counted)
+        bundle = dict(RANK2_BUNDLE, sigma=[[1, 0], [0, 1]])
+        report = run(JobSpec("bundle-ample", {"bundle": bundle}))
+        assert (report.exit_code, report.payload["leading_minors"]) == (0, ["2", "4"])
+        assert minors == [1, 2]
+
+    def test_bundle_verify_at_two_thousand_cells(self):
+        # the face loop is linear in the cells; a quadratic one took about 27 s at this size
+        k = 2000
+        bundle = {"lattice": {"rank": 1, "generators": [["2"]]}, "sigma": [[1]], "chi": ["1"]}
+        alpha = f"1/{k // 2}"
+        section = run(JobSpec("bundle-construct-f", {"bundle": bundle, "alpha": alpha}))
+        section = section.payload["section"]
+        start = time.perf_counter()
+        report = run(JobSpec("bundle-verify-f", {"bundle": bundle, "section": section}))
+        render(report, "json")
+        assert time.perf_counter() - start < 2.0
+        assert (report.exit_code, len(report.payload["faces"])) == (0, 2 * k)
+        section["slopes"][0] += 1  # the slopes sum one past the value increment
+        report = run(JobSpec("bundle-verify-f", {"bundle": bundle, "section": section}))
+        broken = [face["position"] for face in report.payload["faces"] if not face["continuous"]]
+        assert (report.exit_code, broken) == (1, ["2", "4"])  # k * alpha and 2k * alpha
+
     def test_batch_order_and_worst_status(self):
         jobs = {
             "jobs": [
@@ -400,21 +433,41 @@ class TestErrorContract:
         ]
 
     def test_numbers_past_the_int_string_limit(self):
-        # Python converts at most 4300 digits between int and str
+        # Python converts at most 4300 digits between int and str; its advice
+        # to raise that limit in the interpreter is cut from the diagnostics
         digits = "1" + "0" * 5000
         code, out = run_cli(["trop-model", "--json", f'{{"level": {digits}}}'])
         assert code == 2
-        assert json.loads(out)["diagnostics"][0].startswith("invalid JSON: Exceeds the limit")
+        diagnostic = json.loads(out)["diagnostics"][0]
+        assert diagnostic.startswith("invalid JSON: Exceeds the limit")
+        assert "set_int_max_str_digits" not in diagnostic
         code, out = run_cli(["wmc-check", "--tol", f"1/{digits}", "--json", "{}"])
         assert code == 2
-        assert json.loads(out)["diagnostics"][0].startswith("field 'tol': Exceeds the limit")
+        diagnostic = json.loads(out)["diagnostics"][0]
+        assert diagnostic.startswith("field 'tol': Exceeds the limit")
+        assert "set_int_max_str_digits" not in diagnostic
         for command, payload, name in (
             ("trop-model", dict(TATE_MODEL, alpha=f"1/{digits}"), "alpha"),
             ("wmc-check", dict(TATE_WMC, phi=[[digits, 0], [0, 5]]), "phi[0][0]"),
         ):
             code, out = run_cli([command, "--json", json.dumps(payload)])
             assert code == 2
-            assert json.loads(out)["diagnostics"][0].startswith(f"field '{name}': Exceeds")
+            diagnostic = json.loads(out)["diagnostics"][0]
+            assert diagnostic.startswith(f"field '{name}': Exceeds")
+            assert "set_int_max_str_digits" not in diagnostic
+
+    def test_degree_is_bounded(self, monkeypatch):
+        over = f"field 'i': |i| is above the degree limit {mono.DEGREE_LIMIT}"
+        # rejected before check_wmc lists one mismatch per index
+        for i in (mono.DEGREE_LIMIT + 1, -mono.DEGREE_LIMIT - 1, 10**9, -(10**100)):
+            assert run(JobSpec("wmc-check", dict(TATE_WMC, i=i))).diagnostics == (over,)
+        for i in (mono.DEGREE_LIMIT, -mono.DEGREE_LIMIT):
+            report = run(JobSpec("wmc-check", dict(TATE_WMC, i=i)))
+            assert report.exit_code == 1
+            assert len(report.payload["violations"]) > mono.DEGREE_LIMIT
+        monkeypatch.setattr(mono, "DEGREE_LIMIT", 3)
+        for i, code in ((3, 1), (-3, 1), (4, 2), (-4, 2)):
+            assert run(JobSpec("wmc-check", dict(TATE_WMC, i=i))).exit_code == code
 
     def test_component_count_past_the_digit_limit(self, monkeypatch):
         unit_square = {"lattice": {"rank": 2, "generators": [["1", "0"], ["0", "1"]]}}

@@ -6,7 +6,8 @@ the monodromy filtration's recurrence meets the closed formula, check_wmc's
 shortcuts meet the loop that tests and weighs every graded piece, and the
 determinant, the q-power test and the lattice width meet the loops they
 replaced, char_poly and eval_matrix meet Faddeev-LeVerrier and Horner,
-and the exact purity test meets the numeric root-modulus check.  rref,
+the exact purity test meets the numeric root-modulus check, and the
+linear witness check meets the face loop built on corner_value.  rref,
 kernel and intersection dimensions, det, char_poly, factor_rational and
 the lattice HNF meet sympy.
 """
@@ -14,6 +15,7 @@ the lattice HNF meet sympy.
 import itertools
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -37,6 +39,7 @@ from oracles import (
     kernel_intersect,
     rational_gcd_fold,
     solve_induced_matrix,
+    verify_section_by_corner_value,
 )
 from wmtrop import monodromy
 from wmtrop.monodromy import (
@@ -64,7 +67,8 @@ from wmtrop.ratlin import (
     subspace_intersect,
     subspace_sum,
 )
-from wmtrop.troplattice import lattice_hnf, max_dividing_width
+from wmtrop.tropbundle import BundleData, construct_f, verify_section
+from wmtrop.troplattice import CellWidth, TropicalLattice, lattice_hnf, max_dividing_width
 
 
 def _random_vectors(rng, ambient, count):
@@ -474,6 +478,53 @@ class TestHessenbergAndPatersonStockmeyer:
             assert weight_decomposition(FrobeniusData(phi, q)).components == expected, phi
             singles += len(by_weight) == 1
         assert 20 <= singles < 40
+
+
+def _witness_cases(rng, count):
+    """(variant, bundle, section) on seeded rank-1 bundles: each canonical
+    witness, the same with a base value whose denominator is coprime to
+    alpha's, and with one slope, the slope increment, the value increment
+    or the number of cells perturbed."""
+    cases = []
+    for _ in range(count):
+        sign = rng.choice((1, -1))
+        k = rng.choice((1, 1, 2, 3, 5, 8, 13))
+        alpha = F(rng.randint(1, 6), rng.choice((1, 2, 3, 4, 9)))
+        lattice = TropicalLattice(Matrix([[sign * alpha * k]]))
+        b = BundleData(lattice, Matrix([[rng.randint(-3, 3)]]), [alpha * rng.randint(-9, 9)])
+        f = construct_f(b, CellWidth(alpha))
+        p = next(p for p in (5, 7, 11, 13) if f.alpha.denominator % p)
+        slopes = list(f.slopes)
+        slopes[rng.randrange(k)] += rng.choice((1, -1))
+        cases += [
+            ("canonical", b, f),
+            ("base_value", b, replace(f, base_value=F(rng.randint(1, p - 1), p) - 3)),
+            ("slope", b, replace(f, slopes=tuple(slopes))),
+            ("slope_increment", b, replace(f, slope_increment=f.slope_increment - 1)),
+            ("value_increment", b, replace(f, value_increment=f.value_increment + F(1, 3))),
+            ("period", b, replace(f, slopes=f.slopes + (0,))),
+        ]
+    return cases
+
+
+class TestLinearWitnessCheck:
+    def test_faces_match_the_corner_value_loop(self):
+        seen = set()
+        for variant, b, f in _witness_cases(random.Random(191), 40):
+            report = verify_section(b, f)
+            assert report == verify_section_by_corner_value(b, f), (variant, b, f)
+            assert report.ok == (variant in ("canonical", "base_value")), (variant, b, f)
+            seen.add(variant)
+            if b.lattice.generators[0, 0] < 0:
+                seen.add("negative generator")
+            if f.slope_increment < 0:
+                seen.add("negative increment")
+            if f.period_cells == 1:
+                seen.add("one cell")
+        assert seen == {
+            "canonical", "base_value", "slope", "slope_increment", "value_increment", "period",
+            "negative generator", "negative increment", "one cell",
+        }
 
 
 @pytest.fixture
