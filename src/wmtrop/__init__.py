@@ -11,7 +11,6 @@ Subpackages:
 """
 
 from .monodromy import (
-    DEFAULT_TOL,
     Filtration,
     FrobeniusData,
     NilpotentOperator,

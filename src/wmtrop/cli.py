@@ -208,7 +208,6 @@ def serialize_dual_graph(g: tl.DualGraph) -> dict:
 class JobSpec:
     command: str
     payload: dict
-    tol: Fraction = mono.DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -266,7 +265,7 @@ def _bundle(payload: dict) -> tb.BundleData:
 # command handlers
 
 
-def _cmd_monodromy_filtration(payload: dict, tol: Fraction) -> Report:
+def _cmd_monodromy_filtration(payload: dict) -> Report:
     op = mono.NilpotentOperator(parse_matrix(_get(payload, "n"), "n"))
     fil = mono.monodromy_filtration(op)
     return Report(
@@ -280,10 +279,10 @@ def _cmd_monodromy_filtration(payload: dict, tol: Fraction) -> Report:
     )
 
 
-def _cmd_weight_filtration(payload: dict, tol: Fraction) -> Report:
+def _cmd_weight_filtration(payload: dict) -> Report:
     phi = parse_matrix(_get(payload, "phi"), "phi")
     q = _get_int(payload, "q", minimum=2)
-    decomp = mono.weight_decomposition(mono.FrobeniusData(phi, q), tol)
+    decomp = mono.weight_decomposition(mono.FrobeniusData(phi, q))
     fil = mono.weight_filtration(decomp)
     return Report(
         "weight-filtration",
@@ -295,7 +294,7 @@ def _cmd_weight_filtration(payload: dict, tol: Fraction) -> Report:
     )
 
 
-def _cmd_wmc_check(payload: dict, tol: Fraction) -> Report:
+def _cmd_wmc_check(payload: dict) -> Report:
     n_mat = parse_matrix(_get(payload, "n"), "n")
     phi = parse_matrix(_get(payload, "phi"), "phi")
     q = _get_int(payload, "q", minimum=2)
@@ -304,7 +303,7 @@ def _cmd_wmc_check(payload: dict, tol: Fraction) -> Report:
         raise SchemaError("i", f"|i| is above the degree limit {mono.DEGREE_LIMIT}")
     op = mono.NilpotentOperator(n_mat)
     frob = mono.FrobeniusData(phi, q)
-    report = mono.check_wmc(op, frob, i, tol)
+    report = mono.check_wmc(op, frob, i)
     diags = tuple(json.dumps(v, sort_keys=True) for v in report.violations)
     return Report(
         "wmc-check",
@@ -337,7 +336,7 @@ def _parse_quotient_model(payload: dict) -> tl.QuotientModel:
         raise SchemaError("alpha", str(err)) from None
 
 
-def _cmd_trop_model(payload: dict, tol: Fraction) -> Report:
+def _cmd_trop_model(payload: dict) -> Report:
     model = _parse_quotient_model(payload)
     count = tl.quotient_components(model)
     desc = tl.descriptor(model)
@@ -353,7 +352,7 @@ def _cmd_trop_model(payload: dict, tol: Fraction) -> Report:
     return Report("trop-model", "pass", payload=out, diagnostics=diags)
 
 
-def _cmd_trop_tower(payload: dict, tol: Fraction) -> Report:
+def _cmd_trop_tower(payload: dict) -> Report:
     model = _parse_quotient_model(payload)
     op = _get(payload, "op")
     cell = _get_int(payload, "cell", minimum=0)
@@ -381,7 +380,7 @@ def _cmd_trop_tower(payload: dict, tol: Fraction) -> Report:
     return Report("trop-tower", "pass", payload=out)
 
 
-def _cmd_bundle_ample(payload: dict, tol: Fraction) -> Report:
+def _cmd_bundle_ample(payload: dict) -> Report:
     b = _bundle(payload)
     s = tb.form_matrix(b)
     minors = tb.leading_minors(s)
@@ -398,7 +397,7 @@ def _cmd_bundle_ample(payload: dict, tol: Fraction) -> Report:
     )
 
 
-def _cmd_bundle_extend(payload: dict, tol: Fraction) -> Report:
+def _cmd_bundle_extend(payload: dict) -> Report:
     b = _bundle(payload)
     alpha = parse_width(payload)
     ok = tb.extends_to(b, alpha)
@@ -418,7 +417,7 @@ def _cmd_bundle_extend(payload: dict, tol: Fraction) -> Report:
     )
 
 
-def _cmd_bundle_minlevel(payload: dict, tol: Fraction) -> Report:
+def _cmd_bundle_minlevel(payload: dict) -> Report:
     b = _bundle(payload)
     alpha = parse_width(payload)
     p = _get_int(payload, "p", minimum=2)
@@ -438,12 +437,12 @@ def _cmd_bundle_minlevel(payload: dict, tol: Fraction) -> Report:
     )
 
 
-def _cmd_bundle_construct_f(payload: dict, tol: Fraction) -> Report:
+def _cmd_bundle_construct_f(payload: dict) -> Report:
     section = tb.construct_f(_bundle(payload), parse_width(payload))
     return Report("bundle-construct-f", "pass", payload={"section": serialize_section(section)})
 
 
-def _cmd_bundle_verify_f(payload: dict, tol: Fraction) -> Report:
+def _cmd_bundle_verify_f(payload: dict) -> Report:
     b = _bundle(payload)
     section = parse_section(_get(payload, "section"), "section")
     report = tb.verify_section(b, section)
@@ -487,7 +486,7 @@ def _batch_depth(payload: dict) -> int:
     return depth
 
 
-def _cmd_batch(payload: dict, tol: Fraction) -> Report:
+def _cmd_batch(payload: dict) -> Report:
     jobs = _get(payload, "jobs")
     if not isinstance(jobs, list):
         raise SchemaError("jobs", "expected an array of job objects")
@@ -500,10 +499,7 @@ def _cmd_batch(payload: dict, tol: Fraction) -> Report:
     for idx, entry in enumerate(jobs):
         if not isinstance(entry, dict) or "command" not in entry:
             raise SchemaError(f"jobs[{idx}]", "expected an object with 'command' and 'input'")
-        sub_tol = tol
-        if "tol" in entry:
-            sub_tol = parse_rational(entry["tol"], f"jobs[{idx}].tol")
-        sub = run(JobSpec(entry["command"], entry.get("input", {}), tol=sub_tol))
+        sub = run(JobSpec(entry["command"], entry.get("input", {})))
         reports.append(sub.to_dict())
         if sub.status == "error":
             diagnostics.extend(f"jobs[{idx}]: {d}" for d in sub.diagnostics)
@@ -512,7 +508,7 @@ def _cmd_batch(payload: dict, tol: Fraction) -> Report:
     return Report("batch", worst, payload={"reports": reports}, diagnostics=tuple(diagnostics))
 
 
-_HANDLERS: dict[str, Callable[[dict, Fraction], Report]] = {
+_HANDLERS: dict[str, Callable[[dict], Report]] = {
     "wmc-check": _cmd_wmc_check,
     "monodromy-filtration": _cmd_monodromy_filtration,
     "weight-filtration": _cmd_weight_filtration,
@@ -542,7 +538,7 @@ def run(job: JobSpec) -> Report:
             diagnostics=(f"field 'schema_version': unsupported version {version!r}",),
         )
     try:
-        return _HANDLERS[job.command](job.payload, job.tol)
+        return _HANDLERS[job.command](job.payload)
     except ValueError as err:
         return Report(job.command, "error", diagnostics=(str(err),))
 
@@ -612,11 +608,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("json", "dot", "text"), default="json", help="output format"
     )
-    parser.add_argument(
-        "--tol",
-        default=None,
-        help="tolerance for root-modulus checks, as a rational string (default 1/10^20)",
-    )
     return parser
 
 
@@ -629,21 +620,14 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.input, "r", encoding="utf-8") as handle:
                 raw = handle.read()
         payload = json.loads(raw)
-        tol = mono.DEFAULT_TOL
-        if args.tol is not None:
-            tol = parse_rational(args.tol, "tol")
-            if tol <= 0:
-                raise SchemaError("tol", "tolerance must be positive")
     except (OSError, UnicodeDecodeError) as err:
         diagnostic = f"cannot read input: {err}"
     except RecursionError:
         diagnostic = "invalid JSON: nested too deeply to decode"
-    except SchemaError as err:
-        diagnostic = str(err)
     except ValueError as err:  # json.loads: bad syntax, or an integer too long for int()
         diagnostic = f"invalid JSON: {_int_limit_message(err)}"
     else:
-        text, report = render(run(JobSpec(args.command, payload, tol=tol)), args.format)
+        text, report = render(run(JobSpec(args.command, payload)), args.format)
         sys.stdout.write(text)
         return report.exit_code
     # the command line itself is malformed: always a JSON error report

@@ -15,13 +15,10 @@ degree i.  The module computes
   the Frobenius eigenvalues on each graded piece of the N-filtration
   must be pure of weight i+j.
 
-Weight recognition is exact where it can be: a constant-term power-of-q
-test, the reciprocal functional equation, and an exact purity test (a
-Sturm count on the trace polynomial) that decides every factor whose
-roots all have the right modulus.  Only a factor that test does not
-decide pure reaches a numeric check of each complex root's modulus, at
-64+ decimal digits against a caller-adjustable tolerance; mpmath is
-imported there, on first use.
+Weight recognition is exact: a constant-term power-of-q test, the
+reciprocal functional equation, and a Sturm count on the trace
+polynomial, which together decide for every irreducible factor whether
+all its complex roots have squared modulus q^j.
 """
 
 from __future__ import annotations
@@ -37,15 +34,11 @@ from .ratlin import (
     Subspace,
     _rref,
     char_poly,
-    contains,
     kernel,
     poly_gcd,
     subspace_sum,
     valuation,
 )
-
-#: default tolerance for the numeric root-modulus check: 10^-20
-DEFAULT_TOL = Fraction(1, 10**20)
 
 #: largest |i| that wmc-check takes; check_wmc compares the filtrations at
 #: about |i| indices and reports each mismatch, so time and report size
@@ -147,9 +140,11 @@ class Filtration:
     """Finite increasing filtration of Q^n indexed by the integers.
 
     Stores the pieces on the jump range [lo, hi]; below lo everything is
-    zero, from hi on everything is the full space.  Equality compares the
-    pieces at every index, so two filtrations with different stored
-    ranges but the same subspaces are equal.
+    zero, from hi on everything is the full space.  The pieces must be
+    nested, Fil_j <= Fil_(j+1), which is not checked: both builders nest
+    them by construction.  Equality compares the pieces at every
+    index, so two filtrations with different stored ranges but the same
+    subspaces are equal.
     """
 
     __slots__ = ("ambient_dim", "lo", "hi", "_pieces")
@@ -162,9 +157,6 @@ class Filtration:
                 raise ValueError(f"missing filtration piece at index {j}")
             if pieces[j].ambient_dim != ambient_dim:
                 raise DimensionMismatch("piece has wrong ambient dimension")
-        for j in range(lo, hi):
-            if not contains(pieces[j + 1], pieces[j]):
-                raise ValueError("filtration is not increasing")
         if not pieces[hi].is_full():
             raise ValueError("top filtration piece must be the full space")
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -187,7 +179,7 @@ class Filtration:
         return self._pieces[j]
 
     def jump_indices(self) -> list[int]:
-        return [j for j in range(self.lo, self.hi + 1) if self.at(j) != self.at(j - 1)]
+        return [j for j in range(self.lo, self.hi + 1) if self.graded_dimension(j)]
 
     def graded_dimension(self, j: int) -> int:
         return self.at(j).dim - self.at(j - 1).dim
@@ -306,15 +298,6 @@ def _exact_q_power(r: Fraction, q: int) -> int | None:
     return m - k if num == den == 1 else None
 
 
-def _tolerance_digits(tol: Fraction) -> int:
-    digits = 0
-    t = tol
-    while t < 1:
-        t *= 10
-        digits += 1
-    return digits
-
-
 def _sign_changes(seq: list[RatPoly], x: Fraction) -> int:
     signs = [v > 0 for v in (p.eval(x) for p in seq) if v != 0]
     return sum(a != b for a, b in zip(signs, signs[1:]))
@@ -335,19 +318,22 @@ def _roots_in(f: RatPoly, lo: Fraction, hi: Fraction) -> bool:
 
 
 def _exactly_pure(g: RatPoly, qj: Fraction) -> bool:
-    """True when every root of g has squared modulus exactly qj.
+    """True exactly when every root of g has squared modulus qj.
 
-    Expects what weil_weight has checked: the constant term and the
-    reciprocal equation x^n g(qj/x) = c0 g(x).  False means undecided, not
-    impure.  Degree 1 and x^2 - qj are pure.  For degree 2m with
-    c0 = qj^m, g = x^m P(x + qj/x), and a root x has |x|^2 = qj exactly
-    when y = x + qj/x is real with y^2 <= 4qj.  P's coefficients come from
-    the Dickson polynomials V_0 = 2, V_1 = y, V_(s+1) = y V_s - qj V_(s-1)
-    (V_s(x + qj/x) = x^s + (qj/x)^s); with P = E(y^2) + y O(y^2), the roots
-    of S(z) = E(z)^2 - z O(z)^2 = P(y)P(-y) at z = y^2 are the squares of
-    P's roots, so g is pure exactly when every root of S is real and lies
-    in [0, 4qj] (Kedlaya, "Search techniques for root-unitary
-    polynomials", 2008).
+    Expects what weil_weight has checked: g is irreducible over Q, and its
+    constant term c0 and the reciprocal equation x^n g(qj/x) = c0 g(x)
+    hold.  Degree 1 and x^2 - qj are pure.  A pure g of degree n >= 3 has
+    no real root, for a real root r has r^2 = qj and so is a root of
+    x^2 - qj, which the irreducible g would then divide; its roots pair off
+    with their conjugates, r * conj(r) = qj, so n = 2m is even and
+    c0 = qj^m.  For such g, g = x^m P(x + qj/x), and a root x has
+    |x|^2 = qj exactly when y = x + qj/x is real with y^2 <= 4qj.  P's
+    coefficients come from the Dickson polynomials V_0 = 2, V_1 = y,
+    V_(s+1) = y V_s - qj V_(s-1) (V_s(x + qj/x) = x^s + (qj/x)^s); with
+    P = E(y^2) + y O(y^2), the roots of S(z) = E(z)^2 - z O(z)^2 =
+    P(y)P(-y) at z = y^2 are the squares of P's roots, so g is pure
+    exactly when every root of S is real and lies in [0, 4qj] (Kedlaya,
+    "Search techniques for root-unitary polynomials", 2008).
     """
     n, c0 = g.degree, g.coefficient(0)
     if n == 1 or (n == 2 and c0 == -qj):
@@ -368,18 +354,15 @@ def _exactly_pure(g: RatPoly, qj: Fraction) -> bool:
     return _roots_in(s, Fraction(0), 4 * qj)
 
 
-def weil_weight(g: RatPoly, q: int, tol: Fraction = DEFAULT_TOL) -> int:
+def weil_weight(g: RatPoly, q: int) -> int:
     """Weight j such that every complex root of g has squared modulus q^j.
 
     Expects g monic and irreducible over Q (irreducibility is the
-    caller's responsibility).  Exact necessary conditions run first: the
+    caller's responsibility).  Necessary conditions run first: the
     constant term must be (up to sign) q^(j*deg/2), and the root set must
     be stable under r -> q^j / r, i.e. x^deg * g(q^j/x) must be
-    proportional to g.  The archimedean condition - that each individual
-    root modulus is right - is then decided exactly when it holds (see
-    _exactly_pure); a factor that test does not decide pure is checked
-    numerically to within tol at 64+ decimal digits, the only numeric step.
-    Raises NotPureError otherwise.
+    proportional to g.  Whether each individual root modulus is right is
+    then decided by _exactly_pure.  Raises NotPureError otherwise.
     """
     if g.is_zero() or g.degree < 1:
         raise ValueError("weight of a constant polynomial is undefined")
@@ -387,8 +370,6 @@ def weil_weight(g: RatPoly, q: int, tol: Fraction = DEFAULT_TOL) -> int:
         raise ValueError("polynomial must be monic")
     if not isinstance(q, int) or q < 2:
         raise ValueError("q must be an integer >= 2")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     n = g.degree
     c0 = g.coefficient(0)
     if c0 == 0:
@@ -404,37 +385,12 @@ def weil_weight(g: RatPoly, q: int, tol: Fraction = DEFAULT_TOL) -> int:
     for i in range(n + 1):
         if g.coefficient(n - i) * qj ** (n - i) != c0 * g.coefficient(i):
             raise NotPureError(g, q, f"roots not stable under r -> q^{j}/r")
-    if _exactly_pure(g, qj):
-        return j
-    import mpmath
-    from mpmath.libmp import NoConvergence
-
-    # enough digits that the absolute comparison against q^j stays sharp
-    # even when q^j itself is large
-    magnitude_digits = abs(j) * len(str(q))
-    dps = max(64, _tolerance_digits(tol) + magnitude_digits + 30)
-    with mpmath.workdps(dps):
-        coeffs = [
-            mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-            for c in reversed(g.coeffs)
-        ]
-        try:
-            roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=2 * dps)
-        except NoConvergence:
-            raise ValueError(
-                f"root finding did not converge for a degree-{n} factor at {dps} digits"
-            ) from None
-        target = mpmath.mpf(q) ** j
-        bar = mpmath.mpf(tol.numerator) / mpmath.mpf(tol.denominator)
-        for root in roots:
-            if abs(abs(root) ** 2 - target) > bar:
-                raise NotPureError(
-                    g, q, f"a root has squared modulus away from q^{j} by more than tol"
-                )
+    if not _exactly_pure(g, qj):
+        raise NotPureError(g, q, f"a root has squared modulus other than q^{j}")
     return j
 
 
-def weight_decomposition(f: FrobeniusData, tol: Fraction = DEFAULT_TOL) -> WeightDecomposition:
+def weight_decomposition(f: FrobeniusData) -> WeightDecomposition:
     """Split Q^d into the Phi-stable summands of each pure weight.
 
     The component of weight j is the kernel of h_j(Phi), with h_j the
@@ -450,7 +406,7 @@ def weight_decomposition(f: FrobeniusData, tol: Fraction = DEFAULT_TOL) -> Weigh
     cp = char_poly(f.phi_matrix)
     by_weight: dict[int, RatPoly] = {}
     for g, mult in factor_rational(cp):
-        j = weil_weight(g, f.q, tol)
+        j = weil_weight(g, f.q)
         by_weight[j] = by_weight.get(j, RatPoly.one()) * g**mult
     if len(by_weight) == 1:  # h_j is cp itself, and cp(Phi) = 0 (Cayley-Hamilton)
         return WeightDecomposition(d, {j: Subspace.full(d) for j in by_weight})
@@ -517,23 +473,19 @@ def induced_quotient_matrix(
     return Matrix([row[len(dst_cols) :] for row in coords], cols=len(images))
 
 
-def _graded_frobenius_weights(
-    f: FrobeniusData, fil: Filtration, j: int, tol: Fraction
-) -> list[tuple[int, int]]:
+def _graded_frobenius_weights(f: FrobeniusData, fil: Filtration, j: int) -> list[tuple[int, int]]:
     """Weights (with multiplicity) of Phi acting on gr_j of the filtration."""
     induced = induced_quotient_matrix(
         f.phi_matrix, fil.at(j), fil.at(j - 1), fil.at(j), fil.at(j - 1)
     )
     out: dict[int, int] = {}
     for g, mult in factor_rational(char_poly(induced)):
-        w = weil_weight(g, f.q, tol)
+        w = weil_weight(g, f.q)
         out[w] = out.get(w, 0) + mult * g.degree
     return sorted(out.items())
 
 
-def check_wmc(
-    n: NilpotentOperator, f: FrobeniusData, i: int, tol: Fraction = DEFAULT_TOL
-) -> WmcReport:
+def check_wmc(n: NilpotentOperator, f: FrobeniusData, i: int) -> WmcReport:
     """Compare the N-filtration with the weight filtration shifted by i.
 
     The report records whether N Phi = q Phi N, whether Fil_j = W_(i+j)
@@ -566,7 +518,7 @@ def check_wmc(
 
     weight_fil = None
     try:
-        decomp = weight_decomposition(f, tol)
+        decomp = weight_decomposition(f)
         weight_fil = weight_filtration(decomp)
     except NotPureError as err:
         violations.append({"kind": "not_pure", "detail": str(err)})
@@ -614,7 +566,7 @@ def check_wmc(
         if not induced:
             continue
         try:
-            pairs = _graded_frobenius_weights(f, mono, j, tol)
+            pairs = _graded_frobenius_weights(f, mono, j)
         except NotPureError as err:
             violations.append({"kind": "graded_not_pure", "index": j, "detail": str(err)})
             continue

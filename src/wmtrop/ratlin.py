@@ -287,16 +287,16 @@ class Subspace:
     """Linear subspace of Q^n, stored as its unique RREF basis.
 
     Equality of subspaces is literal equality of the stored bases, which
-    is what makes filtration comparisons decidable bit-for-bit.
+    is what makes filtration comparisons decidable bit-for-bit.  The
+    constructor takes a basis already in that form; span() builds one
+    from any vectors.
     """
 
     __slots__ = ("ambient_dim", "basis")
 
-    def __init__(self, ambient_dim: int, basis: Matrix, *, _trusted: bool = False):
+    def __init__(self, ambient_dim: int, basis: Matrix):
         if basis.cols != ambient_dim:
             raise DimensionMismatch("basis width does not match ambient dimension")
-        if not _trusted:
-            basis = Subspace.span(ambient_dim, basis.row_tuples).basis
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "basis", basis)
 
@@ -310,15 +310,15 @@ class Subspace:
             if len(r) != ambient_dim:
                 raise DimensionMismatch("vector length mismatch")
         rows, pivots = _rref(rows)
-        return cls(ambient_dim, Matrix(rows[: len(pivots)], cols=ambient_dim), _trusted=True)
+        return cls(ambient_dim, Matrix(rows[: len(pivots)], cols=ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix([], cols=ambient_dim), _trusted=True)
+        return cls(ambient_dim, Matrix([], cols=ambient_dim))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix.identity(ambient_dim), _trusted=True)
+        return cls(ambient_dim, Matrix.identity(ambient_dim))
 
     @property
     def dim(self) -> int:
@@ -402,7 +402,7 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     zero = [Fraction(0)] * n
     rows, pivots = _rref([list(x + x) for x in u.vectors()] + [list(y) + zero for y in v.vectors()])
     basis = [row[n:] for row, c in zip(rows, pivots) if c >= n]
-    return Subspace(n, Matrix(basis, cols=n), _trusted=True)
+    return Subspace(n, Matrix(basis, cols=n))
 
 
 def contains(u: Subspace, v: Subspace) -> bool:

@@ -6,8 +6,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
+
 from wmtrop.monodromy import (
-    DEFAULT_TOL,
     Filtration,
     FrobeniusData,
     NilpotentOperator,
@@ -190,6 +191,32 @@ def exact_q_power_recursive(r: Fraction, q: int) -> int | None:
     return -inv if inv is not None else None
 
 
+def numeric_weil_weight(g: RatPoly, q: int) -> int:
+    """weil_weight by a numeric check of every root's modulus.
+
+    The weight j comes from the constant term, |c0|^2 = q^(j deg g), and
+    every complex root, found by mpmath at 64+ decimal digits, must have
+    squared modulus within 10^-20 of q^j; that also makes the roots
+    stable under r -> q^j / r, so no reciprocity test runs.  Raises
+    NotPureError otherwise.
+    """
+    n, c0 = g.degree, g.coefficient(0)
+    m = exact_q_power_recursive(c0 * c0, q) if c0 else None
+    if m is None or m % n:
+        raise NotPureError(g, q, "constant term is not a power of q of the right degree")
+    j = m // n
+    # enough digits that the absolute comparison against q^j stays sharp
+    # even when q^j itself is large
+    dps = max(64, 50 + abs(j) * len(str(q)))
+    with mpmath.workdps(dps):
+        coeffs = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(g.coeffs)]
+        roots = mpmath.polyroots(coeffs, maxsteps=200, extraprec=2 * dps)
+        target = mpmath.mpf(q) ** j
+        if any(abs(abs(r) ** 2 - target) > mpmath.mpf(10) ** -20 for r in roots):
+            raise NotPureError(g, q, f"a root has squared modulus away from q^{j}")
+    return j
+
+
 def _rational_gcd(a: Fraction, b: Fraction) -> Fraction:
     if a == 0:
         return abs(b)
@@ -363,7 +390,7 @@ def graded_map_is_bijective(n: NilpotentOperator, fil: Filtration, j: int) -> bo
 
 
 def graded_weights_every_piece(
-    n: NilpotentOperator, f: FrobeniusData, i: int, tol: Fraction = DEFAULT_TOL
+    n: NilpotentOperator, f: FrobeniusData, i: int
 ) -> tuple[dict[int, list[tuple[int, int]]], list[dict], dict[int, bool]]:
     """The graded-piece part of check_wmc with neither of its shortcuts.
 
@@ -395,7 +422,7 @@ def graded_weights_every_piece(
         if not induced:
             continue
         try:
-            pairs = _graded_frobenius_weights(f, mono, j, tol)
+            pairs = _graded_frobenius_weights(f, mono, j)
         except NotPureError as err:
             violations.append({"kind": "graded_not_pure", "index": j, "detail": str(err)})
             continue

@@ -15,7 +15,6 @@ from gens import random_bundle, random_fraction, random_jordan_nilpotent, random
 from oracles import graded_map_is_bijective, jordan_filtration_pieces, rational_gcd_bruteforce
 from wmtrop.cli import JobSpec, main, run
 from wmtrop.monodromy import (
-    DEFAULT_TOL,
     FrobeniusData,
     NilpotentOperator,
     NotPureError,
@@ -49,7 +48,6 @@ from wmtrop.troplattice import (
     tower_preimages,
 )
 
-TOL = DEFAULT_TOL  # 10^-20, the stated tolerance for root moduli
 
 
 def report(num: int, name: str, ok: bool, extra: str = ""):
@@ -92,23 +90,23 @@ def test_criterion_1_monodromy_filtration_oracle():
 def test_criterion_2_tate_curve_wmc():
     n = NilpotentOperator(Matrix([[0, 1], [0, 0]]))
     frob = FrobeniusData(Matrix.diagonal([1, 5]), 5)
-    rep = check_wmc(n, frob, 1, TOL)
+    rep = check_wmc(n, frob, 1)
     ok = (
         rep.passed
         and rep.graded_weights == {-1: [(0, 1)], 1: [(2, 1)]}
     )
-    perturbed = check_wmc(NilpotentOperator(Matrix.zero(2, 2)), frob, 1, TOL)
+    perturbed = check_wmc(NilpotentOperator(Matrix.zero(2, 2)), frob, 1)
     ok = ok and not perturbed.passed and not perturbed.filtrations_equal
     ok = ok and any(v["kind"] == "filtration_mismatch" for v in perturbed.violations)
     report(2, "Tate-curve quadruple passes, perturbed N=0 fails", ok)
 
 
 def test_criterion_3_weil_weight_classification():
-    ok = weil_weight(RatPoly([-1, 1]), 5, TOL) == 0
-    ok = ok and weil_weight(RatPoly([-5, 1]), 5, TOL) == 2
-    ok = ok and weil_weight(RatPoly([5, -1, 1]), 5, TOL) == 1
+    ok = weil_weight(RatPoly([-1, 1]), 5) == 0
+    ok = ok and weil_weight(RatPoly([-5, 1]), 5) == 2
+    ok = ok and weil_weight(RatPoly([5, -1, 1]), 5) == 1
     try:
-        weil_weight(RatPoly([1, -3, 1]), 5, TOL)
+        weil_weight(RatPoly([1, -3, 1]), 5)
         ok = False
     except NotPureError:
         pass
@@ -217,7 +215,7 @@ def test_criterion_8_n_shifts_weight_filtration():
         if not check_commutation(op, frob):
             continue
         checked += 1
-        fil = weight_filtration(weight_decomposition(frob, TOL))
+        fil = weight_filtration(weight_decomposition(frob))
         for m in range(fil.lo - 1, fil.hi + 2):
             moved = apply_to_subspace(n_mat, fil.at(m))
             ok = ok and contains(fil.at(m - 2), moved)

@@ -37,11 +37,11 @@ from oracles import (
     graded_weights_every_piece,
     horner_eval_matrix,
     kernel_intersect,
+    numeric_weil_weight,
     rational_gcd_fold,
     solve_induced_matrix,
     verify_section_by_corner_value,
 )
-from wmtrop import monodromy
 from wmtrop.monodromy import (
     Filtration,
     FrobeniusData,
@@ -54,6 +54,7 @@ from wmtrop.monodromy import (
     induced_quotient_matrix,
     monodromy_filtration,
     weight_decomposition,
+    weight_filtration,
     weil_weight,
 )
 from wmtrop.polyfactor import factor_rational
@@ -62,6 +63,7 @@ from wmtrop.ratlin import (
     RatPoly,
     Subspace,
     char_poly,
+    contains,
     kernel,
     poly_gcd,
     subspace_intersect,
@@ -128,6 +130,24 @@ class TestOracleAgreement:
             assert (fil.lo, fil.hi) == (jumps[0], jumps[-1])  # stored on the jump range
             indices.add(op.nilpotency_index)
         assert {1, 2, 3, 5, 7} <= indices
+
+    def test_builders_nest_their_pieces(self):
+        # Filtration trusts both builders to nest their pieces and reads
+        # the jumps off the graded dimensions
+        rng = random.Random(197)
+        filtrations = []
+        for sizes in ([1], [3], [2, 1], [4, 2, 1], [3, 3, 1, 1]):
+            filtrations.append(monodromy_filtration(NilpotentOperator(_jordan_sum(rng, sizes))))
+        for _ in range(30):
+            q = rng.choice([2, 3, 5])
+            n_mat, phi, _ = random_wmc_pair(rng, q, max_dim=7, center=rng.choice([None, 2]))
+            filtrations.append(monodromy_filtration(NilpotentOperator(n_mat)))
+            filtrations.append(weight_filtration(weight_decomposition(FrobeniusData(phi, q))))
+        for fil in filtrations:
+            span = range(fil.lo - 1, fil.hi + 2)
+            assert all(contains(fil.at(j + 1), fil.at(j)) for j in span), fil
+            assert fil.jump_indices() == [j for j in span if fil.at(j) != fil.at(j - 1)], fil
+        assert {len(fil.jump_indices()) for fil in filtrations} >= {1, 2, 3, 4}
 
     def test_intersection_matches_kernel_construction(self):
         rng = random.Random(101)
@@ -410,6 +430,42 @@ def _trace_factor(rng, q, j):
             return g, kind == 0
 
 
+def _reciprocal_poly(rng, q):
+    """(g, (deg g mod 2, sign of c0)): a seeded monic g of degree 3 to 8 with
+    x^n g(q^j/x) = c0 g(x), c0 = +-q^(jn/2), j even when n is odd.  With
+    c0 > 0 and n = 2m, g = x^m P(x + q^j/x) for a P with coefficients
+    near the largest a P with every root in [-2 sqrt(q^j), 2 sqrt(q^j)]
+    can have, so both verdicts are common; otherwise the upper half of
+    the coefficients is random and the lower half follows from it."""
+    n = rng.randint(3, 8)
+    sign = rng.choice((1, -1))
+    j = rng.choice((0, 2) if n % 2 else (-1, 0, 1, 2, 3))
+    qj = F(q) ** j
+    if n % 2 == 0 and sign == 1:
+        m = n // 2
+        bound = 2 * math.isqrt(int(4 * qj) + 1)
+        p = RatPoly([rng.randint(-c, c) for c in
+                     (math.comb(m, k) * bound ** (m - k) // 2 for k in range(m))] + [1])
+        shift = RatPoly([qj, 0, 1])
+        g = RatPoly.zero()
+        for k, c in enumerate(p.coeffs):
+            g = g + shift**k * RatPoly([0] * (m - k) + [c])
+        return g, (0, 1)
+    c0 = sign * qj ** (n // 2) * (F(q) ** (j // 2) if n % 2 else 1)
+    coeffs = [c0] + [F(0)] * (n - 1) + [F(1)]
+    for i in range(1, (n + 1) // 2):
+        coeffs[n - i] = F(rng.randint(-4, 4))
+        coeffs[i] = coeffs[n - i] * qj ** (n - i) / c0
+    return RatPoly(coeffs), (n % 2, sign)
+
+
+def _weight_or_none(weight, g, q):
+    try:
+        return weight(g, q)
+    except NotPureError:
+        return None
+
+
 class TestHessenbergAndPatersonStockmeyer:
     def test_char_poly_matches_faddeev_leverrier(self, monkeypatch):
         rng = random.Random(157)
@@ -436,26 +492,43 @@ class TestHessenbergAndPatersonStockmeyer:
                 monkeypatch.undo()
                 assert counter.calls <= 2 * math.isqrt(max(p.degree, 0)) + 2, p
 
-    def test_exact_purity_matches_numeric(self, monkeypatch):
+    def test_exact_purity_matches_numeric(self):
         rng = random.Random(167)
-        factors = []
+        verdicts = []
         for q in (2, 3, 5):
             for _ in range(135):
                 j = rng.choice([-1, 0, 1, 1, 2, 2, 3])
                 g, built_pure = _trace_factor(rng, q, j)
                 exact = _exactly_pure(g, F(q) ** j)
                 assert exact or not built_pure, g  # a pure construction is decided pure
-                factors.append((g, q, j, exact))
-        monkeypatch.setattr(monodromy, "_exactly_pure", lambda g, qj: False)
-        verdicts = []
-        for g, q, j, exact in factors:
-            try:
-                numeric = weil_weight(g, q) == j
-            except NotPureError:
-                numeric = False
-            assert exact == numeric, (g, q, j)
-            verdicts.append(exact)
+                assert exact == (_weight_or_none(numeric_weil_weight, g, q) == j), (g, q, j)
+                verdicts.append(exact)
         assert verdicts.count(True) > 100 and verdicts.count(False) > 100
+
+    def test_exact_purity_is_complete(self):
+        # weil_weight and the numeric check agree on every irreducible factor
+        # of seeded reciprocal polynomials, those that fail the constant-term
+        # or reciprocity condition and those decided by _exactly_pure alone
+        rng = random.Random(191)
+        shapes, decided = set(), {}
+        for q in (2, 3, 5):
+            for _ in range(100):
+                g, shape = _reciprocal_poly(rng, q)
+                shapes.add(shape)
+                for f, _ in factor_rational(g):
+                    try:
+                        exact = weil_weight(f, q)
+                    except NotPureError as err:
+                        exact = None
+                        if not err.reason.startswith("a root has squared modulus"):
+                            assert _weight_or_none(numeric_weil_weight, f, q) is None, f
+                            continue
+                    assert exact == _weight_or_none(numeric_weil_weight, f, q), (f, q)
+                    key = (f.degree, exact is not None)
+                    decided[key] = decided.get(key, 0) + 1
+        assert shapes == {(0, 1), (0, -1), (1, 1), (1, -1)}  # (degree mod 2, sign of c0)
+        assert sum(decided.values()) > 500
+        assert all(decided.get((d, v), 0) >= 10 for d in (2, 4, 6) for v in (True, False))
 
     def test_weight_components_are_kernels_of_h(self):
         rng = random.Random(173)
