@@ -17,7 +17,7 @@ degree i.  The module computes
 
 Weight recognition is exact: a constant-term power-of-q test, the
 reciprocal functional equation, and a Sturm count on the trace
-polynomial, which together decide for every irreducible factor whether
+polynomial, which together decide for every monic polynomial whether
 all its complex roots have squared modulus q^j.
 """
 
@@ -55,7 +55,7 @@ class NotNilpotentError(ValueError):
 
 
 class NotPureError(ValueError):
-    """An irreducible factor is not pure of any integer weight."""
+    """A polynomial is not pure of any integer weight."""
 
     def __init__(self, poly: RatPoly, q: int, reason: str):
         self.poly = poly
@@ -320,23 +320,28 @@ def _roots_in(f: RatPoly, lo: Fraction, hi: Fraction) -> bool:
 def _exactly_pure(g: RatPoly, qj: Fraction) -> bool:
     """True exactly when every root of g has squared modulus qj.
 
-    Expects what weil_weight has checked: g is irreducible over Q, and its
-    constant term c0 and the reciprocal equation x^n g(qj/x) = c0 g(x)
-    hold.  Degree 1 and x^2 - qj are pure.  A pure g of degree n >= 3 has
-    no real root, for a real root r has r^2 = qj and so is a root of
-    x^2 - qj, which the irreducible g would then divide; its roots pair off
-    with their conjugates, r * conj(r) = qj, so n = 2m is even and
-    c0 = qj^m.  For such g, g = x^m P(x + qj/x), and a root x has
-    |x|^2 = qj exactly when y = x + qj/x is real with y^2 <= 4qj.  P's
+    Expects what weil_weight has checked: g is monic and its constant term
+    c0 and the reciprocal equation x^n g(qj/x) = c0 g(x) hold.  g need not
+    be irreducible.  The real roots of pure modulus are the roots of
+    x^2 - qj, so they are divided out first, as gcd(g, x^2 - qj) until it
+    is 1; the quotient h still satisfies a reciprocal equation, since
+    every divisor of x^2 - qj does.  If h is pure, it has no real root,
+    its roots pair off with their conjugates, r * conj(r) = qj, so its
+    degree n = 2m is even and its constant term is qj^m.  For such h,
+    h = x^m P(x + qj/x), and a root x has |x|^2 = qj exactly when
+    y = x + qj/x is real with y^2 <= 4qj.  P's
     coefficients come from the Dickson polynomials V_0 = 2, V_1 = y,
     V_(s+1) = y V_s - qj V_(s-1) (V_s(x + qj/x) = x^s + (qj/x)^s); with
     P = E(y^2) + y O(y^2), the roots of S(z) = E(z)^2 - z O(z)^2 =
-    P(y)P(-y) at z = y^2 are the squares of P's roots, so g is pure
+    P(y)P(-y) at z = y^2 are the squares of P's roots, so h is pure
     exactly when every root of S is real and lies in [0, 4qj] (Kedlaya,
     "Search techniques for root-unitary polynomials", 2008).
     """
-    n, c0 = g.degree, g.coefficient(0)
-    if n == 1 or (n == 2 and c0 == -qj):
+    real_pure, h = RatPoly([-qj, 0, 1]), g
+    while (d := poly_gcd(h, real_pure)).degree > 0:
+        h = h // d
+    n, c0 = h.degree, h.coefficient(0)
+    if n == 0:
         return True
     if n % 2 or c0 != qj ** (n // 2):
         return False
@@ -345,9 +350,9 @@ def _exactly_pure(g: RatPoly, qj: Fraction) -> bool:
     dickson = [RatPoly([2]), y]
     for _ in range(m - 1):
         dickson.append(y * dickson[-1] - dickson[-2] * qj)
-    p = RatPoly([g.coefficient(m)])
+    p = RatPoly([h.coefficient(m)])
     for k in range(1, m + 1):
-        p = p + dickson[k] * g.coefficient(m + k)
+        p = p + dickson[k] * h.coefficient(m + k)
     even = RatPoly(p.coeffs[0::2])
     odd = RatPoly(p.coeffs[1::2])
     s = even * even - y * odd * odd
@@ -357,12 +362,11 @@ def _exactly_pure(g: RatPoly, qj: Fraction) -> bool:
 def weil_weight(g: RatPoly, q: int) -> int:
     """Weight j such that every complex root of g has squared modulus q^j.
 
-    Expects g monic and irreducible over Q (irreducibility is the
-    caller's responsibility).  Necessary conditions run first: the
-    constant term must be (up to sign) q^(j*deg/2), and the root set must
-    be stable under r -> q^j / r, i.e. x^deg * g(q^j/x) must be
-    proportional to g.  Whether each individual root modulus is right is
-    then decided by _exactly_pure.  Raises NotPureError otherwise.
+    Expects g monic; g need not be irreducible.  Necessary conditions run
+    first: the constant term must be (up to sign) q^(j*deg/2), and the
+    root set must be stable under r -> q^j / r, i.e. x^deg * g(q^j/x) must
+    be proportional to g.  Whether each individual root modulus is right
+    is then decided by _exactly_pure.  Raises NotPureError otherwise.
     """
     if g.is_zero() or g.degree < 1:
         raise ValueError("weight of a constant polynomial is undefined")

@@ -8,6 +8,12 @@ There are no floats anywhere in this module, so every predicate built on
 top of it (filtration equality, lattice divisibility, positive
 definiteness) is decided exactly.
 
+Matrices store Fractions, but the hot kernels run on Python ints: a
+product scales each factor to integer numerators over one common
+denominator, a matrix polynomial is evaluated on the integer matrix with
+integer coefficients, and elimination is fraction-free.  Fractions are
+built only at the boundaries, one per output entry.
+
 All values are immutable after construction; operations are pure
 functions, safe to share across threads.
 """
@@ -15,6 +21,7 @@ functions, safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -31,55 +38,99 @@ def _frac(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-def _echelon(rows: list[list[Fraction]]) -> tuple[list[int], Fraction]:
-    """In-place row echelon form with unit pivots, the one elimination loop.
+_ZERO = Fraction(0)
 
-    Returns the pivot columns and the signed product of the pivots divided
-    out (the sign flips on each row swap): for a square input with a pivot
-    in every column, that product is the determinant.
+
+def _int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """(numerators, den): the rows as integers over one common denominator."""
+    den = math.lcm(*{x.denominator for r in rows for x in r})
+    if den == 1:
+        return [[x.numerator for x in r] for r in rows], 1
+    return [[x.numerator * (den // x.denominator) for x in r] for r in rows], den
+
+
+def _int_product(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The integer matrix product, given the rows of the left factor and
+    the columns of the right one."""
+    mul = operator.mul
+    return [[sum(map(mul, row, col)) for col in cols] for row in rows]
+
+
+def _columns(rows: Sequence[Sequence], ncols: int) -> list[tuple]:
+    return list(zip(*rows)) if rows else [()] * ncols
+
+
+def _int_identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _fraction_row(row: Iterable[int], den: int) -> tuple[Fraction, ...]:
+    if den == 1:
+        return tuple(map(Fraction, row))
+    return tuple(Fraction(x, den) if x else _ZERO for x in row)
+
+
+def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination, the one elimination loop.
+
+    Each row is first scaled to integers by the lcm of its own
+    denominators, which leaves the RREF unchanged.  At a pivot p every
+    other row becomes (p * row - row[c] * pivot row) // prev, prev being
+    the pivot before (1 at first); the division is exact, because every
+    entry stays a minor of the scaled input (Bareiss, Math. Comp. 22,
+    1968), and every earlier pivot entry becomes p.
+
+    Returns (ints, pivots, last, scale).  The first len(pivots) rows of
+    ints are the RREF times the last pivot `last`, the rest are zero;
+    `scale` is the product of the row scalings, negated on each row swap,
+    so a square input with a pivot in every column has determinant
+    last / scale.  The input is not modified.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+    ints = []
+    scale = 1
+    for row in rows:
+        den = math.lcm(*[x.denominator for x in row])
+        scale *= den
+        ints.append([x.numerator * (den // x.denominator) for x in row])
+    nrows = len(ints)
+    ncols = len(ints[0]) if ints else 0
     pivots: list[int] = []
-    scale = Fraction(1)
+    prev = 1
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        pr = next((i for i in range(r, nrows) if ints[i][c]), None)
         if pr is None:
             continue
         if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
+            ints[r], ints[pr] = ints[pr], ints[r]
             scale = -scale
-        piv = rows[r][c]
-        if piv != 1:
-            scale *= piv
-            inv = 1 / piv
-            rows[r] = [v * inv for v in rows[r]]
-        rr = rows[r]
-        for i in range(r + 1, nrows):
-            f = rows[i][c]
-            if f != 0:
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rr)]
+        prow = ints[r]
+        p = prow[c]
+        for i, row in enumerate(ints):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                ints[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+            elif p != prev:
+                ints[i] = [p * a // prev for a in row]
         pivots.append(c)
+        prev = p
         r += 1
-    return pivots, scale
+    return ints, pivots, prev, scale
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns).
+def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[Fraction, ...]], list[int]]:
+    """Reduced row echelon form; returns (rows, pivot columns).
 
     Zero rows come last, so the first len(pivots) rows span the row space.
     """
-    pivots, _ = _echelon(rows)
-    for r in range(len(pivots) - 1, 0, -1):
-        c, rr = pivots[r], rows[r]
-        for i in range(r):
-            f = rows[i][c]
-            if f != 0:
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rr)]
-    return rows, pivots
+    ints, pivots, last, _ = _echelon(rows)
+    rank = len(pivots)
+    zero_row = (_ZERO,) * (len(ints[0]) if ints else 0)
+    return [_fraction_row(row, last) for row in ints[:rank]] + [zero_row] * (len(ints) - rank), pivots
 
 
 class Matrix:
@@ -103,12 +154,27 @@ class Matrix:
         object.__setattr__(self, "rows", len(grid))
         object.__setattr__(self, "cols", ncols)
 
+    @classmethod
+    def _trusted(cls, grid: tuple[tuple[Fraction, ...], ...], cols: int) -> "Matrix":
+        """A Matrix on a grid of Fraction tuples just built by this module,
+        taken as it is."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "_rows", grid)
+        object.__setattr__(m, "rows", len(grid))
+        object.__setattr__(m, "cols", cols)
+        return m
+
+    @classmethod
+    def _from_ints(cls, rows: Iterable[Iterable[int]], den: int, cols: int) -> "Matrix":
+        """The Matrix of integer rows over the denominator den."""
+        return cls._trusted(tuple(_fraction_row(r, den) for r in rows), cols)
+
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[Fraction(i == j) for j in range(n)] for i in range(n)], cols=n)
+        return cls._from_ints(_int_identity(n), 1, n)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
@@ -180,19 +246,9 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise DimensionMismatch("matrix product shape mismatch")
-            cols_b = [other.column(j) for j in range(other.cols)]
-            zero = Fraction(0)
-            out = []
-            for row in self._rows:
-                out_row = []
-                for col in cols_b:
-                    acc = zero
-                    for a, b in zip(row, col):
-                        if a and b:
-                            acc = acc + a * b
-                    out_row.append(acc)
-                out.append(out_row)
-            return Matrix(out, cols=other.cols)
+            a, da = _int_rows(self._rows)
+            b, db = _int_rows(_columns(other._rows, other.cols))
+            return Matrix._from_ints(_int_product(a, b), da * db, other.cols)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -216,36 +272,35 @@ class Matrix:
         v = [_frac(x) for x in vec]
         if len(v) != self.cols:
             raise DimensionMismatch("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self._rows)
+        a, da = _int_rows(self._rows)
+        b, db = _int_rows([v])
+        return _fraction_row((r[0] for r in _int_product(a, b)), da * db)
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            [[self._rows[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
+        return Matrix._trusted(tuple(_columns(self._rows, self.cols)), self.rows)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        rows, pivots = _rref(self.rows_list())
-        return Matrix(rows, cols=self.cols), tuple(pivots)
+        rows, pivots = _rref(self._rows)
+        return Matrix._trusted(tuple(rows), self.cols), tuple(pivots)
 
     def rank(self) -> int:
-        return len(_echelon(self.rows_list())[0])
+        return len(_echelon(self._rows)[1])
 
     def det(self) -> Fraction:
         if not self.is_square():
             raise DimensionMismatch("determinant of a non-square matrix")
-        pivots, scale = _echelon(self.rows_list())
-        return scale if len(pivots) == self.rows else Fraction(0)
+        _, pivots, last, scale = _echelon(self._rows)
+        return Fraction(last, scale) if len(pivots) == self.rows else _ZERO
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
             raise DimensionMismatch("inverse of a non-square matrix")
         n = self.rows
-        aug = [list(r) + [Fraction(i == j) for j in range(n)] for i, r in enumerate(self._rows)]
+        aug = [r + e for r, e in zip(self._rows, Matrix.identity(n).row_tuples)]
         rows, pivots = _rref(aug)
         if tuple(pivots[:n]) != tuple(range(n)):
             raise ValueError("matrix is not invertible")
-        return Matrix([r[n:] for r in rows], cols=n)
+        return Matrix._trusted(tuple(r[n:] for r in rows), n)
 
     def leading_minor(self, k: int) -> "Matrix":
         """Top-left k-by-k submatrix."""
@@ -310,7 +365,7 @@ class Subspace:
             if len(r) != ambient_dim:
                 raise DimensionMismatch("vector length mismatch")
         rows, pivots = _rref(rows)
-        return cls(ambient_dim, Matrix(rows[: len(pivots)], cols=ambient_dim))
+        return cls(ambient_dim, Matrix._trusted(tuple(rows[: len(pivots)]), ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -338,15 +393,17 @@ class Subspace:
         v = [_frac(x) for x in vec]
         if len(v) != self.ambient_dim:
             raise DimensionMismatch("vector length mismatch")
-        for row in self.basis.row_tuples:
-            piv = next(j for j, x in enumerate(row) if x != 0)
-            f = v[piv]
-            if f != 0:
-                v = [a - f * b for a, b in zip(v, row)]
-        return tuple(v)
+        # the basis is reduced, so each row clears its own pivot coordinate
+        # alone: with v = w/dv and the basis b/db, vec minus its projection
+        # is (db w - sum w[pivot] b) / (dv db)
+        (w,), dv = _int_rows([v])
+        b, db = _int_rows(self.basis.row_tuples)
+        coeffs = [w[next(j for j, x in enumerate(row) if x)] for row in b]
+        proj = _int_product([coeffs], _columns(b, self.ambient_dim))[0]
+        return _fraction_row([db * x - y for x, y in zip(w, proj)], dv * db)
 
     def contains_vector(self, vec: Sequence) -> bool:
-        return all(x == 0 for x in self.residual(vec))
+        return not any(self.residual(vec))
 
     def __eq__(self, other) -> bool:
         return (
@@ -363,17 +420,22 @@ class Subspace:
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Null space {v : m v = 0} in canonical form."""
-    rows, pivots = _rref(m.rows_list())
+    """Null space {v : m v = 0} in canonical form.
+
+    With R the RREF times its pivot `last`, each free column f gives the
+    integer kernel vector with `last` at f and -R[r][f] at pivot column r.
+    """
+    rows, pivots, last, _ = _echelon(m.row_tuples)
     n = m.cols
     pivset = set(pivots)
-    free = [c for c in range(n) if c not in pivset]
     vecs = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rows[r][f]
+    for f in range(n):
+        if f in pivset:
+            continue
+        v = [0] * n
+        v[f] = last
+        for row, c in zip(rows, pivots):
+            v[c] = -row[f]
         vecs.append(v)
     return Subspace.span(n, vecs)
 
@@ -399,10 +461,10 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     n = u.ambient_dim
     if u.is_zero() or v.is_zero():
         return Subspace.zero(n)
-    zero = [Fraction(0)] * n
-    rows, pivots = _rref([list(x + x) for x in u.vectors()] + [list(y) + zero for y in v.vectors()])
-    basis = [row[n:] for row, c in zip(rows, pivots) if c >= n]
-    return Subspace(n, Matrix(basis, cols=n))
+    zero = (_ZERO,) * n
+    rows, pivots = _rref([x + x for x in u.vectors()] + [y + zero for y in v.vectors()])
+    basis = tuple(row[n:] for row, c in zip(rows, pivots) if c >= n)
+    return Subspace(n, Matrix._trusted(basis, n))
 
 
 def contains(u: Subspace, v: Subspace) -> bool:
@@ -549,24 +611,36 @@ class RatPoly:
     def eval_matrix(self, m: Matrix) -> Matrix:
         """self(m) by Paterson-Stockmeyer: with s = isqrt(deg) + 1, each run
         of s coefficients is a combination of m^0..m^(s-1), and the runs are
-        joined by Horner in m^s, so about 2*sqrt(deg) matrix products."""
+        joined by Horner in m^s, so about 2*sqrt(deg) matrix products.  All
+        of it runs on integers, with one division at the end."""
         if not m.is_square():
             raise DimensionMismatch("polynomial of a non-square matrix")
         n, c = m.rows, self.coeffs
         if not c:
             return Matrix.zero(n, n)
-        s = math.isqrt(len(c) - 1) + 1
+        # with m = a/d and den the lcm of the coefficient denominators,
+        # self(m) = sum(e_k a^k) / (den d^deg) for the integers
+        # e_k = den c_k d^(deg-k)
+        a, d = _int_rows(m.row_tuples)
+        deg = len(c) - 1
+        den = math.lcm(*(x.denominator for x in c))
+        e = [x.numerator * (den // x.denominator) * d ** (deg - k) for k, x in enumerate(c)]
+        a_cols = _columns(a, n)
+        s = math.isqrt(deg) + 1
         width = min(s, len(c))
-        powers = [Matrix.identity(n), m][:width]
+        powers = [_int_identity(n), a][:width]
         while len(powers) < width:
-            powers.append(powers[-1] * m)
-        blocks = [_combination(c[k : k + s], powers) for k in range(0, len(c), s)]
+            powers.append(_int_product(powers[-1], a_cols))
+        blocks = [_combination(e[k : k + s], powers) for k in range(0, len(c), s)]
         out = blocks.pop()
         if blocks:
-            step = powers[-1] * m
+            step = _columns(_int_product(powers[-1], a_cols), n)
             for block in reversed(blocks):
-                out = out * step + block
-        return out
+                out = [
+                    [x + y for x, y in zip(row, brow)]
+                    for row, brow in zip(_int_product(out, step), block)
+                ]
+        return Matrix._from_ints(out, den * d**deg, n)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RatPoly) and self.coeffs == other.coeffs
@@ -607,68 +681,48 @@ def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
     return a.monic()
 
 
-def _combination(coeffs: Sequence[Fraction], mats: Sequence[Matrix]) -> Matrix:
-    """sum of coeffs[k] * mats[k], entry by entry, with no matrix product."""
-    n = mats[0].rows
-    rows = [[Fraction(0)] * n for _ in range(n)]
+def _combination(coeffs: Sequence[int], mats: Sequence[list[list[int]]]) -> list[list[int]]:
+    """sum of coeffs[k] * mats[k] on integer matrices, entry by entry, with
+    no matrix product."""
+    n = len(mats[0])
+    rows = [[0] * n for _ in range(n)]
     for a, mat in zip(coeffs, mats):
         if a:
-            rows = [
-                [x + a * y if y else x for x, y in zip(r, mr)]
-                for r, mr in zip(rows, mat.row_tuples)
-            ]
-    return Matrix(rows, cols=n)
+            rows = [[x + a * y for x, y in zip(r, mr)] for r, mr in zip(rows, mat)]
+    return rows
 
 
 def char_poly(m: Matrix) -> RatPoly:
     """Characteristic polynomial det(xI - m), monic.
 
-    Reduces m to upper Hessenberg form H by similarity (a row swap with
-    the matching column swap; row r -= u * row piv together with column
-    piv += u * column r), then runs the recurrence for the characteristic
-    polynomials p_k of the leading k-by-k blocks of H (Cohen, A Course in
-    Computational Algebraic Number Theory, Alg. 2.2.9).  O(n^3) field
-    operations and no matrix product.
+    Berkowitz's division-free recurrence, run on the integer matrix
+    a = d m (d the common denominator), whose characteristic polynomial
+    gives m's through det(xI - m) = d^-n det(dxI - a).  With a_r the
+    leading r-by-r block of a, R and S the parts of row r and column r
+    beside it and t = a[r][r], the characteristic polynomial of the
+    leading (r+1)-block is T p_r for the lower-triangular Toeplitz matrix
+    T on the column (1, -t, -R S, -R a_r S, ..., -R a_r^(r-1) S)
+    (Berkowitz, Inform. Process. Lett. 18, 1984).  Every intermediate is
+    a polynomial in the entries, so nothing is divided: O(n^4) integer
+    operations in about n^2/2 matrix-vector products, and no matrix
+    product.
     """
     if not m.is_square():
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
+    a, d = _int_rows(m.row_tuples)
     n = m.rows
-    h = m.rows_list()
-    for c in range(n - 2):
-        piv = c + 1
-        pr = next((i for i in range(piv, n) if h[i][c] != 0), None)
-        if pr is None:
-            continue
-        if pr != piv:
-            h[pr], h[piv] = h[piv], h[pr]
-            for row in h:
-                row[pr], row[piv] = row[piv], row[pr]
-        t = h[piv][c]
-        for r in range(piv + 1, n):
-            if h[r][c] == 0:
-                continue
-            u = h[r][c] / t
-            h[r] = [a - u * b if b else a for a, b in zip(h[r], h[piv])]
-            for row in h:
-                if row[r]:
-                    row[piv] += u * row[r]
-    # p[k] = det(xI - H_k) on coefficient lists, lowest degree first
-    p = [[Fraction(1)]]
-    for k in range(n):
-        nxt = [Fraction(0)] + p[k]
-        for i, a in enumerate(p[k]):
-            nxt[i] -= h[k][k] * a
-        t = Fraction(1)
-        for i in range(k - 1, -1, -1):
-            t *= h[i + 1][i]
-            if t == 0:
-                break
-            f = t * h[i][k]
-            if f:
-                for e, a in enumerate(p[i]):
-                    nxt[e] -= f * a
-        p.append(nxt)
-    return RatPoly(p[n])
+    mul = operator.mul
+    p = [1]  # det(yI - a_r), highest degree first
+    for r, row in enumerate(a):
+        block = [b[:r] for b in a[:r]]
+        left = row[:r]
+        v = [b[r] for b in a[:r]]
+        col = [1, -row[r]]
+        for _ in range(r):
+            col.append(-sum(map(mul, left, v)))
+            v = [sum(map(mul, b, v)) for b in block]
+        p = [sum(map(mul, col[i::-1], p)) for i in range(r + 2)]
+    return RatPoly([Fraction(p[n - k], d ** (n - k)) for k in range(n + 1)])
 
 
 #: largest n `prime_factors` accepts; trial division to its root takes ~0.1 s

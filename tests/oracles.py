@@ -37,6 +37,102 @@ from wmtrop.tropbundle import (
 )
 
 
+def fraction_echelon(rows: list[list[Fraction]]) -> tuple[list[int], Fraction]:
+    """In-place row echelon form with unit pivots, in Fraction arithmetic.
+
+    Returns the pivot columns and the signed product of the pivots divided
+    out (the sign flips on each row swap): for a square input with a pivot
+    in every column, that product is the determinant.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    scale = Fraction(1)
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != r:
+            rows[r], rows[pr] = rows[pr], rows[r]
+            scale = -scale
+        piv = rows[r][c]
+        if piv != 1:
+            scale *= piv
+            inv = 1 / piv
+            rows[r] = [v * inv for v in rows[r]]
+        rr = rows[r]
+        for i in range(r + 1, nrows):
+            f = rows[i][c]
+            if f != 0:
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rr)]
+        pivots.append(c)
+        r += 1
+    return pivots, scale
+
+
+def fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """In-place reduced row echelon form in Fraction arithmetic: forward
+    elimination with unit pivots, then back substitution."""
+    pivots, _ = fraction_echelon(rows)
+    for r in range(len(pivots) - 1, 0, -1):
+        c, rr = pivots[r], rows[r]
+        for i in range(r):
+            f = rows[i][c]
+            if f != 0:
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rr)]
+    return rows, pivots
+
+
+def fraction_product(a: Matrix, b: Matrix) -> Matrix:
+    """a * b with one Fraction multiply-add per nonzero term."""
+    cols_b = [b.column(j) for j in range(b.cols)]
+    out = []
+    for row in a.row_tuples:
+        out_row = []
+        for col in cols_b:
+            acc = Fraction(0)
+            for x, y in zip(row, col):
+                if x and y:
+                    acc = acc + x * y
+            out_row.append(acc)
+        out.append(out_row)
+    return Matrix(out, cols=b.cols)
+
+
+def fraction_det(m: Matrix) -> Fraction:
+    pivots, scale = fraction_echelon(m.rows_list())
+    return scale if len(pivots) == m.rows else Fraction(0)
+
+
+def fraction_inverse(m: Matrix) -> Matrix | None:
+    """The inverse from the RREF of [m | I], or None if m is singular."""
+    n = m.rows
+    aug = [list(r) + [Fraction(i == j) for j in range(n)] for i, r in enumerate(m.row_tuples)]
+    rows, pivots = fraction_rref(aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return Matrix([r[n:] for r in rows], cols=n)
+
+
+def fraction_kernel(m: Matrix) -> Subspace:
+    """The kernel read off the Fraction RREF, one vector per free column,
+    and brought to canonical form by a second Fraction RREF."""
+    rows, pivots = fraction_rref(m.rows_list())
+    n = m.cols
+    vecs = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][f]
+        vecs.append(v)
+    basis, pivots = fraction_rref(vecs)
+    return Subspace(n, Matrix(basis[: len(pivots)], cols=n))
+
+
 def jordan_filtration_pieces(n_matrix: Matrix) -> dict[int, Subspace]:
     """Filtration of a nilpotent matrix built from an explicit Jordan basis.
 
@@ -347,15 +443,15 @@ def verify_section_by_corner_value(b: BundleData, f: TropicalSection) -> Section
 
 
 def faddeev_leverrier_char_poly(m: Matrix) -> RatPoly:
-    """det(xI - m) by Faddeev-LeVerrier: n dense products, one trace each,
-    and the only divisions are by the integers 1..n."""
+    """det(xI - m) by Faddeev-LeVerrier: n dense Fraction products, one
+    trace each, and the only divisions are by the integers 1..n."""
     n = m.rows
     if n == 0:
         return RatPoly.one()
     coeffs_high = [Fraction(1)]  # x^n, then x^(n-1), ...
     work = Matrix.identity(n)
     for k in range(1, n + 1):
-        work = m * work
+        work = fraction_product(m, work)
         ck = -sum(work[i, i] for i in range(n)) / k
         coeffs_high.append(ck)
         if k < n:
@@ -363,11 +459,60 @@ def faddeev_leverrier_char_poly(m: Matrix) -> RatPoly:
     return RatPoly(list(reversed(coeffs_high)))
 
 
+def hessenberg_char_poly(m: Matrix) -> RatPoly:
+    """Characteristic polynomial det(xI - m), monic, in Fraction arithmetic.
+
+    Reduces m to upper Hessenberg form H by similarity (a row swap with
+    the matching column swap; row r -= u * row piv together with column
+    piv += u * column r), then runs the recurrence for the characteristic
+    polynomials p_k of the leading k-by-k blocks of H (Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.2.9).  O(n^3) field
+    operations and no matrix product.
+    """
+    n = m.rows
+    h = m.rows_list()
+    for c in range(n - 2):
+        piv = c + 1
+        pr = next((i for i in range(piv, n) if h[i][c] != 0), None)
+        if pr is None:
+            continue
+        if pr != piv:
+            h[pr], h[piv] = h[piv], h[pr]
+            for row in h:
+                row[pr], row[piv] = row[piv], row[pr]
+        t = h[piv][c]
+        for r in range(piv + 1, n):
+            if h[r][c] == 0:
+                continue
+            u = h[r][c] / t
+            h[r] = [a - u * b if b else a for a, b in zip(h[r], h[piv])]
+            for row in h:
+                if row[r]:
+                    row[piv] += u * row[r]
+    # p[k] = det(xI - H_k) on coefficient lists, lowest degree first
+    p = [[Fraction(1)]]
+    for k in range(n):
+        nxt = [Fraction(0)] + p[k]
+        for i, a in enumerate(p[k]):
+            nxt[i] -= h[k][k] * a
+        t = Fraction(1)
+        for i in range(k - 1, -1, -1):
+            t *= h[i + 1][i]
+            if t == 0:
+                break
+            f = t * h[i][k]
+            if f:
+                for e, a in enumerate(p[i]):
+                    nxt[e] -= f * a
+        p.append(nxt)
+    return RatPoly(p[n])
+
+
 def horner_eval_matrix(p: RatPoly, m: Matrix) -> Matrix:
-    """p(m) by Horner's rule: one dense product per coefficient."""
+    """p(m) by Horner's rule: one dense Fraction product per coefficient."""
     out = Matrix.zero(m.rows, m.cols)
     for c in reversed(p.coeffs):
-        out = out * m + Matrix.identity(m.rows).scale(c)
+        out = fraction_product(out, m) + Matrix.identity(m.rows).scale(c)
     return out
 
 

@@ -6,8 +6,9 @@ the monodromy filtration's recurrence meets the closed formula, check_wmc's
 shortcuts meet the loop that tests and weighs every graded piece, and the
 determinant, the q-power test and the lattice width meet the loops they
 replaced, char_poly and eval_matrix meet Faddeev-LeVerrier and Horner,
-the exact purity test meets the numeric root-modulus check, and the
-linear witness check meets the face loop built on corner_value.  rref,
+the integer elimination and products meet the Fraction loops they
+replaced, the exact purity test meets the numeric root-modulus check, and
+the linear witness check meets the face loop built on corner_value.  rref,
 kernel and intersection dimensions, det, char_poly, factor_rational and
 the lattice HNF meet sympy.
 """
@@ -33,8 +34,14 @@ from oracles import (
     closed_formula_pieces,
     exact_q_power_recursive,
     faddeev_leverrier_char_poly,
+    fraction_det,
+    fraction_inverse,
+    fraction_kernel,
+    fraction_product,
+    fraction_rref,
     gaussian_det,
     graded_weights_every_piece,
+    hessenberg_char_poly,
     horner_eval_matrix,
     kernel_intersect,
     numeric_weil_weight,
@@ -42,6 +49,7 @@ from oracles import (
     solve_induced_matrix,
     verify_section_by_corner_value,
 )
+from wmtrop import ratlin
 from wmtrop.monodromy import (
     Filtration,
     FrobeniusData,
@@ -62,6 +70,7 @@ from wmtrop.ratlin import (
     Matrix,
     RatPoly,
     Subspace,
+    _rref,
     char_poly,
     contains,
     kernel,
@@ -350,6 +359,103 @@ class TestReplacedPaths:
             assert max_dividing_width(lat).alpha == rational_gcd_fold(entries), lat
 
 
+def _big(rng, digits=100):
+    return rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10**digits)
+
+
+def _integer_core_cases(rng):
+    """Matrices for the integer core: empty shapes (0x0, 0xn, nx0), every
+    permutation matrix up to 5x5, and seeded ones with mixed row
+    denominators and zero rows or columns, swap-forcing, rank-deficient,
+    and with 100-digit integer and rational entries."""
+    cases = [Matrix([], cols=0), Matrix([], cols=3), Matrix.zero(3, 0), Matrix.zero(2, 4)]
+    for n in range(1, 6):
+        for perm in itertools.permutations(range(n)):
+            cases.append(Matrix([[int(perm[i] == j) for j in range(n)] for i in range(n)]))
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        grid = [[F(rng.randint(-9, 9), den) for _ in range(cols)]
+                for den in rng.choices((1, 2, 3, 5, 7, 12), k=rows)]
+        if rows > 1:
+            grid[rng.randrange(rows)] = [F(0)] * cols
+        c = rng.randrange(cols)
+        for row in grid:
+            row[c] = F(0)
+        cases.append(Matrix(grid))
+        n = rng.randint(1, 6)
+        cases.append(_needs_swaps(rng, n))
+        cases.append(_low_rank(rng, rows, cols))
+        cases.append(Matrix([[_big(rng) for _ in range(n)] for _ in range(n)]))
+        cases.append(Matrix([[F(_big(rng), abs(_big(rng))) for _ in range(cols)] for _ in range(rows)]))
+        big = [[_big(rng) for _ in range(cols)] for _ in range(rows)]
+        if rows > 2:
+            big[-1] = [a + 3 * b for a, b in zip(big[0], big[1])]
+        cases.append(Matrix(big))
+    return cases
+
+
+class TestIntegerCore:
+    """The fraction-free elimination and the integer products against the
+    Fraction loops they replaced (tests/oracles.py)."""
+
+    def test_rref_rank_and_kernel(self):
+        rng = random.Random(193)
+        deficient = 0
+        for m in _integer_core_cases(rng):
+            expected_rows, expected_pivots = fraction_rref(m.rows_list())
+            rows, pivots = _rref(m.row_tuples)
+            assert (rows, pivots) == ([tuple(r) for r in expected_rows], expected_pivots), m
+            assert m.rref() == (Matrix(expected_rows, cols=m.cols), tuple(expected_pivots))
+            assert m.rank() == len(expected_pivots), m
+            assert kernel(m) == fraction_kernel(m), m
+            deficient += 0 < len(pivots) < min(m.rows, m.cols)
+        assert deficient > 30
+
+    def test_det_and_inverse(self):
+        rng = random.Random(197)
+        signs, singular = set(), 0
+        for m in _integer_core_cases(rng):
+            if not m.is_square():
+                continue
+            got = m.det()
+            assert got == fraction_det(m), m
+            signs.add((got > 0) - (got < 0))
+            expected = fraction_inverse(m)
+            if expected is None:
+                singular += 1
+                with pytest.raises(ValueError):
+                    m.inverse()
+            else:
+                assert m.inverse() == expected, m
+        assert signs == {-1, 0, 1} and singular > 10
+
+    def test_products_and_apply(self):
+        rng = random.Random(199)
+        cases = _integer_core_cases(rng)
+        for a in cases:
+            vec = [F(_big(rng, 30), rng.randint(1, 9)) for _ in range(a.cols)]
+            assert a.apply(vec) == fraction_product(a, Matrix.from_columns([vec], a.cols)).column(0)
+            for cols in (0, 1, rng.randint(2, 6)):
+                b = rng.choice([m for m in cases if m.rows == a.cols and m.cols == cols]
+                               or [Matrix([[random_fraction(rng) for _ in range(cols)]
+                                           for _ in range(a.cols)], cols=cols)])
+                assert a * b == fraction_product(a, b), (a, b)
+
+    def test_eval_matrix_on_rational_and_big_entries(self):
+        rng = random.Random(211)
+        for _ in range(40):
+            n = rng.randint(0, 4)
+            mixed = Matrix([[F(rng.randint(-9, 9), den) for _ in range(n)]
+                            for den in rng.choices((1, 2, 3, 5), k=n)], cols=n)
+            big = Matrix([[F(_big(rng, 40), rng.randint(1, 50)) for _ in range(n)]
+                          for _ in range(n)], cols=n)
+            degree = rng.randint(0, 12)
+            p = RatPoly([F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree)]
+                        + [F(rng.randint(1, 5), rng.randint(1, 5))])
+            for m in (mixed, big):
+                assert p.eval_matrix(m) == horner_eval_matrix(p, m), (p, m)
+
+
 def _block_diagonal(blocks):
     d = sum(b.rows for b in blocks)
     rows = [[F(0)] * d for _ in range(d)]
@@ -364,7 +470,8 @@ def _block_diagonal(blocks):
 def _hessenberg_cases(rng):
     """Square matrices for char_poly: 0x0 and 1x1, integral and rational,
     nilpotent, block upper triangular, and ones whose first column makes the
-    Hessenberg reduction swap rows or skip a zero column below the diagonal."""
+    Hessenberg reduction of the reference swap rows or skip a zero column
+    below the diagonal."""
     cases = [Matrix([], cols=0), Matrix([[F(-7, 3)]]), Matrix([[0]])]
     for _ in range(25):
         n = rng.randint(1, 7)
@@ -389,15 +496,18 @@ def _hessenberg_cases(rng):
 
 
 class _MulCounter:
+    """Counts the integer matrix products, which Matrix.__mul__ and
+    eval_matrix both take."""
+
     def __init__(self, monkeypatch):
         self.calls = 0
-        original = Matrix.__mul__
+        original = ratlin._int_product
 
-        def counting(a, b):
-            self.calls += isinstance(b, Matrix)
-            return original(a, b)
+        def counting(rows, cols):
+            self.calls += 1
+            return original(rows, cols)
 
-        monkeypatch.setattr(Matrix, "__mul__", counting)
+        monkeypatch.setattr(ratlin, "_int_product", counting)
 
 
 def _trace_factor(rng, q, j):
@@ -473,7 +583,10 @@ class TestHessenbergAndPatersonStockmeyer:
         firsts = {(m[1, 0] == 0, any(m[i, 0] != 0 for i in range(2, m.rows)))
                   for m in cases if m.rows >= 3}
         assert firsts >= {(True, True), (True, False)}  # a swap, and a zero column
+        # mixed row denominators, permutations and 100-digit entries
+        cases += [m for m in _integer_core_cases(rng) if m.is_square() and m.rows <= 5]
         expected = [faddeev_leverrier_char_poly(m) for m in cases]
+        assert expected == [hessenberg_char_poly(m) for m in cases]
         counter = _MulCounter(monkeypatch)
         for m, cp in zip(cases, expected):
             assert char_poly(m) == cp, m
@@ -481,6 +594,7 @@ class TestHessenbergAndPatersonStockmeyer:
 
     def test_eval_matrix_matches_horner(self, monkeypatch):
         rng = random.Random(163)
+        products = 0
         for degree in range(-1, 31):
             for m in (Matrix([], cols=0), Matrix([[F(2, 3)]]), random_matrix(rng, 3, 3),
                       _jordan_sum(rng, [2, 2]), random_matrix(rng, 4, 4, num_bound=3)):
@@ -491,6 +605,8 @@ class TestHessenbergAndPatersonStockmeyer:
                 assert p.eval_matrix(m) == expected, (p, m)
                 monkeypatch.undo()
                 assert counter.calls <= 2 * math.isqrt(max(p.degree, 0)) + 2, p
+                products = max(products, counter.calls)
+        assert products >= 8  # the bound is reached, so the count is live
 
     def test_exact_purity_matches_numeric(self):
         rng = random.Random(167)

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction as F
 
-import mpmath
 import pytest
 
 from gens import random_jordan_nilpotent, random_unipotent, random_wmc_pair
@@ -196,17 +195,23 @@ class TestWeilWeight:
         with pytest.raises(ValueError):
             weil_weight(RatPoly([1, 2]), 5)
 
-    def test_pure_factors_skip_the_numeric_step(self, monkeypatch):
-        def numeric(*args, **kwargs):
-            raise AssertionError("pure factor reached the numeric check")
-
-        monkeypatch.setattr(mpmath, "polyroots", numeric)
+    def test_pure_polynomials_are_weighed_exactly(self):
         assert weil_weight(RatPoly([-25, 1]), 5) == 4  # degree 1
         assert weil_weight(RatPoly([-5, 0, 1]), 5) == 1  # x^2 - q^j
         assert weil_weight(RatPoly([F(1, 5), 0, 1]), 5) == -1  # trace 0: Sturm's lower end
-        # (x^2 - 5)^2 has trace polynomial y^2 - 20, roots at Sturm's upper end 4q^j
+        # (x^2 - 5)^2 is divided out by gcd(g, x^2 - q^j) to 1
         assert weil_weight(RatPoly([25, 0, -10, 0, 1]), 5) == 1
         assert weil_weight(RatPoly([25, 5, 8, 1, 1]), 5) == 1  # trace roots 1 and -2
+
+    def test_reducible_input(self):
+        # (x - 1)^2 (x + 1): every root has modulus 1, two of them repeated
+        assert weil_weight(RatPoly([1, -1, -1, 1]), 5) == 0
+        # (x^2 - 5)(x^2 + x + 5): real roots +-sqrt(5) beside a pure pair
+        assert weil_weight(RatPoly([-5, 0, 1]) * RatPoly([5, 1, 1]), 5) == 1
+        # (x - 1)(x - 25): reciprocal with q^j = 25, but the real roots have
+        # squared moduli 1 and 625
+        with pytest.raises(NotPureError, match="squared modulus"):
+            weil_weight(RatPoly([-1, 1]) * RatPoly([-25, 1]), 5)
 
 
 class TestWeightDecomposition:
