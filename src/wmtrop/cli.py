@@ -32,6 +32,7 @@ from typing import Any, Callable
 from . import monodromy as mono
 from . import tropbundle as tb
 from . import troplattice as tl
+from .polyfactor import RecombinationLimitError
 from .ratlin import Matrix, Subspace
 
 SCHEMA_VERSION = 1
@@ -86,10 +87,14 @@ def parse_matrix(value: Any, fieldname: str = "matrix") -> Matrix:
         raise SchemaError(fieldname, "expected an array of arrays")
     if value and any(len(r) != len(value[0]) for r in value):
         raise SchemaError(fieldname, "ragged matrix")
-    rows = [
-        [parse_rational(x, f"{fieldname}[{i}][{j}]") for j, x in enumerate(r)]
-        for i, r in enumerate(value)
-    ]
+    try:
+        rows = [[parse_rational(x) for x in r] for r in value]
+    except SchemaError:
+        # name the first bad entry; its name is built only here
+        for i, r in enumerate(value):
+            for j, x in enumerate(r):
+                parse_rational(x, f"{fieldname}[{i}][{j}]")
+        raise
     if not rows:
         raise SchemaError(fieldname, "matrix must have at least one row")
     return Matrix(rows)
@@ -282,7 +287,10 @@ def _cmd_monodromy_filtration(payload: dict) -> Report:
 def _cmd_weight_filtration(payload: dict) -> Report:
     phi = parse_matrix(_get(payload, "phi"), "phi")
     q = _get_int(payload, "q", minimum=2)
-    decomp = mono.weight_decomposition(mono.FrobeniusData(phi, q))
+    try:
+        decomp = mono.weight_decomposition(mono.FrobeniusData(phi, q))
+    except RecombinationLimitError as err:
+        raise SchemaError("phi", str(err)) from None
     fil = mono.weight_filtration(decomp)
     return Report(
         "weight-filtration",
@@ -303,7 +311,10 @@ def _cmd_wmc_check(payload: dict) -> Report:
         raise SchemaError("i", f"|i| is above the degree limit {mono.DEGREE_LIMIT}")
     op = mono.NilpotentOperator(n_mat)
     frob = mono.FrobeniusData(phi, q)
-    report = mono.check_wmc(op, frob, i)
+    try:
+        report = mono.check_wmc(op, frob, i)
+    except RecombinationLimitError as err:
+        raise SchemaError("phi", str(err)) from None
     diags = tuple(json.dumps(v, sort_keys=True) for v in report.violations)
     return Report(
         "wmc-check",

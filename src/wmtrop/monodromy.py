@@ -32,6 +32,12 @@ from .ratlin import (
     Matrix,
     RatPoly,
     Subspace,
+    _int_derivative,
+    _int_exact_div,
+    _int_gcd,
+    _int_poly,
+    _int_prem,
+    _primitive,
     _rref,
     char_poly,
     kernel,
@@ -298,23 +304,49 @@ def _exact_q_power(r: Fraction, q: int) -> int | None:
     return m - k if num == den == 1 else None
 
 
-def _sign_changes(seq: list[RatPoly], x: Fraction) -> int:
-    signs = [v > 0 for v in (p.eval(x) for p in seq) if v != 0]
+def _scaled_value(a: list[int], x: Fraction) -> int:
+    """den^deg a(x) for x = num/den, den > 0: the sign of a(x), by Horner's
+    rule on ints."""
+    num, den = x.numerator, x.denominator
+    v, scale = 0, 1
+    for c in reversed(a):
+        v = v * num + c * scale
+        scale *= den
+    return v
+
+
+def _sign_changes(seq: list[list[int]], x: Fraction) -> int:
+    signs = [v > 0 for v in (_scaled_value(a, x) for a in seq) if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _roots_in(f: RatPoly, lo: Fraction, hi: Fraction) -> bool:
-    """Whether every complex root of f is real and lies in [lo, hi].
+def _sturm_sequence(f: RatPoly) -> list[list[int]]:
+    """A Sturm sequence of f's squarefree part, on integer coefficients.
 
-    A Sturm sequence of the squarefree part counts its distinct roots in
-    (lo, hi]; a root at lo itself is tested directly.
+    The squarefree part is the primitive integer multiple of f divided
+    exactly by its gcd with f', and each next term is a negated
+    pseudo-remainder divided by its content.  So each term is a positive
+    multiple of the classical term (negated remainders over Q) for that
+    squarefree part, and every sign-change count is the classical one.
     """
-    sf = f // poly_gcd(f, f.derivative())
-    seq = [sf, sf.derivative()]
-    while seq[-1].degree > 0:
-        seq.append(-(seq[-2] % seq[-1]))
-    inside = _sign_changes(seq, lo) - _sign_changes(seq, hi) + (sf.eval(lo) == 0)
-    return inside == sf.degree
+    a = _int_poly(f)
+    sf = _int_exact_div(a, _int_gcd(a, _int_derivative(a)))
+    seq = [sf, _int_derivative(sf)]
+    while len(seq[-1]) > 1:
+        seq.append([-x for x in _primitive(_int_prem(seq[-2], seq[-1]))])
+    return seq
+
+
+def _roots_in(f: RatPoly, lo: Fraction, hi: Fraction) -> bool:
+    """Whether every complex root of f != 0 is real and lies in [lo, hi].
+
+    The Sturm sequence counts the distinct roots of f's squarefree part
+    in (lo, hi]; a root at lo itself is tested directly.
+    """
+    seq = _sturm_sequence(f)
+    sf = seq[0]
+    inside = _sign_changes(seq, lo) - _sign_changes(seq, hi) + (_scaled_value(sf, lo) == 0)
+    return inside == len(sf) - 1
 
 
 def _exactly_pure(g: RatPoly, qj: Fraction) -> bool:

@@ -2,18 +2,23 @@
 
 Method (desk scale, correctness over speed):
 
-1. make the input monic and run Yun's squarefree decomposition over Q;
+1. run Yun's squarefree decomposition on the primitive integer multiple
+   of the input: gcds by the primitive pseudo-remainder sequence, and
+   exact integer divisions, since by Gauss' lemma a primitive divisor of
+   an integer polynomial leaves an integer quotient;
 2. rescale each monic squarefree part to a monic *integer* polynomial via
    x -> y/D with D the lcm of the coefficient denominators;
 3. factor the integer polynomial by the classical Zassenhaus route:
    pick a small odd prime p keeping the polynomial squarefree mod p,
    factor mod p (distinct-degree then Cantor-Zassenhaus splitting),
    Hensel-lift the modular factors past twice the Mignotte-style
-   coefficient bound, and recombine subsets by exact trial division.
+   coefficient bound, and recombine subsets by exact trial division on
+   integer coefficients.
 
 Subset recombination is exponential in the number of modular factors, so
 this is intended for degrees up to a few dozen, which is all the rest of
-the package ever asks for (characteristic polynomials of small matrices).
+the package ever asks for (characteristic polynomials of small matrices);
+RECOMBINATION_LIMIT bounds the subsets it may try.
 """
 
 from __future__ import annotations
@@ -23,16 +28,30 @@ import math
 import random
 from fractions import Fraction
 
-from .ratlin import RatPoly, poly_gcd, prime_factors
+from .ratlin import (
+    RatPoly,
+    _int_derivative,
+    _int_exact_div,
+    _int_gcd,
+    _int_poly,
+    _monic_poly,
+    _trim,
+    prime_factors,
+)
+
+#: most subsets of modular factors that recombination tries for one
+#: squarefree part, checked before each subset size; the 16 factors of the
+#: degree-32 Swinnerton-Dyer polynomial modulo 19 need 39202 (every size
+#: up to 8), while 32 factors would pass it before size 4
+RECOMBINATION_LIMIT = 40000
+
+
+class RecombinationLimitError(ValueError):
+    """Zassenhaus recombination would try more subsets than RECOMBINATION_LIMIT."""
+
 
 # ---------------------------------------------------------------------------
 # arithmetic in (Z/m)[x]; coefficients are ints in [0, m), lowest degree first
-
-
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
 
 
 def _mx_normalize(a: list[int], m: int) -> list[int]:
@@ -247,11 +266,6 @@ def _center(c: int, m: int) -> int:
     return c - m if c > m // 2 else c
 
 
-def _exact_div(num: RatPoly, den: RatPoly) -> RatPoly | None:
-    q, r = divmod(num, den)
-    return q if r.is_zero() else None
-
-
 def _zassenhaus_monic(g: list[int], rng: random.Random) -> list[list[int]]:
     """Irreducible factors over Z of a monic squarefree integer polynomial."""
     n = len(g) - 1
@@ -279,19 +293,26 @@ def _zassenhaus_monic(g: list[int], rng: random.Random) -> list[list[int]]:
     pool = list(lifted)
     result: list[list[int]] = []
     remaining = list(g)
-    size = 1
+    size, tried = 1, 0
     while 2 * size <= len(pool):
+        if tried + math.comb(len(pool), size) > RECOMBINATION_LIMIT:
+            raise RecombinationLimitError(
+                f"recombining {len(pool)} modular factors of a degree-{n} factor of the "
+                f"characteristic polynomial needs more than {RECOMBINATION_LIMIT} trials, "
+                f"the recombination limit"
+            )
         hit = None
         for combo in itertools.combinations(range(len(pool)), size):
+            tried += 1
             prod = [1]
             for i in combo:
                 prod = _mx_mul(prod, pool[i], target)
             cand = [_center(c, target) for c in prod]
             if remaining[0] != 0 and cand[0] != 0 and remaining[0] % cand[0] != 0:
                 continue
-            quo = _exact_div(RatPoly(remaining), RatPoly(cand))
-            if quo is not None and all(c.denominator == 1 for c in quo.coeffs):
-                hit = (combo, cand, [int(c) for c in quo.coeffs])
+            quo = _int_exact_div(remaining, cand)
+            if quo is not None:
+                hit = (combo, cand, quo)
                 break
         if hit is None:
             size += 1
@@ -309,27 +330,46 @@ def _zassenhaus_monic(g: list[int], rng: random.Random) -> list[list[int]]:
 # public entry points
 
 
+def _divide(a: list[int], b: list[int]) -> list[int]:
+    quo = _int_exact_div(a, b)
+    if quo is None:
+        raise ArithmeticError("a primitive divisor left a non-integral quotient")
+    return quo
+
+
+def _minus(a: list[int], b: list[int]) -> list[int]:
+    if len(a) < len(b):
+        a = a + [0] * (len(b) - len(a))
+    return _trim([x - y for x, y in zip(a, b)] + a[len(b):])
+
+
 def squarefree_decomposition(p: RatPoly) -> list[tuple[RatPoly, int]]:
-    """Yun's algorithm: monic pairwise-coprime squarefree parts with multiplicity."""
+    """Yun's algorithm: monic pairwise-coprime squarefree parts with multiplicity.
+
+    It runs on the primitive integer multiple f of p.  Every gcd is
+    primitive, so by Gauss' lemma each division by one is exact in Z[x];
+    c and d stay the same rational multiple of Yun's c and d for monic p,
+    and the parts come back monic.
+    """
     if p.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
-    f = p.monic()
-    if f.degree < 1:
+    if p.degree < 1:
         return []
-    fp = f.derivative()
-    g = poly_gcd(f, fp)
-    if g.is_one():
-        return [(f, 1)]
-    c = f // g
-    d = fp // g - c.derivative()
+    f = _int_poly(p)
+    fp = _int_derivative(f)
+    g = _int_gcd(f, fp)
+    if len(g) == 1:
+        return [(p.monic(), 1)]
+    c = _divide(f, g)
+    d = _minus(_divide(fp, g), _int_derivative(c))
     out = []
     i = 1
-    while not c.is_one():
-        a = poly_gcd(c, d)
-        c = c // a
-        d = d // a - c.derivative()
-        if a.degree > 0:
-            out.append((a, i))
+    while len(c) > 1:
+        a = _int_gcd(c, d)
+        c = _divide(c, a)
+        d = _minus(_divide(d, a), _int_derivative(c))
+        if len(a) > 1:
+            out.append((_monic_poly(a), i))
         i += 1
     return out
 

@@ -8,11 +8,13 @@ There are no floats anywhere in this module, so every predicate built on
 top of it (filtration equality, lattice divisibility, positive
 definiteness) is decided exactly.
 
-Matrices store Fractions, but the hot kernels run on Python ints: a
-product scales each factor to integer numerators over one common
-denominator, a matrix polynomial is evaluated on the integer matrix with
-integer coefficients, and elimination is fraction-free.  Fractions are
-built only at the boundaries, one per output entry.
+Matrices and polynomials store Fractions, but the hot kernels run on
+Python ints: a product scales each factor to integer numerators over one
+common denominator, a matrix polynomial is evaluated on the integer
+matrix with integer coefficients, elimination is fraction-free, and the
+polynomial gcd is a primitive pseudo-remainder sequence on primitive
+integer multiples.  Fractions are built only at the boundaries, one per
+output entry.
 
 All values are immutable after construction; operations are pure
 functions, safe to share across threads.
@@ -673,12 +675,101 @@ class RatPoly:
 
 
 def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
-    """Monic gcd via the Euclidean algorithm over Q."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return RatPoly.zero()
-    return a.monic()
+    """Monic gcd, by the primitive pseudo-remainder sequence of the two
+    polynomials' primitive integer multiples (_int_gcd); the zero
+    polynomial when both are zero."""
+    return _monic_poly(_int_gcd(_int_poly(a), _int_poly(b)))
+
+
+# ---------------------------------------------------------------------------
+# polynomials on integer coefficients: lists of ints, lowest degree first,
+# no trailing zeros, the zero polynomial empty
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a divided by its content, the positive gcd of its coefficients."""
+    g = math.gcd(*a)
+    return a if g <= 1 else [x // g for x in a]
+
+
+def _int_poly(p: RatPoly) -> list[int]:
+    """The primitive integer polynomial with p's roots and the sign of p's
+    leading coefficient."""
+    if not p.coeffs:
+        return []
+    den = math.lcm(*(x.denominator for x in p.coeffs))
+    return _primitive([x.numerator * (den // x.denominator) for x in p.coeffs])
+
+
+def _monic_poly(a: list[int]) -> RatPoly:
+    """a divided by its leading coefficient, as a RatPoly."""
+    return RatPoly([Fraction(x, a[-1]) for x in a]) if a else RatPoly.zero()
+
+
+def _int_derivative(a: list[int]) -> list[int]:
+    return [i * x for i, x in enumerate(a)][1:]
+
+
+def _int_prem(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of the remainder of a by b != 0 over Q.
+
+    Pseudo-division that scales the remainder, at each step with top
+    coefficient t, by |lc(b)| / gcd(lc(b), t) instead of dividing by
+    lc(b); no step scales by a negative number, so the signs that a Sturm
+    sequence counts are kept.
+    """
+    lead, db = b[-1], len(b) - 1
+    low = b[:-1]
+    rem = list(a)
+    for k in range(len(rem) - 1 - db, -1, -1):
+        t = rem.pop()
+        if not t:
+            continue
+        g = math.gcd(lead, t)
+        s, t = lead // g, t // g
+        if s < 0:
+            s, t = -s, -t
+        if s != 1:
+            rem = [s * x for x in rem]
+        rem[k:] = [x - t * y for x, y in zip(rem[k:], low)]
+    return _trim(rem)
+
+
+def _int_gcd(a: list[int], b: list[int]) -> list[int]:
+    """A primitive gcd (unique up to sign), by the primitive
+    pseudo-remainder sequence (Collins, J. ACM 14, 1967): each remainder
+    is divided by its content before the next step."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(_int_prem(a, b))
+    return a
+
+
+def _int_exact_div(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b when b != 0 divides a in Z[x], else None.  Synthetic division
+    that stops at the first quotient coefficient that is not an integer."""
+    lead, db = b[-1], len(b) - 1
+    low = b[:-1]
+    rem = list(a)
+    if len(rem) <= db:
+        return None if rem else []
+    quo = [0] * (len(rem) - db)
+    for k in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem.pop(), lead)
+        if r:
+            return None
+        if c:
+            quo[k] = c
+            rem[k:] = [x - c * y for x, y in zip(rem[k:], low)]
+    return None if any(rem) else quo
 
 
 def _combination(coeffs: Sequence[int], mats: Sequence[list[list[int]]]) -> list[list[int]]:

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
-from wmtrop.ratlin import Matrix, Subspace
+from wmtrop.ratlin import Matrix, RatPoly, Subspace
 from wmtrop.tropbundle import BundleData
 from wmtrop.troplattice import TropicalLattice
 
@@ -201,3 +202,23 @@ def random_rank1_bundle(rng: random.Random, k_max: int = 5) -> tuple[BundleData,
     v = alpha * rng.randint(-6, 6)
     bundle = BundleData(TropicalLattice.from_columns([[lam]]), Matrix([[d]]), [v])
     return bundle, alpha
+
+
+def swinnerton_dyer(primes: list[int]) -> RatPoly:
+    """The monic integer polynomial with roots +-sqrt(p1) +- sqrt(p2) ...:
+    irreducible of degree 2^k, yet a product of factors of degree <= 2
+    modulo every prime that keeps it squarefree."""
+    poly = RatPoly([0, 1])
+    for p in primes:
+        # poly(x + t) = a(x) + t b(x) with t^2 = p; the product of the two
+        # conjugates is a^2 - p b^2
+        a, b = RatPoly.zero(), RatPoly.zero()
+        for i, c in enumerate(poly.coeffs):
+            for k in range(i + 1):
+                term = RatPoly([0] * (i - k) + [c * math.comb(i, k) * p ** (k // 2)])
+                if k % 2:
+                    b = b + term
+                else:
+                    a = a + term
+        poly = a * a - b * b * p
+    return poly

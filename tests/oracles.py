@@ -313,6 +313,64 @@ def numeric_weil_weight(g: RatPoly, q: int) -> int:
     return j
 
 
+def fraction_poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
+    """Monic gcd by the Euclidean algorithm over Q, in Fraction arithmetic."""
+    while not b.is_zero():
+        a, b = b, a % b
+    if a.is_zero():
+        return RatPoly.zero()
+    return a.monic()
+
+
+def fraction_squarefree_decomposition(p: RatPoly) -> list[tuple[RatPoly, int]]:
+    """Yun's algorithm over Q on the monic input, with fraction_poly_gcd."""
+    if p.is_zero():
+        raise ValueError("cannot decompose the zero polynomial")
+    f = p.monic()
+    if f.degree < 1:
+        return []
+    fp = f.derivative()
+    g = fraction_poly_gcd(f, fp)
+    if g.is_one():
+        return [(f, 1)]
+    c = f // g
+    d = fp // g - c.derivative()
+    out = []
+    i = 1
+    while not c.is_one():
+        a = fraction_poly_gcd(c, d)
+        c = c // a
+        d = d // a - c.derivative()
+        if a.degree > 0:
+            out.append((a, i))
+        i += 1
+    return out
+
+
+def fraction_sign_changes(seq: list[RatPoly], x: Fraction) -> int:
+    signs = [v > 0 for v in (p.eval(x) for p in seq) if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def fraction_sturm_sequence(f: RatPoly) -> list[RatPoly]:
+    """The classical Sturm sequence of f's squarefree part: negated
+    remainders over Q."""
+    sf = f // fraction_poly_gcd(f, f.derivative())
+    seq = [sf, sf.derivative()]
+    while seq[-1].degree > 0:
+        seq.append(-(seq[-2] % seq[-1]))
+    return seq
+
+
+def fraction_roots_in(f: RatPoly, lo: Fraction, hi: Fraction) -> bool:
+    """Whether every complex root of f is real and in [lo, hi]: the Sturm
+    sequence counts the squarefree part's distinct roots in (lo, hi]."""
+    seq = fraction_sturm_sequence(f)
+    sf = seq[0]
+    inside = fraction_sign_changes(seq, lo) - fraction_sign_changes(seq, hi) + (sf.eval(lo) == 0)
+    return inside == sf.degree
+
+
 def _rational_gcd(a: Fraction, b: Fraction) -> Fraction:
     if a == 0:
         return abs(b)

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gens import swinnerton_dyer
 from wmtrop import monodromy as mono
+from wmtrop import polyfactor as pf
 from wmtrop import troplattice as tl
 from wmtrop.cli import (
     _HANDLERS,
@@ -341,6 +343,14 @@ class TestErrorContract:
         assert code == 2
         assert "n[0][0]" in json.loads(out)["diagnostics"][0]
 
+    def test_bad_matrix_entry_named(self):
+        # the first bad entry in row order is named, whatever follows it
+        phi = [["1", "0"], ["2/x", "5"], [True, "0"]]
+        report = run(JobSpec("weight-filtration", {"phi": phi, "q": 5}))
+        assert report.diagnostics == (
+            "field 'phi[1][0]': malformed rational '2/x' (want 'a' or 'a/b')",
+        )
+
     def test_invalid_json(self):
         code, out = run_cli(["wmc-check", "--json", "{not json"])
         assert code == 2
@@ -461,6 +471,27 @@ class TestErrorContract:
         monkeypatch.setattr(mono, "DEGREE_LIMIT", 3)
         for i, code in ((3, 1), (-3, 1), (4, 2), (-4, 2)):
             assert run(JobSpec("wmc-check", dict(TATE_WMC, i=i))).exit_code == code
+
+    def test_recombination_is_bounded(self, monkeypatch):
+        # the degree-16 Swinnerton-Dyer polynomial has 8 modular factors, and
+        # recombination tries 162 subsets before it finds it irreducible
+        sd4 = swinnerton_dyer([2, 3, 5, 7])
+        n = sd4.degree
+        phi = [[int(i == j + 1) for j in range(n - 1)] + [str(-sd4.coefficient(i))]
+               for i in range(n)]
+        jobs = (JobSpec("weight-filtration", {"phi": phi, "q": 5}),
+                JobSpec("wmc-check", {"n": [[0] * n] * n, "phi": phi, "q": 5, "i": 0}))
+        monkeypatch.setattr(pf, "RECOMBINATION_LIMIT", 162)
+        for job, code in zip(jobs, (2, 1)):  # wmc-check lists impurity as a violation
+            report = run(job)
+            assert report.exit_code == code
+            assert "is not weight-pure for q=5" in report.diagnostics[0]
+        monkeypatch.setattr(pf, "RECOMBINATION_LIMIT", 161)
+        for job in jobs:
+            assert run(job).diagnostics == (
+                "field 'phi': recombining 8 modular factors of a degree-16 factor of the "
+                "characteristic polynomial needs more than 161 trials, the recombination limit",
+            )
 
     def test_component_count_past_the_digit_limit(self, monkeypatch):
         unit_square = {"lattice": {"rank": 2, "generators": [["1", "0"], ["0", "1"]]}}

@@ -7,10 +7,12 @@ shortcuts meet the loop that tests and weighs every graded piece, and the
 determinant, the q-power test and the lattice width meet the loops they
 replaced, char_poly and eval_matrix meet Faddeev-LeVerrier and Horner,
 the integer elimination and products meet the Fraction loops they
-replaced, the exact purity test meets the numeric root-modulus check, and
+replaced, the integer gcd, Yun loop and Sturm count meet their Fraction
+versions, the exact purity test meets the numeric root-modulus check, and
 the linear witness check meets the face loop built on corner_value.  rref,
-kernel and intersection dimensions, det, char_poly, factor_rational and
-the lattice HNF meet sympy.
+kernel and intersection dimensions, det, char_poly, factor_rational, the
+gcd, the squarefree decomposition, the Sturm count and the lattice HNF
+meet sympy.
 """
 
 import itertools
@@ -37,8 +39,13 @@ from oracles import (
     fraction_det,
     fraction_inverse,
     fraction_kernel,
+    fraction_poly_gcd,
     fraction_product,
+    fraction_roots_in,
     fraction_rref,
+    fraction_sign_changes,
+    fraction_squarefree_decomposition,
+    fraction_sturm_sequence,
     gaussian_det,
     graded_weights_every_piece,
     hessenberg_char_poly,
@@ -57,6 +64,9 @@ from wmtrop.monodromy import (
     NotPureError,
     _exact_q_power,
     _exactly_pure,
+    _roots_in,
+    _sign_changes,
+    _sturm_sequence,
     check_commutation,
     check_wmc,
     induced_quotient_matrix,
@@ -65,7 +75,7 @@ from wmtrop.monodromy import (
     weight_filtration,
     weil_weight,
 )
-from wmtrop.polyfactor import factor_rational
+from wmtrop.polyfactor import factor_rational, squarefree_decomposition
 from wmtrop.ratlin import (
     Matrix,
     RatPoly,
@@ -456,6 +466,102 @@ class TestIntegerCore:
                 assert p.eval_matrix(m) == horner_eval_matrix(p, m), (p, m)
 
 
+def _poly_factor(rng, big):
+    """A seeded polynomial of degree 1 to 3 whose leading coefficient is
+    rarely 1: small rational coefficients, or 100-digit ones over
+    denominators up to 41 digits."""
+    degree = rng.randint(1, 3)
+    if big:
+        dens = (1, 1, 3, 10**40 + 1)
+        return RatPoly([F(_big(rng), rng.choice(dens)) for _ in range(degree + 1)])
+    lead = F(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4))
+    return RatPoly([random_fraction(rng) for _ in range(degree)] + [lead])
+
+
+def _polynomial_cases(rng):
+    """Zero, constants, and seeded products of _poly_factor powers, times a
+    rational constant: up to three factors, cubes at most, or every other
+    time up to two 100-digit factors, squares at most."""
+    cases = [RatPoly.zero(), RatPoly([1]), RatPoly([F(-3, 7)]), RatPoly([_big(rng)])]
+    for k in range(60):
+        p = RatPoly([F(rng.choice((-5, -1, 1, 2, 7)), rng.randint(1, 3))])
+        for _ in range(rng.randint(1, 3 - k % 2)):
+            p = p * _poly_factor(rng, big=k % 2 == 1) ** rng.randint(1, 3 - k % 2)
+        cases.append(p)
+    return cases
+
+
+def _sturm_case(rng, qj):
+    """A seeded polynomial, up to squares of its factors, with rational
+    roots exactly at 0 and at 4qj, inside, just outside (1/10^30 away) and
+    well outside [0, 4qj], and quadratic factors with complex roots or
+    with irrational real roots around 2qj."""
+    hi = 4 * qj
+    f = RatPoly([F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))])
+    for _ in range(rng.randint(0, 4)):
+        kind = rng.randrange(7)
+        if kind == 5:
+            c = F(rng.randint(1, 9), rng.randint(1, 3))
+            factor = RatPoly([c, F(rng.randint(-2, 2)), 1])  # complex roots when c > b^2/4
+        elif kind == 6:
+            c = qj * qj * F(rng.choice((2, 3, 5, 7, 17)), rng.choice((2, 3, 5, 7, 17)) ** 2)
+            factor = RatPoly([qj * qj * 4 - c, -4 * qj, 1])  # 2qj +- sqrt(c)
+        else:
+            root = (F(0), hi, hi * F(rng.randint(1, 99), 100), hi + F(1, 10**30), F(-1, 10**30),
+                    hi + F(rng.randint(1, 50), rng.randint(1, 7)))[kind]
+            factor = RatPoly([-root, 1])
+        f = f * factor ** rng.randint(1, 2)
+    return f
+
+
+class TestIntegerPolynomials:
+    """The integer gcd, Yun loop and Sturm count against the Fraction
+    versions they replaced (tests/oracles.py)."""
+
+    def test_gcd_matches_euclid_over_q(self):
+        rng = random.Random(223)
+        cases = _polynomial_cases(rng)
+        nontrivial = 0
+        small = [p for p in cases[4::2] if p.degree <= 9]
+        for a in cases:
+            b, common = rng.choice(small), _poly_factor(rng, big=False)
+            for x, y in ((a, b), (a * common, b * common), (a, RatPoly.zero()), (a, a)):
+                got = poly_gcd(x, y)
+                assert got == fraction_poly_gcd(x, y) == poly_gcd(y, x), (x, y)
+                nontrivial += 0 < got.degree < min(x.degree, y.degree)
+        assert poly_gcd(RatPoly.zero(), RatPoly.zero()) == RatPoly.zero()
+        assert nontrivial > 30
+
+    def test_squarefree_decomposition_matches_yun_over_q(self):
+        rng = random.Random(227)
+        multiplicities = set()
+        for p in _polynomial_cases(rng)[1:]:
+            got = squarefree_decomposition(p)
+            assert got == fraction_squarefree_decomposition(p), p
+            multiplicities.update(m for _, m in got)
+        assert multiplicities == {1, 2, 3}
+
+    def test_sturm_counts_match_the_fraction_sequence(self):
+        rng = random.Random(229)
+        verdicts, ends = [], set()
+        for q in (2, 3, 5):
+            for j in (-1, 0, 1, 2):
+                qj = F(q) ** j
+                for _ in range(40):
+                    f = _sturm_case(rng, qj)
+                    seq, expected = _sturm_sequence(f), fraction_sturm_sequence(f)
+                    assert len(seq) == len(expected), f
+                    for x in (F(0), 4 * qj, -4 * qj, qj, F(rng.randint(-99, 99), rng.randint(1, 9))):
+                        assert _sign_changes(seq, x) == fraction_sign_changes(expected, x), (f, x)
+                    got = _roots_in(f, F(0), 4 * qj)
+                    assert got == fraction_roots_in(f, F(0), 4 * qj), (f, qj)
+                    verdicts.append(got)
+                    if got:  # a root at an end of the interval counts as inside
+                        ends.update(end for end in (0, 4 * qj) if f.eval(end) == 0)
+        assert verdicts.count(True) > 60 and verdicts.count(False) > 150
+        assert 0 in ends and len(ends) > 5
+
+
 def _block_diagonal(blocks):
     d = sum(b.rows for b in blocks)
     rows = [[F(0)] * d for _ in range(d)]
@@ -730,6 +836,17 @@ def _to_sympy(sympy, m: Matrix):
     return sympy.Matrix(m.rows, m.cols, entries)
 
 
+def _to_sympy_poly(sympy, x, p: RatPoly):
+    return sympy.Poly([_to_sympy_rational(sympy, c) for c in reversed(p.coeffs)] or [0], x,
+                      domain="QQ")
+
+
+def _monic(sympy, p):
+    """p over QQ, divided by its leading coefficient (the zero polynomial stays)."""
+    p = sympy.Poly(p, domain="QQ")
+    return p.monic() if not p.is_zero else p
+
+
 def _low_rank(rng, rows, cols):
     k = rng.randint(0, min(rows, cols))
     if k == 0:
@@ -796,6 +913,39 @@ class TestSympyDifferential:
                 for f, k in factor_rational(p)
             )
             assert got == expected, p
+
+    def test_poly_gcd(self, sympy):
+        rng = random.Random(233)
+        x = sympy.Symbol("x")
+        cases = _polynomial_cases(rng)
+        small = [p for p in cases[4::2] if p.degree <= 9]
+        for a in cases:
+            b, common = rng.choice(small), _poly_factor(rng, big=False)
+            for u, v in ((a, b), (a * common, b * common)):
+                expected = sympy.gcd(_to_sympy_poly(sympy, x, u), _to_sympy_poly(sympy, x, v))
+                assert _to_sympy_poly(sympy, x, poly_gcd(u, v)) == _monic(sympy, expected), (u, v)
+
+    def test_squarefree_decomposition(self, sympy):
+        rng = random.Random(239)
+        x = sympy.Symbol("x")
+        for p in _polynomial_cases(rng)[1:]:
+            _, parts = sympy.sqf_list(_to_sympy_poly(sympy, x, p))
+            expected = [(_monic(sympy, f), k) for f, k in parts]
+            got = [(_to_sympy_poly(sympy, x, f), k) for f, k in squarefree_decomposition(p)]
+            assert sorted(got, key=str) == sorted(expected, key=str), p
+
+    def test_sturm_count(self, sympy):
+        rng = random.Random(241)
+        x = sympy.Symbol("x")
+        for q in (2, 3, 5):
+            for j in (-1, 0, 1, 2):
+                qj = F(q) ** j
+                for _ in range(15):
+                    f = _sturm_case(rng, qj)
+                    sf = sympy.sqf_part(_to_sympy_poly(sympy, x, f))
+                    hi = _to_sympy_rational(sympy, 4 * qj)
+                    expected = sf.count_roots(0, hi) == sf.degree()
+                    assert _roots_in(f, F(0), 4 * qj) == expected, (f, qj)
 
     def test_lattice_hnf_spans_the_lattice(self, sympy):
         rng = random.Random(151)

@@ -1,8 +1,11 @@
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from gens import swinnerton_dyer
+from wmtrop import polyfactor as pf
 from wmtrop.polyfactor import factor_rational, squarefree_decomposition
 from wmtrop.ratlin import RatPoly
 
@@ -157,3 +160,32 @@ def test_canonical_order_is_stable():
     assert factor_rational(p) == factor_rational(p)
     degrees = [g.degree for g, _ in factor_rational(p)]
     assert degrees == sorted(degrees)
+
+
+class TestRecombinationLimit:
+    def test_the_limit_admits_sixteen_factors_and_refuses_thirty_two(self):
+        # SD_5 has 16 factors mod 19 and needs every subset size up to 8;
+        # SD_6 has at least 32 and is refused before size 4
+        assert sum(math.comb(16, s) for s in range(1, 9)) <= pf.RECOMBINATION_LIMIT
+        assert sum(math.comb(32, s) for s in range(1, 5)) > pf.RECOMBINATION_LIMIT
+
+    def test_subsets_are_counted(self, monkeypatch):
+        # SD_4 has 8 modular factors: 8 + 28 + 56 + 70 = 162 subsets
+        sd4 = swinnerton_dyer([2, 3, 5, 7])
+        monkeypatch.setattr(pf, "RECOMBINATION_LIMIT", 162)
+        assert factor_rational(sd4) == [(sd4, 1)]
+        monkeypatch.setattr(pf, "RECOMBINATION_LIMIT", 161)
+        with pytest.raises(pf.RecombinationLimitError, match="recombining 8 modular factors"):
+            factor_rational(sd4)
+
+    def test_thirty_two_factors_are_refused_before_size_four(self, monkeypatch):
+        # a patched list of 32 lifted factors x + 1 of the irreducible
+        # x^32 - 2: every subset reaches the trial division
+        trials = []
+        monkeypatch.setattr(pf, "_factor_mod_p", lambda f, p, rng: [[1, 1]] * 32)
+        monkeypatch.setattr(pf, "_hensel_lift_all", lambda f, factors, p, target: factors)
+        original = pf._int_exact_div
+        monkeypatch.setattr(pf, "_int_exact_div", lambda a, b: trials.append(b) or original(a, b))
+        with pytest.raises(pf.RecombinationLimitError, match="recombining 32 modular factors"):
+            factor_rational(RatPoly([-2] + [0] * 31 + [1]))
+        assert len(trials) == 32 + math.comb(32, 2) + math.comb(32, 3)
