@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -82,22 +83,45 @@ def format_rational(x: Fraction) -> str:
     return str(x)
 
 
+def _rational_ints(value: Any) -> tuple[int, int]:
+    """(a, b) with value == a/b and b > 0, for an int or an 'a'/'a/b' string
+    that parse_rational accepts; ValueError for everything else, which
+    parse_rational then judges."""
+    if type(value) is int:
+        return value, 1
+    if type(value) is str:
+        text = value.strip()
+        if _RATIONAL_RE.match(text):
+            num, _, den = text.partition("/")
+            b = int(den) if den else 1  # ValueError past the digit limit
+            if b:
+                return int(num), b
+    raise ValueError(value)
+
+
 def parse_matrix(value: Any, fieldname: str = "matrix") -> Matrix:
+    """The matrix of an array of arrays of rationals, read into integer
+    numerators and denominators with no Fraction per entry."""
     if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
         raise SchemaError(fieldname, "expected an array of arrays")
     if value and any(len(r) != len(value[0]) for r in value):
         raise SchemaError(fieldname, "ragged matrix")
-    try:
-        rows = [[parse_rational(x) for x in r] for r in value]
-    except SchemaError:
-        # name the first bad entry; its name is built only here
-        for i, r in enumerate(value):
-            for j, x in enumerate(r):
-                parse_rational(x, f"{fieldname}[{i}][{j}]")
-        raise
+    rows = []
+    for i, r in enumerate(value):
+        row = []
+        for j, x in enumerate(r):
+            try:
+                row.append(_rational_ints(x))
+            except ValueError:
+                # parse_rational names the entry and raises, or reads an
+                # unusual spelling of a rational
+                f = parse_rational(x, f"{fieldname}[{i}][{j}]")
+                row.append((f.numerator, f.denominator))
+        rows.append(row)
     if not rows:
         raise SchemaError(fieldname, "matrix must have at least one row")
-    return Matrix(rows)
+    den = math.lcm(*[b for row in rows for _, b in row])
+    return Matrix._over([[a * (den // b) for a, b in row] for row in rows], den, len(rows[0]))
 
 
 def serialize_matrix(m: Matrix) -> list[list[str]]:

@@ -32,13 +32,15 @@ from .ratlin import (
     Matrix,
     RatPoly,
     Subspace,
+    _echelon,
     _int_derivative,
     _int_exact_div,
     _int_gcd,
     _int_poly,
     _int_prem,
+    _int_product,
     _primitive,
-    _rref,
+    _span_ints,
     char_poly,
     kernel,
     poly_gcd,
@@ -281,11 +283,11 @@ def monodromy_filtration(n: NilpotentOperator) -> Filtration:
     d, top = n.dimension, n.nilpotency_index
     if d == 0:
         return Filtration.trivial(0)
-    n_t = n.n_matrix.transpose()
+    n_rows = n.n_matrix._num  # the columns of N^T: row b of Fil_(j+2) maps to b N^T
     fil = {top: Subspace.full(d), top - 1: Subspace.full(d)}
     for j in range(top - 2, -top, -1):
-        kers = kernel(n.powers[j + 1]).vectors() if j >= 0 else ()
-        fil[j] = Subspace.span(d, [*kers, *(fil[j + 2].basis * n_t).row_tuples])
+        kers = kernel(n.powers[j + 1]).basis._num if j >= 0 else ()
+        fil[j] = _span_ints(d, [*kers, *_int_product(fil[j + 2].basis._num, n_rows)])
     # both ends are jumps: gr_(1-index) = im N^(index-1) is not 0, and N^(index-1)
     # maps gr_(index-1) onto it
     return Filtration(d, fil, 1 - top, top - 1)
@@ -496,17 +498,25 @@ def induced_quotient_matrix(
     destination representatives the same way, a pivot among the images
     means op leaves dst_big, and each image's coordinates on the
     representatives are its entries in their pivot rows.
+
+    All of it runs on the integer rows of the bases.  With src_big = b / s,
+    dst_big = c / t and op = a / e, the integer image a b of a row b is
+    e s times op's image of its representative, and each column c is t
+    times a basis vector of dst_big, so a pivot row holding `last` times
+    an image's coordinates on the columns c holds last e s / t times its
+    coordinates on dst_big's representatives.
     """
-    src_vecs = src_big.vectors()
-    _, pivots = _rref([list(r) for r in zip(*src_small.vectors(), *src_vecs)])
-    reps = [src_vecs[c - src_small.dim] for c in pivots[src_small.dim :]]
-    dst_cols = dst_small.vectors() + dst_big.vectors()
-    images = [op.apply(v) for v in reps]
-    rows, pivots = _rref([list(r) for r in zip(*dst_cols, *images)])
+    src_rows = src_big.basis._num
+    _, pivots, _, _ = _echelon(list(zip(*src_small.basis._num, *src_rows)))
+    reps = [src_rows[c - src_small.dim] for c in pivots[src_small.dim :]]
+    dst_cols = dst_small.basis._num + dst_big.basis._num
+    images = _int_product(reps, op._num)
+    rows, pivots, last, _ = _echelon(list(zip(*dst_cols, *images)))
     if pivots and pivots[-1] >= len(dst_cols):
         raise ArithmeticError("operator does not map into the target subspace")
-    coords = rows[dst_small.dim : len(pivots)]
-    return Matrix([row[len(dst_cols) :] for row in coords], cols=len(images))
+    t = dst_big.basis._den
+    coords = [[t * x for x in row[len(dst_cols) :]] for row in rows[dst_small.dim : len(pivots)]]
+    return Matrix._over(coords, last * op._den * src_big.basis._den, len(images))
 
 
 def _graded_frobenius_weights(f: FrobeniusData, fil: Filtration, j: int) -> list[tuple[int, int]]:
@@ -583,12 +593,18 @@ def check_wmc(n: NilpotentOperator, f: FrobeniusData, i: int) -> WmcReport:
         return WmcReport(commutation_ok, filtrations_equal, weights, violations)
 
     graded_weights: dict[int, list[tuple[int, int]]] = {}
+    phi_rows = f.phi_matrix._num
     below_stable = True  # Phi preserves Fil_(j-1), the previous jump's piece or 0
     for j in mono.jump_indices():
         piece = mono.at(j)
-        images = (f.phi_matrix.apply(v) for v in piece.vectors())
-        # fact (a), before any image is tested
-        stable = commutation_ok or piece.is_full() or all(map(piece.contains_vector, images))
+        # fact (a), before any image is computed; the images of the integer
+        # basis rows are multiples of Phi's images, and a multiple lies in
+        # the piece exactly when the vector does
+        stable = (
+            commutation_ok
+            or piece.is_full()
+            or not any(any(piece._residual(w)) for w in _int_product(piece.basis._num, phi_rows))
+        )
         if not stable:
             violations.append(
                 {

@@ -349,7 +349,9 @@ def squarefree_decomposition(p: RatPoly) -> list[tuple[RatPoly, int]]:
     It runs on the primitive integer multiple f of p.  Every gcd is
     primitive, so by Gauss' lemma each division by one is exact in Z[x];
     c and d stay the same rational multiple of Yun's c and d for monic p,
-    and the parts come back monic.
+    and the parts come back monic.  No multiplicity exceeds the degree, so
+    a round past it means a broken invariant, and raises ArithmeticError
+    instead of looping for ever.
     """
     if p.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
@@ -365,6 +367,8 @@ def squarefree_decomposition(p: RatPoly) -> list[tuple[RatPoly, int]]:
     out = []
     i = 1
     while len(c) > 1:
+        if i > p.degree:
+            raise ArithmeticError(f"Yun's loop reached multiplicity {i} above the degree {p.degree}")
         a = _int_gcd(c, d)
         c = _divide(c, a)
         d = _minus(_divide(d, a), _int_derivative(c))

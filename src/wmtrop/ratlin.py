@@ -1,20 +1,24 @@
 """Exact linear algebra over the rationals.
 
-Matrices with Fraction entries, subspaces of Q^n held in canonical
-reduced-row-echelon form, dense univariate polynomials over Q, and the
-small integer helpers (p-adic valuation, trial-division factoring) that
-decide weights and refinement levels.
+Matrices over Q, subspaces of Q^n held in canonical reduced-row-echelon
+form, dense univariate polynomials over Q, and the small integer helpers
+(p-adic valuation, trial-division factoring) that decide weights and
+refinement levels.
 There are no floats anywhere in this module, so every predicate built on
 top of it (filtration equality, lattice divisibility, positive
 definiteness) is decided exactly.
 
-Matrices and polynomials store Fractions, but the hot kernels run on
-Python ints: a product scales each factor to integer numerators over one
-common denominator, a matrix polynomial is evaluated on the integer
-matrix with integer coefficients, elimination is fraction-free, and the
-polynomial gcd is a primitive pseudo-remainder sequence on primitive
-integer multiples.  Fractions are built only at the boundaries, one per
-output entry.
+A matrix is stored as rows of Python ints over one positive denominator,
+reduced by the gcd of all of them, so each rational matrix has exactly
+one stored form and equality and hashing compare it directly.  A
+subspace stores its RREF basis as such a matrix.  Products, matrix
+polynomials (on integer coefficients) and the characteristic polynomial
+read the integer rows as they are, elimination is fraction-free, and a
+row's scale never matters to a row space, so kernels, spans and sums
+pass integer vectors straight to the one elimination loop.  Fractions
+are built only on demand, where an entry is read (`__getitem__`, `row`,
+`row_tuples`).  Polynomials store Fractions, but their gcd is a
+primitive pseudo-remainder sequence on primitive integer multiples.
 
 All values are immutable after construction; operations are pure
 functions, safe to share across threads.
@@ -25,6 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Sequence
 
 
@@ -40,15 +45,25 @@ def _frac(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+def _denominator(x) -> int:
+    if isinstance(x, (int, Fraction)):
+        return x.denominator
+    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
 _ZERO = Fraction(0)
 
 
-def _int_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
-    """(numerators, den): the rows as integers over one common denominator."""
-    den = math.lcm(*{x.denominator for r in rows for x in r})
+def _scaled(entries: Iterable, den: int) -> list[int]:
+    """The ints or Fractions entries times den, a common denominator of them."""
     if den == 1:
-        return [[x.numerator for x in r] for r in rows], 1
-    return [[x.numerator * (den // x.denominator) for x in r] for r in rows], den
+        return [int(x) for x in entries]
+    return [x.numerator * (den // x.denominator) for x in entries]
+
+
+def _int_vector(v: Sequence) -> list[int]:
+    """v times the lcm of its denominators: integers on the same line."""
+    return _scaled(v, math.lcm(*map(_denominator, v)))
 
 
 def _int_product(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -66,34 +81,32 @@ def _int_identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _fraction_row(row: Iterable[int], den: int) -> tuple[Fraction, ...]:
-    if den == 1:
-        return tuple(map(Fraction, row))
-    return tuple(Fraction(x, den) if x else _ZERO for x in row)
+def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[Sequence[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, the one
+    elimination loop.
 
-
-def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int], int, int]:
-    """Fraction-free Gauss-Jordan elimination, the one elimination loop.
-
-    Each row is first scaled to integers by the lcm of its own
-    denominators, which leaves the RREF unchanged.  At a pivot p every
-    other row becomes (p * row - row[c] * pivot row) // prev, prev being
-    the pivot before (1 at first); the division is exact, because every
-    entry stays a minor of the scaled input (Bareiss, Math. Comp. 22,
-    1968), and every earlier pivot entry becomes p.
+    Each row is first divided by its content, the gcd of its entries,
+    which leaves the RREF unchanged and keeps the integers small when the
+    rows share one denominator.  At a pivot p every other row becomes
+    (p * row - row[c] * pivot row) // prev, prev being the pivot before (1
+    at first); the division is exact, because every entry stays a minor
+    of the divided input (Bareiss, Math. Comp. 22, 1968), and every
+    earlier pivot entry becomes p.
 
     Returns (ints, pivots, last, scale).  The first len(pivots) rows of
     ints are the RREF times the last pivot `last`, the rest are zero;
-    `scale` is the product of the row scalings, negated on each row swap,
-    so a square input with a pivot in every column has determinant
-    last / scale.  The input is not modified.
+    `scale` is the product of the contents, negated on each row swap, so
+    a square input with a pivot in every column has determinant
+    scale * last.  The input is not modified.
     """
     ints = []
     scale = 1
     for row in rows:
-        den = math.lcm(*[x.denominator for x in row])
-        scale *= den
-        ints.append([x.numerator * (den // x.denominator) for x in row])
+        g = math.gcd(*row)
+        if g > 1:
+            scale *= g
+            row = [x // g for x in row]
+        ints.append(row)
     nrows = len(ints)
     ncols = len(ints[0]) if ints else 0
     pivots: list[int] = []
@@ -124,24 +137,32 @@ def _echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[
     return ints, pivots, prev, scale
 
 
-def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[tuple[Fraction, ...]], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot columns).
+def _rref(rows: Sequence[Sequence]) -> tuple[list[tuple[Fraction, ...]], list[int]]:
+    """Reduced row echelon form of rows of ints and Fractions; returns
+    (rows, pivot columns), the rows as Fractions.
 
-    Zero rows come last, so the first len(pivots) rows span the row space.
+    Each row is scaled to integers by the lcm of its own denominators,
+    which leaves the RREF unchanged.  Zero rows come last, so the first
+    len(pivots) rows span the row space.
     """
-    ints, pivots, last, _ = _echelon(rows)
+    ints, pivots, last, _ = _echelon([_int_vector(r) for r in rows])
     rank = len(pivots)
+    reduced = [tuple(Fraction(x, last) for x in row) for row in ints[:rank]]
     zero_row = (_ZERO,) * (len(ints[0]) if ints else 0)
-    return [_fraction_row(row, last) for row in ints[:rank]] + [zero_row] * (len(ints) - rank), pivots
+    return reduced + [zero_row] * (len(ints) - rank), pivots
 
 
 class Matrix:
-    """Immutable dense matrix over Q, row-major."""
+    """Immutable dense matrix over Q, row-major.
 
-    __slots__ = ("_rows", "rows", "cols")
+    Stored as integer rows `_num` over one denominator `_den` > 0, with
+    gcd(_den, every entry of _num) = 1: one stored form per matrix.
+    """
+
+    __slots__ = ("_num", "_den", "rows", "cols")
 
     def __init__(self, entries: Iterable[Iterable], *, cols: int | None = None):
-        grid = tuple(tuple(_frac(x) for x in row) for row in entries)
+        grid = [tuple(row) for row in entries]
         if grid:
             ncols = len(grid[0])
             if any(len(r) != ncols for r in grid):
@@ -152,105 +173,119 @@ class Matrix:
             if cols is None:
                 raise ValueError("empty matrix needs explicit cols")
             ncols = cols
-        object.__setattr__(self, "_rows", grid)
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", ncols)
+        # no prime divides both the lcm of the (reduced) denominators and
+        # every scaled numerator, so this form is already reduced
+        den = math.lcm(*[_denominator(x) for r in grid for x in r])
+        self._set(tuple(tuple(_scaled(r, den)) for r in grid), den, ncols)
+
+    def _set(self, num: tuple[tuple[int, ...], ...], den: int, cols: int) -> None:
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "rows", len(num))
+        object.__setattr__(self, "cols", cols)
 
     @classmethod
-    def _trusted(cls, grid: tuple[tuple[Fraction, ...], ...], cols: int) -> "Matrix":
-        """A Matrix on a grid of Fraction tuples just built by this module,
-        taken as it is."""
+    def _over(cls, num: Iterable[Sequence[int]], den: int, cols: int) -> "Matrix":
+        """The Matrix num / den, for integer rows num and an int den != 0,
+        brought to the stored form."""
+        num = tuple(map(tuple, num))
+        if den != 1:
+            g = math.gcd(den, *chain.from_iterable(num))
+            if den < 0:
+                g = -g
+            if g != 1:
+                num = tuple(tuple(x // g for x in r) for r in num)
+                den //= g
         m = object.__new__(cls)
-        object.__setattr__(m, "_rows", grid)
-        object.__setattr__(m, "rows", len(grid))
-        object.__setattr__(m, "cols", cols)
+        m._set(num, den, cols)
         return m
-
-    @classmethod
-    def _from_ints(cls, rows: Iterable[Iterable[int]], den: int, cols: int) -> "Matrix":
-        """The Matrix of integer rows over the denominator den."""
-        return cls._trusted(tuple(_fraction_row(r, den) for r in rows), cols)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls._from_ints(_int_identity(n), 1, n)
+        return cls._over(_int_identity(n), 1, n)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
-        z = Fraction(0)
-        return cls([[z] * cols for _ in range(rows)], cols=cols)
+        return cls._over([[0] * cols for _ in range(rows)], 1, cols)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: int) -> "Matrix":
-        cols = [tuple(_frac(x) for x in c) for c in columns]
+        cols = [tuple(c) for c in columns]
         if any(len(c) != rows for c in cols):
             raise ValueError("column length mismatch")
         return cls([[c[i] for c in cols] for i in range(rows)], cols=len(cols))
 
     @classmethod
     def diagonal(cls, diag: Sequence) -> "Matrix":
-        d = [_frac(x) for x in diag]
+        d = list(diag)
         n = len(d)
-        return cls([[d[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)], cols=n)
+        return cls([[d[i] if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+
+    def _fractions(self, row: Sequence[int]) -> tuple[Fraction, ...]:
+        den = self._den
+        if den == 1:
+            return tuple(map(Fraction, row))
+        return tuple(Fraction(x, den) if x else _ZERO for x in row)
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        return self._rows[ij[0]][ij[1]]
+        return Fraction(self._num[ij[0]][ij[1]], self._den)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._rows[i]
+        return self._fractions(self._num[i])
 
     def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(r[j] for r in self._rows)
+        return self._fractions([r[j] for r in self._num])
 
     @property
     def row_tuples(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._rows
+        return tuple(map(self._fractions, self._num))
 
     def rows_list(self) -> list[list[Fraction]]:
-        return [list(r) for r in self._rows]
+        return [list(self._fractions(r)) for r in self._num]
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self._rows for x in r)
+        return not any(map(any, self._num))
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for r in self._rows for x in r)
+        return self._den == 1
+
+    def _combine(self, other: "Matrix", sign: int, what: str) -> "Matrix":
+        if self.rows != other.rows or self.cols != other.cols:
+            raise DimensionMismatch(f"matrix {what} shape mismatch")
+        den = math.lcm(self._den, other._den)
+        fa, fb = den // self._den, sign * (den // other._den)
+        return Matrix._over(
+            [[fa * a + fb * b for a, b in zip(r1, r2)] for r1, r2 in zip(self._num, other._num)],
+            den,
+            self.cols,
+        )
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("matrix addition shape mismatch")
-        return Matrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)],
-            cols=self.cols,
-        )
+        return self._combine(other, 1, "addition")
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise DimensionMismatch("matrix subtraction shape mismatch")
-        return Matrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self._rows, other._rows)],
-            cols=self.cols,
-        )
+        return self._combine(other, -1, "subtraction")
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-x for x in r] for r in self._rows], cols=self.cols)
+        return Matrix._over([[-x for x in r] for r in self._num], self._den, self.cols)
 
     def scale(self, c) -> "Matrix":
-        c = _frac(c)
-        return Matrix([[c * x for x in r] for r in self._rows], cols=self.cols)
+        den = _denominator(c)
+        c = c.numerator
+        return Matrix._over([[c * x for x in r] for r in self._num], self._den * den, self.cols)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise DimensionMismatch("matrix product shape mismatch")
-            a, da = _int_rows(self._rows)
-            b, db = _int_rows(_columns(other._rows, other.cols))
-            return Matrix._from_ints(_int_product(a, b), da * db, other.cols)
+            cols = _columns(other._num, other.cols)
+            return Matrix._over(_int_product(self._num, cols), self._den * other._den, other.cols)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -271,55 +306,58 @@ class Matrix:
         return out
 
     def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
-        v = [_frac(x) for x in vec]
-        if len(v) != self.cols:
+        dv = math.lcm(*map(_denominator, vec))
+        if len(vec) != self.cols:
             raise DimensionMismatch("vector length mismatch")
-        a, da = _int_rows(self._rows)
-        b, db = _int_rows([v])
-        return _fraction_row((r[0] for r in _int_product(a, b)), da * db)
+        w = _scaled(vec, dv)
+        den = self._den * dv
+        return tuple(Fraction(r[0], den) for r in _int_product(self._num, [w]))
 
     def transpose(self) -> "Matrix":
-        return Matrix._trusted(tuple(_columns(self._rows, self.cols)), self.rows)
+        return Matrix._over(_columns(self._num, self.cols), self._den, self.rows)
 
     def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        rows, pivots = _rref(self._rows)
-        return Matrix._trusted(tuple(rows), self.cols), tuple(pivots)
+        ints, pivots, last, _ = _echelon(self._num)
+        zero_rows = [[0] * self.cols] * (self.rows - len(pivots))
+        return Matrix._over(ints[: len(pivots)] + zero_rows, last, self.cols), tuple(pivots)
 
     def rank(self) -> int:
-        return len(_echelon(self._rows)[1])
+        return len(_echelon(self._num)[1])
 
     def det(self) -> Fraction:
         if not self.is_square():
             raise DimensionMismatch("determinant of a non-square matrix")
-        _, pivots, last, scale = _echelon(self._rows)
-        return Fraction(last, scale) if len(pivots) == self.rows else _ZERO
+        _, pivots, last, scale = _echelon(self._num)
+        return Fraction(scale * last, self._den**self.rows) if len(pivots) == self.rows else _ZERO
 
     def inverse(self) -> "Matrix":
         if not self.is_square():
             raise DimensionMismatch("inverse of a non-square matrix")
-        n = self.rows
-        aug = [r + e for r, e in zip(self._rows, Matrix.identity(n).row_tuples)]
-        rows, pivots = _rref(aug)
+        n, d = self.rows, self._den
+        # the rows of d [self | I] reduce to last [I | self^-1]
+        aug = [[*r, *(d * x for x in e)] for r, e in zip(self._num, _int_identity(n))]
+        ints, pivots, last, _ = _echelon(aug)
         if tuple(pivots[:n]) != tuple(range(n)):
             raise ValueError("matrix is not invertible")
-        return Matrix._trusted(tuple(r[n:] for r in rows), n)
+        return Matrix._over([r[n:] for r in ints], last, n)
 
     def leading_minor(self, k: int) -> "Matrix":
         """Top-left k-by-k submatrix."""
-        return Matrix([r[:k] for r in self._rows[:k]], cols=k)
+        return Matrix._over([r[:k] for r in self._num[:k]], self._den, k)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
             and self.cols == other.cols
-            and self._rows == other._rows
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self) -> int:
-        return hash((self.cols, self._rows))
+        return hash((self.cols, self._den, self._num))
 
     def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in r) for r in self._rows)
+        body = "; ".join(" ".join(str(x) for x in r) for r in self.row_tuples)
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
 
@@ -362,16 +400,15 @@ class Subspace:
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = [[_frac(x) for x in v] for v in vectors]
+        rows = [_int_vector(v) for v in vectors]
         for r in rows:
             if len(r) != ambient_dim:
                 raise DimensionMismatch("vector length mismatch")
-        rows, pivots = _rref(rows)
-        return cls(ambient_dim, Matrix._trusted(tuple(rows[: len(pivots)]), ambient_dim))
+        return _span_ints(ambient_dim, rows)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, Matrix([], cols=ambient_dim))
+        return cls(ambient_dim, Matrix._over([], 1, ambient_dim))
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
@@ -390,22 +427,21 @@ class Subspace:
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
 
-    def residual(self, vec: Sequence) -> tuple[Fraction, ...]:
-        """vec minus its projection onto the pivot coordinates of the basis."""
-        v = [_frac(x) for x in vec]
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatch("vector length mismatch")
-        # the basis is reduced, so each row clears its own pivot coordinate
-        # alone: with v = w/dv and the basis b/db, vec minus its projection
-        # is (db w - sum w[pivot] b) / (dv db)
-        (w,), dv = _int_rows([v])
-        b, db = _int_rows(self.basis.row_tuples)
+    def _residual(self, w: Sequence[int]) -> list[int]:
+        """For an integer vector w, den * (w minus its projection onto the
+        pivot coordinates), den the basis denominator."""
+        # the basis b / den is in RREF: row b_r holds den at its pivot
+        # coordinate and every other row holds 0 there
+        b, den = self.basis._num, self.basis._den
         coeffs = [w[next(j for j, x in enumerate(row) if x)] for row in b]
         proj = _int_product([coeffs], _columns(b, self.ambient_dim))[0]
-        return _fraction_row([db * x - y for x, y in zip(w, proj)], dv * db)
+        return [den * x - y for x, y in zip(w, proj)]
 
     def contains_vector(self, vec: Sequence) -> bool:
-        return not any(self.residual(vec))
+        w = _int_vector(vec)
+        if len(w) != self.ambient_dim:
+            raise DimensionMismatch("vector length mismatch")
+        return not any(self._residual(w))
 
     def __eq__(self, other) -> bool:
         return (
@@ -421,13 +457,20 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
+def _span_ints(n: int, rows: Sequence[Sequence[int]]) -> Subspace:
+    """The span of integer vectors of length n, in canonical form."""
+    ints, pivots, last, _ = _echelon(rows)
+    return Subspace(n, Matrix._over(ints[: len(pivots)], last, n))
+
+
 def kernel(m: Matrix) -> Subspace:
     """Null space {v : m v = 0} in canonical form.
 
-    With R the RREF times its pivot `last`, each free column f gives the
-    integer kernel vector with `last` at f and -R[r][f] at pivot column r.
+    With R the RREF of m's integer rows times its pivot `last`, each free
+    column f gives the integer kernel vector with `last` at f and
+    -R[r][f] at pivot column r.
     """
-    rows, pivots, last, _ = _echelon(m.row_tuples)
+    rows, pivots, last, _ = _echelon(m._num)
     n = m.cols
     pivset = set(pivots)
     vecs = []
@@ -439,18 +482,18 @@ def kernel(m: Matrix) -> Subspace:
         for row, c in zip(rows, pivots):
             v[c] = -row[f]
         vecs.append(v)
-    return Subspace.span(n, vecs)
+    return _span_ints(n, vecs)
 
 
 def image(m: Matrix) -> Subspace:
     """Column span of m in canonical form."""
-    return Subspace.span(m.rows, [m.column(j) for j in range(m.cols)])
+    return _span_ints(m.rows, _columns(m._num, m.cols))
 
 
 def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
     if u.ambient_dim != v.ambient_dim:
         raise DimensionMismatch("ambient dimension mismatch")
-    return Subspace.span(u.ambient_dim, list(u.vectors()) + list(v.vectors()))
+    return _span_ints(u.ambient_dim, u.basis._num + v.basis._num)
 
 
 def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
@@ -463,24 +506,24 @@ def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
     n = u.ambient_dim
     if u.is_zero() or v.is_zero():
         return Subspace.zero(n)
-    zero = (_ZERO,) * n
-    rows, pivots = _rref([x + x for x in u.vectors()] + [y + zero for y in v.vectors()])
-    basis = tuple(row[n:] for row, c in zip(rows, pivots) if c >= n)
-    return Subspace(n, Matrix._trusted(basis, n))
+    zero = (0,) * n
+    ints, pivots, last, _ = _echelon([x + x for x in u.basis._num] + [y + zero for y in v.basis._num])
+    basis = [row[n:] for row, c in zip(ints, pivots) if c >= n]
+    return Subspace(n, Matrix._over(basis, last, n))
 
 
 def contains(u: Subspace, v: Subspace) -> bool:
     """True iff v is a subspace of u."""
     if u.ambient_dim != v.ambient_dim:
         raise DimensionMismatch("ambient dimension mismatch")
-    return all(u.contains_vector(w) for w in v.vectors())
+    return not any(any(u._residual(w)) for w in v.basis._num)
 
 
 def apply_to_subspace(m: Matrix, s: Subspace) -> Subspace:
     """Image m(s) of a subspace under a linear map."""
     if m.cols != s.ambient_dim:
         raise DimensionMismatch("map domain does not match ambient dimension")
-    return Subspace.span(m.rows, [m.apply(v) for v in s.vectors()])
+    return _span_ints(m.rows, _int_product(s.basis._num, m._num))
 
 
 class RatPoly:
@@ -623,7 +666,7 @@ class RatPoly:
         # with m = a/d and den the lcm of the coefficient denominators,
         # self(m) = sum(e_k a^k) / (den d^deg) for the integers
         # e_k = den c_k d^(deg-k)
-        a, d = _int_rows(m.row_tuples)
+        a, d = m._num, m._den
         deg = len(c) - 1
         den = math.lcm(*(x.denominator for x in c))
         e = [x.numerator * (den // x.denominator) * d ** (deg - k) for k, x in enumerate(c)]
@@ -642,7 +685,7 @@ class RatPoly:
                     [x + y for x, y in zip(row, brow)]
                     for row, brow in zip(_int_product(out, step), block)
                 ]
-        return Matrix._from_ints(out, den * d**deg, n)
+        return Matrix._over(out, den * d**deg, n)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RatPoly) and self.coeffs == other.coeffs
@@ -800,7 +843,7 @@ def char_poly(m: Matrix) -> RatPoly:
     """
     if not m.is_square():
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
-    a, d = _int_rows(m.row_tuples)
+    a, d = m._num, m._den
     n = m.rows
     mul = operator.mul
     p = [1]  # det(yI - a_r), highest degree first

@@ -179,9 +179,8 @@ def max_dividing_width(lat: TropicalLattice) -> CellWidth:
     coordinates: the gcd of their numerators over the lcm of their
     denominators.  The lattice is full rank, so it is nonzero.
     """
-    xs = [x for row in lat.generators.row_tuples for x in row]
-    num = math.gcd(*(x.numerator for x in xs))
-    return CellWidth(Fraction(num, math.lcm(*(x.denominator for x in xs))))
+    g = lat.generators
+    return CellWidth(Fraction(math.gcd(*(x for row in g._num for x in row)), g._den))
 
 
 def divides(alpha: CellWidth, lat: TropicalLattice) -> bool:
@@ -316,10 +315,8 @@ def lattice_hnf(lat: TropicalLattice) -> Matrix:
     """Canonical rational basis of the lattice: equal lattices compare equal."""
     if lat.rank == 0:
         return Matrix([], cols=0)
-    scale = math.lcm(*(x.denominator for row in lat.generators.row_tuples for x in row))
-    rows = [[int(x * scale) for x in lat.generators.column(i)] for i in range(lat.rank)]
-    hnf = _hnf_rows(rows)
-    return Matrix([[Fraction(x, scale) for x in r] for r in hnf], cols=lat.rank)
+    g = lat.generators
+    return Matrix._over(_hnf_rows(list(zip(*g._num))), g._den, lat.rank)
 
 
 @dataclass(frozen=True)

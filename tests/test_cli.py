@@ -693,3 +693,47 @@ class TestGoldenReports:
             "wmc-check", "monodromy-filtration", "weight-filtration"
         }
         assert {c["exit_code"] for c in self.CASES} == {0, 1}
+
+
+LONG = "1" + "0" * 4300  # 4301 digits, one past what int() converts
+
+PARSE_BOUNDARY_ENTRIES = {
+    "zero_denominator": "1/0",
+    "negative_zero": "-0/3",
+    "padded_sign": " +4 ",
+    "negative_denominator": "4/-2",
+    "underscore": "1_0",
+    "boolean": True,
+    "float": 1.5,
+    "long_numerator": LONG,
+    "long_denominator": "1/" + LONG,
+}
+
+
+def parse_boundary_input(command: str, entry) -> dict:
+    """A small input of the command with `entry` at [0][1] of a matrix field."""
+    if command == "wmc-check":
+        return {"n": [[0, entry], [0, 0]], "phi": [[1, 0], [0, 5]], "q": 5, "i": 1}
+    return {"phi": [[5, entry], [0, 25]], "q": 5}
+
+
+class TestParseBoundary:
+    """Matrix entries at the edges of the rational syntax give the same
+    report bytes and exit codes as when every entry went through
+    parse_rational; the reports in parse_boundary_reports.json were
+    recorded that way.  Rewrite the file only for a deliberate change of
+    the reports."""
+
+    REPORTS = json.loads((Path(__file__).parent / "parse_boundary_reports.json").read_text())
+    CASES = [(c, name) for c in ("wmc-check", "weight-filtration") for name in PARSE_BOUNDARY_ENTRIES]
+
+    @pytest.mark.parametrize("command,name", CASES, ids=[f"{c}-{n}" for c, n in CASES])
+    def test_report_bytes(self, command, name):
+        payload = parse_boundary_input(command, PARSE_BOUNDARY_ENTRIES[name])
+        code, out = run_cli([command, "--json", json.dumps(payload)])
+        expected = self.REPORTS[f"{command}/{name}"]
+        assert (code, out) == (expected["exit_code"], expected["report"])
+
+    def test_cases_cover_every_outcome(self):
+        assert set(self.REPORTS) == {f"{c}/{n}" for c, n in self.CASES}
+        assert {r["exit_code"] for r in self.REPORTS.values()} == {0, 1, 2}

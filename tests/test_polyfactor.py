@@ -108,6 +108,31 @@ def test_squarefree_decomposition_multiplicities():
     assert got == {RatPoly([-5, 1]): 1, RatPoly([-1, 1]): 2}
 
 
+def test_squarefree_decomposition_top_multiplicity():
+    # rounds 1 and 2 leave c = x - 1 as it is; only the multiplicity bound
+    # limits the loop, and multiplicity = degree is still allowed
+    for k in (3, 5):
+        assert squarefree_decomposition(RatPoly([-1, 1]) ** k) == [(RatPoly([-1, 1]), k)]
+
+
+def test_squarefree_decomposition_stalled_loop_raises(monkeypatch):
+    # a division that returns its dividend keeps c from ever shrinking;
+    # Yun's loop must stop at the degree bound, long before 1000 divisions
+    calls = []
+
+    def stalled(a, b):
+        calls.append(1)
+        if len(calls) > 1000:
+            raise RuntimeError("Yun's loop did not stop")
+        return a
+
+    monkeypatch.setattr(pf, "_divide", stalled)
+    p = RatPoly([-1, 1]) ** 2 * RatPoly([2, 1])
+    with pytest.raises(ArithmeticError, match="above the degree 3"):
+        squarefree_decomposition(p)
+    assert len(calls) < 20
+
+
 IRREDUCIBLE_STOCK = [
     RatPoly([-1, 1]),
     RatPoly([1, 1]),

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gens import random_fraction, random_matrix, random_subspace
+from gens import (
+    random_fraction,
+    random_invertible,
+    random_matrix,
+    random_subspace,
+    random_unimodular,
+)
+from wmtrop.monodromy import NilpotentOperator, monodromy_filtration
 from wmtrop.ratlin import (
     DimensionMismatch,
     Matrix,
@@ -221,3 +229,190 @@ class TestRatPoly:
         m = Matrix.diagonal([2, F(1, 2)])
         got = p.eval_matrix(m)
         assert got == Matrix.diagonal([p.eval(2), p.eval(F(1, 2))])
+
+
+def _stored_form_ok(m: Matrix) -> bool:
+    return m._den > 0 and math.gcd(m._den, *(x for r in m._num for x in r)) == 1
+
+
+class TestStoredForm:
+    """One stored (numerators, denominator) form per matrix, and one RREF
+    per subspace: equal entries give equal matrices with equal hashes,
+    whichever way they were built."""
+
+    def assert_same(self, *ms):
+        for m in ms:
+            assert _stored_form_ok(m), m
+            assert m == ms[0] and hash(m) == hash(ms[0]), (m, ms[0])
+            assert m.row_tuples == ms[0].row_tuples
+
+    def test_denominators_reduced_and_positive(self):
+        half_third = Matrix([[F(1, 2), F(1, 3)]])
+        self.assert_same(
+            half_third,
+            Matrix([[F(3, 6), F(-2, -6)]]),
+            Matrix._over([[3, 2]], 6, 2),
+            Matrix._over([[-6, -4]], -12, 2),
+            Matrix._over([[30, 20]], 60, 2),
+        )
+        assert half_third._den == 6 and half_third._num == ((3, 2),)
+        self.assert_same(Matrix([[F(-4, 2), 7]]), Matrix._over([[4, -14]], -2, 2), Matrix([[-2, 7]]))
+        assert Matrix([[F(-4, 2), 7]]).is_integral()
+
+    def test_products_scale_and_transpose(self):
+        rng = random.Random(223)
+        for _ in range(30):
+            rows, cols = rng.randint(0, 4), rng.randint(1, 4)
+            a = Matrix([[random_fraction(rng) for _ in range(cols)] for _ in range(rows)], cols=cols)
+            c = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+            self.assert_same(
+                a,
+                Matrix(a.row_tuples, cols=cols),
+                Matrix.identity(rows) * a,
+                a * Matrix.identity(cols),
+                a.scale(c).scale(1 / c),
+                Matrix.diagonal([c] * rows) * Matrix.diagonal([1 / c] * rows) * a,
+                a.transpose().transpose(),
+                a + Matrix.zero(rows, cols),
+                -(-a),
+                Matrix._over([[6 * x for x in r] for r in a._num], 6 * a._den, cols),
+            )
+            if rows:
+                i, j = rng.randrange(rows), rng.randrange(cols)
+                bumped = [list(r) for r in a.row_tuples]
+                bumped[i][j] += F(1, 7)
+                assert Matrix(bumped) != a
+
+    def test_identity_and_zero(self):
+        m = Matrix([[1, 2, 3], [4, 5, F(6, 5)]])
+        self.assert_same(
+            Matrix.identity(3),
+            Matrix.diagonal([1, F(2, 2), F(-3, -3)]),
+            Matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        )
+        self.assert_same(
+            Matrix.zero(2, 3),
+            Matrix([[F(0, 5)] * 3] * 2),
+            m.scale(0),
+            m - m,
+            Matrix._over([[0] * 3] * 2, -7, 3),
+        )
+        assert Matrix.zero(2, 3)._den == 1
+        assert Matrix.zero(2, 3) != Matrix.zero(3, 2)
+
+    def test_zero_row_matrices(self):
+        self.assert_same(
+            Matrix([], cols=3),
+            Matrix.zero(0, 3),
+            Matrix._over([], 7, 3),
+            Matrix.identity(0) * Matrix.zero(0, 3),
+        )
+        self.assert_same(Matrix([], cols=0), Matrix.identity(0), Matrix.zero(0, 0))
+        assert Matrix([], cols=3) != Matrix([], cols=2)
+        assert Matrix([], cols=2).transpose() == Matrix([[], []])
+
+    def test_subspaces_from_different_spanning_sets(self):
+        rng = random.Random(227)
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            vecs = [[random_fraction(rng) for _ in range(n)] for _ in range(rng.randint(0, n))]
+            s = Subspace.span(n, vecs)
+            scales = [F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9)) for _ in vecs]
+            scaled = [[c * x for x in v] for c, v in zip(scales, vecs)]
+            shuffled = vecs + vecs[:2] + [[0] * n]
+            rng.shuffle(shuffled)
+            # integer multiples as ints beside the other vectors as Fractions
+            mixed = [
+                [int(x * math.lcm(*(y.denominator for y in v))) for x in v] if k % 2 else v
+                for k, v in enumerate(vecs)
+            ]
+            spans = [
+                s,
+                Subspace.span(n, scaled),
+                Subspace.span(n, shuffled),
+                Subspace.span(n, mixed),
+                Subspace.span(n, s.vectors()),
+                subspace_sum(s, s),
+                subspace_sum(Subspace.zero(n), s),
+            ]
+            for t in spans:
+                assert _stored_form_ok(t.basis)
+                assert t == s and hash(t) == hash(s)
+            # two kernels: s is the kernel of a basis of its annihilator
+            ann = kernel(Matrix(vecs, cols=n)) if vecs else Subspace.full(n)
+            from_kernel = kernel(Matrix(ann.vectors(), cols=n)) if ann.dim else Subspace.full(n)
+            assert from_kernel == s and hash(from_kernel) == hash(s)
+
+    def test_full_and_zero_subspaces(self):
+        for n in range(0, 5):
+            full, zero = Subspace.full(n), Subspace.zero(n)
+            unit_rows = [[F(3 * (i + 1), 2) if i == j else 0 for j in range(n)] for i in range(n)]
+            fulls = (
+                Subspace.span(n, unit_rows),
+                kernel(Matrix.zero(1, n)),
+                image(Matrix.identity(n).scale(F(-2, 3))),
+            )
+            for t in fulls:
+                assert t == full and hash(t) == hash(full)
+            zeros = (
+                Subspace.span(n, []),
+                Subspace.span(n, [[0] * n] * 2),
+                kernel(Matrix.identity(n).scale(5)),
+            )
+            for t in zeros:
+                assert t == zero and hash(t) == hash(zero)
+            assert (full == zero) == (n == 0)
+
+
+def _count_fractions(monkeypatch, fn, *args):
+    """Calls fn(*args) and returns how many Fractions it built."""
+    built = []
+    new = F.__new__
+
+    def counting(cls, *a, **k):
+        built.append(1)
+        return new(cls, *a, **k)
+
+    monkeypatch.setattr(F, "__new__", counting)
+    try:
+        fn(*args)
+    finally:
+        monkeypatch.undo()
+    return len(built)
+
+
+class TestNoBoxing:
+    """On integer input the exact core builds no Fraction at all: a later
+    per-entry conversion fails here instead of only slowing the benchmark."""
+
+    def test_counter_sees_fractions(self, monkeypatch):
+        assert _count_fractions(monkeypatch, lambda: Matrix([[1, 2]]).row_tuples) == 2
+
+    def test_core_on_integer_input(self, monkeypatch):
+        rng = random.Random(229)
+        for n in (3, 6, 9):
+            a = random_invertible(rng, n, bound=5)
+            b = Matrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+            singular = a * Matrix([[int(i == j and j < n - 2) for j in range(n)] for i in range(n)])
+            vecs = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n - 1)]
+            u, v = Subspace.span(n, vecs[:2]), kernel(singular)
+            nil = NilpotentOperator(_integer_nilpotent(rng, n))
+            cases = [
+                (lambda: a * b),
+                (lambda: kernel(singular)),
+                (lambda: Subspace.span(n, vecs)),
+                (lambda: subspace_sum(u, v)),
+                (lambda: monodromy_filtration(nil)),
+            ]
+            for k, fn in enumerate(cases):
+                assert _count_fractions(monkeypatch, fn) == 0, (n, k)
+            assert monodromy_filtration(nil).at(nil.nilpotency_index - 1).is_full()
+
+
+def _integer_nilpotent(rng: random.Random, n: int) -> Matrix:
+    """A Jordan-type nilpotent matrix conjugated by an integer unimodular one."""
+    j = Matrix([[int(c == r + 1 and r % 3 != 2) for c in range(n)] for r in range(n)])
+    p = random_unimodular(rng, n)
+    out = p * j * p.inverse()
+    assert out.is_integral()
+    return out
