@@ -12,6 +12,19 @@ change is committed, the file is named after the parent commit, and each
 run records the `src_sha256` of the sources it measured.  perfbench is
 only invoked, never edited.
 
+Each end-to-end metric also gets a verdict, kept in the record and
+printed:
+- `claim_met`: the change won at least 9/10 of the pairs (ties count for
+  neither side) and its median beats the parent's by more than the
+  parent's interquartile range;
+- `within_bound`: the change's median is no worse than the parent's by
+  more than the metric's `bound` in BENCHMARK.json, a fraction of the
+  parent's median.
+
+A run that exits non-zero stops the series: the pairs completed before it
+are still summarised and written, the failed run is recorded with its exit
+code and the tail of its stderr, and the script exits 1.
+
 Usage: python scripts/bench_pairs.py PARENT_CHECKOUT --workload W --seed S --pairs N
 """
 
@@ -28,7 +41,9 @@ HERE = Path(__file__).resolve().parent.parent
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    if done.returncode:
+        return {"exit_code": done.returncode, "stderr_tail": done.stderr.splitlines()[-20:]}
     *_, summary, result = done.stdout.strip().splitlines()
     summary, result = json.loads(summary), json.loads(result)
     return {
@@ -57,25 +72,38 @@ def main(argv=None) -> int:
         ap.error("--pairs must be at least 2, for quartiles")
 
     bench = json.loads((HERE / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
     sides = {"parent": Path(args.parent).resolve(), "change": HERE}
-    runs = []
+    runs, failed = [], None
     for pair in range(1, args.pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for side in order:
             run = run_once(sides[side], args.workload, args.seed, bench["run_seconds"])
+            if "exit_code" in run:
+                failed = {"pair": pair, "side": side, **run}
+                print(f"pair {pair} {side}: exit code {run['exit_code']}", file=sys.stderr)
+                print("\n".join(run["stderr_tail"]), file=sys.stderr)
+                break
             runs.append({"pair": pair, "side": side, **run})
             print(f"pair {pair} {side}: {json.dumps(run['metrics'])}", file=sys.stderr, flush=True)
+        if failed:
+            break
+    complete = failed["pair"] - 1 if failed else args.pairs  # only whole pairs are compared
 
     def values(side, name):
-        return [r["metrics"][name] for r in runs if r["side"] == side]
+        return [r["metrics"][name] for r in runs if r["side"] == side and r["pair"] <= complete]
 
-    summary = {side: {name: spread(values(side, name)) for name in better} for side in sides}
-    wins = {}
-    for name, direction in better.items():
-        sign = 1 if direction == "higher" else -1
-        pairs = zip(values("parent", name), values("change", name))
-        wins[name] = sum(sign * (new - old) > 0 for old, new in pairs)
+    summary, wins, claim_met, within_bound = {}, {}, {}, {}
+    if complete >= 2:
+        summary = {side: {name: spread(values(side, name)) for name in metrics} for side in sides}
+        for name, metric in metrics.items():
+            sign = 1 if metric["better"] == "higher" else -1
+            pairs = zip(values("parent", name), values("change", name))
+            wins[name] = sum(sign * (new - old) > 0 for old, new in pairs)
+            old, new = summary["parent"][name], summary["change"][name]
+            gain = sign * (new["median"] - old["median"])  # positive when the change is better
+            claim_met[name] = wins[name] >= 0.9 * complete and gain > old["q3"] - old["q1"]
+            within_bound[name] = gain >= -metric["bound"] * abs(old["median"])
 
     commit = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=HERE,
                             capture_output=True, text=True, check=True).stdout.strip()
@@ -83,15 +111,21 @@ def main(argv=None) -> int:
     record = json.loads(path.read_text()) if path.is_file() else {}
     record[args.workload] = {
         "seed": args.seed,
-        "pairs": args.pairs,
+        "pairs": complete,
         "run_seconds": bench["run_seconds"],
         "summary": summary,
         "change_wins": wins,
+        "claim_met": claim_met,
+        "within_bound": within_bound,
         "runs": runs,
     }
+    if failed:
+        record[args.workload]["failed_run"] = failed
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print(f"{path.name}: {args.workload} change wins {json.dumps(wins)}")
-    return 0
+    print(f"{path.name}: {args.workload}, {complete} pairs, change wins {json.dumps(wins)}")
+    print(f"claim_met {json.dumps(claim_met)}")
+    print(f"within_bound {json.dumps(within_bound)}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

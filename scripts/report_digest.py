@@ -8,6 +8,10 @@ checkouts that print the same line produce the same bytes on every job,
 so a refactor that must not change a report can be checked against a
 clone of its parent commit.
 
+Every report is also rendered by the oracle `json.dumps(report.to_dict(),
+sort_keys=True, indent=2) + "\n"`; if those bytes differ from
+`render_json`'s on any job, the script names the first such job and exits 1.
+
 The job list always comes from this checkout's perfbench/workloads.py,
 loaded by path and only read; `wmtrop` is imported from CHECKOUT/src.
 
@@ -17,6 +21,7 @@ Usage: python scripts/report_digest.py [CHECKOUT] [--seeds 0 1 2]
 import argparse
 import hashlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -49,10 +54,15 @@ def main(argv=None) -> int:
     count = 0
     for name in workloads.WORKLOADS:
         for seed in args.seeds:
-            for job in workloads.generate(name, seed):
+            for index, job in enumerate(workloads.generate(name, seed)):
                 report = cli.run(cli.JobSpec(job.command, job.payload))
+                text = cli.render_json(report)
+                if text != json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n":
+                    print(f"error: render_json differs from json.dumps on {name} seed {seed} "
+                          f"job {index} ({job.command}, rung {job.rung})", file=sys.stderr)
+                    return 1
                 digest.update(f"{report.exit_code}\n".encode())
-                digest.update(cli.render_json(report).encode())
+                digest.update(text.encode())
                 count += 1
     print(f"{count} jobs, sha256 {digest.hexdigest()}")
     return 0

@@ -582,8 +582,94 @@ def run(job: JobSpec) -> Report:
 # rendering
 
 
+_encode_str = json.encoder.encode_basestring_ascii  # the C function json.dumps uses
+
+
+def _encode_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+#: JSON text of a scalar by its exact type, spelled as json.dumps spells it
+_SCALARS: dict[type, Callable[[Any], str]] = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _encode_float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _emit(value: Any, out: list[str], newline: str) -> None:
+    """Append the JSON text of `value` to `out`; `newline` is "\\n" plus the current indent.
+
+    Containers look their items' types up in `_SCALARS` themselves, so a
+    scalar item costs no call of `_emit`.
+    """
+    encode = _SCALARS.get(type(value))
+    if encode is not None:
+        out.append(encode(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            item = value[key]
+            encode = _SCALARS.get(type(item))
+            if encode is None:
+                out.append(sep + _encode_str(key) + ": ")
+                _emit(item, out, inner)
+            else:
+                out.append(sep + _encode_str(key) + ": " + encode(item))
+            sep = comma
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in value:
+            encode = _SCALARS.get(type(item))
+            if encode is None:
+                out.append(sep)
+                _emit(item, out, inner)
+            else:
+                out.append(sep + encode(item))
+            sep = comma
+        out.append(newline + "]")
+    else:  # subclasses render as their base does, as in json
+        for kind in (str, int, float):
+            if isinstance(value, kind):
+                out.append(_SCALARS[kind](value))
+                return
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def render_json(report: Report) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    """The report exactly as `json.dumps(report.to_dict(), sort_keys=True, indent=2)`
+    writes it, plus a newline: ASCII only, keys sorted, tuples as lists,
+    non-finite floats as `NaN`, `Infinity` and `-Infinity`.
+
+    One recursive pass appends to one list, where `json.dumps` with an
+    indent runs its pure-Python encoder.  Any type `json` does not encode,
+    and any key that is not a `str`, raises `TypeError` (a `json.dumps`
+    caller would see an int key turned into a string); only a Python
+    caller can build such a report, never JSON input.
+    """
+    out: list[str] = []
+    _emit(report.to_dict(), out, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def render_text(report: Report) -> str:

@@ -39,6 +39,7 @@ from .ratlin import (
     _int_poly,
     _int_prem,
     _int_product,
+    _nullspace_ints,
     _primitive,
     _span_ints,
     char_poly,
@@ -286,7 +287,8 @@ def monodromy_filtration(n: NilpotentOperator) -> Filtration:
     n_rows = n.n_matrix._num  # the columns of N^T: row b of Fil_(j+2) maps to b N^T
     fil = {top: Subspace.full(d), top - 1: Subspace.full(d)}
     for j in range(top - 2, -top, -1):
-        kers = kernel(n.powers[j + 1]).basis._num if j >= 0 else ()
+        # raw null space vectors: the one span below brings everything to canonical form
+        kers = _nullspace_ints(n.powers[j + 1]) if j >= 0 else ()
         fil[j] = _span_ints(d, [*kers, *_int_product(fil[j + 2].basis._num, n_rows)])
     # both ends are jumps: gr_(1-index) = im N^(index-1) is not 0, and N^(index-1)
     # maps gr_(index-1) onto it

@@ -463,8 +463,8 @@ def _span_ints(n: int, rows: Sequence[Sequence[int]]) -> Subspace:
     return Subspace(n, Matrix._over(ints[: len(pivots)], last, n))
 
 
-def kernel(m: Matrix) -> Subspace:
-    """Null space {v : m v = 0} in canonical form.
+def _nullspace_ints(m: Matrix) -> list[list[int]]:
+    """A basis of {v : m v = 0} as integer vectors, not in canonical form.
 
     With R the RREF of m's integer rows times its pivot `last`, each free
     column f gives the integer kernel vector with `last` at f and
@@ -482,7 +482,12 @@ def kernel(m: Matrix) -> Subspace:
         for row, c in zip(rows, pivots):
             v[c] = -row[f]
         vecs.append(v)
-    return _span_ints(n, vecs)
+    return vecs
+
+
+def kernel(m: Matrix) -> Subspace:
+    """Null space {v : m v = 0} in canonical form."""
+    return _span_ints(m.cols, _nullspace_ints(m))
 
 
 def image(m: Matrix) -> Subspace:

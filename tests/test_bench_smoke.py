@@ -7,28 +7,16 @@ the status, the violation kinds and the graded weights).  Nothing is
 timed.  The workload module is loaded by path and only read.
 """
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
+from gens import load_workloads
 from wmtrop import cli
-
-WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up by name
-    spec.loader.exec_module(module)
-    return module
 
 
 def _cheapest_jobs() -> dict:
-    workloads = _load_workloads()
+    workloads = load_workloads()
     cheapest = {}
     for name in workloads.WORKLOADS:
         for job in workloads.generate(name, 0):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from collections import OrderedDict
 from contextlib import redirect_stdout
 from pathlib import Path
 from fractions import Fraction as F
@@ -12,13 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gens import swinnerton_dyer
+from gens import load_workloads, swinnerton_dyer
 from wmtrop import monodromy as mono
 from wmtrop import polyfactor as pf
 from wmtrop import troplattice as tl
 from wmtrop.cli import (
     _HANDLERS,
     JobSpec,
+    Report,
     SchemaError,
     format_rational,
     main,
@@ -28,6 +30,7 @@ from wmtrop.cli import (
     parse_rational,
     parse_section,
     render,
+    render_json,
     run,
     serialize_bundle,
     serialize_lattice,
@@ -737,3 +740,79 @@ class TestParseBoundary:
     def test_cases_cover_every_outcome(self):
         assert set(self.REPORTS) == {f"{c}/{n}" for c, n in self.CASES}
         assert {r["exit_code"] for r in self.REPORTS.values()} == {0, 1, 2}
+
+
+def json_dumps_oracle(report: Report) -> str:
+    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+class TestRenderContract:
+    """render_json writes exactly json.dumps(report.to_dict(), sort_keys=True,
+    indent=2) plus a newline, and raises TypeError where json would have to
+    convert or guess."""
+
+    @pytest.mark.parametrize(
+        "case", TestGoldenReports.CASES, ids=[c["name"] for c in TestGoldenReports.CASES]
+    )
+    def test_golden_cases(self, case):
+        report = run(JobSpec(case["command"], case["input"]))
+        assert render_json(report) == json_dumps_oracle(report)
+
+    @pytest.mark.parametrize(
+        "command,name",
+        TestParseBoundary.CASES,
+        ids=[f"{c}-{n}" for c, n in TestParseBoundary.CASES],
+    )
+    def test_parse_boundary_cases(self, command, name):
+        report = run(JobSpec(command, parse_boundary_input(command, PARSE_BOUNDARY_ENTRIES[name])))
+        assert render_json(report) == json_dumps_oracle(report)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("workload", ["wmc_tate", "weights_mix", "trop_witness"])
+    def test_seeded_workload_reports(self, workload, seed):
+        for job in load_workloads().generate(workload, seed):
+            report = run(JobSpec(job.command, job.payload))
+            assert render_json(report) == json_dumps_oracle(report), (job.command, job.rung)
+
+    def test_batch_echoes_any_json_command(self):
+        # an unknown command is echoed as given, and JSON input can hold any value
+        commands = [
+            1.5, -0.0, 1e300, float("nan"), float("inf"), float("-inf"), 'é☃\u0000\n"',
+            {"zeta": [2, {"b": None, "a": True}], "alpha": False}, [], {},
+        ]
+        report = run(JobSpec("batch", {"jobs": [{"command": c} for c in commands]}))
+        text = render_json(report)
+        assert text == json_dumps_oracle(report)
+        for spelling in ("1.5", "-0.0", "1e+300", "NaN", "Infinity", "-Infinity",
+                         '"\\u00e9\\u2603\\u0000\\n\\""'):
+            assert f'"command": {spelling},\n' in text
+        assert text.isascii()
+
+    def test_deep_nesting(self):
+        deep = []
+        for _ in range(899):
+            deep = [deep]
+        report = run(JobSpec("batch", {"jobs": [{"command": deep}]}))
+        assert render_json(report) == json_dumps_oracle(report)
+
+    def test_subclasses_render_as_their_base(self):
+        class Name(str):
+            pass
+
+        class Count(int):
+            pass
+
+        class Ratio(float):
+            pass
+
+        payload = {
+            "name": Name("x"), "count": Count(3), "ratio": Ratio(0.5), "nan": Ratio("nan"),
+            "pair": (1, (2, [])), "ordered": OrderedDict(b=1, a=2), Name("key"): [Count(-1)],
+        }
+        report = Report("batch", "pass", payload=payload)
+        assert render_json(report) == json_dumps_oracle(report)
+
+    @pytest.mark.parametrize("payload", [{"x": F(1, 2)}, {"x": {1, 2}}, {1: "a"}])
+    def test_unknown_types_raise(self, payload):
+        with pytest.raises(TypeError):
+            render_json(Report("batch", "pass", payload=payload))
