@@ -5,7 +5,7 @@ Subpackages:
 * ratlin      - exact rational matrices, canonical subspaces, polynomials
 * polyfactor  - factorization over Q (squarefree + Zassenhaus)
 * monodromy   - nilpotent-operator filtrations, weights, the comparison
-* troplattice - lattices, hypercube models, quotient towers, dual graphs
+* troplattice - lattices, quotient models and their towers, dual graphs
 * tropbundle  - tropical line-bundle data and piecewise-affine witnesses
 * cli         - the `wmtrop` command-line interface and JSON schemas
 """
@@ -42,28 +42,23 @@ from .ratlin import (
     subspace_sum,
 )
 from .tropbundle import (
-    AffineFunction,
     BundleData,
     NoPLevelError,
     TropicalSection,
     ample_check,
     chi_valuation,
     construct_f,
-    degree0_triviality_necessary,
     extends_to,
     form_matrix,
     minimal_level,
     tensor_power,
     verify_section,
-    z_affine,
 )
 from .troplattice import (
     CellWidth,
     DualGraph,
-    HypercubeModel,
     QuotientModel,
     TropicalLattice,
-    cell_index,
     descriptor,
     divides,
     dual_graph,

@@ -61,42 +61,40 @@ def _int_limit_message(err: ValueError) -> str:
     return str(err).split("; use sys.set_int_max_str_digits()")[0]
 
 
+def _rational_ints(value: Any, fieldname: str) -> tuple[int, int]:
+    """(a, b) with value == a/b and b > 0, for an int or an 'a'/'a/b' string;
+    a SchemaError naming fieldname for anything else.
+
+    The numerator is read before the denominator, and a zero denominator
+    is checked last, in the order `Fraction(text)` keeps.
+    """
+    if type(value) is int:
+        return value, 1
+    if not isinstance(value, str):
+        if isinstance(value, bool):
+            raise SchemaError(fieldname, "expected a rational, got a boolean")
+        if isinstance(value, int):
+            return int(value), 1
+        raise SchemaError(fieldname, f"expected int or 'a/b' string, got {type(value).__name__}")
+    text = value.strip()
+    if not _RATIONAL_RE.match(text):
+        raise SchemaError(fieldname, f"malformed rational {value!r} (want 'a' or 'a/b')")
+    num, _, den = text.partition("/")
+    try:
+        a, b = int(num), int(den or 1)
+    except ValueError as err:  # more digits than int() converts
+        raise SchemaError(fieldname, _int_limit_message(err)) from None
+    if not b:
+        raise SchemaError(fieldname, f"malformed rational {value!r}")
+    return a, b
+
+
 def parse_rational(value: Any, fieldname: str = "value") -> Fraction:
-    if isinstance(value, bool):
-        raise SchemaError(fieldname, "expected a rational, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        text = value.strip()
-        if not _RATIONAL_RE.match(text):
-            raise SchemaError(fieldname, f"malformed rational {value!r} (want 'a' or 'a/b')")
-        try:
-            return Fraction(text)
-        except ZeroDivisionError:
-            raise SchemaError(fieldname, f"malformed rational {value!r}") from None
-        except ValueError as err:  # more digits than int() converts
-            raise SchemaError(fieldname, _int_limit_message(err)) from None
-    raise SchemaError(fieldname, f"expected int or 'a/b' string, got {type(value).__name__}")
+    return Fraction(*_rational_ints(value, fieldname))
 
 
 def format_rational(x: Fraction) -> str:
     return str(x)
-
-
-def _rational_ints(value: Any) -> tuple[int, int]:
-    """(a, b) with value == a/b and b > 0, for an int or an 'a'/'a/b' string
-    that parse_rational accepts; ValueError for everything else, which
-    parse_rational then judges."""
-    if type(value) is int:
-        return value, 1
-    if type(value) is str:
-        text = value.strip()
-        if _RATIONAL_RE.match(text):
-            num, _, den = text.partition("/")
-            b = int(den) if den else 1  # ValueError past the digit limit
-            if b:
-                return int(num), b
-    raise ValueError(value)
 
 
 def parse_matrix(value: Any, fieldname: str = "matrix") -> Matrix:
@@ -111,12 +109,9 @@ def parse_matrix(value: Any, fieldname: str = "matrix") -> Matrix:
         row = []
         for j, x in enumerate(r):
             try:
-                row.append(_rational_ints(x))
-            except ValueError:
-                # parse_rational names the entry and raises, or reads an
-                # unusual spelling of a rational
-                f = parse_rational(x, f"{fieldname}[{i}][{j}]")
-                row.append((f.numerator, f.denominator))
+                row.append(_rational_ints(x, fieldname))
+            except SchemaError:
+                _rational_ints(x, f"{fieldname}[{i}][{j}]")  # raises again, naming the entry
         rows.append(row)
     if not rows:
         raise SchemaError(fieldname, "matrix must have at least one row")
@@ -143,10 +138,6 @@ def parse_lattice(value: Any, fieldname: str = "lattice") -> tl.TropicalLattice:
         raise SchemaError(f"{fieldname}.generators", str(err)) from None
 
 
-def serialize_lattice(lat: tl.TropicalLattice) -> dict:
-    return {"rank": lat.rank, "generators": serialize_matrix(lat.generators)}
-
-
 def parse_bundle(value: Any, fieldname: str = "bundle") -> tb.BundleData:
     if not isinstance(value, dict):
         raise SchemaError(fieldname, "expected an object")
@@ -163,15 +154,6 @@ def parse_bundle(value: Any, fieldname: str = "bundle") -> tb.BundleData:
         return tb.BundleData(lat, sigma, chi_vals, flag)
     except ValueError as err:
         raise SchemaError(fieldname, str(err)) from None
-
-
-def serialize_bundle(b: tb.BundleData) -> dict:
-    return {
-        "lattice": serialize_lattice(b.lattice),
-        "sigma": serialize_matrix(b.sigma),
-        "chi": [format_rational(v) for v in b.chi_vals],
-        "abelian_part_ample": b.abelian_part_ample,
-    }
 
 
 def parse_section(value: Any, fieldname: str = "section") -> tb.TropicalSection:

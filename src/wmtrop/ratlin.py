@@ -316,11 +316,6 @@ class Matrix:
     def transpose(self) -> "Matrix":
         return Matrix._over(_columns(self._num, self.cols), self._den, self.rows)
 
-    def rref(self) -> tuple["Matrix", tuple[int, ...]]:
-        ints, pivots, last, _ = _echelon(self._num)
-        zero_rows = [[0] * self.cols] * (self.rows - len(pivots))
-        return Matrix._over(ints[: len(pivots)] + zero_rows, last, self.cols), tuple(pivots)
-
     def rank(self) -> int:
         return len(_echelon(self._num)[1])
 

@@ -3,16 +3,15 @@
 A bundle is recorded by its valuation-level shadow: the lattice, an
 integer matrix D giving the coordinates of sigma on the dual basis, and
 the valuations v_i of the trivialization on the lattice generators.  The
-induced symmetric form S = G^T D decides ampleness; the affine functions
-z_m with slope D*a and constant given by the quadratic extension of the
-v_i decide which hypercube models the bundle extends to; and on rank-1
-quotients an explicit piecewise-affine witness f with integer slopes can
-be constructed and verified cell by cell.
+induced symmetric form S = G^T D decides ampleness; the v_i, extended
+quadratically over the lattice by chi_valuation, decide which hypercube
+models the bundle extends to; and on rank-1 quotients an explicit
+piecewise-affine witness f with integer slopes can be constructed and
+verified cell by cell.
 
 Only valuations are modeled.  Unit-level data (the actual trivializing
-elements, frames, transition units) is discarded, so triviality tests
-are necessary conditions only and are named accordingly.  The abelian
-part of a non-degenerate quotient enters solely through the opaque
+elements, frames, transition units) is discarded.  The abelian part of
+a non-degenerate quotient enters solely through the opaque
 `abelian_part_ample` flag.
 """
 
@@ -42,19 +41,6 @@ class NoPLevelError(ValueError):
             f"valuation denominators contain primes coprime to p ({primes}); "
             "choose a finer base width"
         )
-
-
-@dataclass(frozen=True)
-class AffineFunction:
-    """u -> slope . u + constant on R^r."""
-
-    slope: tuple[Fraction, ...]
-    constant: Fraction
-
-    def eval(self, u: Sequence) -> Fraction:
-        if len(u) != len(self.slope):
-            raise ValueError("point dimension mismatch")
-        return sum((s * _frac(x) for s, x in zip(self.slope, u)), self.constant)
 
 
 class BundleData:
@@ -157,17 +143,6 @@ def chi_valuation(b: BundleData, a: Sequence[int]) -> Fraction:
         for j in range(i + 1, b.rank):
             out += coeffs[i] * coeffs[j] * s[i, j]
     return out
-
-
-def z_affine(b: BundleData, a: Sequence[int]) -> AffineFunction:
-    """Tropicalization of the translation isomorphism at lattice point a.
-
-    Slope is the integer vector sigma * a; the constant is the
-    trivialization valuation at a.
-    """
-    coeffs = [int(x) for x in a]
-    slope = b.sigma.apply(coeffs)
-    return AffineFunction(slope=slope, constant=chi_valuation(b, coeffs))
 
 
 def tensor_power(b: BundleData, n: int) -> BundleData:
@@ -287,11 +262,6 @@ class FaceTransition:
     slope_difference: int
     left_value: Fraction
     right_value: Fraction
-
-    @property
-    def value(self) -> Fraction:
-        """Common value of the two affine pieces at the face (when continuous)."""
-        return self.left_value
 
     @property
     def continuous(self) -> bool:
@@ -432,18 +402,3 @@ def verify_section(b: BundleData, f: TropicalSection) -> SectionReport:
             )
         left_corner = right_num
     return SectionReport(ok=not failures, failures=tuple(failures), faces=tuple(faces))
-
-
-def degree0_triviality_necessary(b: BundleData) -> bool:
-    """Valuation-level necessary condition for a degree-0 rank-1 bundle to be trivial.
-
-    True iff the generator valuation lies in period * Z.  Sufficiency
-    would need the discarded unit-level data, so this is only one
-    direction.
-    """
-    if b.rank != 1:
-        raise ValueError("rank-1 bundle required")
-    if not b.sigma.is_zero():
-        raise ValueError("degree-0 (sigma = 0) bundle required")
-    lam = abs(b.lattice.generators[0, 0])
-    return (b.chi_vals[0] / lam).denominator == 1

@@ -62,9 +62,6 @@ class CellWidth:
         if self.alpha <= 0:
             raise ValueError("cell width must be positive")
 
-    def __truediv__(self, k) -> "CellWidth":
-        return CellWidth(self.alpha / _frac(k))
-
     def __repr__(self) -> str:
         return f"CellWidth({self.alpha})"
 
@@ -90,9 +87,6 @@ class TropicalLattice:
         r = len(columns)
         return cls(Matrix.from_columns(columns, r))
 
-    def generator(self, i: int) -> tuple[Fraction, ...]:
-        return self.generators.column(i)
-
     def covolume(self) -> Fraction:
         """|det| of the generator matrix (1 for rank 0)."""
         return abs(self.generators.det()) if self.rank > 0 else Fraction(1)
@@ -105,19 +99,6 @@ class TropicalLattice:
 
     def __repr__(self) -> str:
         return f"TropicalLattice(rank {self.rank}, generators {self.generators!r})"
-
-
-@dataclass(frozen=True)
-class HypercubeModel:
-    """Cover of R^r by closed hypercubes of side alpha, indexed by Z^r."""
-
-    rank: int
-    alpha: CellWidth
-
-    def cell_index(self, u: Sequence) -> tuple[tuple[int, ...], tuple[bool, ...]]:
-        if len(u) != self.rank:
-            raise ValueError("point dimension mismatch")
-        return cell_index(u, self.alpha)
 
 
 @dataclass(frozen=True)
@@ -169,7 +150,7 @@ class DualGraph:
 
 
 # ---------------------------------------------------------------------------
-# widths and cells
+# widths
 
 
 def max_dividing_width(lat: TropicalLattice) -> CellWidth:
@@ -189,19 +170,6 @@ def divides(alpha: CellWidth, lat: TropicalLattice) -> bool:
     return all(
         (x / a).denominator == 1 for i in range(lat.rank) for x in lat.generators.column(i)
     )
-
-
-def cell_index(u: Sequence, alpha: CellWidth) -> tuple[tuple[int, ...], tuple[bool, ...]]:
-    """Cell of the width-alpha cover containing u, with boundary flags.
-
-    Closed hypercubes overlap along faces; ties break by floor, and the
-    boundary mask marks the coordinates where u sits on a shared face.
-    """
-    a = alpha.alpha
-    scaled = [_frac(x) / a for x in u]
-    e = tuple(math.floor(s) for s in scaled)
-    boundary = tuple(s.denominator == 1 for s in scaled)
-    return e, boundary
 
 
 # ---------------------------------------------------------------------------

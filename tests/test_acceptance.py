@@ -123,7 +123,7 @@ def test_criterion_4_formal_tate_bundle_examples():
     rep = verify_section(trivial, witness)
     face = next(f for f in rep.faces if f.position == 1)
     ok = rep.ok and face.slope_difference == 2
-    ok = ok and face.left_value - face.right_value == 0 and face.value == 1
+    ok = ok and face.left_value - face.right_value == 0 and face.left_value == 1
     # example (3): valuation 1/p blocks the width-1 model, refining fixes it
     for p in (2, 3, 5):
         frac = BundleData(lam2, Matrix([[0]]), [F(1, p)])

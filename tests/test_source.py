@@ -3,7 +3,9 @@
 import ast
 import importlib
 import importlib.util
+import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import wmtrop
@@ -60,3 +62,71 @@ def test_traced_layers_exist():
             if not found:
                 missing.append(f"{mod_name}.{name}")
     assert missing == []
+
+
+def _references(tree: ast.AST) -> Counter:
+    """How often each name ("id") and attribute (".attr") occurs in tree."""
+    found = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found["." + node.attr] += 1
+    return found
+
+
+def test_public_names_are_reached():
+    # every public function, class and method of the package is used by
+    # the package itself, a script, the test oracles and generators, the
+    # benchmark's tracer, or the README; a name that only its own tests
+    # reach is surface nobody documents, and is deleted instead
+    root = Path(__file__).resolve().parents[1]
+    package = Path(wmtrop.__file__).parent
+    modules = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(package.glob("*.py"))}
+    readers = [*sorted((root / "scripts").glob("*.py")), root / "tests" / "oracles.py",
+               root / "tests" / "gens.py"]  # fmt: skip
+    used = sum((_references(tree) for tree in modules.values()), Counter())
+    for path in readers:
+        used += _references(ast.parse(path.read_text(encoding="utf-8")))
+    tracer = ast.parse((root / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tracer.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "LAYERS"
+    )
+    traced = {name for names in layers.values() for name in names}
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    documented = {
+        token
+        for span in re.findall(r"`([^`\n]+)`", readme)
+        for token in re.findall(r"[A-Za-z_][\w.]*", span)
+    }
+    documented |= {part for token in documented for part in token.split(".")}
+
+    def reached(definition: ast.AST, qualname: str, keys: tuple[str, ...]) -> bool:
+        # references inside the definition itself (recursion, a class
+        # naming itself) do not count
+        own = _references(definition)
+        return (
+            qualname in traced
+            or definition.name in documented
+            or any(used[key] > own[key] for key in keys)
+        )
+
+    unreached = []
+    for path, tree in modules.items():
+        if path.name == "__init__.py":
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            # a function or class counts as a name or as an attribute (module.name)
+            if not reached(node, node.name, (node.name, "." + node.name)):
+                unreached.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                        qualname = f"{node.name}.{item.name}"
+                        if not reached(item, qualname, ("." + item.name,)):
+                            unreached.append(f"{path.stem}.{qualname}")
+    assert unreached == []

@@ -16,13 +16,11 @@ from wmtrop.tropbundle import (
     ample_check,
     chi_valuation,
     construct_f,
-    degree0_triviality_necessary,
     extends_to,
     form_matrix,
     minimal_level,
     tensor_power,
     verify_section,
-    z_affine,
 )
 from wmtrop.troplattice import CELL_LIMIT, CellWidth, TropicalLattice, divides
 
@@ -150,21 +148,6 @@ class TestChiValuation:
             assert chi_valuation(tensor_power(b, 3), a) == 3 * chi_valuation(b, a)
 
 
-class TestZAffine:
-    def test_trivial_bundle(self):
-        z = z_affine(tate_bundle(0, 0), (1,))
-        assert z.slope == (0,) and z.constant == 0
-
-    def test_degree_one(self):
-        z = z_affine(tate_bundle(1, 0), (1,))
-        assert z.slope == (1,) and z.constant == 0
-        assert z.eval([F(3, 2)]) == F(3, 2)
-
-    def test_constant_shift(self):
-        z = z_affine(tate_bundle(0, F(1, 5)), (1,))
-        assert z.slope == (0,) and z.constant == F(1, 5)
-
-
 class TestExtension:
     def test_trivial_extends(self):
         assert extends_to(tate_bundle(0, 0), CellWidth(1))
@@ -278,7 +261,7 @@ class TestConstructVerify:
         assert report.ok
         face = next(f for f in report.faces if f.position == 1)
         assert face.slope_difference == 2
-        assert face.value == 1
+        assert face.left_value == 1
         assert face.continuous
 
     def test_wrong_sum_fails_periodicity(self):
@@ -347,18 +330,3 @@ class TestConstructVerify:
         s = construct_f(b, CellWidth(1))
         assert verify_section(b, s).ok
         assert section_ok_bruteforce(b, s)
-
-
-class TestTriviality:
-    def test_multiple_of_period(self):
-        assert degree0_triviality_necessary(tate_bundle(0, 4))
-
-    def test_half_period(self):
-        assert not degree0_triviality_necessary(tate_bundle(0, 1))
-
-    def test_zero_candidate(self):
-        assert degree0_triviality_necessary(tate_bundle(0, 0))
-
-    def test_requires_degree_zero(self):
-        with pytest.raises(ValueError):
-            degree0_triviality_necessary(tate_bundle(1, 0))

@@ -16,7 +16,6 @@ from wmtrop.troplattice import (
     QuotientModel,
     TropicalLattice,
     UnsupportedRankError,
-    cell_index,
     descriptor,
     divides,
     dual_graph,
@@ -73,45 +72,6 @@ class TestWidths:
             CellWidth(F(0))
         with pytest.raises(ValueError):
             CellWidth(F(-1, 2))
-
-
-class TestCellIndex:
-    def test_origin_all_boundary(self):
-        e, boundary = cell_index([0, 0, 0], CellWidth(F(2, 7)))
-        assert e == (0, 0, 0) and boundary == (True, True, True)
-
-    def test_floor(self):
-        e, boundary = cell_index([F(3, 2)], CellWidth(1))
-        assert e == (1,) and boundary == (False,)
-
-    def test_integer_point_on_face(self):
-        e, boundary = cell_index([2], CellWidth(1))
-        assert e == (2,) and boundary == (True,)
-
-    def test_negative_coordinates(self):
-        e, _ = cell_index([F(-1, 2)], CellWidth(1))
-        assert e == (-1,)
-
-    def test_point_in_closed_cell(self):
-        rng = random.Random(71)
-        for _ in range(50):
-            r = rng.randint(1, 3)
-            alpha = CellWidth(F(rng.randint(1, 5), rng.randint(1, 5)))
-            u = [random_fraction(rng) for _ in range(r)]
-            e, _ = cell_index(u, alpha)
-            for idx, x in zip(e, u):
-                assert idx * alpha.alpha <= x <= (idx + 1) * alpha.alpha
-
-
-class TestHypercubeModel:
-    def test_cell_index_delegation(self):
-        from wmtrop.troplattice import HypercubeModel
-
-        model = HypercubeModel(rank=2, alpha=CellWidth(F(1, 2)))
-        e, boundary = model.cell_index([F(3, 4), 1])
-        assert e == (1, 2) and boundary == (False, True)
-        with pytest.raises(ValueError):
-            model.cell_index([1])
 
 
 class TestQuotientModels:
