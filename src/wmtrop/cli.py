@@ -22,6 +22,7 @@ row-major arrays of arrays.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import re
@@ -97,6 +98,18 @@ def format_rational(x: Fraction) -> str:
     return str(x)
 
 
+def format_ratio(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for integers num and den, with no Fraction:
+    lowest terms, the sign on the numerator, and no "/1"."""
+    if not den:
+        raise ZeroDivisionError(f"Fraction({int(num)}, 0)")
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 def parse_matrix(value: Any, fieldname: str = "matrix") -> Matrix:
     """The matrix of an array of arrays of rationals, read into integer
     numerators and denominators with no Fraction per entry."""
@@ -120,7 +133,8 @@ def parse_matrix(value: Any, fieldname: str = "matrix") -> Matrix:
 
 
 def serialize_matrix(m: Matrix) -> list[list[str]]:
-    return [[format_rational(x) for x in row] for row in m.row_tuples]
+    den = m._den
+    return [[format_ratio(a, den) for a in row] for row in m._num]
 
 
 def parse_lattice(value: Any, fieldname: str = "lattice") -> tl.TropicalLattice:
@@ -160,8 +174,9 @@ def parse_section(value: Any, fieldname: str = "section") -> tb.TropicalSection:
     if not isinstance(value, dict):
         raise SchemaError(fieldname, "expected an object")
     slopes = value.get("slopes")
-    if not isinstance(slopes, list) or not all(
-        isinstance(s, int) and not isinstance(s, bool) for s in slopes
+    if not isinstance(slopes, list) or not (
+        all(map(isinstance, slopes, itertools.repeat(int)))
+        and not any(map(isinstance, slopes, itertools.repeat(bool)))
     ):
         raise SchemaError(f"{fieldname}.slopes", "expected an array of integers")
     inc = value.get("slope_increment", 0)
@@ -465,14 +480,14 @@ def _cmd_bundle_verify_f(payload: dict) -> Report:
     report = tb.verify_section(b, section)
     faces = [
         {
-            "position": format_rational(f.position),
-            "left_slope": f.left_slope,
-            "right_slope": f.right_slope,
-            "slope_difference": f.slope_difference,
-            "value": format_rational(f.left_value),
-            "continuous": f.continuous,
+            "position": format_ratio(pos_num, pos_den),
+            "left_slope": left_slope,
+            "right_slope": right_slope,
+            "slope_difference": left_slope - right_slope,
+            "value": format_ratio(left_num, den),
+            "continuous": left_num == right_num,
         }
-        for f in report.faces
+        for pos_num, pos_den, left_slope, right_slope, left_num, right_num, den in report.faces
     ]
     return Report(
         "bundle-verify-f",

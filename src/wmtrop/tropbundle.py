@@ -17,11 +17,13 @@ a non-degenerate quotient enters solely through the opaque
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .ratlin import Matrix, _frac, prime_factors, valuation
 from .troplattice import CELL_LIMIT, CellWidth, TropicalLattice, divides
@@ -218,7 +220,7 @@ class TropicalSection:
             raise ValueError("cell width must be positive")
         if not self.slopes:
             raise ValueError("at least one cell per period required")
-        if any(not isinstance(s, int) for s in self.slopes):
+        if not all(map(isinstance, self.slopes, itertools.repeat(int))):
             raise ValueError("slopes must be integers")
 
     @property
@@ -252,20 +254,57 @@ class TropicalSection:
         return self.corner_value(j) + self.slope_in_cell(j) * (u - j * self.alpha)
 
 
-@dataclass(frozen=True, slots=True)
-class FaceTransition:
-    """Data at a shared cell face: the valuation shadow of a transition unit."""
+class FaceTransition(NamedTuple):
+    """Data at a shared cell face: the valuation shadow of a transition unit.
 
-    position: Fraction
+    Stored as integers: the face sits at u = pos_num/pos_den, and the
+    pieces on its left and right take the values left_num/den and
+    right_num/den there.  `position`, `left_value`, `right_value`,
+    `slope_difference` and `continuous` are built on demand, and equality
+    and hash compare those values, not the stored form.
+    """
+
+    pos_num: int
+    pos_den: int
     left_slope: int
     right_slope: int
-    slope_difference: int
-    left_value: Fraction
-    right_value: Fraction
+    left_num: int
+    right_num: int
+    den: int
+
+    @property
+    def position(self) -> Fraction:
+        return Fraction(self.pos_num, self.pos_den)
+
+    @property
+    def left_value(self) -> Fraction:
+        return Fraction(self.left_num, self.den)
+
+    @property
+    def right_value(self) -> Fraction:
+        return Fraction(self.right_num, self.den)
+
+    @property
+    def slope_difference(self) -> int:
+        return self.left_slope - self.right_slope
 
     @property
     def continuous(self) -> bool:
-        return self.left_value == self.right_value
+        return self.left_num == self.right_num
+
+    def _values(self) -> tuple:
+        return (self.position, self.left_slope, self.right_slope, self.left_value, self.right_value)
+
+    # a plain tuple never equals a face: tuple's own comparison would see
+    # only the stored form
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FaceTransition) and self._values() == other._values()
+
+    def __ne__(self, other) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self._values())
 
 
 @dataclass(frozen=True)
@@ -333,8 +372,10 @@ def verify_section(b: BundleData, f: TropicalSection) -> SectionReport:
     have absolute value 1"), and that crossing a period adds exactly the
     affine function z of the lattice generator, both in slope and in value.
     Integer slopes need no check here: TropicalSection rejects any other.
-    Linear in the number of cells: the slope prefix is summed once, and
-    values are compared as integer numerators over one common denominator.
+    Linear in the number of cells: the slope prefix is summed once, values
+    are compared as integer numerators over one common denominator, and
+    each face keeps those integers; a Fraction is built only to spell a
+    discontinuity.
     """
     lam, _, d_eff, v_eff = _rank1_generator_data(b)
     failures: list[str] = []
@@ -355,50 +396,37 @@ def verify_section(b: BundleData, f: TropicalSection) -> SectionReport:
             f"the bundle requires {v_eff}"
         )
     slopes, k, d = f.slopes, f.period_cells, f.slope_increment
-    prefix = list(itertools.accumulate(slopes, initial=0))
-    slope_sum = prefix[k] * f.alpha
+    slope_sum = sum(slopes) * f.alpha
     if slope_sum != f.value_increment:
         failures.append(
             f"periodicity: slopes sum to {slope_sum} over one period "
             f"but the value increment is {f.value_increment}"
         )
-    # every corner value lies in (1/den)Z: compare the numerators over den,
-    # from corner_value's closed form with the prefix sums taken once
-    den = math.lcm(f.alpha.denominator, f.base_value.denominator, f.value_increment.denominator)
-    step = f.alpha.numerator * (den // f.alpha.denominator)
+    # every corner value lies in (1/den)Z: compare the numerators over den
+    a_num, a_den = f.alpha.numerator, f.alpha.denominator
+    den = math.lcm(a_den, f.base_value.denominator, f.value_increment.denominator)
+    step = a_num * (den // a_den)
     base = f.base_value.numerator * (den // f.base_value.denominator)
     shift = f.value_increment.numerator * (den // f.value_increment.denominator)
-
-    def corner(j: int) -> int:
-        """corner_value(j) * den."""
-        t, i = divmod(j, k)
-        periods = t * (d * i * step + shift) + t * (t - 1) // 2 * d * k * step
-        return base + step * prefix[i] + periods
-
-    faces = []
-    left_corner = base
-    for j in range(2 * k):
-        pos = Fraction((j + 1) * f.alpha.numerator, f.alpha.denominator)
-        left_slope = slopes[j % k] + j // k * d
-        right_slope = slopes[(j + 1) % k] + (j + 1) // k * d
-        left_num = left_corner + left_slope * step
-        right_num = corner(j + 1)
-        left_value = Fraction(left_num, den)
-        right_value = left_value if left_num == right_num else Fraction(right_num, den)
-        faces.append(
-            FaceTransition(
-                position=pos,
-                left_slope=left_slope,
-                right_slope=right_slope,
-                slope_difference=left_slope - right_slope,
-                left_value=left_value,
-                right_value=right_value,
-            )
+    # cell j has slope slopes[j % k] + (j // k) * d; face j is the right end of cell j
+    cells = [*slopes, *[s + d for s in slopes], slopes[0] + 2 * d]
+    rises = [step * s for s in cells[: 2 * k]]
+    # inside a period the corners are prefix sums; the second period starts
+    # at corner k = base + shift, corner_value's closed form at t = 1
+    first = list(itertools.accumulate(rises[:k], initial=base))
+    second = list(itertools.accumulate(rises[k:], initial=base + shift))
+    ends = first[1:] + second[1:]  # each piece's value at the right end of its cell
+    corners = first[1:k] + second[:k] + [base + 2 * shift + d * k * step]  # corners 1..2k
+    for j in itertools.compress(range(2 * k), map(operator.ne, ends, corners)):
+        failures.append(
+            f"discontinuity at u={Fraction((j + 1) * a_num, a_den)}: "
+            f"left piece gives {Fraction(ends[j], den)}, "
+            f"right piece gives {Fraction(corners[j], den)}"
         )
-        if left_num != right_num:
-            failures.append(
-                f"discontinuity at u={pos}: left piece gives {left_value}, "
-                f"right piece gives {right_value}"
-            )
-        left_corner = right_num
+    positions = range(a_num, (2 * k + 1) * a_num, a_num)
+    # FaceTransition._make, without its length check in Python per face
+    faces = map(
+        functools.partial(tuple.__new__, FaceTransition),
+        zip(positions, itertools.repeat(a_den), cells, cells[1:], ends, corners, itertools.repeat(den)),
+    )
     return SectionReport(ok=not failures, failures=tuple(failures), faces=tuple(faces))

@@ -138,16 +138,6 @@ class DualGraph:
     vertices: tuple[int, ...]
     edges: tuple[tuple[int, int, int], ...]  # (u, v, multiplicity), u <= v
 
-    def degree(self, v: int) -> int:
-        # a loop contributes 2, matching a node of a component with itself
-        out = 0
-        for a, b, mult in self.edges:
-            if a == v:
-                out += mult
-            if b == v:
-                out += mult
-        return out
-
 
 # ---------------------------------------------------------------------------
 # widths

@@ -237,3 +237,20 @@ def load_workloads():
         sys.modules[name] = module  # dataclasses look their module up by name
         spec.loader.exec_module(module)
     return sys.modules[name]
+
+
+def count_fractions(monkeypatch, fn, *args):
+    """Calls fn(*args) and returns how many Fractions it built."""
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *a, **k):
+        built.append(1)
+        return new(cls, *a, **k)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    try:
+        fn(*args)
+    finally:
+        monkeypatch.undo()
+    return len(built)

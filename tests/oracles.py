@@ -482,14 +482,16 @@ def verify_section_by_corner_value(b: BundleData, f: TropicalSection) -> Section
         right_slope = f.slope_in_cell(j + 1)
         left_value = f.corner_value(j) + left_slope * f.alpha
         right_value = f.corner_value(j + 1)
+        den = left_value.denominator * right_value.denominator
         faces.append(
             FaceTransition(
-                position=pos,
+                pos_num=pos.numerator,
+                pos_den=pos.denominator,
                 left_slope=left_slope,
                 right_slope=right_slope,
-                slope_difference=left_slope - right_slope,
-                left_value=left_value,
-                right_value=right_value,
+                left_num=left_value.numerator * right_value.denominator,
+                right_num=right_value.numerator * left_value.denominator,
+                den=den,
             )
         )
         if left_value != right_value:

@@ -1,6 +1,8 @@
+import enum
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -16,12 +18,14 @@ from hypothesis import strategies as st
 from gens import load_workloads, swinnerton_dyer
 from wmtrop import monodromy as mono
 from wmtrop import polyfactor as pf
+from wmtrop import tropbundle as tb
 from wmtrop import troplattice as tl
 from wmtrop.cli import (
     _HANDLERS,
     JobSpec,
     Report,
     SchemaError,
+    format_ratio,
     format_rational,
     main,
     parse_bundle,
@@ -158,6 +162,50 @@ class TestParsing:
              "slope_increment": 0, "value_increment": "1/5"}
         )
         assert parse_section(serialize_section(s)) == s
+
+    @given(st.integers(), st.integers().filter(bool))
+    def test_format_ratio_spells_like_fraction(self, num, den):
+        assert format_ratio(num, den) == str(F(num, den))
+
+    def test_format_ratio_edges(self):
+        big = 7**200
+        pairs = [(0, 1), (0, -5), (6, -4), (-6, -4), (big * 3, -big), (-1, 1), (10**30, 10**29)]
+        for num, den in pairs + [(True, 1), (True, 2), (4, True), (-3, True)]:
+            assert format_ratio(num, den) == str(F(num, den)), (num, den)
+        for num in (3, 0, True):
+            with pytest.raises(ZeroDivisionError) as want:
+                F(num, 0)
+            with pytest.raises(ZeroDivisionError) as got:
+                format_ratio(num, 0)
+            assert str(got.value) == str(want.value)
+
+    def test_serialize_matrix_spells_like_fraction(self):
+        rng = random.Random(233)
+        for _ in range(50):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            entries = [F(rng.randint(-40, 40), rng.choice((1, 2, 6, -9, 35))) for _ in range(rows * cols)]
+            m = Matrix([entries[i * cols : (i + 1) * cols] for i in range(rows)])
+            assert serialize_matrix(m) == [[str(x) for x in row] for row in m.row_tuples]
+
+    def test_section_slopes_checked_as_before(self):
+        class Slope(enum.IntEnum):
+            UP = 1
+
+        section = {"alpha": "1", "base_value": "0", "slope_increment": 0, "value_increment": "0"}
+        cases = [[0, -2, 2], [Slope.UP, -1], [], [True, -1], [1, False], [1.0, -1], [1, "-1"]]
+        for slopes in cases + [[None], [[1]], (1, -1), "12", 3, None]:
+            # the rule parse_section always kept, ahead of every other field
+            accepted = isinstance(slopes, list) and all(
+                isinstance(x, int) and not isinstance(x, bool) for x in slopes
+            )
+            payload = {**section, "slopes": slopes, "alpha": "x"}
+            with pytest.raises(SchemaError) as err:
+                parse_section(payload)
+            assert (err.value.fieldname == "section.slopes") != accepted, slopes
+            if accepted and slopes:
+                assert parse_section({**payload, "alpha": "1"}).slopes == tuple(slopes)
+            elif not accepted:
+                assert str(err.value) == "field 'section.slopes': expected an array of integers"
 
 
 class TestCommands:
@@ -736,6 +784,59 @@ class TestParseBoundary:
     def test_cases_cover_every_outcome(self):
         assert set(self.REPORTS) == {f"{c}/{n}" for c, n in self.CASES}
         assert {r["exit_code"] for r in self.REPORTS.values()} == {0, 1, 2}
+
+
+def witness_features(payload: dict) -> set[str]:
+    """What a bundle-verify-f input exercises: its lattice generator, alpha,
+    base value, cell count, and how its section differs from the canonical
+    witness construct_f returns."""
+    section = payload["section"]
+    try:
+        b, s = parse_bundle(payload["bundle"]), parse_section(section)
+    except SchemaError:
+        return {"rejected"}
+    found = set()
+    if b.lattice.generators[0, 0] < 0:
+        found.add("negative generator")
+    if s.alpha.denominator > 1:
+        found.add("alpha denominator > 1")
+    if s.base_value.denominator == 7:
+        found.add("base value over 7")
+    canonical = tb.construct_f(b, tl.CellWidth(s.alpha))
+    if canonical.period_cells == 1:
+        found.add("k = 1")
+    if s.period_cells != canonical.period_cells:
+        found.add("period")
+    elif s.slopes != canonical.slopes:
+        found.add("slope")
+    if s.slope_increment != canonical.slope_increment:
+        found.add("slope_increment")
+    if s.value_increment != canonical.value_increment:
+        found.add("value_increment")
+    return found
+
+
+class TestWitnessReports:
+    """bundle-verify-f reports byte for byte, face positions and values
+    spelled as str(Fraction) spells them, over witnesses that exercise each
+    part of verify_section.  Rewrite witness_reports.json only for a
+    deliberate change of the reports."""
+
+    REPORTS = json.loads((Path(__file__).parent / "witness_reports.json").read_text())
+
+    @pytest.mark.parametrize("name", sorted(REPORTS))
+    def test_report_bytes(self, name):
+        case = self.REPORTS[name]
+        code, out = run_cli(["bundle-verify-f", "--json", json.dumps(case["input"])])
+        assert (code, out) == (case["exit_code"], case["report"])
+
+    def test_cases_cover_the_witness_features(self):
+        found = set().union(*(witness_features(c["input"]) for c in self.REPORTS.values()))
+        assert found == {
+            "negative generator", "alpha denominator > 1", "base value over 7", "k = 1",
+            "slope", "slope_increment", "value_increment", "period", "rejected",
+        }
+        assert {c["exit_code"] for c in self.REPORTS.values()} == {0, 1, 2}
 
 
 def json_dumps_oracle(report: Report) -> str:

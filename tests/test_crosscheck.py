@@ -801,12 +801,25 @@ def _witness_cases(rng, count):
     return cases
 
 
+def _face_fields(report) -> list[tuple]:
+    """Every field of every face, read through the properties, so that the
+    comparison does not rest on FaceTransition's own equality."""
+    return [
+        (f.position, f.left_slope, f.right_slope, f.slope_difference)
+        + (f.left_value, f.right_value, f.continuous)
+        for f in report.faces
+    ]
+
+
 class TestLinearWitnessCheck:
     def test_faces_match_the_corner_value_loop(self):
         seen = set()
         for variant, b, f in _witness_cases(random.Random(191), 40):
             report = verify_section(b, f)
-            assert report == verify_section_by_corner_value(b, f), (variant, b, f)
+            expected = verify_section_by_corner_value(b, f)
+            assert report == expected, (variant, b, f)
+            got = (report.ok, report.failures, _face_fields(report))
+            assert got == (expected.ok, expected.failures, _face_fields(expected)), (variant, b, f)
             assert report.ok == (variant in ("canonical", "base_value")), (variant, b, f)
             seen.add(variant)
             if b.lattice.generators[0, 0] < 0:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gens import (
+    count_fractions,
     random_fraction,
     random_invertible,
     random_matrix,
@@ -364,29 +365,12 @@ class TestStoredForm:
             assert (full == zero) == (n == 0)
 
 
-def _count_fractions(monkeypatch, fn, *args):
-    """Calls fn(*args) and returns how many Fractions it built."""
-    built = []
-    new = F.__new__
-
-    def counting(cls, *a, **k):
-        built.append(1)
-        return new(cls, *a, **k)
-
-    monkeypatch.setattr(F, "__new__", counting)
-    try:
-        fn(*args)
-    finally:
-        monkeypatch.undo()
-    return len(built)
-
-
 class TestNoBoxing:
     """On integer input the exact core builds no Fraction at all: a later
     per-entry conversion fails here instead of only slowing the benchmark."""
 
     def test_counter_sees_fractions(self, monkeypatch):
-        assert _count_fractions(monkeypatch, lambda: Matrix([[1, 2]]).row_tuples) == 2
+        assert count_fractions(monkeypatch, lambda: Matrix([[1, 2]]).row_tuples) == 2
 
     def test_core_on_integer_input(self, monkeypatch):
         rng = random.Random(229)
@@ -405,7 +389,7 @@ class TestNoBoxing:
                 (lambda: monodromy_filtration(nil)),
             ]
             for k, fn in enumerate(cases):
-                assert _count_fractions(monkeypatch, fn) == 0, (n, k)
+                assert count_fractions(monkeypatch, fn) == 0, (n, k)
             assert monodromy_filtration(nil).at(nil.nilpotency_index - 1).is_full()
 
 

@@ -1,15 +1,18 @@
+import enum
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gens import random_bundle, random_rank1_bundle
+from gens import count_fractions, random_bundle, random_rank1_bundle
 from oracles import section_ok_bruteforce
 from wmtrop.ratlin import Matrix
 from wmtrop.tropbundle import (
     BundleData,
+    FaceTransition,
     ModelUndefinedError,
     NoPLevelError,
     TropicalSection,
@@ -330,3 +333,66 @@ class TestConstructVerify:
         s = construct_f(b, CellWidth(1))
         assert verify_section(b, s).ok
         assert section_ok_bruteforce(b, s)
+
+
+class TestFaceTransition:
+    """Faces are stored as integers; their values are built on demand."""
+
+    def test_values_on_demand(self):
+        face = FaceTransition(
+            pos_num=4, pos_den=6, left_slope=3, right_slope=-1, left_num=-10, right_num=-10, den=4
+        )
+        assert face.position == F(2, 3) and type(face.position) is F
+        assert face.left_value == face.right_value == F(-5, 2)
+        assert face.slope_difference == 4
+        assert face.continuous
+        broken = face._replace(right_num=-9)
+        assert not broken.continuous and broken.right_value == F(-9, 4)
+
+    def test_equality_and_hash_compare_values(self):
+        face = FaceTransition(2, 3, 1, 0, 5, 7, 3)
+        same = FaceTransition(-4, -6, 1, 0, 10, 14, 6)
+        assert face == same and not face != same and hash(face) == hash(same)
+        assert tuple(face) != tuple(same)
+        for other in (
+            face._replace(pos_num=3),
+            face._replace(left_slope=2),
+            face._replace(right_slope=1),
+            face._replace(left_num=6),
+            face._replace(right_num=6),
+            face._replace(den=6),
+        ):
+            assert face != other and not face == other
+        assert face != tuple(face) and not face == tuple(face) and tuple(face) != face
+
+    def test_verify_section_builds_no_fraction_per_face(self, monkeypatch):
+        counts = []
+        for k in (1, 20, 400):
+            alpha = F(2, 3)
+            b = BundleData(TropicalLattice(Matrix([[k * alpha]])), Matrix([[-2]]), [alpha * (3 * k + 1)])
+            f = replace(construct_f(b, CellWidth(alpha)), base_value=F(-3, 7))
+            assert verify_section(b, f).ok
+            counts.append(count_fractions(monkeypatch, verify_section, b, f))
+        assert counts[0] > 0 and counts == [counts[0]] * 3, counts
+
+
+class TestSlopeCheck:
+    """TropicalSection takes any int, bools and other subclasses included,
+    and nothing else."""
+
+    class Slope(enum.IntEnum):
+        UP = 1
+
+    def section(self, slopes):
+        return TropicalSection(F(1), slopes, F(0), 0, F(0))
+
+    def test_integers_accepted(self):
+        for slopes in ((0, -3, 2**80), (True, False), (self.Slope.UP, 2)):
+            assert self.section(slopes).slopes == slopes
+
+    def test_others_rejected(self):
+        for slopes in ((1.0,), (1, "2"), (1, None), (F(1),), (1, [2])):
+            with pytest.raises(ValueError, match="^slopes must be integers$"):
+                self.section(slopes)
+        with pytest.raises(ValueError, match="^at least one cell per period required$"):
+            self.section(())
