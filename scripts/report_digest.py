@@ -3,10 +3,11 @@
 
 Runs each job of each workload in perfbench/workloads.py, at the given
 seeds, through `wmtrop.cli.run` and `render_json`, and prints the job
-count and one digest over the rendered reports and exit codes.  Two
-checkouts that print the same line produce the same bytes on every job,
-so a refactor that must not change a report can be checked against a
-clone of its parent commit.
+count and one digest over the rendered reports and exit codes.  A second
+line gives one digest over `render_text` of the same reports, the text
+format.  Two checkouts that print the same lines produce the same bytes on
+every job, so a refactor that must not change a report can be checked
+against a clone of its parent commit.
 
 Every report is also rendered by the oracle `json.dumps(report.to_dict(),
 sort_keys=True, indent=2) + "\n"`; if those bytes differ from
@@ -50,7 +51,7 @@ def main(argv=None) -> int:
         print(f"error: imported wmtrop from {cli.__file__}, not from {src}", file=sys.stderr)
         return 2
     workloads = load_workloads()
-    digest = hashlib.sha256()
+    digest, text_digest = hashlib.sha256(), hashlib.sha256()
     count = 0
     for name in workloads.WORKLOADS:
         for seed in args.seeds:
@@ -63,8 +64,10 @@ def main(argv=None) -> int:
                     return 1
                 digest.update(f"{report.exit_code}\n".encode())
                 digest.update(text.encode())
+                text_digest.update(cli.render_text(report).encode())
                 count += 1
     print(f"{count} jobs, sha256 {digest.hexdigest()}")
+    print(f"text format, sha256 {text_digest.hexdigest()}")
     return 0
 
 

@@ -196,10 +196,17 @@ def parse_section(value: Any, fieldname: str = "section") -> tb.TropicalSection:
         raise SchemaError(fieldname, str(err)) from None
 
 
+class _IntList(list):
+    """A list of ints that `render_json` writes in one call, marked by the
+    code that builds it so that the renderer need not scan lists."""
+
+    __slots__ = ()
+
+
 def serialize_section(s: tb.TropicalSection) -> dict:
     return {
         "alpha": format_rational(s.alpha),
-        "slopes": list(s.slopes),
+        "slopes": _IntList(s.slopes),
         "base_value": format_rational(s.base_value),
         "slope_increment": s.slope_increment,
         "value_increment": format_rational(s.value_increment),
@@ -236,6 +243,47 @@ class JobSpec:
     payload: dict
 
 
+class _FaceList:
+    """The faces of a `verify_section` report, left as its integer tuples.
+
+    `Report.to_dict()` expands them into one dict per face; `render_json`
+    writes them through one template, with no dict.
+    """
+
+    __slots__ = ("faces",)
+
+    def __init__(self, faces: tuple[tb.FaceTransition, ...]):
+        self.faces = faces
+
+    def __eq__(self, other) -> bool:
+        return type(other) is _FaceList and self.faces == other.faces
+
+    def dicts(self) -> list[dict]:
+        return [
+            {
+                "position": format_ratio(pos_num, pos_den),
+                "left_slope": left_slope,
+                "right_slope": right_slope,
+                "slope_difference": left_slope - right_slope,
+                "value": format_ratio(left_num, den),
+                "continuous": left_num == right_num,
+            }
+            for pos_num, pos_den, left_slope, right_slope, left_num, right_num, den in self.faces
+        ]
+
+
+def _expanded(payload: dict) -> dict:
+    """The payload with its face list expanded.
+
+    Only the `faces` slot holds unexpanded data, so nothing else is walked:
+    a batch can echo a command nested 900 deep.
+    """
+    faces = payload.get("faces")
+    if type(faces) is _FaceList:
+        return {**payload, "faces": faces.dicts()}
+    return payload
+
+
 @dataclass(frozen=True)
 class Report:
     command: str
@@ -244,11 +292,16 @@ class Report:
     diagnostics: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
+        """The report as plain JSON data, its face list expanded into dicts:
+        what every reader, and `json.dumps` as the oracle of `render_json`, sees."""
+        return self._document(_expanded(self.payload))
+
+    def _document(self, payload: dict) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
             "command": self.command,
             "status": self.status,
-            "payload": self.payload,
+            "payload": payload,
             "diagnostics": list(self.diagnostics),
         }
 
@@ -478,21 +531,10 @@ def _cmd_bundle_verify_f(payload: dict) -> Report:
     b = _bundle(payload)
     section = parse_section(_get(payload, "section"), "section")
     report = tb.verify_section(b, section)
-    faces = [
-        {
-            "position": format_ratio(pos_num, pos_den),
-            "left_slope": left_slope,
-            "right_slope": right_slope,
-            "slope_difference": left_slope - right_slope,
-            "value": format_ratio(left_num, den),
-            "continuous": left_num == right_num,
-        }
-        for pos_num, pos_den, left_slope, right_slope, left_num, right_num, den in report.faces
-    ]
     return Report(
         "bundle-verify-f",
         "pass" if report.ok else "fail",
-        payload={"ok": report.ok, "faces": faces},
+        payload={"ok": report.ok, "faces": _FaceList(report.faces)},
         diagnostics=report.failures,
     )
 
@@ -602,6 +644,53 @@ _SCALARS: dict[type, Callable[[Any], str]] = {
 }
 
 
+#: the fields of a face's JSON object, in sorted key order, as `%` conversions
+_FACE_FIELDS = (
+    '"continuous": %s',
+    '"left_slope": %d',
+    '"position": "%s"',
+    '"right_slope": %d',
+    '"slope_difference": %d',
+    '"value": "%s"',
+)
+
+
+def _face_list_json(faces: _FaceList, newline: str) -> str:
+    """The JSON text of `faces.dicts()` at the indent `newline`, one `%`
+    template per face.  Positions and values are digits, "-" and "/", which
+    need no escaping; the slopes come from `parse_section`, which takes no
+    bool, so `%d` spells them as `json` does."""
+    if not faces.faces:
+        return "[]"
+    inner = newline + "  "
+    template = "{" + inner + "  " + ("," + inner + "  ").join(_FACE_FIELDS) + inner + "}"
+    body = ("," + inner).join([
+        template % (
+            "true" if left_num == right_num else "false", left_slope,
+            format_ratio(pos_num, pos_den), right_slope, left_slope - right_slope,
+            format_ratio(left_num, den),
+        )
+        for pos_num, pos_den, left_slope, right_slope, left_num, right_num, den in faces.faces
+    ])  # fmt: skip
+    return "[" + inner + body + newline + "]"
+
+
+def _int_list_json(values: _IntList, newline: str) -> str:
+    """The JSON text of a list of ints at the indent `newline`, from json's
+    own C encoder, which spells each item as the oracle does (bools too)."""
+    if not values:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + json.dumps(values, separators=("," + inner, ": "))[1:-1] + newline + "]"
+
+
+#: JSON text of a list whose producer marked it by its type, at the indent `newline`
+_LISTS: dict[type, Callable[[Any, str], str]] = {
+    _FaceList: _face_list_json,
+    _IntList: _int_list_json,
+}
+
+
 def _emit(value: Any, out: list[str], newline: str) -> None:
     """Append the JSON text of `value` to `out`; `newline` is "\\n" plus the current indent.
 
@@ -629,6 +718,8 @@ def _emit(value: Any, out: list[str], newline: str) -> None:
                 out.append(sep + _encode_str(key) + ": " + encode(item))
             sep = comma
         out.append(newline + "}")
+    elif (write := _LISTS.get(type(value))) is not None:
+        out.append(write(value, newline))
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -658,28 +749,30 @@ def render_json(report: Report) -> str:
     non-finite floats as `NaN`, `Infinity` and `-Infinity`.
 
     One recursive pass appends to one list, where `json.dumps` with an
-    indent runs its pure-Python encoder.  Any type `json` does not encode,
-    and any key that is not a `str`, raises `TypeError` (a `json.dumps`
-    caller would see an int key turned into a string); only a Python
-    caller can build such a report, never JSON input.
+    indent runs its pure-Python encoder; each list type in `_LISTS` is
+    written in one piece, a face list with no dict per face.  Any type
+    `json` does not encode, and any key that is not a `str`, raises
+    `TypeError` (a `json.dumps` caller would see an int key turned into a
+    string); only a Python caller can build such a report, never JSON input.
     """
     out: list[str] = []
-    _emit(report.to_dict(), out, "\n")
+    _emit(report._document(report.payload), out, "\n")
     out.append("\n")
     return "".join(out)
 
 
 def render_text(report: Report) -> str:
+    payload = report.to_dict()["payload"]
     lines = [f"{report.command}: {report.status}"]
-    for key in sorted(report.payload):
-        lines.append(f"  {key}: {json.dumps(report.payload[key], sort_keys=True)}")
+    for key in sorted(payload):
+        lines.append(f"  {key}: {json.dumps(payload[key], sort_keys=True)}")
     for d in report.diagnostics:
         lines.append(f"  ! {d}")
     return "\n".join(lines) + "\n"
 
 
 def render_dot(report: Report) -> str | None:
-    graph = report.payload.get("dual_graph")
+    graph = report.to_dict()["payload"].get("dual_graph")
     if graph is None:
         return None
     lines = ["graph special_fiber {"]

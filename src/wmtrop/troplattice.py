@@ -155,11 +155,15 @@ def max_dividing_width(lat: TropicalLattice) -> CellWidth:
 
 
 def divides(alpha: CellWidth, lat: TropicalLattice) -> bool:
-    """True iff the lattice is contained in alpha * Z^r."""
+    """True iff the lattice is contained in alpha * Z^r.
+
+    A generator entry n/den over alpha = a/b is the integer n*b / (den*a)
+    exactly when den*a divides n*b; the test runs on the stored integers.
+    """
     a = alpha.alpha
-    return all(
-        (x / a).denominator == 1 for i in range(lat.rank) for x in lat.generators.column(i)
-    )
+    gens = lat.generators
+    b, m = a.denominator, gens._den * a.numerator
+    return not any(n * b % m for row in gens._num for n in row)
 
 
 # ---------------------------------------------------------------------------

@@ -357,10 +357,11 @@ class TestCommands:
         report = run(JobSpec("bundle-verify-f", {"bundle": bundle, "section": section}))
         render(report, "json")
         assert time.perf_counter() - start < 2.0
-        assert (report.exit_code, len(report.payload["faces"])) == (0, 2 * k)
+        assert (report.exit_code, len(report.to_dict()["payload"]["faces"])) == (0, 2 * k)
         section["slopes"][0] += 1  # the slopes sum one past the value increment
         report = run(JobSpec("bundle-verify-f", {"bundle": bundle, "section": section}))
-        broken = [face["position"] for face in report.payload["faces"] if not face["continuous"]]
+        faces = report.to_dict()["payload"]["faces"]
+        broken = [face["position"] for face in faces if not face["continuous"]]
         assert (report.exit_code, broken) == (1, ["2", "4"])  # k * alpha and 2k * alpha
 
     def test_batch_order_and_worst_status(self):
@@ -839,6 +840,20 @@ class TestWitnessReports:
         assert {c["exit_code"] for c in self.REPORTS.values()} == {0, 1, 2}
 
 
+class TestTextReports:
+    """--format text byte for byte: bundle-verify-f on a passing and on a
+    slope-perturbed witness, bundle-construct-f, and a batch of the three.
+    Rewrite text_reports.json only for a deliberate change of the reports."""
+
+    REPORTS = json.loads((Path(__file__).parent / "text_reports.json").read_text())
+
+    @pytest.mark.parametrize("name", sorted(REPORTS))
+    def test_report_bytes(self, name):
+        case = self.REPORTS[name]
+        argv = [case["command"], "--format", "text", "--json", json.dumps(case["input"])]
+        assert run_cli(argv) == (case["exit_code"], case["report"])
+
+
 def json_dumps_oracle(report: Report) -> str:
     return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
 
@@ -891,6 +906,50 @@ class TestRenderContract:
             deep = [deep]
         report = run(JobSpec("batch", {"jobs": [{"command": deep}]}))
         assert render_json(report) == json_dumps_oracle(report)
+
+    def test_face_lists_in_batches(self):
+        # verify reports in a batch, and in a batch of a batch, at a non-zero indent
+        cases = TestWitnessReports.REPORTS
+        jobs = [
+            {"command": "bundle-verify-f", "input": cases[name]["input"]}
+            for name in ("thirds_base_value_sevenths", "thirds_slope", "k1_period")
+        ]
+        inner = {"command": "batch", "input": {"jobs": jobs}}
+        for payload in ({"jobs": jobs}, {"jobs": [inner]}, {"jobs": [jobs[0], inner]}):
+            report = run(JobSpec("batch", payload))
+            assert render_json(report) == json_dumps_oracle(report)
+        assert report == run(JobSpec("batch", payload))
+        # a batch of a batch: every sub-report is the bytes the job renders alone
+        doc = json.loads(render_json(report))
+        nested = [doc["payload"]["reports"][0], *doc["payload"]["reports"][1]["payload"]["reports"]]
+        assert [json.dumps(r, sort_keys=True, indent=2) + "\n" for r in nested] == [
+            render_json(run(JobSpec(job["command"], job["input"]))) for job in [jobs[0], *jobs]
+        ]
+
+    def test_faces_expand_to_the_recorded_dicts(self):
+        for case in TestWitnessReports.REPORTS.values():
+            report = run(JobSpec("bundle-verify-f", case["input"]))
+            assert report.to_dict() == json.loads(case["report"])
+
+    class Slope(enum.IntEnum):
+        DOWN = -1
+        UP = 1
+
+    def test_int_subclass_slopes(self):
+        # a Python caller's slopes render as json spells them: an IntEnum as
+        # int.__repr__, a bool (which TropicalSection takes) as true/false
+        bundle = TestWitnessReports.REPORTS["thirds_canonical"]["input"]["bundle"]
+        up, down = self.Slope.UP, self.Slope.DOWN
+        section = {"alpha": "1/3", "slopes": [up, up, up, 2], "slope_increment": down,
+                   "value_increment": "5/3"}  # fmt: skip
+        report = run(JobSpec("bundle-verify-f", {"bundle": bundle, "section": section}))
+        assert report.exit_code == 0
+        assert render_json(report) == json_dumps_oracle(report)
+        assert '"left_slope": 1,' in render_json(report)
+        for slopes in ((up, down, 3), (True, False, 2), (True,)):
+            section = tb.TropicalSection(F(1, 3), slopes, F(0), up, F(0))
+            report = Report("bundle-construct-f", "pass", {"section": serialize_section(section)})
+            assert render_json(report) == json_dumps_oracle(report)
 
     def test_subclasses_render_as_their_base(self):
         class Name(str):

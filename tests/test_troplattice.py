@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gens import random_fraction, random_lattice
 from oracles import rational_gcd_bruteforce
@@ -66,6 +68,28 @@ class TestWidths:
             alpha = max_dividing_width(lat)
             for m in (2, 3, 6):
                 assert divides(CellWidth(alpha.alpha / m), lat)
+
+    @given(
+        entries=st.lists(
+            st.fractions(min_value=-50, max_value=50, max_denominator=24), min_size=9, max_size=9
+        ),
+        rank=st.integers(1, 3),
+        alpha=st.fractions(min_value=F(1, 60), max_value=20, max_denominator=60),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_divides_matches_fraction_rule(self, entries, rank, alpha):
+        # divides tests the integer numerators; the rule it replaced divided
+        # each generator entry, as a Fraction, by alpha
+        cols = [entries[i * rank : (i + 1) * rank] for i in range(rank)]
+        try:
+            lat = TropicalLattice.from_columns(cols)
+        except ValueError:
+            return
+        width = CellWidth(alpha)
+        old = all((x / alpha).denominator == 1 for col in cols for x in col)
+        assert divides(width, lat) == old
+        # and a width that does divide, so that both answers are checked
+        assert divides(CellWidth(max_dividing_width(lat).alpha / alpha.denominator), lat)
 
     def test_cell_width_positive(self):
         with pytest.raises(ValueError):
