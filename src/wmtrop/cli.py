@@ -94,10 +94,6 @@ def parse_rational(value: Any, fieldname: str = "value") -> Fraction:
     return Fraction(*_rational_ints(value, fieldname))
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x)
-
-
 def format_ratio(num: int, den: int) -> str:
     """str(Fraction(num, den)) for integers num and den, with no Fraction:
     lowest terms, the sign on the numerator, and no "/1"."""
@@ -174,9 +170,9 @@ def parse_section(value: Any, fieldname: str = "section") -> tb.TropicalSection:
     if not isinstance(value, dict):
         raise SchemaError(fieldname, "expected an object")
     slopes = value.get("slopes")
-    if not isinstance(slopes, list) or not (
-        all(map(isinstance, slopes, itertools.repeat(int)))
-        and not any(map(isinstance, slopes, itertools.repeat(bool)))
+    if not isinstance(slopes, list) or (
+        bool in (kinds := set(map(type, slopes)))
+        or not all(map(issubclass, kinds, itertools.repeat(int)))
     ):
         raise SchemaError(f"{fieldname}.slopes", "expected an array of integers")
     inc = value.get("slope_increment", 0)
@@ -205,11 +201,11 @@ class _IntList(list):
 
 def serialize_section(s: tb.TropicalSection) -> dict:
     return {
-        "alpha": format_rational(s.alpha),
+        "alpha": str(s.alpha),
         "slopes": _IntList(s.slopes),
-        "base_value": format_rational(s.base_value),
+        "base_value": str(s.base_value),
         "slope_increment": s.slope_increment,
-        "value_increment": format_rational(s.value_increment),
+        "value_increment": str(s.value_increment),
     }
 
 
@@ -476,7 +472,7 @@ def _cmd_bundle_ample(payload: dict) -> Report:
         payload={
             "ample": ample,
             "form": serialize_matrix(s),
-            "leading_minors": [format_rational(m) for m in minors],
+            "leading_minors": [str(m) for m in minors],
         },
         diagnostics=() if ample else ("induced form is not positive definite",),
     )
@@ -497,7 +493,7 @@ def _cmd_bundle_extend(payload: dict) -> Report:
     return Report(
         "bundle-extend",
         "pass" if ok else "fail",
-        payload={"extends": ok, "alpha": format_rational(alpha.alpha)},
+        payload={"extends": ok, "alpha": str(alpha.alpha)},
         diagnostics=diags,
     )
 
@@ -518,7 +514,7 @@ def _cmd_bundle_minlevel(payload: dict) -> Report:
     return Report(
         "bundle-minlevel",
         "pass",
-        payload={"level": level, "width": format_rational(alpha.alpha / p**level)},
+        payload={"level": level, "width": str(alpha.alpha / p**level)},
     )
 
 

@@ -36,7 +36,6 @@ from .ratlin import (
     _int_derivative,
     _int_exact_div,
     _int_gcd,
-    _int_poly,
     _int_prem,
     _int_product,
     _nullspace_ints,
@@ -333,7 +332,7 @@ def _sturm_sequence(f: RatPoly) -> list[list[int]]:
     multiple of the classical term (negated remainders over Q) for that
     squarefree part, and every sign-change count is the classical one.
     """
-    a = _int_poly(f)
+    a = _primitive(list(f._num))
     sf = _int_exact_div(a, _int_gcd(a, _int_derivative(a)))
     seq = [sf, _int_derivative(sf)]
     while len(seq[-1]) > 1:

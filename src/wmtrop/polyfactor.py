@@ -26,15 +26,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
 
 from .ratlin import (
     RatPoly,
     _int_derivative,
     _int_exact_div,
     _int_gcd,
-    _int_poly,
-    _monic_poly,
+    _primitive,
     _trim,
     prime_factors,
 )
@@ -357,7 +355,7 @@ def squarefree_decomposition(p: RatPoly) -> list[tuple[RatPoly, int]]:
         raise ValueError("cannot decompose the zero polynomial")
     if p.degree < 1:
         return []
-    f = _int_poly(p)
+    f = _primitive(list(p._num))
     fp = _int_derivative(f)
     g = _int_gcd(f, fp)
     if len(g) == 1:
@@ -373,7 +371,7 @@ def squarefree_decomposition(p: RatPoly) -> list[tuple[RatPoly, int]]:
         c = _divide(c, a)
         d = _minus(_divide(d, a), _int_derivative(c))
         if len(a) > 1:
-            out.append((_monic_poly(a), i))
+            out.append((RatPoly._over(a, a[-1]), i))
         i += 1
     return out
 
@@ -383,19 +381,15 @@ def _factor_squarefree_monic(f: RatPoly) -> list[RatPoly]:
     n = f.degree
     if n == 1:
         return [f]
-    scale = math.lcm(*(c.denominator for c in f.coeffs))
-    # y = scale * x turns f into a monic integer polynomial in y
-    g_int = []
-    for k in range(n + 1):
-        val = f.coefficient(k) * scale ** (n - k)
-        if val.denominator != 1:
-            raise ArithmeticError("scaled polynomial is not integral")
-        g_int.append(val.numerator)
+    # f = c/den is monic, so c[n] = den and y = den * x turns den^n f into
+    # the monic integer polynomial with coefficients c[k] den^(n-k-1)
+    c, den = f._num, f._den
+    g_int = [x * den ** (n - k - 1) for k, x in enumerate(c[:-1])] + [1]
     rng = random.Random(hash((tuple(g_int), 0x7ea9)))
     out = []
     for h in _zassenhaus_monic(g_int, rng):
         m = len(h) - 1
-        out.append(RatPoly([Fraction(h[j], scale ** (m - j)) for j in range(m + 1)]))
+        out.append(RatPoly._over([x * den**j for j, x in enumerate(h)], den**m))
     return out
 
 

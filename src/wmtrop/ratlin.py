@@ -9,16 +9,16 @@ top of it (filtration equality, lattice divisibility, positive
 definiteness) is decided exactly.
 
 A matrix is stored as rows of Python ints over one positive denominator,
-reduced by the gcd of all of them, so each rational matrix has exactly
-one stored form and equality and hashing compare it directly.  A
-subspace stores its RREF basis as such a matrix.  Products, matrix
-polynomials (on integer coefficients) and the characteristic polynomial
-read the integer rows as they are, elimination is fraction-free, and a
-row's scale never matters to a row space, so kernels, spans and sums
-pass integer vectors straight to the one elimination loop.  Fractions
-are built only on demand, where an entry is read (`__getitem__`, `row`,
-`row_tuples`).  Polynomials store Fractions, but their gcd is a
-primitive pseudo-remainder sequence on primitive integer multiples.
+reduced by the gcd of all of them, and a polynomial as its integer
+coefficients over one such denominator, so each has exactly one stored
+form and equality and hashing compare it directly.  A subspace stores its
+RREF basis as such a matrix.  Products, matrix polynomials, polynomial
+gcds (primitive pseudo-remainder sequences) and the characteristic
+polynomial read the integers as they are, elimination is fraction-free,
+and a row's scale never matters to a row space, so kernels, spans and
+sums pass integer vectors straight to the one elimination loop.
+Fractions are built only on demand, where an entry or coefficient is
+read (`row_tuples`, `coeffs`, `coefficient`, `leading`, ...).
 
 All values are immutable after construction; operations are pure
 functions, safe to share across threads.
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, zip_longest
 from typing import Iterable, Sequence
 
 
@@ -59,6 +59,13 @@ def _scaled(entries: Iterable, den: int) -> list[int]:
     if den == 1:
         return [int(x) for x in entries]
     return [x.numerator * (den // x.denominator) for x in entries]
+
+
+def _fractions(nums: Sequence[int], den: int) -> tuple[Fraction, ...]:
+    """The Fractions nums / den, for den > 0."""
+    if den == 1:
+        return tuple(map(Fraction, nums))
+    return tuple(Fraction(x, den) if x else _ZERO for x in nums)
 
 
 def _int_vector(v: Sequence) -> list[int]:
@@ -224,27 +231,21 @@ class Matrix:
         n = len(d)
         return cls([[d[i] if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
 
-    def _fractions(self, row: Sequence[int]) -> tuple[Fraction, ...]:
-        den = self._den
-        if den == 1:
-            return tuple(map(Fraction, row))
-        return tuple(Fraction(x, den) if x else _ZERO for x in row)
-
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         return Fraction(self._num[ij[0]][ij[1]], self._den)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._fractions(self._num[i])
+        return _fractions(self._num[i], self._den)
 
     def column(self, j: int) -> tuple[Fraction, ...]:
-        return self._fractions([r[j] for r in self._num])
+        return _fractions([r[j] for r in self._num], self._den)
 
     @property
     def row_tuples(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(map(self._fractions, self._num))
+        return tuple(_fractions(r, self._den) for r in self._num)
 
     def rows_list(self) -> list[list[Fraction]]:
-        return [list(self._fractions(r)) for r in self._num]
+        return [list(_fractions(r, self._den)) for r in self._num]
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -529,75 +530,100 @@ def apply_to_subspace(m: Matrix, s: Subspace) -> Subspace:
 class RatPoly:
     """Dense univariate polynomial over Q, coefficients lowest degree first.
 
-    The zero polynomial has an empty coefficient tuple and degree -1.
+    Stored as integer numerators `_num`, with no trailing zero, over one
+    denominator `_den` > 0, with gcd(_den, every numerator) = 1: one
+    stored form per polynomial, as for Matrix.  The zero polynomial has
+    empty `_num`, `_den` 1 and degree -1.  `coeffs`, `coefficient` and
+    `leading` build Fractions on demand.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable):
-        c = [_frac(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
+        c = list(coeffs)
+        den = math.lcm(*map(_denominator, c))
+        object.__setattr__(self, "_num", tuple(_trim(_scaled(c, den))))
+        object.__setattr__(self, "_den", den)
+
+    @classmethod
+    def _over(cls, num: Iterable[int], den: int) -> "RatPoly":
+        """The RatPoly num / den, for integer coefficients num and an int
+        den != 0, brought to the stored form."""
+        num = _trim(list(num))
+        if den != 1:
+            g = math.gcd(den, *num)
+            if den < 0:
+                g = -g
+            if g != 1:
+                num = [x // g for x in num]
+                den //= g
+        p = object.__new__(cls)
+        object.__setattr__(p, "_num", tuple(num))
+        object.__setattr__(p, "_den", den)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("RatPoly is immutable")
 
     @classmethod
     def zero(cls) -> "RatPoly":
-        return cls([])
+        return cls._over([], 1)
 
     @classmethod
     def one(cls) -> "RatPoly":
-        return cls([1])
+        return cls._over([1], 1)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return _fractions(self._num, self._den)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._num) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
     def is_one(self) -> bool:
-        return self.coeffs == (Fraction(1),)
+        return self._num == (1,) and self._den == 1
 
     @property
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self._num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self._num[k], self._den) if 0 <= k < len(self._num) else _ZERO
+
+    def _combine(self, other: "RatPoly", sign: int) -> "RatPoly":
+        den = math.lcm(self._den, other._den)
+        fa, fb = den // self._den, sign * (den // other._den)
+        pairs = zip_longest(self._num, other._num, fillvalue=0)
+        return RatPoly._over([fa * a + fb * b for a, b in pairs], den)
 
     def __add__(self, other: "RatPoly") -> "RatPoly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] += x
-        return RatPoly(out)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "RatPoly") -> "RatPoly":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "RatPoly":
-        return RatPoly([-x for x in self.coeffs])
+        return RatPoly._over([-x for x in self._num], self._den)
 
     def __mul__(self, other):
         if isinstance(other, RatPoly):
-            if self.is_zero() or other.is_zero():
+            a, b = self._num, other._num
+            if not a or not b:
                 return RatPoly.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return RatPoly(out)
-        c = _frac(other)
-        return RatPoly([c * x for x in self.coeffs])
+            out = [0] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        out[i + j] += x * y
+            return RatPoly._over(out, self._den * other._den)
+        den = _denominator(other)
+        return RatPoly._over([other.numerator * x for x in self._num], self._den * den)
 
     def __rmul__(self, other):
         return self * other
@@ -617,19 +643,22 @@ class RatPoly:
     def __divmod__(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dd, dv = len(rem) - 1, other.degree
-        if dd < dv:
+        b = other._num
+        lead, k = b[-1], len(self._num) - len(b) + 1
+        if k <= 0:
             return RatPoly.zero(), self
-        quo = [Fraction(0)] * (dd - dv + 1)
-        lead = other.leading
-        for k in range(dd - dv, -1, -1):
-            c = rem[k + dv] / lead
-            quo[k] = c
-            if c != 0:
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= c * b
-        return RatPoly(quo), RatPoly(rem)
+        # lead^k self._num = quo b + rem on integers, so each step's top
+        # coefficient is a multiple of lead
+        scale = lead**k
+        rem = [scale * x for x in self._num]
+        quo = [0] * k
+        for i in range(k - 1, -1, -1):
+            c = rem.pop() // lead
+            if c:
+                quo[i] = c
+                rem[i:] = [x - c * y for x, y in zip(rem[i:], b)]
+        den = scale * self._den
+        return RatPoly._over([other._den * x for x in quo], den), RatPoly._over(rem, den)
 
     def __floordiv__(self, other: "RatPoly") -> "RatPoly":
         return divmod(self, other)[0]
@@ -640,11 +669,11 @@ class RatPoly:
     def monic(self) -> "RatPoly":
         if self.is_zero():
             raise ValueError("zero polynomial has no monic form")
-        lead = self.leading
-        return self if lead == 1 else RatPoly([x / lead for x in self.coeffs])
+        lead = self._num[-1]
+        return self if lead == self._den else RatPoly._over(self._num, lead)
 
     def derivative(self) -> "RatPoly":
-        return RatPoly([i * x for i, x in enumerate(self.coeffs)][1:])
+        return RatPoly._over(_int_derivative(self._num), self._den)
 
     def eval(self, x) -> Fraction:
         x = _frac(x)
@@ -660,16 +689,14 @@ class RatPoly:
         of it runs on integers, with one division at the end."""
         if not m.is_square():
             raise DimensionMismatch("polynomial of a non-square matrix")
-        n, c = m.rows, self.coeffs
+        n, c = m.rows, self._num
         if not c:
             return Matrix.zero(n, n)
-        # with m = a/d and den the lcm of the coefficient denominators,
-        # self(m) = sum(e_k a^k) / (den d^deg) for the integers
-        # e_k = den c_k d^(deg-k)
+        # with m = a/d, self(m) = sum(e_k a^k) / (_den d^deg) for the
+        # integers e_k = c_k d^(deg-k)
         a, d = m._num, m._den
         deg = len(c) - 1
-        den = math.lcm(*(x.denominator for x in c))
-        e = [x.numerator * (den // x.denominator) * d ** (deg - k) for k, x in enumerate(c)]
+        e = [x * d ** (deg - k) for k, x in enumerate(c)]
         a_cols = _columns(a, n)
         s = math.isqrt(deg) + 1
         width = min(s, len(c))
@@ -685,20 +712,20 @@ class RatPoly:
                     [x + y for x, y in zip(row, brow)]
                     for row, brow in zip(_int_product(out, step), block)
                 ]
-        return Matrix._over(out, den * d**deg, n)
+        return Matrix._over(out, self._den * d**deg, n)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RatPoly) and self.coeffs == other.coeffs
+        return isinstance(other, RatPoly) and self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self._den, self._num))
 
     def __repr__(self) -> str:
         if self.is_zero():
             return "RatPoly(0)"
         terms = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i in range(len(self._num) - 1, -1, -1):
+            c = self.coefficient(i)
             if c == 0:
                 continue
             if i == 0:
@@ -719,9 +746,10 @@ class RatPoly:
 
 def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
     """Monic gcd, by the primitive pseudo-remainder sequence of the two
-    polynomials' primitive integer multiples (_int_gcd); the zero
-    polynomial when both are zero."""
-    return _monic_poly(_int_gcd(_int_poly(a), _int_poly(b)))
+    polynomials' numerators (_int_gcd); the zero polynomial when both are
+    zero."""
+    g = _int_gcd(a._num, b._num)
+    return RatPoly._over(g, g[-1]) if g else RatPoly.zero()
 
 
 # ---------------------------------------------------------------------------
@@ -739,20 +767,6 @@ def _primitive(a: list[int]) -> list[int]:
     """a divided by its content, the positive gcd of its coefficients."""
     g = math.gcd(*a)
     return a if g <= 1 else [x // g for x in a]
-
-
-def _int_poly(p: RatPoly) -> list[int]:
-    """The primitive integer polynomial with p's roots and the sign of p's
-    leading coefficient."""
-    if not p.coeffs:
-        return []
-    den = math.lcm(*(x.denominator for x in p.coeffs))
-    return _primitive([x.numerator * (den // x.denominator) for x in p.coeffs])
-
-
-def _monic_poly(a: list[int]) -> RatPoly:
-    """a divided by its leading coefficient, as a RatPoly."""
-    return RatPoly([Fraction(x, a[-1]) for x in a]) if a else RatPoly.zero()
 
 
 def _int_derivative(a: list[int]) -> list[int]:
@@ -856,7 +870,7 @@ def char_poly(m: Matrix) -> RatPoly:
             col.append(-sum(map(mul, left, v)))
             v = [sum(map(mul, b, v)) for b in block]
         p = [sum(map(mul, col[i::-1], p)) for i in range(r + 2)]
-    return RatPoly([Fraction(p[n - k], d ** (n - k)) for k in range(n + 1)])
+    return RatPoly._over([p[n - k] * d**k for k in range(n + 1)], d**n)
 
 
 #: largest n `prime_factors` accepts; trial division to its root takes ~0.1 s

@@ -15,6 +15,7 @@ from gens import (
     random_unimodular,
 )
 from wmtrop.monodromy import NilpotentOperator, monodromy_filtration
+from wmtrop.polyfactor import squarefree_decomposition
 from wmtrop.ratlin import (
     DimensionMismatch,
     Matrix,
@@ -365,6 +366,93 @@ class TestStoredForm:
             assert (full == zero) == (n == 0)
 
 
+def _poly_form_ok(p: RatPoly) -> bool:
+    return p._den > 0 and math.gcd(p._den, *p._num) == 1 and p._num[-1:] != (0,)
+
+
+def _trimmed(c: list) -> list:
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+class TestPolyStoredForm:
+    """One stored (numerators, denominator) form per polynomial, as for
+    Matrix, and its arithmetic equal to the same computation on Fraction
+    coefficient lists."""
+
+    def assert_same(self, *ps):
+        for p in ps:
+            assert _poly_form_ok(p), p
+            assert p._num == ps[0]._num and p._den == ps[0]._den, (p, ps[0])
+            assert p == ps[0] and hash(p) == hash(ps[0]), (p, ps[0])
+
+    def test_one_form_four_ways(self):
+        p = RatPoly([F(1, 2), 0, F(-2, 3)])
+        assert p._num == (3, 0, -4) and p._den == 6
+        self.assert_same(
+            p,
+            RatPoly([F(3, 6), F(0, 5), F(-4, 6), 0, F(0, 7)]),
+            RatPoly._over([9, 0, -12], 18),
+            RatPoly._over([-3, 0, 4, 0], -6),
+        )
+        self.assert_same(RatPoly([2, -4]), RatPoly._over([-6, 12], -3), RatPoly([F(4, 2), F(-8, 2)]))
+        assert RatPoly([2, -4])._den == 1
+        zero = RatPoly.zero()
+        assert zero._num == () and zero._den == 1
+        self.assert_same(zero, RatPoly([]), RatPoly([0, F(0, 3)]), RatPoly._over([0, 0], -5), p - p, p * 0)
+
+    @given(st.lists(fractions_st, max_size=6))
+    @settings(max_examples=80, deadline=None)
+    def test_round_trip(self, c):
+        p = RatPoly(c)
+        assert _poly_form_ok(p)
+        assert list(p.coeffs) == _trimmed(c)
+        self.assert_same(p, RatPoly(p.coeffs), RatPoly._over([5 * x for x in p._num], 5 * p._den))
+
+    @given(
+        st.lists(fractions_st, max_size=6),
+        st.lists(fractions_st, max_size=5),
+        fractions_st,
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_arithmetic_matches_fraction_lists(self, a, b, c):
+        pa, pb = RatPoly(a), RatPoly(b)
+        a, b = _trimmed(a), _trimmed(b)
+        n = max(len(a), len(b))
+        a0, b0 = a + [F(0)] * (n - len(a)), b + [F(0)] * (n - len(b))
+        prod = [F(0)] * (len(a) + len(b) - 1) if a and b else []
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        expected = [
+            (pa + pb, [x + y for x, y in zip(a0, b0)]),
+            (pa - pb, [x - y for x, y in zip(a0, b0)]),
+            (pa * pb, prod),
+            (pa * c, [c * x for x in a]),
+            (c * pa, [c * x for x in a]),
+            (pa.derivative(), [i * x for i, x in enumerate(a)][1:]),
+        ]
+        if a:
+            expected.append((pa.monic(), [x / a[-1] for x in a]))
+        if b:
+            # long division over Q
+            rem, quo = list(a), [F(0)] * max(len(a) - len(b) + 1, 0)
+            for k in range(len(quo) - 1, -1, -1):
+                quo[k] = rem[k + len(b) - 1] / b[-1]
+                for j, y in enumerate(b):
+                    rem[k + j] -= quo[k] * y
+            q, r = divmod(pa, pb)
+            expected += [(q, quo), (r, rem), (pa // pb, quo), (pa % pb, rem)]
+        else:
+            with pytest.raises(ZeroDivisionError):
+                divmod(pa, pb)
+        for got, want in expected:
+            assert _poly_form_ok(got), got
+            assert list(got.coeffs) == _trimmed(want), (got, want)
+
+
 class TestNoBoxing:
     """On integer input the exact core builds no Fraction at all: a later
     per-entry conversion fails here instead of only slowing the benchmark."""
@@ -391,6 +479,23 @@ class TestNoBoxing:
             for k, fn in enumerate(cases):
                 assert count_fractions(monkeypatch, fn) == 0, (n, k)
             assert monodromy_filtration(nil).at(nil.nilpotency_index - 1).is_full()
+
+    def test_polynomial_kernels_on_integer_input(self, monkeypatch):
+        rng = random.Random(233)
+        for n in (3, 6):
+            a = Matrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
+            cp = char_poly(a)
+            square = cp * cp
+            cases = [
+                (lambda: char_poly(a)),
+                (lambda: poly_gcd(square, cp.derivative())),
+                (lambda: squarefree_decomposition(square)),
+                (lambda: cp.eval_matrix(a)),
+            ]
+            for k, fn in enumerate(cases):
+                assert count_fractions(monkeypatch, fn) == 0, (n, k)
+            assert cp.eval_matrix(a).is_zero()
+            assert [m for _, m in squarefree_decomposition(square)][0] >= 2
 
 
 def _integer_nilpotent(rng: random.Random, n: int) -> Matrix:
