@@ -27,9 +27,8 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import monodromy as mono
 from . import tropbundle as tb
@@ -106,6 +105,11 @@ def format_ratio(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
+#: most rows, and most entries per row, of an input matrix; time grows about
+#: as d**4, from 0.4 s at 64 to about half an hour at 512
+DIMENSION_LIMIT = 64
+
+
 def parse_matrix(value: Any, fieldname: str = "matrix") -> Matrix:
     """The matrix of an array of arrays of rationals, read into integer
     numerators and denominators with no Fraction per entry."""
@@ -113,6 +117,11 @@ def parse_matrix(value: Any, fieldname: str = "matrix") -> Matrix:
         raise SchemaError(fieldname, "expected an array of arrays")
     if value and any(len(r) != len(value[0]) for r in value):
         raise SchemaError(fieldname, "ragged matrix")
+    for count, what in ((len(value), "rows"), (len(value[0]) if value else 0, "columns")):
+        if count > DIMENSION_LIMIT:
+            raise SchemaError(
+                fieldname, f"{count} {what} are above the dimension limit {DIMENSION_LIMIT}"
+            )
     rows = []
     for i, r in enumerate(value):
         row = []
@@ -233,8 +242,7 @@ def serialize_dual_graph(g: tl.DualGraph) -> dict:
 # jobs and reports
 
 
-@dataclass(frozen=True)
-class JobSpec:
+class JobSpec(NamedTuple):
     command: str
     payload: dict
 
@@ -280,11 +288,10 @@ def _expanded(payload: dict) -> dict:
     return payload
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     command: str
     status: str  # pass | fail | error
-    payload: dict = field(default_factory=dict)
+    payload: dict
     diagnostics: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
@@ -597,20 +604,21 @@ def run(job: JobSpec) -> Report:
     """Dispatch a job to its handler; any ValueError it raises becomes an error report."""
     # a batch entry may name its command with any JSON value, hashable or not
     if not isinstance(job.command, str) or job.command not in _HANDLERS:
-        return Report(job.command, "error", diagnostics=(f"unknown command '{job.command}'",))
+        return Report(job.command, "error", {}, diagnostics=(f"unknown command '{job.command}'",))
     if not isinstance(job.payload, dict):
-        return Report(job.command, "error", diagnostics=("field 'input': expected an object",))
+        return Report(job.command, "error", {}, diagnostics=("field 'input': expected an object",))
     version = job.payload.get("schema_version", SCHEMA_VERSION)
     if isinstance(version, bool) or version != SCHEMA_VERSION:
         return Report(
             job.command,
             "error",
+            {},
             diagnostics=(f"field 'schema_version': unsupported version {version!r}",),
         )
     try:
         return _HANDLERS[job.command](job.payload)
     except ValueError as err:
-        return Report(job.command, "error", diagnostics=(str(err),))
+        return Report(job.command, "error", {}, diagnostics=(str(err),))
 
 
 # ---------------------------------------------------------------------------
@@ -792,6 +800,7 @@ def render(report: Report, fmt: str) -> tuple[str, Report]:
             err = Report(
                 report.command,
                 "error",
+                {},
                 diagnostics=("dot output is only available for commands returning a dual graph",),
             )
             return render_json(err), err
@@ -838,7 +847,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(text)
         return report.exit_code
     # the command line itself is malformed: always a JSON error report
-    report = Report(args.command, "error", diagnostics=(diagnostic,))
+    report = Report(args.command, "error", {}, diagnostics=(diagnostic,))
     sys.stdout.write(render_json(report))
     return report.exit_code
 

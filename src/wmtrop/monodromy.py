@@ -23,8 +23,8 @@ all its complex roots have squared modulus q^j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .polyfactor import factor_rational
 from .ratlin import (
@@ -108,37 +108,23 @@ class NilpotentOperator:
         return f"NilpotentOperator(dim {self.dimension}, index {self.nilpotency_index})"
 
 
-class FrobeniusData:
+class FrobeniusData(NamedTuple("FrobeniusData", [("phi_matrix", Matrix), ("q", int)])):
     """Invertible Frobenius matrix together with the residue cardinality q."""
 
-    __slots__ = ("phi_matrix", "q")
+    __slots__ = ()
 
-    def __init__(self, phi_matrix: Matrix, q: int):
+    def __new__(cls, phi_matrix, q):
         if not phi_matrix.is_square():
             raise DimensionMismatch("Frobenius matrix must be square")
         if phi_matrix.rows > 0 and phi_matrix.det() == 0:
             raise ValueError("Frobenius matrix must be invertible")
         if not isinstance(q, int) or q < 2:
             raise ValueError("q must be an integer >= 2")
-        object.__setattr__(self, "phi_matrix", phi_matrix)
-        object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FrobeniusData is immutable")
+        return super().__new__(cls, phi_matrix, q)
 
     @property
     def dimension(self) -> int:
         return self.phi_matrix.rows
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FrobeniusData)
-            and self.phi_matrix == other.phi_matrix
-            and self.q == other.q
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.phi_matrix, self.q))
 
     def __repr__(self) -> str:
         return f"FrobeniusData(dim {self.dimension}, q={self.q})"
@@ -207,8 +193,7 @@ class Filtration:
         return f"Filtration(Q^{self.ambient_dim}; {dims})"
 
 
-@dataclass(frozen=True)
-class WeightDecomposition:
+class WeightDecomposition(NamedTuple):
     """Phi-stable direct summands indexed by integer weight."""
 
     ambient_dim: int
@@ -218,14 +203,13 @@ class WeightDecomposition:
         return sorted(self.components)
 
 
-@dataclass(frozen=True)
-class WmcReport:
+class WmcReport(NamedTuple):
     """Outcome of the weight-monodromy comparison; failures are content."""
 
     commutation_ok: bool
     filtrations_equal: bool
     graded_weights: dict[int, list[tuple[int, int]]]
-    violations: list[dict] = field(default_factory=list)
+    violations: list[dict]
 
     @property
     def passed(self) -> bool:

@@ -210,6 +210,10 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through _over, as __setattr__ refuses their slot state
+        return Matrix._over, (self._num, self._den, self.cols)
+
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls._over(_int_identity(n), 1, n)
@@ -393,6 +397,9 @@ class Subspace:
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
+
+    def __reduce__(self):
+        return Subspace, (self.ambient_dim, self.basis)
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":

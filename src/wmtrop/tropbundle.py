@@ -21,7 +21,6 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -45,7 +44,17 @@ class NoPLevelError(ValueError):
         )
 
 
-class BundleData:
+class BundleData(
+    NamedTuple(
+        "BundleData",
+        [
+            ("lattice", TropicalLattice),
+            ("sigma", Matrix),
+            ("chi_vals", tuple[Fraction, ...]),
+            ("abelian_part_ample", bool),
+        ],
+    )
+):
     """(sigma matrix, trivialization valuations) over a fixed lattice basis.
 
     `sigma` holds the integer coordinates of sigma(m_j) on the dual
@@ -54,15 +63,9 @@ class BundleData:
     which is checked at construction.
     """
 
-    __slots__ = ("lattice", "sigma", "chi_vals", "abelian_part_ample")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        lattice: TropicalLattice,
-        sigma: Matrix,
-        chi_vals: Sequence,
-        abelian_part_ample: bool = True,
-    ):
+    def __new__(cls, lattice, sigma, chi_vals, abelian_part_ample=True):
         r = lattice.rank
         if not (sigma.is_square() and sigma.rows == r):
             raise ValueError("sigma must be square of the lattice rank")
@@ -74,29 +77,11 @@ class BundleData:
         form = lattice.generators.transpose() * sigma
         if form != form.transpose():
             raise ValueError("induced bilinear form is not symmetric")
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "chi_vals", chi)
-        object.__setattr__(self, "abelian_part_ample", bool(abelian_part_ample))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BundleData is immutable")
+        return super().__new__(cls, lattice, sigma, chi, bool(abelian_part_ample))
 
     @property
     def rank(self) -> int:
         return self.lattice.rank
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BundleData)
-            and self.lattice == other.lattice
-            and self.sigma == other.sigma
-            and self.chi_vals == other.chi_vals
-            and self.abelian_part_ample == other.abelian_part_ample
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.lattice, self.sigma, self.chi_vals, self.abelian_part_ample))
 
     def __repr__(self) -> str:
         return f"BundleData(rank {self.rank}, sigma {self.sigma!r}, chi {self.chi_vals})"
@@ -196,8 +181,18 @@ def minimal_level(b: BundleData, alpha: CellWidth, p: int) -> int:
     return level
 
 
-@dataclass(frozen=True)
-class TropicalSection:
+class TropicalSection(
+    NamedTuple(
+        "TropicalSection",
+        [
+            ("alpha", Fraction),
+            ("slopes", tuple[int, ...]),
+            ("base_value", Fraction),
+            ("slope_increment", int),
+            ("value_increment", Fraction),
+        ],
+    )
+):
     """Piecewise-affine witness on a rank-1 quotient.
 
     Slopes s_0..s_{k-1} on the cells [j*alpha, (j+1)*alpha] of one
@@ -206,22 +201,17 @@ class TropicalSection:
     to the value at the left endpoint.
     """
 
-    alpha: Fraction
-    slopes: tuple[int, ...]
-    base_value: Fraction
-    slope_increment: int
-    value_increment: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _frac(self.alpha))
-        object.__setattr__(self, "base_value", _frac(self.base_value))
-        object.__setattr__(self, "value_increment", _frac(self.value_increment))
-        if self.alpha <= 0:
+    def __new__(cls, alpha, slopes, base_value, slope_increment, value_increment):
+        alpha, base_value, value_increment = _frac(alpha), _frac(base_value), _frac(value_increment)
+        if alpha <= 0:
             raise ValueError("cell width must be positive")
-        if not self.slopes:
+        if not slopes:
             raise ValueError("at least one cell per period required")
-        if not all(map(isinstance, self.slopes, itertools.repeat(int))):
+        if not all(map(isinstance, slopes, itertools.repeat(int))):
             raise ValueError("slopes must be integers")
+        return super().__new__(cls, alpha, slopes, base_value, slope_increment, value_increment)
 
     @property
     def period_cells(self) -> int:
@@ -307,8 +297,7 @@ class FaceTransition(NamedTuple):
         return hash(self._values())
 
 
-@dataclass(frozen=True)
-class SectionReport:
+class SectionReport(NamedTuple):
     ok: bool
     failures: tuple[str, ...]
     faces: tuple[FaceTransition, ...]

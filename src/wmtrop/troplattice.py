@@ -14,9 +14,8 @@ what this module computes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .ratlin import FACTOR_LIMIT, Matrix, _frac, prime_factors
 
@@ -51,36 +50,36 @@ LEVEL_LIMIT = 64
 COUNT_DIGIT_LIMIT = 4300
 
 
-@dataclass(frozen=True)
-class CellWidth:
+class CellWidth(NamedTuple("CellWidth", [("alpha", Fraction)])):
     """Positive rational side length of the hypercube cells."""
 
-    alpha: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", _frac(self.alpha))
-        if self.alpha <= 0:
+    def __new__(cls, alpha):
+        alpha = _frac(alpha)
+        if alpha <= 0:
             raise ValueError("cell width must be positive")
+        return super().__new__(cls, alpha)
 
     def __repr__(self) -> str:
         return f"CellWidth({self.alpha})"
 
 
-class TropicalLattice:
+class TropicalLattice(NamedTuple("TropicalLattice", [("generators", Matrix)])):
     """Full-rank lattice in Q^r; generator vectors are the matrix columns."""
 
-    __slots__ = ("rank", "generators")
+    __slots__ = ()
 
-    def __init__(self, generators: Matrix):
+    def __new__(cls, generators):
         if not generators.is_square():
             raise ValueError("generator matrix must be square")
         if generators.rows > 0 and generators.det() == 0:
             raise ValueError("generator matrix must have full rank")
-        object.__setattr__(self, "rank", generators.rows)
-        object.__setattr__(self, "generators", generators)
+        return super().__new__(cls, generators)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TropicalLattice is immutable")
+    @property
+    def rank(self) -> int:
+        return self.generators.rows
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence]) -> "TropicalLattice":
@@ -91,38 +90,35 @@ class TropicalLattice:
         """|det| of the generator matrix (1 for rank 0)."""
         return abs(self.generators.det()) if self.rank > 0 else Fraction(1)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TropicalLattice) and self.generators == other.generators
-
-    def __hash__(self) -> int:
-        return hash(self.generators)
-
     def __repr__(self) -> str:
         return f"TropicalLattice(rank {self.rank}, generators {self.generators!r})"
 
 
-@dataclass(frozen=True)
-class QuotientModel:
+class QuotientModel(
+    NamedTuple(
+        "QuotientModel",
+        [("lattice", TropicalLattice), ("alpha", CellWidth), ("p", int), ("level", int)],
+    )
+):
     """Hypercube model at width alpha/p^level, quotiented by the lattice."""
 
-    lattice: TropicalLattice
-    alpha: CellWidth
-    p: int
-    level: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p > FACTOR_LIMIT:
+    def __new__(cls, lattice, alpha, p, level):
+        self = super().__new__(cls, lattice, alpha, p, level)
+        if p > FACTOR_LIMIT:
             raise NotPrimeError("p is above the primality-test limit 10**12")
-        if prime_factors(self.p) != (self.p,):
+        if prime_factors(p) != (p,):
             raise NotPrimeError("p must be prime")
-        if self.level < 0:
+        if level < 0:
             raise ValueError("level must be nonnegative")
-        if self.level > LEVEL_LIMIT:
+        if level > LEVEL_LIMIT:
             raise LevelLimitError(f"level is above the level limit {LEVEL_LIMIT}")
-        if not divides(self.width(), self.lattice):
+        if not divides(self.width(), lattice):
             raise ValueError("alpha / p^level must divide the lattice")
         if quotient_components(self) >= 10**COUNT_DIGIT_LIMIT:
             raise ValueError(f"the component count has more than {COUNT_DIGIT_LIMIT} digits")
+        return self
 
     def width(self) -> CellWidth:
         return CellWidth(self.alpha.alpha / self.p**self.level)
@@ -131,8 +127,7 @@ class QuotientModel:
         return QuotientModel(self.lattice, self.alpha, self.p, level)
 
 
-@dataclass(frozen=True)
-class DualGraph:
+class DualGraph(NamedTuple):
     """Special-fiber components and their intersections, with multiplicity."""
 
     vertices: tuple[int, ...]
@@ -281,8 +276,7 @@ def lattice_hnf(lat: TropicalLattice) -> Matrix:
     return Matrix._over(_hnf_rows(list(zip(*g._num))), g._den, lat.rank)
 
 
-@dataclass(frozen=True)
-class ModelDescriptor:
+class ModelDescriptor(NamedTuple):
     """Canonical invariants of a quotient model.
 
     Two towers built from the same lattice data, the same alpha, prime,

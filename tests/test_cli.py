@@ -519,6 +519,36 @@ class TestErrorContract:
         for i, code in ((3, 1), (-3, 1), (4, 2), (-4, 2)):
             assert run(JobSpec("wmc-check", dict(TATE_WMC, i=i))).exit_code == code
 
+    def test_dimension_is_bounded(self):
+        def identity(d):
+            return [[int(i == j) for j in range(d)] for i in range(d)]
+
+        def jobs(d):
+            """A cheap job for each matrix field, with that field d x d."""
+            lattice = {"rank": d, "generators": identity(d)}
+            bundle = {"lattice": {"rank": 64, "generators": identity(64)}, "chi": [0] * 64}
+            return {
+                "n": JobSpec("monodromy-filtration", {"n": [[0] * d] * d}),
+                "phi": JobSpec("weight-filtration", {"phi": identity(d), "q": 5}),
+                "lattice.generators": JobSpec("trop-model", {"lattice": lattice, "alpha": "1"}),
+                "bundle.sigma": JobSpec(
+                    "bundle-extend", {"bundle": dict(bundle, sigma=[[0] * d] * d), "alpha": "1"}
+                ),
+            }
+
+        for job in jobs(64).values():
+            assert run(job).exit_code == 0, job.command
+        for name, job in jobs(65).items():
+            assert run(job).diagnostics == (
+                f"field '{name}': 65 rows are above the dimension limit 64",
+            )
+        assert run(JobSpec("monodromy-filtration", {"n": [[0] * 65]})).diagnostics == (
+            "field 'n': 65 columns are above the dimension limit 64",
+        )
+        # checked before any entry is parsed
+        with pytest.raises(SchemaError, match="^field 'm': 65 rows are above"):
+            parse_matrix([["x"]] * 65, "m")
+
     def test_recombination_is_bounded(self, monkeypatch):
         # the degree-16 Swinnerton-Dyer polynomial has 8 modular factors, and
         # recombination tries 162 subsets before it finds it irreducible

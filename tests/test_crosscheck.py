@@ -18,7 +18,6 @@ meet sympy.
 import itertools
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -88,7 +87,7 @@ from wmtrop.ratlin import (
     subspace_intersect,
     subspace_sum,
 )
-from wmtrop.tropbundle import BundleData, construct_f, verify_section
+from wmtrop.tropbundle import BundleData, TropicalSection, construct_f, verify_section
 from wmtrop.troplattice import CellWidth, TropicalLattice, lattice_hnf, max_dividing_width
 
 
@@ -792,13 +791,20 @@ def _witness_cases(rng, count):
         slopes[rng.randrange(k)] += rng.choice((1, -1))
         cases += [
             ("canonical", b, f),
-            ("base_value", b, replace(f, base_value=F(rng.randint(1, p - 1), p) - 3)),
-            ("slope", b, replace(f, slopes=tuple(slopes))),
-            ("slope_increment", b, replace(f, slope_increment=f.slope_increment - 1)),
-            ("value_increment", b, replace(f, value_increment=f.value_increment + F(1, 3))),
-            ("period", b, replace(f, slopes=f.slopes + (0,))),
+            ("base_value", b, _perturbed(f, base_value=F(rng.randint(1, p - 1), p) - 3)),
+            ("slope", b, _perturbed(f, slopes=tuple(slopes))),
+            ("slope_increment", b, _perturbed(f, slope_increment=f.slope_increment - 1)),
+            ("value_increment", b, _perturbed(f, value_increment=f.value_increment + F(1, 3))),
+            ("period", b, _perturbed(f, slopes=f.slopes + (0,))),
         ]
     return cases
+
+
+def _perturbed(f, **changes):
+    """f with some fields changed, built by the constructor, so that the
+    perturbed witness passes TropicalSection's checks as parsed input does
+    (NamedTuple._replace would skip them)."""
+    return TropicalSection(**{**f._asdict(), **changes})
 
 
 def _face_fields(report) -> list[tuple]:

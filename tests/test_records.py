@@ -1,0 +1,113 @@
+"""The package's immutable records are NamedTuples, and the validated ones
+check their fields in `__new__`.
+
+Every way of building a record again, `copy.copy` and a pickle round trip
+included, goes back through `__new__`, so the checks run again; only
+`NamedTuple._replace` and `_make` skip them, and the package calls neither
+on a validated record.
+"""
+
+import copy
+import pickle
+from fractions import Fraction as F
+
+import pytest
+
+from wmtrop.cli import JobSpec, Report
+from wmtrop.monodromy import FrobeniusData, WeightDecomposition, WmcReport
+from wmtrop.ratlin import DimensionMismatch, Matrix, Subspace
+from wmtrop.tropbundle import BundleData, FaceTransition, SectionReport, TropicalSection
+from wmtrop.troplattice import (
+    CellWidth,
+    DualGraph,
+    ModelDescriptor,
+    QuotientModel,
+    TropicalLattice,
+)
+
+
+def _tate() -> TropicalLattice:
+    return TropicalLattice(Matrix([[2]]))
+
+
+#: one builder per record type; each call builds equal fields from new objects
+RECORDS = {
+    "JobSpec": lambda: JobSpec("trop-model", {"alpha": "1"}),
+    "Report": lambda: Report("trop-model", "pass", {"components": 2}, ("note",)),
+    "WeightDecomposition": lambda: WeightDecomposition(2, {0: Subspace.full(2)}),
+    "WmcReport": lambda: WmcReport(True, False, {0: [(0, 2)]}, [{"kind": "x"}]),
+    "SectionReport": lambda: SectionReport(True, (), (FaceTransition(1, 1, 0, 0, 0, 0, 1),)),
+    "DualGraph": lambda: DualGraph((0, 1), ((0, 1, 2),)),
+    "ModelDescriptor": lambda: ModelDescriptor(1, ((F(2),),), F(1), 2, 1, 4),
+    "CellWidth": lambda: CellWidth(F(1, 2)),
+    "TropicalLattice": _tate,
+    "QuotientModel": lambda: QuotientModel(_tate(), CellWidth(1), 2, 1),
+    "TropicalSection": lambda: TropicalSection(F(1), (1, 0), F(0), 1, F(1)),
+    "BundleData": lambda: BundleData(_tate(), Matrix([[1]]), [F(1)], False),
+    "FrobeniusData": lambda: FrobeniusData(Matrix([[1, 0], [0, 5]]), 5),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_semantics(name, monkeypatch):
+    a, b = RECORDS[name](), RECORDS[name]()
+    cls = type(a)
+    assert cls.__name__ == name and issubclass(cls, tuple)
+
+    for field in a._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+    with pytest.raises(AttributeError):
+        a.extra = 1
+
+    assert a == b and not a != b
+    try:
+        expected = hash(tuple(b))
+    except TypeError:  # a dict field: unhashable, as a frozen dataclass was
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == expected
+
+    built = []
+    new = cls.__new__
+
+    def counting(klass, *args, **kwargs):
+        built.append(klass)
+        return new(klass, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__new__", counting)
+    for rebuild in (copy.copy, lambda r: pickle.loads(pickle.dumps(r))):
+        built.clear()
+        again = rebuild(a)
+        assert built == [cls]
+        assert type(again) is cls and again == a
+
+
+def test_no_mutable_defaults():
+    assert Report._field_defaults == {"diagnostics": ()}
+    assert WmcReport._field_defaults == {}
+    with pytest.raises(TypeError):
+        Report("trop-model", "error", diagnostics=("no payload",))
+
+
+# the checks no other test reaches with its exact message
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: TropicalLattice(Matrix([[1, 2]])), ValueError, "generator matrix must be square"),
+        (lambda: BundleData(_tate(), Matrix.identity(2), [0]), ValueError,
+         "sigma must be square of the lattice rank"),
+        (lambda: BundleData(_tate(), Matrix([[1]]), [0, 0]), ValueError,
+         "one trivialization valuation per generator required"),
+        (lambda: TropicalSection(F(0), (1,), 0, 0, 0), ValueError, "cell width must be positive"),
+        (lambda: FrobeniusData(Matrix([[1, 0]]), 5), DimensionMismatch,
+         "Frobenius matrix must be square"),
+        (lambda: FrobeniusData(Matrix([[1]]), 1), ValueError, "q must be an integer >= 2"),
+        (lambda: FrobeniusData(Matrix([[1]]), F(5)), ValueError, "q must be an integer >= 2"),
+    ],
+)  # fmt: skip
+def test_validated_constructor_rejects(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == message

@@ -23,9 +23,8 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_imports_only_the_standard_library():
-    # the package installs with no dependencies; a third-party import, even
-    # one inside a function, would fail only on the inputs that reach it
+def _absolute_imports() -> list[tuple[str, str]]:
+    """("file:line", top-level module name) for every absolute import in the package."""
     found = []
     for path in sorted(Path(wmtrop.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -35,12 +34,21 @@ def test_imports_only_the_standard_library():
                 names = [node.module]
             else:
                 continue
-            found += [
-                f"{path.name}:{node.lineno} {name}"
-                for name in names
-                if name.split(".")[0] not in sys.stdlib_module_names
-            ]
+            found += [(f"{path.name}:{node.lineno}", name.split(".")[0]) for name in names]
+    return found
+
+
+def test_imports_only_the_standard_library():
+    # the package installs with no dependencies; a third-party import, even
+    # one inside a function, would fail only on the inputs that reach it
+    found = [(at, name) for at, name in _absolute_imports() if name not in sys.stdlib_module_names]
     assert found == []
+
+
+def test_no_dataclasses():
+    # the records are NamedTuples; dataclasses, with the inspect module it
+    # imports, was about a third of the time to import wmtrop.cli
+    assert [(at, name) for at, name in _absolute_imports() if name == "dataclasses"] == []
 
 
 def test_traced_layers_exist():

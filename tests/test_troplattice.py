@@ -92,9 +92,9 @@ class TestWidths:
         assert divides(CellWidth(max_dividing_width(lat).alpha / alpha.denominator), lat)
 
     def test_cell_width_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^cell width must be positive$"):
             CellWidth(F(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^cell width must be positive$"):
             CellWidth(F(-1, 2))
 
 
@@ -102,18 +102,20 @@ class TestQuotientModels:
     TATE = TropicalLattice.from_columns([[2]])
 
     def test_invariant_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^alpha / p\^level must divide the lattice$"):
             QuotientModel(TropicalLattice.from_columns([[F(1, 2)]]), CellWidth(1), 2, 0)
-        with pytest.raises(NotPrimeError):
-            QuotientModel(self.TATE, CellWidth(1), 4, 0)  # p must be prime
-        with pytest.raises(NotPrimeError):
+        with pytest.raises(NotPrimeError, match="^p must be prime$"):
+            QuotientModel(self.TATE, CellWidth(1), 4, 0)
+        with pytest.raises(NotPrimeError, match=r"^p is above the primality-test limit 10\*\*12$"):
             QuotientModel(self.TATE, CellWidth(1), 2**61 - 1, 0)  # prime, but too large to test
+        with pytest.raises(ValueError, match="^level must be nonnegative$"):
+            QuotientModel(self.TATE, CellWidth(1), 2, -1)
 
     def test_level_is_bounded(self):
         top = QuotientModel(self.TATE, CellWidth(1), 3, LEVEL_LIMIT)
         assert quotient_components(top) == 2 * 3**LEVEL_LIMIT
         for level in (LEVEL_LIMIT + 1, 10**100):  # rejected before 3**level is taken
-            with pytest.raises(LevelLimitError):
+            with pytest.raises(LevelLimitError, match="^level is above the level limit 64$"):
                 QuotientModel(self.TATE, CellWidth(1), 3, level)
 
     def test_trial_division_is_bounded(self):
