@@ -94,6 +94,9 @@ class NilpotentOperator:
     def __setattr__(self, name, value):
         raise AttributeError("NilpotentOperator is immutable")
 
+    def __reduce__(self):
+        return NilpotentOperator, (self.n_matrix,)
+
     @property
     def dimension(self) -> int:
         return self.n_matrix.rows
@@ -160,6 +163,9 @@ class Filtration:
 
     def __setattr__(self, name, value):
         raise AttributeError("Filtration is immutable")
+
+    def __reduce__(self):
+        return Filtration, (self.ambient_dim, self._pieces, self.lo, self.hi)
 
     @classmethod
     def trivial(cls, ambient_dim: int) -> "Filtration":

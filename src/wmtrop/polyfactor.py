@@ -32,6 +32,9 @@ from .ratlin import (
     _int_derivative,
     _int_exact_div,
     _int_gcd,
+    _int_mul,
+    _int_sub,
+    _power,
     _primitive,
     _trim,
     prime_factors,
@@ -73,14 +76,7 @@ def _mx_sub(a: list[int], b: list[int], m: int) -> list[int]:
 
 
 def _mx_mul(a: list[int], b: list[int], m: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim([c % m for c in out])
+    return _trim([c % m for c in _int_mul(a, b)])
 
 
 def _mx_divmod_monic(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
@@ -136,18 +132,10 @@ def _mx_xgcd(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int], 
 
 
 def _mx_powmod(a: list[int], e: int, mod_poly: list[int], p: int) -> list[int]:
-    out = [1]
-    base = _mx_divmod_monic(a, mod_poly, p)[1]
-    while e:
-        if e & 1:
-            out = _mx_divmod_monic(_mx_mul(out, base, p), mod_poly, p)[1]
-        base = _mx_divmod_monic(_mx_mul(base, base, p), mod_poly, p)[1]
-        e >>= 1
-    return out
+    def mulmod(x: list[int], y: list[int]) -> list[int]:
+        return _mx_divmod_monic(_mx_mul(x, y, p), mod_poly, p)[1]
 
-
-def _mx_derivative(a: list[int], m: int) -> list[int]:
-    return _trim([(i * c) % m for i, c in enumerate(a)][1:])
+    return _power(_mx_divmod_monic(a, mod_poly, p)[1], e, [1], mulmod)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +262,7 @@ def _zassenhaus_monic(g: list[int], rng: random.Random) -> list[list[int]]:
         fp = _mx_normalize(g, cand)
         if len(fp) - 1 != n:
             continue
-        if _mx_gcd(fp, _mx_derivative(fp, cand), cand) == [1]:
+        if _mx_gcd(fp, _mx_normalize(_int_derivative(fp), cand), cand) == [1]:
             p = cand
             break
     if p is None:  # pragma: no cover - squarefree inputs always find a prime here
@@ -335,12 +323,6 @@ def _divide(a: list[int], b: list[int]) -> list[int]:
     return quo
 
 
-def _minus(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a = a + [0] * (len(b) - len(a))
-    return _trim([x - y for x, y in zip(a, b)] + a[len(b):])
-
-
 def squarefree_decomposition(p: RatPoly) -> list[tuple[RatPoly, int]]:
     """Yun's algorithm: monic pairwise-coprime squarefree parts with multiplicity.
 
@@ -361,7 +343,7 @@ def squarefree_decomposition(p: RatPoly) -> list[tuple[RatPoly, int]]:
     if len(g) == 1:
         return [(p.monic(), 1)]
     c = _divide(f, g)
-    d = _minus(_divide(fp, g), _int_derivative(c))
+    d = _int_sub(_divide(fp, g), _int_derivative(c))
     out = []
     i = 1
     while len(c) > 1:
@@ -369,7 +351,7 @@ def squarefree_decomposition(p: RatPoly) -> list[tuple[RatPoly, int]]:
             raise ArithmeticError(f"Yun's loop reached multiplicity {i} above the degree {p.degree}")
         a = _int_gcd(c, d)
         c = _divide(c, a)
-        d = _minus(_divide(d, a), _int_derivative(c))
+        d = _int_sub(_divide(d, a), _int_derivative(c))
         if len(a) > 1:
             out.append((RatPoly._over(a, a[-1]), i))
         i += 1

@@ -88,6 +88,19 @@ def _int_identity(n: int) -> list[list[int]]:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
+def _power(base, k: int, one, mul):
+    """base**k for k >= 0 by square-and-multiply, the one power loop: for
+    matrices, polynomials and polynomials modulo another."""
+    out = one
+    while k:
+        if k & 1:
+            out = mul(out, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return out
+
+
 def _echelon(rows: Sequence[Sequence[int]]) -> tuple[list[Sequence[int]], list[int], int, int]:
     """Fraction-free Gauss-Jordan elimination of integer rows, the one
     elimination loop.
@@ -301,14 +314,7 @@ class Matrix:
             raise DimensionMismatch("power of a non-square matrix")
         if k < 0:
             raise ValueError("negative matrix power")
-        out = Matrix.identity(self.rows)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        return _power(self, k, Matrix.identity(self.rows), operator.mul)
 
     def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
         dv = math.lcm(*map(_denominator, vec))
@@ -572,6 +578,9 @@ class RatPoly:
     def __setattr__(self, name, value):
         raise AttributeError("RatPoly is immutable")
 
+    def __reduce__(self):
+        return RatPoly._over, (self._num, self._den)
+
     @classmethod
     def zero(cls) -> "RatPoly":
         return cls._over([], 1)
@@ -620,15 +629,7 @@ class RatPoly:
 
     def __mul__(self, other):
         if isinstance(other, RatPoly):
-            a, b = self._num, other._num
-            if not a or not b:
-                return RatPoly.zero()
-            out = [0] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        out[i + j] += x * y
-            return RatPoly._over(out, self._den * other._den)
+            return RatPoly._over(_int_mul(self._num, other._num), self._den * other._den)
         den = _denominator(other)
         return RatPoly._over([other.numerator * x for x in self._num], self._den * den)
 
@@ -638,14 +639,7 @@ class RatPoly:
     def __pow__(self, k: int) -> "RatPoly":
         if k < 0:
             raise ValueError("negative polynomial power")
-        out = RatPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
+        return _power(self, k, RatPoly.one(), operator.mul)
 
     def __divmod__(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
         if other.is_zero():
@@ -657,13 +651,7 @@ class RatPoly:
         # lead^k self._num = quo b + rem on integers, so each step's top
         # coefficient is a multiple of lead
         scale = lead**k
-        rem = [scale * x for x in self._num]
-        quo = [0] * k
-        for i in range(k - 1, -1, -1):
-            c = rem.pop() // lead
-            if c:
-                quo[i] = c
-                rem[i:] = [x - c * y for x, y in zip(rem[i:], b)]
+        quo, rem = _int_divmod([scale * x for x in self._num], b)
         den = scale * self._den
         return RatPoly._over([other._den * x for x in quo], den), RatPoly._over(rem, den)
 
@@ -761,7 +749,8 @@ def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
 
 # ---------------------------------------------------------------------------
 # polynomials on integer coefficients: lists of ints, lowest degree first,
-# no trailing zeros, the zero polynomial empty
+# no trailing zeros, the zero polynomial empty; one loop per operation,
+# shared by RatPoly and polyfactor's (Z/m)[x] layer
 
 
 def _trim(a: list[int]) -> list[int]:
@@ -780,29 +769,49 @@ def _int_derivative(a: list[int]) -> list[int]:
     return [i * x for i, x in enumerate(a)][1:]
 
 
-def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    """A positive multiple of the remainder of a by b != 0 over Q.
+def _int_sub(a: list[int], b: list[int]) -> list[int]:
+    return _trim([x - y for x, y in zip_longest(a, b, fillvalue=0)])
 
-    Pseudo-division that scales the remainder, at each step with top
-    coefficient t, by |lc(b)| / gcd(lc(b), t) instead of dividing by
-    lc(b); no step scales by a negative number, so the signs that a Sturm
-    sequence counts are kept.
-    """
+
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product in Z[x], the one convolution loop."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _int_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int]] | None:
+    """(quo, rem) with a = quo b + rem and deg rem < deg b, or None at the
+    first quotient coefficient that is not an integer; ZeroDivisionError
+    for b = 0.  The one synthetic division in Z[x]."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
     lead, db = b[-1], len(b) - 1
     low = b[:-1]
     rem = list(a)
-    for k in range(len(rem) - 1 - db, -1, -1):
-        t = rem.pop()
-        if not t:
-            continue
-        g = math.gcd(lead, t)
-        s, t = lead // g, t // g
-        if s < 0:
-            s, t = -s, -t
-        if s != 1:
-            rem = [s * x for x in rem]
-        rem[k:] = [x - t * y for x, y in zip(rem[k:], low)]
-    return _trim(rem)
+    quo = [0] * (len(rem) - db)
+    for k in range(len(quo) - 1, -1, -1):
+        c, r = divmod(rem.pop(), lead)
+        if r:
+            return None
+        if c:
+            quo[k] = c
+            rem[k:] = [x - c * y for x, y in zip(rem[k:], low)]
+    return quo, _trim(rem)
+
+
+def _int_prem(a: list[int], b: list[int]) -> list[int]:
+    """The remainder of |lc(b)|^k a by b != 0, k = deg a - deg b + 1: a
+    positive multiple of the remainder over Q, so the signs that a Sturm
+    sequence counts are kept."""
+    k = len(a) - len(b) + 1
+    scale = abs(b[-1]) ** k if b and k > 0 else 1
+    return _int_divmod([scale * x for x in a], b)[1]
 
 
 def _int_gcd(a: list[int], b: list[int]) -> list[int]:
@@ -818,22 +827,9 @@ def _int_gcd(a: list[int], b: list[int]) -> list[int]:
 
 
 def _int_exact_div(a: list[int], b: list[int]) -> list[int] | None:
-    """a / b when b != 0 divides a in Z[x], else None.  Synthetic division
-    that stops at the first quotient coefficient that is not an integer."""
-    lead, db = b[-1], len(b) - 1
-    low = b[:-1]
-    rem = list(a)
-    if len(rem) <= db:
-        return None if rem else []
-    quo = [0] * (len(rem) - db)
-    for k in range(len(quo) - 1, -1, -1):
-        c, r = divmod(rem.pop(), lead)
-        if r:
-            return None
-        if c:
-            quo[k] = c
-            rem[k:] = [x - c * y for x, y in zip(rem[k:], low)]
-    return None if any(rem) else quo
+    """a / b when b != 0 divides a in Z[x], else None."""
+    qr = _int_divmod(a, b)
+    return qr[0] if qr is not None and not qr[1] else None
 
 
 def _combination(coeffs: Sequence[int], mats: Sequence[list[list[int]]]) -> list[list[int]]:

@@ -214,3 +214,15 @@ class TestRecombinationLimit:
         with pytest.raises(pf.RecombinationLimitError, match="recombining 32 modular factors"):
             factor_rational(RatPoly([-2] + [0] * 31 + [1]))
         assert len(trials) == 32 + math.comb(32, 2) + math.comb(32, 3)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_powmod_matches_repeated_products(p):
+    rng = random.Random(p)
+    for deg in (1, 2, 4):
+        f = [rng.randrange(p) for _ in range(deg)] + [1]
+        a = pf._trim([rng.randrange(p) for _ in range(deg + 3)])
+        want = [1]
+        for e in range(41):
+            assert pf._mx_powmod(a, e, f, p) == want, (f, a, e)
+            want = pf._mx_divmod_monic(pf._mx_mul(want, a, p), f, p)[1]

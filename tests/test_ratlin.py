@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,11 @@ from wmtrop.ratlin import (
     Matrix,
     RatPoly,
     Subspace,
+    _int_divmod,
+    _int_exact_div,
+    _int_mul,
+    _int_prem,
+    _power,
     char_poly,
     contains,
     image,
@@ -377,6 +383,28 @@ def _trimmed(c: list) -> list:
     return c
 
 
+def _long_product(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _long_sum(a: list, b: list) -> list:
+    return _trimmed([x + y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _long_divmod(a: list, b: list) -> tuple[list[F], list[F]]:
+    """Quotient and remainder over Q, long-hand on Fraction lists."""
+    rem, quo = [F(x) for x in a], [F(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        quo[k] = rem[k + len(b) - 1] / b[-1]
+        for j, y in enumerate(b):
+            rem[k + j] -= quo[k] * y
+    return _trimmed(quo), _trimmed(rem)
+
+
 class TestPolyStoredForm:
     """One stored (numerators, denominator) form per polynomial, as for
     Matrix, and its arithmetic equal to the same computation on Fraction
@@ -422,14 +450,10 @@ class TestPolyStoredForm:
         a, b = _trimmed(a), _trimmed(b)
         n = max(len(a), len(b))
         a0, b0 = a + [F(0)] * (n - len(a)), b + [F(0)] * (n - len(b))
-        prod = [F(0)] * (len(a) + len(b) - 1) if a and b else []
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                prod[i + j] += x * y
         expected = [
             (pa + pb, [x + y for x, y in zip(a0, b0)]),
             (pa - pb, [x - y for x, y in zip(a0, b0)]),
-            (pa * pb, prod),
+            (pa * pb, _long_product(a, b)),
             (pa * c, [c * x for x in a]),
             (c * pa, [c * x for x in a]),
             (pa.derivative(), [i * x for i, x in enumerate(a)][1:]),
@@ -437,12 +461,7 @@ class TestPolyStoredForm:
         if a:
             expected.append((pa.monic(), [x / a[-1] for x in a]))
         if b:
-            # long division over Q
-            rem, quo = list(a), [F(0)] * max(len(a) - len(b) + 1, 0)
-            for k in range(len(quo) - 1, -1, -1):
-                quo[k] = rem[k + len(b) - 1] / b[-1]
-                for j, y in enumerate(b):
-                    rem[k + j] -= quo[k] * y
+            quo, rem = _long_divmod(a, b)
             q, r = divmod(pa, pb)
             expected += [(q, quo), (r, rem), (pa // pb, quo), (pa % pb, rem)]
         else:
@@ -451,6 +470,92 @@ class TestPolyStoredForm:
         for got, want in expected:
             assert _poly_form_ok(got), got
             assert list(got.coeffs) == _trimmed(want), (got, want)
+
+
+small_ints = st.integers(-30, 30)
+int_polys = st.lists(small_ints, max_size=7).map(_trimmed)
+nonzero = st.integers(-6, 6).filter(bool)
+divisors = st.builds(lambda low, lead: low + [lead], st.lists(small_ints, max_size=4), nonzero)
+#: divisors with a 100-digit leading coefficient
+big_divisors = st.builds(
+    lambda low, lead: low + [lead],
+    st.lists(st.integers(-(10**100), 10**100), max_size=3),
+    st.integers(10**99, 10**100 - 1),
+)
+
+
+class TestIntegerKernels:
+    """The Z[x] kernels that every polynomial product, division,
+    pseudo-remainder and power runs through, against long-hand Fraction
+    lists."""
+
+    @given(int_polys, divisors, int_polys, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_divmod(self, q, b, r, multiple):
+        # a is q b plus a remainder of lower degree, so its quotient is
+        # integral, or q itself, whose quotient by b mostly is not
+        a = _long_sum(_long_product(q, b), r[: len(b) - 1]) if multiple else q
+        assert _int_mul(q, b) == _long_product(q, b)
+        quo, rem = _long_divmod(a, b)
+        got = _int_divmod(a, b)
+        if any(x.denominator != 1 for x in quo):
+            assert got is None and _int_exact_div(a, b) is None
+            return
+        gq, gr = got
+        assert gq == quo and gr == rem and len(gr) < len(b)
+        assert all(type(x) is int for x in gq + gr)
+        assert _long_sum(_long_product(gq, b), gr) == a
+        assert _int_exact_div(a, b) == (None if gr else gq)
+        if multiple:
+            assert gq == q
+
+    @given(int_polys, st.one_of(divisors, big_divisors), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_prem_is_a_positive_multiple_of_the_remainder(self, a, b, negate):
+        if negate:
+            b = [-x for x in b]
+        rem = _long_divmod(a, b)[1]
+        got = _int_prem(a, b)
+        assert all(type(x) is int for x in got)
+        if not rem:
+            assert got == []
+        else:
+            assert got and len(got) == len(rem)
+            c = F(got[-1]) / rem[-1]
+            assert c > 0 and [c * x for x in rem] == got
+
+    def test_prem_edge_divisors(self):
+        with pytest.raises(ZeroDivisionError):
+            _int_prem([1, 2, 3], [])
+        with pytest.raises(ZeroDivisionError):
+            _int_divmod([1, 2, 3], [])
+        assert _int_prem([1, 2, 3], [-7]) == [] and _int_prem([], [1, 1]) == []
+        # lead -2 to an odd power: lc(b)^3 would flip the sign that |lc(b)|^3 keeps
+        assert _int_prem([1, 0, 0, 1], [1, -2]) == [9]
+        assert _int_prem([5, 1], [0, 0, 3]) == [5, 1]
+        big = 10**100 + 7
+        assert _int_prem([0, 0, 1], [1, big]) == [1]
+
+    @given(st.lists(fractions_st, max_size=4), st.lists(fractions_st, min_size=4, max_size=4), st.integers(0, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_power_matches_repeated_products(self, c, entries, k):
+        calls = []
+
+        def mul(x, y):
+            calls.append(None)
+            return x * y
+
+        m = Matrix([entries[:2], entries[2:]])
+        for base, one in ((RatPoly(c), RatPoly.one()), (m, Matrix.identity(2)), (entries[0], 1)):
+            want = one
+            for _ in range(k):
+                want = want * base
+            calls.clear()
+            assert _power(base, k, one, mul) == want
+            # one squaring per bit below the top, one product per set bit
+            assert len(calls) == (k.bit_length() - 1 + bin(k).count("1") if k else 0)
+        assert RatPoly(c) ** k == _power(RatPoly(c), k, RatPoly.one(), mul)
+        assert m**k == _power(m, k, Matrix.identity(2), mul)
 
 
 class TestNoBoxing:

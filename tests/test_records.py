@@ -4,7 +4,8 @@ check their fields in `__new__`.
 Every way of building a record again, `copy.copy` and a pickle round trip
 included, goes back through `__new__`, so the checks run again; only
 `NamedTuple._replace` and `_make` skip them, and the package calls neither
-on a validated record.
+on a validated record.  The five hand-written `__slots__` classes copy and
+pickle through their constructors instead.
 """
 
 import copy
@@ -14,8 +15,15 @@ from fractions import Fraction as F
 import pytest
 
 from wmtrop.cli import JobSpec, Report
-from wmtrop.monodromy import FrobeniusData, WeightDecomposition, WmcReport
-from wmtrop.ratlin import DimensionMismatch, Matrix, Subspace
+from wmtrop.monodromy import (
+    Filtration,
+    FrobeniusData,
+    NilpotentOperator,
+    WeightDecomposition,
+    WmcReport,
+    monodromy_filtration,
+)
+from wmtrop.ratlin import DimensionMismatch, Matrix, RatPoly, Subspace
 from wmtrop.tropbundle import BundleData, FaceTransition, SectionReport, TropicalSection
 from wmtrop.troplattice import (
     CellWidth,
@@ -111,3 +119,36 @@ def test_validated_constructor_rejects(build, error, message):
     with pytest.raises(error) as err:
         build()
     assert str(err.value) == message
+
+
+#: one builder per hand-written class, and the fields derived from its
+#: stored ones, which a rebuilt value must repeat
+_SHIFT = Matrix([[0, 1, 0], [0, 0, F(1, 2)], [0, 0, 0]])
+HAND_WRITTEN = {
+    "Matrix": (lambda: Matrix([[1, F(1, 2)], [0, -3]]), lambda m: (m.row_tuples, m.rows, m.cols)),
+    "Subspace": (lambda: Subspace.span(3, [[1, 2, 0], [0, F(1, 3), 1]]), lambda s: (s.dim, s.vectors())),
+    "RatPoly": (lambda: RatPoly([F(1, 2), 0, -3]), lambda p: (p.coeffs, p.degree)),
+    "NilpotentOperator": (
+        lambda: NilpotentOperator(_SHIFT),
+        lambda n: (n.powers, n.nilpotency_index, n.dimension),
+    ),
+    "Filtration": (
+        lambda: monodromy_filtration(NilpotentOperator(_SHIFT)),
+        lambda f: (f.lo, f.hi, [f.at(j) for j in range(f.lo - 1, f.hi + 2)]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", HAND_WRITTEN)
+def test_hand_written_class_copies_and_pickles(name):
+    build, derived = HAND_WRITTEN[name]
+    a = build()
+    cls = type(a)
+    assert cls.__name__ == name and "__dict__" not in dir(a)
+    for rebuild in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        again = rebuild(a)
+        assert type(again) is cls and again == a and hash(again) == hash(a)
+        assert derived(again) == derived(a)
+        for slot in cls.__slots__:
+            with pytest.raises(AttributeError, match=f"{name} is immutable"):
+                setattr(again, slot, getattr(a, slot))
