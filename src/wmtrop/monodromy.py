@@ -32,6 +32,7 @@ from .ratlin import (
     Matrix,
     RatPoly,
     Subspace,
+    _columns,
     _echelon,
     _int_derivative,
     _int_exact_div,
@@ -39,10 +40,10 @@ from .ratlin import (
     _int_prem,
     _int_product,
     _nullspace_ints,
+    _pivot_columns,
     _primitive,
     _span_ints,
     char_poly,
-    kernel,
     poly_gcd,
     subspace_sum,
     valuation,
@@ -277,7 +278,7 @@ def monodromy_filtration(n: NilpotentOperator) -> Filtration:
     fil = {top: Subspace.full(d), top - 1: Subspace.full(d)}
     for j in range(top - 2, -top, -1):
         # raw null space vectors: the one span below brings everything to canonical form
-        kers = _nullspace_ints(n.powers[j + 1]) if j >= 0 else ()
+        kers = _nullspace_ints(n.powers[j + 1])[0] if j >= 0 else ()
         fil[j] = _span_ints(d, [*kers, *_int_product(fil[j + 2].basis._num, n_rows)])
     # both ends are jumps: gr_(1-index) = im N^(index-1) is not 0, and N^(index-1)
     # maps gr_(index-1) onto it
@@ -424,10 +425,14 @@ def weight_decomposition(f: FrobeniusData) -> WeightDecomposition:
 
     The component of weight j is the kernel of h_j(Phi), with h_j the
     product (with multiplicity) of the weight-j irreducible factors of
-    the characteristic polynomial.  With a single weight, h_j is the
-    characteristic polynomial and the component is all of Q^d.  A factor
-    that is pure of no integer weight aborts the decomposition with
-    NotPureError.
+    the characteristic polynomial.  A factor that is pure of no integer
+    weight aborts the decomposition with NotPureError.
+
+    The components come from a primary splitting (_split): the weights
+    are halved, one polynomial H_A(Phi) splits the space into the sum of
+    the components of each half, and each half recurses on Phi restricted
+    to its part.  With m weights that is m - 1 evaluations and
+    eliminations, only the first of them at size d.
     """
     d = f.dimension
     if d == 0:
@@ -437,13 +442,54 @@ def weight_decomposition(f: FrobeniusData) -> WeightDecomposition:
     for g, mult in factor_rational(cp):
         j = weil_weight(g, f.q)
         by_weight[j] = by_weight.get(j, RatPoly.one()) * g**mult
-    if len(by_weight) == 1:  # h_j is cp itself, and cp(Phi) = 0 (Cayley-Hamilton)
-        return WeightDecomposition(d, {j: Subspace.full(d) for j in by_weight})
-    components = {j: kernel(h.eval_matrix(f.phi_matrix)) for j, h in by_weight.items()}
-    total = sum(s.dim for s in components.values())
-    if total != d:
-        raise ArithmeticError(f"weight components span {total} of {d} dimensions")
-    return WeightDecomposition(d, components)
+    return WeightDecomposition(d, _split(f.phi_matrix, Subspace.full(d), sorted(by_weight.items())))
+
+
+def _split(phi: Matrix, piece: Subspace, weights: list[tuple[int, RatPoly]]) -> dict[int, Subspace]:
+    """The component of each (j, h_j) in `weights`, as a canonical
+    subspace, given the Phi-stable piece that is their sum.
+
+    The piece must have dimension sum(deg h_j), which is checked at every
+    call, so each component has dimension deg h_j.  With more than one
+    weight, the sorted weights are cut into halves, and of their products
+    H_A and H_B the one of lower degree, H_A, is evaluated at the matrix
+    of Phi on the piece.  As H_A and H_B are coprime and H_A H_B
+    annihilates Phi there, the piece is ker H_A(Phi) + ker H_B(Phi), and
+    ker H_B(Phi) = im H_A(Phi); one elimination gives both, the kernel
+    from its free columns and the image from the columns at its pivots.
+    Phi's matrix on a piece is read in the piece's RREF basis, in which a
+    vector's coordinates are its entries at the pivot columns
+    (_pivot_columns), so it is one integer product and no solve.
+    """
+    deg = sum(h.degree for _, h in weights)
+    if piece.dim != deg:
+        raise ArithmeticError(
+            f"weight components {[j for j, _ in weights]} span {piece.dim} dimensions, not {deg}"
+        )
+    if len(weights) == 1:
+        return {weights[0][0]: piece}
+    a, b = weights[: len(weights) // 2], weights[len(weights) // 2 :]
+    if 2 * sum(h.degree for _, h in a) > deg:
+        a, b = b, a
+    h_a = a[0][1]
+    for _, h in a[1:]:
+        h_a = h_a * h
+    basis, full = piece.basis, piece.is_full()
+    if full:
+        restricted = phi
+    else:
+        rows = [phi._num[c] for c in _pivot_columns(basis._num)]
+        restricted = Matrix._over(_int_product(rows, basis._num), phi._den * basis._den, piece.dim)
+    value = h_a.eval_matrix(restricted)
+    kers, pivots = _nullspace_ints(value)
+    image = [[row[c] for row in value._num] for c in pivots]
+    d = piece.ambient_dim
+    out = {}
+    for part, vecs in ((a, kers), (b, image)):
+        if not full:  # coordinates on the piece's basis rows to vectors of Q^d
+            vecs = _int_product(vecs, _columns(basis._num, d))
+        out.update(_split(phi, _span_ints(d, vecs), part))
+    return out
 
 
 def weight_filtration(w: WeightDecomposition) -> Filtration:

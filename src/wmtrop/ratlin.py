@@ -442,7 +442,7 @@ class Subspace:
         # the basis b / den is in RREF: row b_r holds den at its pivot
         # coordinate and every other row holds 0 there
         b, den = self.basis._num, self.basis._den
-        coeffs = [w[next(j for j, x in enumerate(row) if x)] for row in b]
+        coeffs = [w[c] for c in _pivot_columns(b)]
         proj = _int_product([coeffs], _columns(b, self.ambient_dim))[0]
         return [den * x - y for x, y in zip(w, proj)]
 
@@ -466,18 +466,28 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
 
 
+def _pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
+    """The pivot column of each row of an RREF basis, its first nonzero
+    entry.  A vector in the row space is the combination of the rows with
+    its entries at these columns as coefficients."""
+    return [next(j for j, x in enumerate(row) if x) for row in rows]
+
+
 def _span_ints(n: int, rows: Sequence[Sequence[int]]) -> Subspace:
     """The span of integer vectors of length n, in canonical form."""
     ints, pivots, last, _ = _echelon(rows)
     return Subspace(n, Matrix._over(ints[: len(pivots)], last, n))
 
 
-def _nullspace_ints(m: Matrix) -> list[list[int]]:
-    """A basis of {v : m v = 0} as integer vectors, not in canonical form.
+def _nullspace_ints(m: Matrix) -> tuple[list[list[int]], list[int]]:
+    """A basis of {v : m v = 0} as integer vectors, not in canonical form,
+    and the pivot columns, whose columns of m are a basis of its image.
 
     With R the RREF of m's integer rows times its pivot `last`, each free
     column f gives the integer kernel vector with `last` at f and
-    -R[r][f] at pivot column r.
+    -R[r][f] at pivot column r.  Row operations keep every linear relation
+    among the columns, so m's columns at R's pivots are independent and
+    span the rest.
     """
     rows, pivots, last, _ = _echelon(m._num)
     n = m.cols
@@ -491,12 +501,12 @@ def _nullspace_ints(m: Matrix) -> list[list[int]]:
         for row, c in zip(rows, pivots):
             v[c] = -row[f]
         vecs.append(v)
-    return vecs
+    return vecs, pivots
 
 
 def kernel(m: Matrix) -> Subspace:
     """Null space {v : m v = 0} in canonical form."""
-    return _span_ints(m.cols, _nullspace_ints(m))
+    return _span_ints(m.cols, _nullspace_ints(m)[0])
 
 
 def image(m: Matrix) -> Subspace:
@@ -817,13 +827,14 @@ def _int_prem(a: list[int], b: list[int]) -> list[int]:
 def _int_gcd(a: list[int], b: list[int]) -> list[int]:
     """A primitive gcd (unique up to sign), by the primitive
     pseudo-remainder sequence (Collins, J. ACM 14, 1967): each remainder
-    is divided by its content before the next step."""
+    is divided by its content before the next step.  A constant divisor,
+    primitive and so [1] or [-1], divides everything: it is the gcd."""
     a, b = _primitive(a), _primitive(b)
     if len(a) < len(b):
         a, b = b, a
-    while b:
+    while len(b) > 1:
         a, b = b, _primitive(_int_prem(a, b))
-    return a
+    return b or a
 
 
 def _int_exact_div(a: list[int], b: list[int]) -> list[int] | None:

@@ -560,6 +560,16 @@ class TestIntegerPolynomials:
         assert 0 in ends and len(ends) > 5
 
 
+def _kernels_of_h(phi, q):
+    """The weight components as kernels of h_j(Phi), each h_j evaluated by
+    Horner's rule at full size."""
+    by_weight = {}
+    for g, mult in factor_rational(faddeev_leverrier_char_poly(phi)):
+        j = weil_weight(g, q)
+        by_weight[j] = by_weight.get(j, RatPoly.one()) * g**mult
+    return {j: kernel(horner_eval_matrix(h, phi)) for j, h in by_weight.items()}
+
+
 def _block_diagonal(blocks):
     d = sum(b.rows for b in blocks)
     rows = [[F(0)] * d for _ in range(d)]
@@ -763,14 +773,42 @@ class TestHessenbergAndPatersonStockmeyer:
                 phi = p * phi * p.inverse()
             else:
                 phi = random_wmc_pair(rng, q, max_dim=6)[1]
-            by_weight = {}
-            for g, mult in factor_rational(faddeev_leverrier_char_poly(phi)):
-                j = weil_weight(g, q)
-                by_weight[j] = by_weight.get(j, RatPoly.one()) * g**mult
-            expected = {j: kernel(horner_eval_matrix(h, phi)) for j, h in by_weight.items()}
+            expected = _kernels_of_h(phi, q)
             assert weight_decomposition(FrobeniusData(phi, q)).components == expected, phi
-            singles += len(by_weight) == 1
+            singles += len(expected) == 1
         assert 20 <= singles < 40
+
+    def test_weight_components_of_deep_defective_and_rational_splits(self):
+        # 3 to 5 weights on up to Q^12, so the split recurses twice; half the
+        # blocks are Jordan blocks [[B, I], [0, B]], whose component is a
+        # generalized eigenspace; conjugators with fractional entries put
+        # denominators into every restriction of Phi
+        rng = random.Random(211)
+        defective = 0
+        for _ in range(12):
+            q = rng.choice([2, 3, 5])
+            while True:
+                blocks, jordan = [], 0
+                for w in rng.sample(range(-1, 6), rng.randint(3, 5)):
+                    b = weight_block(rng, q, w)
+                    if rng.random() < 0.5:
+                        jordan += 1
+                        ident = Matrix.identity(b.rows).row_tuples
+                        b = Matrix([[*r, *i] for r, i in zip(b.row_tuples, ident)]
+                                   + [[0] * b.rows + list(r) for r in b.row_tuples])
+                    blocks.append(b)
+                if sum(b.rows for b in blocks) <= 12:
+                    defective += jordan
+                    break
+            phi = _block_diagonal(blocks)
+            while (p := random_matrix(rng, phi.rows, phi.rows)).det() == 0:
+                pass
+            phi = p * phi * p.inverse()
+            assert not phi.is_integral()
+            expected = _kernels_of_h(phi, q)
+            assert 3 <= len(expected) <= 5
+            assert weight_decomposition(FrobeniusData(phi, q)).components == expected, phi
+        assert defective >= 12
 
 
 def _witness_cases(rng, count):

@@ -26,6 +26,7 @@ from wmtrop.ratlin import (
     Matrix,
     RatPoly,
     Subspace,
+    _nullspace_ints,
     apply_to_subspace,
     contains,
 )
@@ -234,9 +235,37 @@ class TestWeightDecomposition:
 
     def test_components_short_of_the_space_raise(self, monkeypatch):
         # a kernel that lost its vectors is caught by an explicit check, also under python -O
-        monkeypatch.setattr(monodromy, "kernel", lambda m: Subspace.zero(m.cols))
-        with pytest.raises(ArithmeticError, match="weight components span 0 of 2 dimensions"):
+        monkeypatch.setattr(monodromy, "_nullspace_ints", lambda m: ([], _nullspace_ints(m)[1]))
+        with pytest.raises(ArithmeticError, match=r"weight components \[0\] span 0 dimensions, not 1"):
             weight_decomposition(FrobeniusData(TATE_PHI, 5))
+
+    def test_one_evaluation_per_split(self, monkeypatch):
+        # five weights on Q^6 (eigenvalues 1, 25, 125, 625 and a pair of modulus^2 5):
+        # four splits, only the first of them at full size
+        blocks = Matrix(
+            [
+                [25, 0, 0, 0, 0, 0],
+                [0, 1, 0, 0, 0, 0],
+                [0, 0, 0, -5, 0, 0],  # x^2 - 2x + 5
+                [0, 0, 1, 2, 0, 0],
+                [0, 0, 0, 0, 125, 0],
+                [0, 0, 0, 0, 0, 625],
+            ]
+        )
+        p = Matrix([[1 if j >= i else 0 for j in range(6)] for i in range(6)])
+        phi = p * blocks * p.inverse()
+        sizes = []
+        original = RatPoly.eval_matrix
+
+        def counted(self, m):
+            sizes.append(m.rows)
+            return original(self, m)
+
+        monkeypatch.setattr(RatPoly, "eval_matrix", counted)
+        decomp = weight_decomposition(FrobeniusData(phi, 5))
+        assert decomp.weights() == [0, 1, 4, 6, 8]
+        assert len(sizes) == 4
+        assert sizes[0] == 6 and max(sizes[1:]) < 6
 
     def test_components_phi_invariant(self):
         rng = random.Random(47)

@@ -24,9 +24,11 @@ from wmtrop.ratlin import (
     Subspace,
     _int_divmod,
     _int_exact_div,
+    _int_gcd,
     _int_mul,
     _int_prem,
     _power,
+    _primitive,
     char_poly,
     contains,
     image,
@@ -523,6 +525,23 @@ class TestIntegerKernels:
             assert got and len(got) == len(rem)
             c = F(got[-1]) / rem[-1]
             assert c > 0 and [c * x for x in rem] == got
+
+    @given(int_polys, int_polys, int_polys)
+    @settings(max_examples=200, deadline=None)
+    def test_gcd_matches_the_full_remainder_sequence(self, c, x, y):
+        def full_sequence(a, b):
+            # the loop before it stopped at a constant divisor: one more
+            # pseudo-remainder, always 0, past it
+            a, b = _primitive(a), _primitive(b)
+            if len(a) < len(b):
+                a, b = b, a
+            while b:
+                a, b = b, _primitive(_int_prem(a, b))
+            return a
+
+        # a common factor c, so the gcd is often not constant
+        for a, b in ((x, y), (_int_mul(c, x), _int_mul(c, y)), (_int_mul(c, x), c)):
+            assert _int_gcd(a, b) == full_sequence(a, b)  # sign included
 
     def test_prem_edge_divisors(self):
         with pytest.raises(ZeroDivisionError):
