@@ -34,7 +34,7 @@ from . import monodromy as mono
 from . import tropbundle as tb
 from . import troplattice as tl
 from .polyfactor import RecombinationLimitError
-from .ratlin import Matrix, Subspace
+from .ratlin import Matrix, Subspace, format_ratio
 
 SCHEMA_VERSION = 1
 
@@ -93,18 +93,6 @@ def parse_rational(value: Any, fieldname: str = "value") -> Fraction:
     return Fraction(*_rational_ints(value, fieldname))
 
 
-def format_ratio(num: int, den: int) -> str:
-    """str(Fraction(num, den)) for integers num and den, with no Fraction:
-    lowest terms, the sign on the numerator, and no "/1"."""
-    if not den:
-        raise ZeroDivisionError(f"Fraction({int(num)}, 0)")
-    g = math.gcd(num, den)
-    if den < 0:
-        g = -g
-    num, den = num // g, den // g
-    return str(num) if den == 1 else f"{num}/{den}"
-
-
 #: most rows, and most entries per row, of an input matrix; time grows about
 #: as d**4, from 0.4 s at 64 to about half an hour at 512
 DIMENSION_LIMIT = 64
@@ -146,7 +134,7 @@ def parse_lattice(value: Any, fieldname: str = "lattice") -> tl.TropicalLattice:
     if not isinstance(value, dict):
         raise SchemaError(fieldname, "expected an object with 'rank' and 'generators'")
     rank = value.get("rank")
-    if not isinstance(rank, int) or rank < 1:
+    if not isinstance(rank, int) or isinstance(rank, bool) or rank < 1:
         raise SchemaError(f"{fieldname}.rank", "expected a positive integer")
     gens = parse_matrix(value.get("generators"), f"{fieldname}.generators")
     if gens.rows != rank or gens.cols != rank:

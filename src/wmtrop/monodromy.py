@@ -18,7 +18,9 @@ degree i.  The module computes
 Weight recognition is exact: a constant-term power-of-q test, the
 reciprocal functional equation, and a Sturm count on the trace
 polynomial, which together decide for every monic polynomial whether
-all its complex roots have squared modulus q^j.
+all its complex roots have squared modulus q^j.  It runs on integer
+numerators with no Fraction: for j < 0 the roots are scaled by q^-j, so
+the target is always the integer c = q^|j| and the Sturm ends 0 and 4c.
 """
 
 from __future__ import annotations
@@ -37,14 +39,15 @@ from .ratlin import (
     _int_derivative,
     _int_exact_div,
     _int_gcd,
+    _int_mul,
     _int_prem,
     _int_product,
+    _int_sub,
     _nullspace_ints,
     _pivot_columns,
     _primitive,
     _span_ints,
     char_poly,
-    poly_gcd,
     subspace_sum,
     valuation,
 )
@@ -289,41 +292,41 @@ def monodromy_filtration(n: NilpotentOperator) -> Filtration:
 # weights
 
 
-def _exact_q_power(r: Fraction, q: int) -> int | None:
-    """m with r == q**m, or None."""
-    if r <= 0:
+def _exact_q_power(a: int, b: int, q: int) -> int | None:
+    """m with a / b == q**m, for ints a and b > 0, or None.  In lowest
+    terms or not: a = q^k u and b = q^l v, for u and v prime to q, give a
+    power of q exactly when u == v."""
+    if a <= 0:
         return None
-    m, num = valuation(r.numerator, q)
-    k, den = valuation(r.denominator, q)
-    return m - k if num == den == 1 else None
+    k, u = valuation(a, q)
+    l, v = valuation(b, q)
+    return k - l if u == v else None
 
 
-def _scaled_value(a: list[int], x: Fraction) -> int:
-    """den^deg a(x) for x = num/den, den > 0: the sign of a(x), by Horner's
-    rule on ints."""
-    num, den = x.numerator, x.denominator
-    v, scale = 0, 1
+def _value(a: list[int], x: int) -> int:
+    """a(x), by Horner's rule."""
+    v = 0
     for c in reversed(a):
-        v = v * num + c * scale
-        scale *= den
+        v = v * x + c
     return v
 
 
-def _sign_changes(seq: list[list[int]], x: Fraction) -> int:
-    signs = [v > 0 for v in (_scaled_value(a, x) for a in seq) if v]
+def _sign_changes(seq: list[list[int]], x: int) -> int:
+    signs = [v > 0 for v in (_value(a, x) for a in seq) if v]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _sturm_sequence(f: RatPoly) -> list[list[int]]:
-    """A Sturm sequence of f's squarefree part, on integer coefficients.
+def _sturm_sequence(a: list[int]) -> list[list[int]]:
+    """A Sturm sequence of the squarefree part of a != 0, on integer
+    coefficients.
 
-    The squarefree part is the primitive integer multiple of f divided
-    exactly by its gcd with f', and each next term is a negated
-    pseudo-remainder divided by its content.  So each term is a positive
-    multiple of the classical term (negated remainders over Q) for that
-    squarefree part, and every sign-change count is the classical one.
+    The squarefree part is the primitive part of a divided exactly by its
+    gcd with a', and each next term is a negated pseudo-remainder divided
+    by its content.  So each term is a positive multiple of the classical
+    term (negated remainders over Q) for that squarefree part, and every
+    sign-change count is the classical one.
     """
-    a = _primitive(list(f._num))
+    a = _primitive(a)
     sf = _int_exact_div(a, _int_gcd(a, _int_derivative(a)))
     seq = [sf, _int_derivative(sf)]
     while len(seq[-1]) > 1:
@@ -331,58 +334,58 @@ def _sturm_sequence(f: RatPoly) -> list[list[int]]:
     return seq
 
 
-def _roots_in(f: RatPoly, lo: Fraction, hi: Fraction) -> bool:
-    """Whether every complex root of f != 0 is real and lies in [lo, hi].
+def _roots_in(a: list[int], lo: int, hi: int) -> bool:
+    """Whether every complex root of a != 0 is real and lies in [lo, hi].
 
-    The Sturm sequence counts the distinct roots of f's squarefree part
+    The Sturm sequence counts the distinct roots of a's squarefree part
     in (lo, hi]; a root at lo itself is tested directly.
     """
-    seq = _sturm_sequence(f)
+    seq = _sturm_sequence(a)
     sf = seq[0]
-    inside = _sign_changes(seq, lo) - _sign_changes(seq, hi) + (_scaled_value(sf, lo) == 0)
+    inside = _sign_changes(seq, lo) - _sign_changes(seq, hi) + (_value(sf, lo) == 0)
     return inside == len(sf) - 1
 
 
-def _exactly_pure(g: RatPoly, qj: Fraction) -> bool:
-    """True exactly when every root of g has squared modulus qj.
+def _exactly_pure(h: list[int], c: int) -> bool:
+    """True exactly when every root of h has squared modulus c.
 
-    Expects what weil_weight has checked: g is monic and its constant term
-    c0 and the reciprocal equation x^n g(qj/x) = c0 g(x) hold.  g need not
-    be irreducible.  The real roots of pure modulus are the roots of
-    x^2 - qj, so they are divided out first, as gcd(g, x^2 - qj) until it
-    is 1; the quotient h still satisfies a reciprocal equation, since
-    every divisor of x^2 - qj does.  If h is pure, it has no real root,
-    its roots pair off with their conjugates, r * conj(r) = qj, so its
-    degree n = 2m is even and its constant term is qj^m.  For such h,
-    h = x^m P(x + qj/x), and a root x has |x|^2 = qj exactly when
-    y = x + qj/x is real with y^2 <= 4qj.  P's
-    coefficients come from the Dickson polynomials V_0 = 2, V_1 = y,
-    V_(s+1) = y V_s - qj V_(s-1) (V_s(x + qj/x) = x^s + (qj/x)^s); with
-    P = E(y^2) + y O(y^2), the roots of S(z) = E(z)^2 - z O(z)^2 =
-    P(y)P(-y) at z = y^2 are the squares of P's roots, so h is pure
-    exactly when every root of S is real and lies in [0, 4qj] (Kedlaya,
-    "Search techniques for root-unitary polynomials", 2008).
+    h is a polynomial on integer coefficients, c > 0 an integer, and h
+    satisfies what weil_weight has checked: the reciprocal equation
+    x^n h(c/x) = (h_0 / h_n) h(x).  h need not be irreducible, nor monic.
+    The real roots of pure modulus are the roots of x^2 - c, so they are
+    divided out first, as the primitive gcd of h and x^2 - c until it is
+    constant; the quotient still satisfies a reciprocal equation, since
+    every divisor of x^2 - c does.  If it is pure, it has no real root,
+    its roots pair off with their conjugates, r * conj(r) = c, so its
+    degree n = 2m is even and h_0 = h_n c^m.  For such h,
+    h = x^m P(x + c/x), and a root x has |x|^2 = c exactly when
+    y = x + c/x is real with y^2 <= 4c.  P's coefficients come from the
+    Dickson polynomials V_0 = 2, V_1 = y, V_(s+1) = y V_s - c V_(s-1)
+    (V_s(x + c/x) = x^s + (c/x)^s); with P = E(y^2) + y O(y^2), the roots
+    of S(z) = E(z)^2 - z O(z)^2 = P(y)P(-y) at z = y^2 are the squares of
+    P's roots, so h is pure exactly when every root of S is real and lies
+    in [0, 4c] (Kedlaya, "Search techniques for root-unitary
+    polynomials", 2008).  Everything runs on ints, the interval ends too.
     """
-    real_pure, h = RatPoly([-qj, 0, 1]), g
-    while (d := poly_gcd(h, real_pure)).degree > 0:
-        h = h // d
-    n, c0 = h.degree, h.coefficient(0)
+    real_pure = [-c, 0, 1]
+    while len(d := _int_gcd(h, real_pure)) > 1:
+        h = _int_exact_div(h, d)
+    n = len(h) - 1
     if n == 0:
         return True
-    if n % 2 or c0 != qj ** (n // 2):
-        return False
     m = n // 2
-    y = RatPoly([0, 1])
-    dickson = [RatPoly([2]), y]
+    if n % 2 or h[0] != h[n] * c**m:
+        return False
+    dickson = [[2], [0, 1]]
     for _ in range(m - 1):
-        dickson.append(y * dickson[-1] - dickson[-2] * qj)
-    p = RatPoly([h.coefficient(m)])
+        dickson.append(_int_sub([0, *dickson[-1]], [c * x for x in dickson[-2]]))
+    p = [h[m]] + [0] * m
     for k in range(1, m + 1):
-        p = p + dickson[k] * h.coefficient(m + k)
-    even = RatPoly(p.coeffs[0::2])
-    odd = RatPoly(p.coeffs[1::2])
-    s = even * even - y * odd * odd
-    return _roots_in(s, Fraction(0), 4 * qj)
+        for i, x in enumerate(dickson[k]):
+            p[i] += h[m + k] * x
+    even, odd = p[0::2], p[1::2]
+    s = _int_sub(_int_mul(even, even), [0, *_int_mul(odd, odd)])
+    return _roots_in(s, 0, 4 * c)
 
 
 def weil_weight(g: RatPoly, q: int) -> int:
@@ -393,31 +396,47 @@ def weil_weight(g: RatPoly, q: int) -> int:
     root set must be stable under r -> q^j / r, i.e. x^deg * g(q^j/x) must
     be proportional to g.  Whether each individual root modulus is right
     is then decided by _exactly_pure.  Raises NotPureError otherwise.
+
+    All of it runs on g's integer numerators.  With c = q^|j| the target
+    squared modulus is the integer c: for j < 0 the roots are scaled by c,
+    to h_k = g._num[k] c^(n-k), whose roots have squared modulus c^2 q^j.
     """
-    if g.is_zero() or g.degree < 1:
+    if g.degree < 1:
         raise ValueError("weight of a constant polynomial is undefined")
-    if g.leading != 1:
+    num, den = g._num, g._den
+    if num[-1] != den:
         raise ValueError("polynomial must be monic")
     if not isinstance(q, int) or q < 2:
         raise ValueError("q must be an integer >= 2")
-    n = g.degree
-    c0 = g.coefficient(0)
-    if c0 == 0:
+    n = len(num) - 1
+    if num[0] == 0:
         raise NotPureError(g, q, "constant term is zero, so 0 is a root")
-    m = _exact_q_power(c0 * c0, q)
+    m = _exact_q_power(num[0] * num[0], den * den, q)
     if m is None:
         raise NotPureError(g, q, "constant term squared is not a power of q")
     if m % n != 0:
         raise NotPureError(g, q, "constant term forces a non-integer weight")
     j = m // n
-    qj = Fraction(q) ** j
-    # x^n g(q^j/x) proportional to g forces the proportionality constant c0
+    c = q ** abs(j)
+    h = [x * c ** (n - k) for k, x in enumerate(num)] if j < 0 else list(num)
+    # x^n h(c/x) proportional to h forces the proportionality constant h_0 / h_n
     for i in range(n + 1):
-        if g.coefficient(n - i) * qj ** (n - i) != c0 * g.coefficient(i):
+        if h[n - i] * c ** (n - i) * h[n] != h[0] * h[i]:
             raise NotPureError(g, q, f"roots not stable under r -> q^{j}/r")
-    if not _exactly_pure(g, qj):
+    if not _exactly_pure(h, c):
         raise NotPureError(g, q, f"a root has squared modulus other than q^{j}")
     return j
+
+
+def _weigh(cp: RatPoly, q: int) -> dict[int, RatPoly]:
+    """The product h_j, with multiplicity, of the weight-j irreducible
+    factors of a characteristic polynomial, at each weight j; NotPureError
+    at the first factor that is pure of no integer weight."""
+    by_weight: dict[int, RatPoly] = {}
+    for g, mult in factor_rational(cp):
+        j = weil_weight(g, q)
+        by_weight[j] = by_weight.get(j, RatPoly.one()) * g**mult
+    return by_weight
 
 
 def weight_decomposition(f: FrobeniusData) -> WeightDecomposition:
@@ -437,12 +456,8 @@ def weight_decomposition(f: FrobeniusData) -> WeightDecomposition:
     d = f.dimension
     if d == 0:
         return WeightDecomposition(0, {})
-    cp = char_poly(f.phi_matrix)
-    by_weight: dict[int, RatPoly] = {}
-    for g, mult in factor_rational(cp):
-        j = weil_weight(g, f.q)
-        by_weight[j] = by_weight.get(j, RatPoly.one()) * g**mult
-    return WeightDecomposition(d, _split(f.phi_matrix, Subspace.full(d), sorted(by_weight.items())))
+    weights = sorted(_weigh(char_poly(f.phi_matrix), f.q).items())
+    return WeightDecomposition(d, _split(f.phi_matrix, Subspace.full(d), weights))
 
 
 def _split(phi: Matrix, piece: Subspace, weights: list[tuple[int, RatPoly]]) -> dict[int, Subspace]:
@@ -561,11 +576,7 @@ def _graded_frobenius_weights(f: FrobeniusData, fil: Filtration, j: int) -> list
     induced = induced_quotient_matrix(
         f.phi_matrix, fil.at(j), fil.at(j - 1), fil.at(j), fil.at(j - 1)
     )
-    out: dict[int, int] = {}
-    for g, mult in factor_rational(char_poly(induced)):
-        w = weil_weight(g, f.q)
-        out[w] = out.get(w, 0) + mult * g.degree
-    return sorted(out.items())
+    return sorted((w, h.degree) for w, h in _weigh(char_poly(induced), f.q).items())
 
 
 def check_wmc(n: NilpotentOperator, f: FrobeniusData, i: int) -> WmcReport:

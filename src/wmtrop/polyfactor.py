@@ -388,5 +388,7 @@ def factor_rational(p: RatPoly) -> list[tuple[RatPoly, int]]:
     for sq, mult in squarefree_decomposition(p):
         for irr in _factor_squarefree_monic(sq):
             out.append((irr, mult))
-    out.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    # the coefficients over one common denominator order as the Fractions do
+    den = math.lcm(*(g._den for g, _ in out))
+    out.sort(key=lambda fm: (fm[0].degree, [x * (den // fm[0]._den) for x in fm[0]._num]))
     return out

@@ -550,14 +550,26 @@ def apply_to_subspace(m: Matrix, s: Subspace) -> Subspace:
     return _span_ints(m.rows, _int_product(s.basis._num, m._num))
 
 
+def format_ratio(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for integers num and den, with no Fraction:
+    lowest terms, the sign on the numerator, and no "/1"."""
+    if not den:
+        raise ZeroDivisionError(f"Fraction({int(num)}, 0)")
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
 class RatPoly:
     """Dense univariate polynomial over Q, coefficients lowest degree first.
 
     Stored as integer numerators `_num`, with no trailing zero, over one
     denominator `_den` > 0, with gcd(_den, every numerator) = 1: one
     stored form per polynomial, as for Matrix.  The zero polynomial has
-    empty `_num`, `_den` 1 and degree -1.  `coeffs`, `coefficient` and
-    `leading` build Fractions on demand.
+    empty `_num`, `_den` 1 and degree -1.  `coeffs` builds the Fractions
+    on demand.
     """
 
     __slots__ = ("_num", "_den")
@@ -612,15 +624,6 @@ class RatPoly:
 
     def is_one(self) -> bool:
         return self._num == (1,) and self._den == 1
-
-    @property
-    def leading(self) -> Fraction:
-        if not self._num:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return Fraction(self._num[-1], self._den)
-
-    def coefficient(self, k: int) -> Fraction:
-        return Fraction(self._num[k], self._den) if 0 <= k < len(self._num) else _ZERO
 
     def _combine(self, other: "RatPoly", sign: int) -> "RatPoly":
         den = math.lcm(self._den, other._den)
@@ -729,32 +732,25 @@ class RatPoly:
         if self.is_zero():
             return "RatPoly(0)"
         terms = []
+        den = self._den
         for i in range(len(self._num) - 1, -1, -1):
-            c = self.coefficient(i)
+            c = self._num[i]
             if c == 0:
                 continue
             if i == 0:
-                terms.append(str(c))
+                terms.append(format_ratio(c, den))
             else:
                 xi = "x" if i == 1 else f"x^{i}"
-                if c == 1:
+                if c == den:
                     terms.append(xi)
-                elif c == -1:
+                elif c == -den:
                     terms.append(f"-{xi}")
                 else:
-                    terms.append(f"{c}*{xi}")
+                    terms.append(f"{format_ratio(c, den)}*{xi}")
         body = terms[0]
         for t in terms[1:]:
             body += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
         return f"RatPoly({body})"
-
-
-def poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
-    """Monic gcd, by the primitive pseudo-remainder sequence of the two
-    polynomials' numerators (_int_gcd); the zero polynomial when both are
-    zero."""
-    g = _int_gcd(a._num, b._num)
-    return RatPoly._over(g, g[-1]) if g else RatPoly.zero()
 
 
 # ---------------------------------------------------------------------------

@@ -296,7 +296,7 @@ def numeric_weil_weight(g: RatPoly, q: int) -> int:
     stable under r -> q^j / r, so no reciprocity test runs.  Raises
     NotPureError otherwise.
     """
-    n, c0 = g.degree, g.coefficient(0)
+    n, c0 = g.degree, g.coeffs[0]
     m = exact_q_power_recursive(c0 * c0, q) if c0 else None
     if m is None or m % n:
         raise NotPureError(g, q, "constant term is not a power of q of the right degree")

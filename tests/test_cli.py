@@ -144,6 +144,8 @@ class TestParsing:
             parse_lattice({"rank": 1, "generators": [["0"]]})
         with pytest.raises(SchemaError):
             parse_lattice({"rank": 2, "generators": [["1"]]})
+        with pytest.raises(SchemaError, match="lattice.rank"):  # a boolean is not a rank
+            parse_lattice({"rank": True, "generators": [["2"]]})
 
     def test_bundle_roundtrip_and_asymmetry(self):
         b = parse_bundle(TATE_BUNDLE)
@@ -427,6 +429,8 @@ class TestErrorContract:
              "constant term squared is not a power of q"),
             ("trop-model", {"lattice": {"rank": 1, "generators": [["0"]]}, "alpha": "1"}, 2,
              "field 'lattice.generators': generator matrix must have full rank"),
+            ("trop-model", {"lattice": {"rank": True, "generators": [["2"]]}, "alpha": "1"}, 2,
+             "field 'lattice.rank': expected a positive integer"),
             ("trop-model", dict(TATE_MODEL, alpha="3/4"), 2,
              "field 'alpha': alpha / p^level must divide the lattice"),
             ("trop-model", dict(TATE_MODEL, p=4), 2, "field 'p': p must be prime"),
@@ -554,7 +558,7 @@ class TestErrorContract:
         # recombination tries 162 subsets before it finds it irreducible
         sd4 = swinnerton_dyer([2, 3, 5, 7])
         n = sd4.degree
-        phi = [[int(i == j + 1) for j in range(n - 1)] + [str(-sd4.coefficient(i))]
+        phi = [[int(i == j + 1) for j in range(n - 1)] + [str(-sd4.coeffs[i])]
                for i in range(n)]
         jobs = (JobSpec("weight-filtration", {"phi": phi, "q": 5}),
                 JobSpec("wmc-check", {"n": [[0] * n] * n, "phi": phi, "q": 5, "i": 0}))

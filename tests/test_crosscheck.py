@@ -79,11 +79,11 @@ from wmtrop.ratlin import (
     Matrix,
     RatPoly,
     Subspace,
+    _int_gcd,
     _rref,
     char_poly,
     contains,
     kernel,
-    poly_gcd,
     subspace_intersect,
     subspace_sum,
 )
@@ -348,16 +348,21 @@ class TestReplacedPaths:
         for q in (2, 3, 5, 4, 6):
             for m in range(-5, 6):
                 power = F(q) ** m
-                assert _exact_q_power(power, q) == exact_q_power_recursive(power, q) == m
+                got = _exact_q_power(power.numerator, power.denominator, q)
+                assert got == exact_q_power_recursive(power, q) == m
                 # near misses: off by one, a stray factor, a smaller prime power of q
                 misses = [power + 1, power - 1, -power, power * F(2, 3), power * F(3, 2),
                           power * 2, power / 2, F(2) ** m, F(0)]
                 for r in misses:
-                    got = _exact_q_power(r, q)
+                    got = _exact_q_power(r.numerator, r.denominator, q)
                     assert got == exact_q_power_recursive(r, q), (r, q)
                     seen.add(got is None)
-        assert _exact_q_power(F(2), 4) is None and _exact_q_power(F(1, 8), 4) is None
-        assert _exact_q_power(F(1, 36), 6) == -2 and _exact_q_power(F(4, 9), 6) is None
+                    # the same ratio not in lowest terms
+                    for t in (q, 6, 10**20):
+                        assert _exact_q_power(r.numerator * t, r.denominator * t, q) == got, (r, t)
+        assert _exact_q_power(2, 1, 4) is None and _exact_q_power(1, 8, 4) is None
+        assert _exact_q_power(1, 36, 6) == -2 and _exact_q_power(4, 9, 6) is None
+        assert _exact_q_power(12, 2, 6) == 1 and _exact_q_power(8, 12, 6) is None
         assert seen == {False, True}
 
     def test_max_dividing_width_matches_fold(self):
@@ -512,6 +517,26 @@ def _sturm_case(rng, qj):
     return f
 
 
+def _monic_gcd(a, b):
+    """The primitive integer gcd of two polynomials' numerators, made monic."""
+    g = _int_gcd(a._num, b._num)
+    return RatPoly._over(g, g[-1]) if g else RatPoly.zero()
+
+
+def _scaled_roots(f, k):
+    """The integer coefficients of a positive multiple of f(x / k), whose
+    roots are f's times k: the numerators of f times k^(n - i), n = deg f."""
+    n = f.degree
+    return [x * k ** (n - i) for i, x in enumerate(f._num)]
+
+
+def _integer_target(q, j):
+    """(q^j, c, k) for c = q^|j| and k = c^2 if j < 0 else 1: with the roots
+    times k, the interval [0, 4q^j] of the Sturm count becomes [0, 4c]."""
+    c = q ** abs(j)
+    return F(q) ** j, c, c * c if j < 0 else 1
+
+
 class TestIntegerPolynomials:
     """The integer gcd, Yun loop and Sturm count against the Fraction
     versions they replaced (tests/oracles.py)."""
@@ -524,10 +549,10 @@ class TestIntegerPolynomials:
         for a in cases:
             b, common = rng.choice(small), _poly_factor(rng, big=False)
             for x, y in ((a, b), (a * common, b * common), (a, RatPoly.zero()), (a, a)):
-                got = poly_gcd(x, y)
-                assert got == fraction_poly_gcd(x, y) == poly_gcd(y, x), (x, y)
+                got = _monic_gcd(x, y)
+                assert got == fraction_poly_gcd(x, y) == _monic_gcd(y, x), (x, y)
                 nontrivial += 0 < got.degree < min(x.degree, y.degree)
-        assert poly_gcd(RatPoly.zero(), RatPoly.zero()) == RatPoly.zero()
+        assert _int_gcd([], []) == []
         assert nontrivial > 30
 
     def test_squarefree_decomposition_matches_yun_over_q(self):
@@ -544,14 +569,18 @@ class TestIntegerPolynomials:
         verdicts, ends = [], set()
         for q in (2, 3, 5):
             for j in (-1, 0, 1, 2):
-                qj = F(q) ** j
+                qj, c, k = _integer_target(q, j)
                 for _ in range(40):
                     f = _sturm_case(rng, qj)
-                    seq, expected = _sturm_sequence(f), fraction_sturm_sequence(f)
+                    expected = fraction_sturm_sequence(f)
+                    x_rand = F(rng.randint(-99, 99), rng.randint(1, 9))
+                    s = k * x_rand.denominator  # with the roots times s, every point is an int
+                    seq = _sturm_sequence(_scaled_roots(f, s))
                     assert len(seq) == len(expected), f
-                    for x in (F(0), 4 * qj, -4 * qj, qj, F(rng.randint(-99, 99), rng.randint(1, 9))):
-                        assert _sign_changes(seq, x) == fraction_sign_changes(expected, x), (f, x)
-                    got = _roots_in(f, F(0), 4 * qj)
+                    for x in (F(0), 4 * qj, -4 * qj, qj, x_rand):
+                        got = _sign_changes(seq, int(x * s))
+                        assert got == fraction_sign_changes(expected, x), (f, x)
+                    got = _roots_in(_scaled_roots(f, k), 0, 4 * c)
                     assert got == fraction_roots_in(f, F(0), 4 * qj), (f, qj)
                     verdicts.append(got)
                     if got:  # a root at an end of the interval counts as inside
@@ -650,7 +679,7 @@ def _trace_factor(rng, q, j):
         g = RatPoly.zero()
         for k, c in enumerate(p.coeffs):
             g = g + shift**k * RatPoly([0] * (m - k) + [c])
-        if poly_gcd(g, g.derivative()).degree == 0:  # simple roots, for the numeric side
+        if len(_int_gcd(g._num, g.derivative()._num)) == 1:  # simple roots, for the numeric side
             return g, kind == 0
 
 
@@ -681,6 +710,16 @@ def _reciprocal_poly(rng, q):
         coeffs[n - i] = F(rng.randint(-4, 4))
         coeffs[i] = coeffs[n - i] * qj ** (n - i) / c0
     return RatPoly(coeffs), (n % 2, sign)
+
+
+#: (g, q, j): x^2 - 1/4 at q = 2, x + 1/2 at q = 4, and
+#: x^4 - x^3/2 - 3x^2/4 - x/4 + 1/4 at q = 2, which is 2^-4 h(2x) for
+#: h = x^2 P(x + 2/x), P = y^2 - y - 7, whose root (1 + sqrt 29)/2 is above 2 sqrt 2
+_NEGATIVE_WEIGHT_EDGES = [
+    (RatPoly([F(-1, 4), 0, 1]), 2, -2),
+    (RatPoly([F(1, 2), 1]), 4, -1),
+    (RatPoly([F(1, 4), F(-1, 4), F(-3, 4), F(-1, 2), 1]), 2, -1),
+]
 
 
 def _weight_or_none(weight, g, q):
@@ -723,13 +762,24 @@ class TestHessenbergAndPatersonStockmeyer:
         assert products >= 8  # the bound is reached, so the count is live
 
     def test_exact_purity_matches_numeric(self):
+        # the edges of the j < 0 scaling: real pure roots +-1/2, a rational
+        # root -sqrt(q^j), and a reciprocal quartic that only the Sturm count
+        # rejects; weil_weight and _exactly_pure both meet the numeric check
+        for g, q, j in _NEGATIVE_WEIGHT_EDGES:
+            c = q**-j
+            numeric = _weight_or_none(numeric_weil_weight, g, q)
+            assert _weight_or_none(weil_weight, g, q) == numeric, g
+            assert _exactly_pure(_scaled_roots(g, c), c) == (numeric == j), g
+        assert [_exactly_pure(_scaled_roots(g, q**-j), q**-j)
+                for g, q, j in _NEGATIVE_WEIGHT_EDGES] == [True, True, False]
         rng = random.Random(167)
         verdicts = []
         for q in (2, 3, 5):
             for _ in range(135):
                 j = rng.choice([-1, 0, 1, 1, 2, 2, 3])
                 g, built_pure = _trace_factor(rng, q, j)
-                exact = _exactly_pure(g, F(q) ** j)
+                c = q ** abs(j)
+                exact = _exactly_pure(_scaled_roots(g, c if j < 0 else 1), c)
                 assert exact or not built_pure, g  # a pure construction is decided pure
                 assert exact == (_weight_or_none(numeric_weil_weight, g, q) == j), (g, q, j)
                 verdicts.append(exact)
@@ -979,7 +1029,8 @@ class TestSympyDifferential:
             b, common = rng.choice(small), _poly_factor(rng, big=False)
             for u, v in ((a, b), (a * common, b * common)):
                 expected = sympy.gcd(_to_sympy_poly(sympy, x, u), _to_sympy_poly(sympy, x, v))
-                assert _to_sympy_poly(sympy, x, poly_gcd(u, v)) == _monic(sympy, expected), (u, v)
+                got = _to_sympy_poly(sympy, x, _monic_gcd(u, v))
+                assert got == _monic(sympy, expected), (u, v)
 
     def test_squarefree_decomposition(self, sympy):
         rng = random.Random(239)
@@ -995,13 +1046,13 @@ class TestSympyDifferential:
         x = sympy.Symbol("x")
         for q in (2, 3, 5):
             for j in (-1, 0, 1, 2):
-                qj = F(q) ** j
+                qj, c, k = _integer_target(q, j)
                 for _ in range(15):
                     f = _sturm_case(rng, qj)
                     sf = sympy.sqf_part(_to_sympy_poly(sympy, x, f))
                     hi = _to_sympy_rational(sympy, 4 * qj)
                     expected = sf.count_roots(0, hi) == sf.degree()
-                    assert _roots_in(f, F(0), 4 * qj) == expected, (f, qj)
+                    assert _roots_in(_scaled_roots(f, k), 0, 4 * c) == expected, (f, qj)
 
     def test_lattice_hnf_spans_the_lattice(self, sympy):
         rng = random.Random(151)

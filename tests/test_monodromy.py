@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from gens import random_jordan_nilpotent, random_unipotent, random_wmc_pair
+from gens import count_fractions, random_jordan_nilpotent, random_unipotent, random_wmc_pair
 from oracles import graded_map_is_bijective, jordan_filtration_pieces
 from wmtrop import monodromy
 from wmtrop.monodromy import (
@@ -154,6 +154,32 @@ class TestWeilWeight:
 
     def test_negative_weight(self):
         assert weil_weight(RatPoly([F(-1, 5), 1]), 5) == -2
+        # the roots are scaled by q^-j: real pure roots +-1/2, and a rational
+        # root -1/2 = -sqrt(q^j)
+        assert weil_weight(RatPoly([F(-1, 4), 0, 1]), 2) == -2
+        assert weil_weight(RatPoly([F(1, 2), 1]), 4) == -1
+        # constant term and reciprocity hold, but two roots are real and
+        # their product is 1/2: only the Sturm count rejects it
+        with pytest.raises(NotPureError, match="squared modulus other than q\\^-1"):
+            weil_weight(RatPoly([F(1, 4), F(-1, 4), F(-3, 4), F(-1, 2), 1]), 2)
+
+    def test_builds_no_fraction(self, monkeypatch):
+        # the whole test runs on the integer numerators, for negative j too
+        for q in (2, 3, 4, 5):
+            for j in range(-2, 4):
+                qj, t = F(q) ** j, F(q) ** (j // 2)  # t^2 <= q^j
+                pure = [
+                    RatPoly([-qj, 0, 1]),  # real roots +-sqrt(q^j)
+                    RatPoly([qj, 0, 1]),
+                    RatPoly([qj * qj, 0, 0, 0, 1]),  # the Dickson and Sturm steps
+                    RatPoly([qj * qj, 0, qj, 0, 1]),
+                    RatPoly([qj * qj, -t * qj, 2 * qj, -t, 1]),  # trace polynomial y^2 - t y
+                ]
+                if j % 2 == 0:
+                    pure.append(RatPoly([t, 1]))
+                for g in pure:
+                    assert weil_weight(g, q) == j, (g, q)
+                    assert count_fractions(monkeypatch, weil_weight, g, q) == 0, (g, q)
 
     def test_x_is_not_pure(self):
         with pytest.raises(NotPureError):

@@ -177,7 +177,11 @@ def test_remultiplication_on_random_polys():
         got = factor_rational(p)
         assert remultiply(got) == p
         for g, _ in got:
-            assert g.leading == 1
+            assert g.monic() == g
+        assert got == sorted(got, key=lambda fm: (fm[0].degree, fm[0].coeffs))
+    # the order is on the coefficients' values, not on their stored numerators
+    got = factor_rational(RatPoly([F(1, 2), 1]) * RatPoly([F(1, 3), 1]))
+    assert [g for g, _ in got] == [RatPoly([F(1, 3), 1]), RatPoly([F(1, 2), 1])]
 
 
 def test_canonical_order_is_stable():

@@ -15,7 +15,14 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "argv", [["tate_curve_demo.py"], ["filtration_sweep.py", "20", "4", "1"]], ids=lambda a: a[0]
+    "argv",
+    [
+        ["tate_curve_demo.py"],
+        ["filtration_sweep.py", "20", "4", "1"],
+        # every seed-0 benchmark job, its render_json checked against json.dumps
+        ["report_digest.py", "--seeds", "0"],
+    ],
+    ids=lambda a: a[0],
 )
 def test_script_runs(argv):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
