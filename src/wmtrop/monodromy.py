@@ -21,6 +21,16 @@ polynomial, which together decide for every monic polynomial whether
 all its complex roots have squared modulus q^j.  It runs on integer
 numerators with no Fraction: for j < 0 the roots are scaled by q^-j, so
 the target is always the integer c = q^|j| and the Sturm ends 0 and 4c.
+
+The weight-j part h_j of a characteristic polynomial, the product of
+its roots of weight j, comes without factoring over Q, in three phases
+(_split_weights): the real roots +-q^k are divided out, then, from an
+integer Fujiwara bound down, gcd(f, x^n f(q^w/x)) gives the part of the
+top weight w left; a gcd mod 2^61 - 1 passes over the weights where it
+is 1.  Soundness rests on the third phase alone: each part must pass
+the exact purity test at its weight, and the parts must make up f.
+Input that fails it, impure input above all, is factored over Q
+instead, so that NotPureError names an irreducible factor.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .polyfactor import factor_rational
+from .polyfactor import _mx_gcd, factor_rational
 from .ratlin import (
     DimensionMismatch,
     Matrix,
@@ -37,6 +47,7 @@ from .ratlin import (
     _columns,
     _echelon,
     _int_derivative,
+    _int_divmod,
     _int_exact_div,
     _int_gcd,
     _int_mul,
@@ -428,10 +439,148 @@ def weil_weight(g: RatPoly, q: int) -> int:
     return j
 
 
+#: the prime the weight splitter reduces modulo, to pass over the candidate
+#: roots and weights that cannot divide before any exact step; a small prime
+#: lets nearly every weight through (powers of 5 collide mod 3)
+_SPLIT_PRIME = 2**61 - 1
+
+
+def _log_floor(a: int, b: int, q: int) -> int:
+    """The largest integer L with q^L <= a / b, for ints a, b > 0."""
+    if a < b:  # q^-m <= a/b exactly when q^m >= ceil(b/a), i.e. q^m > ceil(b/a) - 1
+        return -1 - _log_floor(-(-b // a) - 1, 1, q)
+    x = a // b  # q^L <= a/b exactly when q^L <= x, for L >= 0
+    lo, hi = (x.bit_length() - 1) // q.bit_length(), x.bit_length()  # q^lo <= x < q^hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if q**mid <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _top_weight(f: list[int], q: int) -> int:
+    """A weight no root of f passes: the largest w with
+    q^(wk) f_n^2 <= 4^k f_(n-k)^2 for some k.  By Fujiwara's bound every
+    root a of f has |a|^2 <= 4 max_k |f_(n-k) / f_n|^(2/k) < q^(w+1).
+    Past the top weight w' of f's roots it overshoots by at most
+    log_q(4 n^2), as |f_(n-k) / f_n| <= C(n, k) q^(w'k/2)."""
+    n, lead = len(f) - 1, f[-1] * f[-1]
+    return max(
+        _log_floor(4**k * f[n - k] * f[n - k], lead, q) // k for k in range(1, n + 1) if f[n - k]
+    )
+
+
+def _weight_range(f: list[int], q: int) -> tuple[int, int]:
+    """(low, top) with q^(low-1) < |a|^2 < q^(top+1) for every root a of f,
+    so every integer weight of a root lies in [low, top]; f has degree
+    >= 1 and f_0 != 0.  low is the top bound of the reversed polynomial,
+    whose roots are the 1/a, negated."""
+    return -_top_weight(f[::-1], q), _top_weight(f, q)
+
+
+def _split_weights(f: list[int], q: int) -> dict[int, list[int]] | None:
+    """The weight-w part h_w of f, at each weight w, as primitive integer
+    polynomials whose product is f up to a constant, or None where this
+    path cannot tell.  No factoring over Q, in three phases:
+
+    (a) the real pure roots +-q^k, of weight 2k, are divided out first,
+        for k from the top of the weight range down, wherever f(+-q^k)
+        vanishes mod _SPLIT_PRIME and as often as x -+ q^k (or
+        q^-k x -+ 1, for k < 0) divides exactly;
+    (b) for w from the top of what is left down, the reciprocal
+        T = x^n f(q^w / x) meets f in gcd(f, T), tried mod _SPLIT_PRIME
+        first.  A root a of weight u meets q^w / a, of weight 2w - u, so
+        at the top weight w of f's roots the gcd holds exactly the roots
+        of weight w, with their multiplicities (q^w / a is a's conjugate);
+        it is divided out and the bounds are taken again, so each weight
+        costs at most 2 + log_q(4 n^2) steps whatever the gaps between
+        weights;
+    (c) every part from (b) must pass weil_weight at its weight (those
+        of (a) are pure by construction), and f must end up constant.
+        The parts then split f into pure parts, one product per weight,
+        which are the h_w; soundness rests on (c) alone, (a) and (b)
+        only find the parts.
+
+    An impure root, a common factor past the weight range, a division
+    that is not exact or a prime that divides q f_0 f_n gives None, so
+    this never raises on a polynomial of degree >= 1.
+    """
+    p = _SPLIT_PRIME
+    if f[0] * f[-1] * q % p == 0:
+        return None
+    parts: dict[int, list[int]] = {}
+    if len(f) == 1:
+        return parts
+
+    def take(w: int, part: list[int]) -> None:
+        parts[w] = _int_mul(parts.get(w, [1]), part)
+
+    low, top = _weight_range(f, q)
+    k, fp = top // 2, [c % p for c in f]
+    while len(f) > 1 and 2 * k >= low:
+        r, found = pow(q, k, p), False
+        for sign in (1, -1):
+            if _value(fp, sign * r) % p:
+                continue
+            linear = [-sign * q**k, 1] if k >= 0 else [-sign, q**-k]
+            while (qr := _int_divmod(f, linear)) is not None and not qr[1]:
+                f, found = qr[0], True
+                take(2 * k, linear)
+        if found and len(f) > 1:
+            low, top = _weight_range(f, q)
+            k, fp = min(k - 1, top // 2), [c % p for c in f]
+        else:
+            k -= 1
+
+    w = top
+    while len(f) > 1:
+        if w < low:
+            return None
+        n, r = len(f) - 1, pow(q, w, p)
+        fp, tp, x = [c % p for c in f], [], 1
+        for c in fp:  # the coefficient of x^(n-k) in T is f_k (q^w)^k
+            tp.append(c * x % p)
+            x = x * r % p
+        if len(_mx_gcd(fp, tp[::-1], p)) > 1:
+            if w >= 0:
+                t = [c * q ** (w * k) for k, c in enumerate(f)][::-1]
+            else:  # times q^(-wn), on integers
+                t = [c * q ** (-w * (n - k)) for k, c in enumerate(f)][::-1]
+            g = _int_gcd(f, t)
+            if len(g) > 1:
+                if g[-1] < 0:
+                    g = [-c for c in g]
+                quo = _int_exact_div(f, g)
+                if quo is None:
+                    return None
+                try:
+                    if weil_weight(RatPoly._over(g, g[-1]), q) != w:
+                        return None
+                except NotPureError:
+                    return None
+                take(w, g)
+                f = quo
+                if len(f) > 1:
+                    low, top = _weight_range(f, q)
+                    w = min(w - 1, top)
+                continue
+        w -= 1
+    return parts
+
+
 def _weigh(cp: RatPoly, q: int) -> dict[int, RatPoly]:
-    """The product h_j, with multiplicity, of the weight-j irreducible
-    factors of a characteristic polynomial, at each weight j; NotPureError
-    at the first factor that is pure of no integer weight."""
+    """The product h_j, with multiplicity, of the roots of weight j of a
+    monic characteristic polynomial, at each weight j.
+
+    _split_weights finds them without factoring over Q.  Where it cannot
+    tell, as on impure input, the product of the weight-j irreducible
+    factors from factor_rational is taken instead, and NotPureError names
+    the first factor that is pure of no integer weight."""
+    parts = _split_weights(list(cp._num), q)
+    if parts is not None:
+        return {j: RatPoly._over(h, h[-1]) for j, h in parts.items()}
     by_weight: dict[int, RatPoly] = {}
     for g, mult in factor_rational(cp):
         j = weil_weight(g, q)
@@ -443,9 +592,10 @@ def weight_decomposition(f: FrobeniusData) -> WeightDecomposition:
     """Split Q^d into the Phi-stable summands of each pure weight.
 
     The component of weight j is the kernel of h_j(Phi), with h_j the
-    product (with multiplicity) of the weight-j irreducible factors of
-    the characteristic polynomial.  A factor that is pure of no integer
-    weight aborts the decomposition with NotPureError.
+    product (with multiplicity) of the roots of weight j of the
+    characteristic polynomial, found by _weigh without factoring over Q.
+    A root that is pure of no integer weight aborts the decomposition
+    with NotPureError, which names the irreducible factor it belongs to.
 
     The components come from a primary splitting (_split): the weights
     are halved, one polynomial H_A(Phi) splits the space into the sum of
@@ -599,7 +749,7 @@ def check_wmc(n: NilpotentOperator, f: FrobeniusData, i: int) -> WmcReport:
         components, so gr_j is Phi-isomorphic to the component of weight i+j.
 
     Only when neither holds is each piece tested for stability and the
-    map induced on each gr_j factored and weighed.
+    map induced on each gr_j weighed.
     """
     if n.dimension != f.dimension:
         raise DimensionMismatch("operator dimensions differ")

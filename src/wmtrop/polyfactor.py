@@ -16,9 +16,14 @@ Method (desk scale, correctness over speed):
    integer coefficients.
 
 Subset recombination is exponential in the number of modular factors, so
-this is intended for degrees up to a few dozen, which is all the rest of
-the package ever asks for (characteristic polynomials of small matrices);
-RECOMBINATION_LIMIT bounds the subsets it may try.
+this is intended for degrees up to a few dozen; RECOMBINATION_LIMIT
+bounds the subsets it may try.
+
+The weights of a characteristic polynomial need no factoring: monodromy
+splits them by real roots and reciprocal gcds.  Within the package this
+module serves only what that split cannot tell, impure input, so that a
+NotPureError names an irreducible factor; factor_rational is also a
+library entry point of its own.
 """
 
 from __future__ import annotations

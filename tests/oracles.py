@@ -16,7 +16,9 @@ from wmtrop.monodromy import (
     _graded_frobenius_weights,
     induced_quotient_matrix,
     monodromy_filtration,
+    weil_weight,
 )
+from wmtrop.polyfactor import factor_rational
 from wmtrop.ratlin import (
     Matrix,
     RatPoly,
@@ -311,6 +313,17 @@ def numeric_weil_weight(g: RatPoly, q: int) -> int:
         if any(abs(abs(r) ** 2 - target) > mpmath.mpf(10) ** -20 for r in roots):
             raise NotPureError(g, q, f"a root has squared modulus away from q^{j}")
     return j
+
+
+def factoring_weights(cp: RatPoly, q: int) -> dict[int, RatPoly]:
+    """monodromy._weigh by factoring over Q: h_j is the product, with
+    multiplicity, of the irreducible factors that weil_weight puts at
+    weight j; NotPureError at the first factor of no integer weight."""
+    by_weight: dict[int, RatPoly] = {}
+    for g, mult in factor_rational(cp):
+        j = weil_weight(g, q)
+        by_weight[j] = by_weight.get(j, RatPoly.one()) * g**mult
+    return by_weight
 
 
 def fraction_poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:

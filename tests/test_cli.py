@@ -38,7 +38,7 @@ from wmtrop.cli import (
     serialize_matrix,
     serialize_section,
 )
-from wmtrop.ratlin import Matrix
+from wmtrop.ratlin import Matrix, char_poly
 
 
 def run_cli(args):
@@ -573,6 +573,20 @@ class TestErrorContract:
                 "field 'phi': recombining 8 modular factors of a degree-16 factor of the "
                 "characteristic polynomial needs more than 161 trials, the recombination limit",
             )
+
+    def test_pure_input_needs_no_recombination(self, monkeypatch):
+        # weights are split without factoring over Q, so a pure characteristic
+        # polynomial passes at any RECOMBINATION_LIMIT: Phi_35 with its roots
+        # times 5 splits into 2 modular factors, which factoring cannot
+        # recombine within one trial
+        workloads = load_workloads()
+        phi = workloads._companion(workloads._weil_cyclotomic(35, 2))
+        monkeypatch.setattr(pf, "RECOMBINATION_LIMIT", 1)
+        report = run(JobSpec("weight-filtration", {"phi": phi, "q": 5}))
+        assert report.exit_code == 0
+        assert list(report.to_dict()["payload"]["weights"]) == ["2"]
+        with pytest.raises(pf.RecombinationLimitError):
+            pf.factor_rational(char_poly(Matrix(phi)))
 
     def test_component_count_past_the_digit_limit(self, monkeypatch):
         unit_square = {"lattice": {"rank": 2, "generators": [["1", "0"], ["0", "1"]]}}

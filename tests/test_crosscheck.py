@@ -23,6 +23,7 @@ from fractions import Fraction as F
 import pytest
 
 from gens import (
+    load_workloads,
     random_fraction,
     random_invertible,
     random_lattice,
@@ -34,6 +35,7 @@ from gens import (
 from oracles import (
     closed_formula_pieces,
     exact_q_power_recursive,
+    factoring_weights,
     faddeev_leverrier_char_poly,
     fraction_det,
     fraction_inverse,
@@ -55,7 +57,7 @@ from oracles import (
     solve_induced_matrix,
     verify_section_by_corner_value,
 )
-from wmtrop import ratlin
+from wmtrop import cli, monodromy, ratlin
 from wmtrop.monodromy import (
     Filtration,
     FrobeniusData,
@@ -65,7 +67,9 @@ from wmtrop.monodromy import (
     _exactly_pure,
     _roots_in,
     _sign_changes,
+    _split_weights,
     _sturm_sequence,
+    _weigh,
     check_commutation,
     check_wmc,
     induced_quotient_matrix,
@@ -74,7 +78,7 @@ from wmtrop.monodromy import (
     weight_filtration,
     weil_weight,
 )
-from wmtrop.polyfactor import factor_rational, squarefree_decomposition
+from wmtrop.polyfactor import _mx_gcd, factor_rational, squarefree_decomposition
 from wmtrop.ratlin import (
     Matrix,
     RatPoly,
@@ -592,10 +596,7 @@ class TestIntegerPolynomials:
 def _kernels_of_h(phi, q):
     """The weight components as kernels of h_j(Phi), each h_j evaluated by
     Horner's rule at full size."""
-    by_weight = {}
-    for g, mult in factor_rational(faddeev_leverrier_char_poly(phi)):
-        j = weil_weight(g, q)
-        by_weight[j] = by_weight.get(j, RatPoly.one()) * g**mult
+    by_weight = factoring_weights(faddeev_leverrier_char_poly(phi), q)
     return {j: kernel(horner_eval_matrix(h, phi)) for j, h in by_weight.items()}
 
 
@@ -859,6 +860,158 @@ class TestHessenbergAndPatersonStockmeyer:
             assert 3 <= len(expected) <= 5
             assert weight_decomposition(FrobeniusData(phi, q)).components == expected, phi
         assert defective >= 12
+
+
+def _no_factoring(p):
+    raise AssertionError(f"factor_rational reached on {p!r}")
+
+
+def _scaled_cyclotomic(m, w, q):
+    """Phi_m with its roots times q^(w/2), for even w: pure of weight w."""
+    c = load_workloads()._cyclotomic(m)
+    n = len(c) - 1
+    return RatPoly([ck * F(q) ** (w // 2 * (n - k)) for k, ck in enumerate(c)])
+
+
+def _weil_quadratic(rng, q, w):
+    """x^2 - a x + q^w with a^2 < 4 q^w, a rational: pure of weight w."""
+    while True:
+        a = F(rng.randint(-12, 12), rng.randint(1, 3))
+        if a * a < 4 * F(q) ** w:
+            return RatPoly([F(q) ** w, -a, 1])
+
+
+def _pure_char_polys(rng):
+    """(cp, q) with cp pure at every root: products of weight blocks at
+    weights -3..5 and of scaled cyclotomics (Phi_1 and Phi_2 give the real
+    roots +-q^k) and Weil quadratics with rational traces, each to a power
+    up to 3, characteristic polynomials of random_wmc_pair, and the real
+    roots 1 and 25 of (x - 1)(x - 25) at q = 5."""
+    yield RatPoly([25, -26, 1]), 5
+    for k in range(240):
+        q = rng.choice([2, 3, 5, 7])
+        if k % 3 == 0:
+            yield char_poly(random_wmc_pair(rng, q, max_dim=rng.randint(1, 8))[1]), q
+            continue
+        cp = RatPoly.one()
+        for _ in range(rng.randint(1, 4)):
+            w = rng.randint(-3, 5)
+            if k % 3 == 1:
+                factor = char_poly(weight_block(rng, q, w))
+            elif w % 2 == 0:
+                factor = _scaled_cyclotomic(rng.choice([1, 2, 3, 4, 5, 6, 8, 9, 12]), w, q)
+            else:
+                factor = _weil_quadratic(rng, q, w)
+            cp = cp * factor ** rng.choice([1, 1, 2, 3])
+        yield cp, q
+
+
+def _weights(cp, q):
+    try:
+        return factoring_weights(cp, q)
+    except NotPureError as err:
+        return str(err)
+
+
+class TestWeightsWithoutFactoring:
+    def test_split_matches_factoring(self, monkeypatch):
+        rng = random.Random(229)
+        cases = [(cp, q, factoring_weights(cp, q)) for cp, q in _pure_char_polys(rng)]
+        monkeypatch.setattr(monodromy, "factor_rational", _no_factoring)
+        for cp, q, want in cases:
+            assert _weigh(cp, q) == want, (cp, q)
+        # every kind is drawn: several weights, repeated roots, negative
+        # weights, the real roots +-q^k, rational coefficients, q = 2
+        assert sum(len(want) >= 3 for _, _, want in cases) > 30
+        assert sum(len(_int_gcd(cp._num, cp.derivative()._num)) > 1 for cp, _, _ in cases) > 30
+        assert sum(min(want) < 0 for _, _, want in cases) > 30
+        assert sum(any(h.eval(r) == 0 for j, h in want.items() if j % 2 == 0
+                       for r in (F(q) ** (j // 2), -F(q) ** (j // 2)))
+                   for _, q, want in cases) > 30
+        assert sum(cp._den > 1 for cp, _, _ in cases) > 30
+        assert sum(q == 2 for _, q, _ in cases) > 30
+
+    def test_impure_input_falls_back(self, monkeypatch):
+        # x^2 - 7x + 5 has roots of product 5 and squared moduli about 38 and
+        # 0.7, so the gcd at weight 1 is the whole polynomial and only the
+        # purity check turns it down; random monic rationals are mostly
+        # impure, and every other one is times pure factors that the split
+        # may take out before it meets the impure rest
+        rng = random.Random(233)
+        cases = [(RatPoly([5, -7, 1]), 5)]
+        for k in range(300):
+            q = rng.choice([2, 3, 5])
+            cp = RatPoly([F(rng.randint(-30, 30), rng.randint(1, 2))
+                          for _ in range(rng.randint(1, 5))] + [1])
+            if k % 2:
+                cp = cp * RatPoly([-(q**2), 1]) * _weil_quadratic(rng, q, 3)
+            if cp._num[0]:
+                cases.append((cp, q))
+        factored = []
+        original = monodromy.factor_rational
+
+        def spy(p):
+            factored.append(p)
+            return original(p)
+
+        monkeypatch.setattr(monodromy, "factor_rational", spy)
+        impure = 0
+        for cp, q in cases:
+            want = _weights(cp, q)
+            del factored[:]
+            try:
+                got = _weigh(cp, q)
+            except NotPureError as err:
+                got = str(err)
+            assert got == want, (cp, q)
+            split = _split_weights(list(cp._num), q)
+            assert (split is None) == bool(factored), (cp, q)  # falls back exactly when it cannot tell
+            if isinstance(want, str):
+                impure += 1
+                assert split is None and factored == [cp], (cp, q)
+        assert _weights(*cases[0]) == (
+            "RatPoly(x^2 - 7*x + 5) is not weight-pure for q=5: "
+            "a root has squared modulus other than q^1"
+        )
+        assert impure > 200 and len(cases) - impure >= 5
+
+    @pytest.mark.parametrize("factors, weights", [
+        ([[-1, 1], [-(5**4000), 1]], [0, 8000]),
+        ([[-1, 1], [5**4001, -1, 1]], [0, 4001]),
+        ([[5, -1, 1], [5**4001, -1, 1]], [1, 4001]),
+    ], ids=["x-1,x-5^4000", "x-1,x^2-x+5^4001", "x^2-x+5,x^2-x+5^4001"])
+    def test_wide_weight_ranges(self, monkeypatch, factors, weights):
+        # phase (b)'s gcds are bounded by the number of weights, not by the
+        # weight range: after each part the bound is taken again
+        cp = RatPoly(factors[0]) * RatPoly(factors[1])
+        want = factoring_weights(cp, 5)
+        assert sorted(want) == weights
+        steps = []
+        monkeypatch.setattr(monodromy, "factor_rational", _no_factoring)
+        monkeypatch.setattr(monodromy, "_mx_gcd",
+                            lambda *a: steps.append(1) or _mx_gcd(*a))  # fmt: skip
+        assert _weigh(cp, 5) == want
+        assert len(steps) <= len(want) * (2 + math.log(4 * cp.degree**2, 5))
+
+    def test_benchmark_jobs_never_factor_when_pure(self, monkeypatch):
+        # every pure seed-0 job of the two monodromy workloads gives the same
+        # report with factoring made to fail; the two impure ones factor
+        workloads = load_workloads()
+        jobs = [job for name in ("weights_mix", "wmc_tate") for job in workloads.generate(name, 0)]
+        reports = [cli.render_json(cli.run(cli.JobSpec(job.command, job.payload))) for job in jobs]
+        monkeypatch.setattr(monodromy, "factor_rational", _no_factoring)
+        impure = 0
+        for job, report in zip(jobs, reports):
+            spec = cli.JobSpec(job.command, job.payload)
+            if job.rung == "impure":
+                impure += 1
+                with pytest.raises(AssertionError, match="factor_rational reached"):
+                    cli.run(spec)
+                continue
+            got = cli.run(spec)
+            assert job.oracle(got.to_dict()) is None
+            assert cli.render_json(got) == report
+        assert impure == 2
 
 
 def _witness_cases(rng, count):
