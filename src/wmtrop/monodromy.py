@@ -28,9 +28,10 @@ its roots of weight j, comes without factoring over Q, in three phases
 integer Fujiwara bound down, gcd(f, x^n f(q^w/x)) gives the part of the
 top weight w left; a gcd mod 2^61 - 1 passes over the weights where it
 is 1.  Soundness rests on the third phase alone: each part must pass
-the exact purity test at its weight, and the parts must make up f.
-Input that fails it, impure input above all, is factored over Q
-instead, so that NotPureError names an irreducible factor.
+the exact purity test at its weight.  The split stops at a part that
+fails it, and only the rest it could not place, impure input above
+all, is factored over Q, so that NotPureError names an irreducible
+factor.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .polyfactor import _mx_gcd, factor_rational
+from .polyfactor import _divide, _mx_gcd, factor_rational
 from .ratlin import (
     DimensionMismatch,
     Matrix,
@@ -60,7 +61,6 @@ from .ratlin import (
     _span_ints,
     char_poly,
     subspace_sum,
-    valuation,
 )
 
 #: largest |i| that wmc-check takes; check_wmc compares the filtrations at
@@ -134,7 +134,7 @@ class FrobeniusData(NamedTuple("FrobeniusData", [("phi_matrix", Matrix), ("q", i
     def __new__(cls, phi_matrix, q):
         if not phi_matrix.is_square():
             raise DimensionMismatch("Frobenius matrix must be square")
-        if phi_matrix.rows > 0 and phi_matrix.det() == 0:
+        if phi_matrix.rank() < phi_matrix.rows:
             raise ValueError("Frobenius matrix must be invertible")
         if not isinstance(q, int) or q < 2:
             raise ValueError("q must be an integer >= 2")
@@ -303,15 +303,29 @@ def monodromy_filtration(n: NilpotentOperator) -> Filtration:
 # weights
 
 
+def _log_floor(a: int, b: int, q: int) -> int:
+    """The largest integer L with q^L <= a / b, for ints a, b > 0."""
+    if a < b:  # q^-m <= a/b exactly when q^m >= ceil(b/a), i.e. q^m > ceil(b/a) - 1
+        return -1 - _log_floor(-(-b // a) - 1, 1, q)
+    x = a // b  # q^L <= a/b exactly when q^L <= x, for L >= 0
+    lo, hi = (x.bit_length() - 1) // q.bit_length(), x.bit_length()  # q^lo <= x < q^hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if q**mid <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def _exact_q_power(a: int, b: int, q: int) -> int | None:
     """m with a / b == q**m, for ints a and b > 0, or None.  In lowest
-    terms or not: a = q^k u and b = q^l v, for u and v prime to q, give a
-    power of q exactly when u == v."""
+    terms or not: only m = _log_floor(a, b, q) can be it, which one exact
+    product tells, on integers for m < 0 too."""
     if a <= 0:
         return None
-    k, u = valuation(a, q)
-    l, v = valuation(b, q)
-    return k - l if u == v else None
+    m = _log_floor(a, b, q)
+    return m if (a == b * q**m if m >= 0 else a * q**-m == b) else None
 
 
 def _value(a: list[int], x: int) -> int:
@@ -445,21 +459,6 @@ def weil_weight(g: RatPoly, q: int) -> int:
 _SPLIT_PRIME = 2**61 - 1
 
 
-def _log_floor(a: int, b: int, q: int) -> int:
-    """The largest integer L with q^L <= a / b, for ints a, b > 0."""
-    if a < b:  # q^-m <= a/b exactly when q^m >= ceil(b/a), i.e. q^m > ceil(b/a) - 1
-        return -1 - _log_floor(-(-b // a) - 1, 1, q)
-    x = a // b  # q^L <= a/b exactly when q^L <= x, for L >= 0
-    lo, hi = (x.bit_length() - 1) // q.bit_length(), x.bit_length()  # q^lo <= x < q^hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if q**mid <= x:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def _top_weight(f: list[int], q: int) -> int:
     """A weight no root of f passes: the largest w with
     q^(wk) f_n^2 <= 4^k f_(n-k)^2 for some k.  By Fujiwara's bound every
@@ -480,10 +479,12 @@ def _weight_range(f: list[int], q: int) -> tuple[int, int]:
     return -_top_weight(f[::-1], q), _top_weight(f, q)
 
 
-def _split_weights(f: list[int], q: int) -> dict[int, list[int]] | None:
-    """The weight-w part h_w of f, at each weight w, as primitive integer
-    polynomials whose product is f up to a constant, or None where this
-    path cannot tell.  No factoring over Q, in three phases:
+def _split_weights(f: list[int], q: int) -> tuple[dict[int, list[int]], list[int]]:
+    """(parts, rest): the roots of f of weight w that this places, as a
+    primitive integer polynomial parts[w] at each weight w, and the
+    integer polynomial rest of the roots it leaves, so that f is rest
+    times the parts up to a constant; rest is constant when the split is
+    complete.  No factoring over Q, in three phases:
 
     (a) the real pure roots +-q^k, of weight 2k, are divided out first,
         for k from the top of the weight range down, wherever f(+-q^k)
@@ -498,21 +499,20 @@ def _split_weights(f: list[int], q: int) -> dict[int, list[int]] | None:
         costs at most 2 + log_q(4 n^2) steps whatever the gaps between
         weights;
     (c) every part from (b) must pass weil_weight at its weight (those
-        of (a) are pure by construction), and f must end up constant.
-        The parts then split f into pure parts, one product per weight,
-        which are the h_w; soundness rests on (c) alone, (a) and (b)
-        only find the parts.
+        of (a) are pure by construction).  Soundness rests on (c) alone,
+        (a) and (b) only find the parts: each is a product of pure
+        irreducible factors of f, so rest keeps every impure one.
 
-    An impure root, a common factor past the weight range, a division
-    that is not exact or a prime that divides q f_0 f_n gives None, so
-    this never raises on a polynomial of degree >= 1.
+    A prime that divides q f_0 f_n, a weight below the range or a part
+    that fails (c) stops the split, and what is left of f is the rest, so
+    this never raises on a polynomial of degree >= 1.  A part divides f
+    exactly, by Gauss' lemma, as a primitive divisor over Q; a division
+    that is not exact raises ArithmeticError.
     """
     p = _SPLIT_PRIME
-    if f[0] * f[-1] * q % p == 0:
-        return None
     parts: dict[int, list[int]] = {}
-    if len(f) == 1:
-        return parts
+    if len(f) == 1 or f[0] * f[-1] * q % p == 0:
+        return parts, f
 
     def take(w: int, part: list[int]) -> None:
         parts[w] = _int_mul(parts.get(w, [1]), part)
@@ -535,9 +535,7 @@ def _split_weights(f: list[int], q: int) -> dict[int, list[int]] | None:
             k -= 1
 
     w = top
-    while len(f) > 1:
-        if w < low:
-            return None
+    while len(f) > 1 and w >= low:
         n, r = len(f) - 1, pow(q, w, p)
         fp, tp, x = [c % p for c in f], [], 1
         for c in fp:  # the coefficient of x^(n-k) in T is f_k (q^w)^k
@@ -552,39 +550,38 @@ def _split_weights(f: list[int], q: int) -> dict[int, list[int]] | None:
             if len(g) > 1:
                 if g[-1] < 0:
                     g = [-c for c in g]
-                quo = _int_exact_div(f, g)
-                if quo is None:
-                    return None
                 try:
                     if weil_weight(RatPoly._over(g, g[-1]), q) != w:
-                        return None
+                        break
                 except NotPureError:
-                    return None
+                    break
                 take(w, g)
-                f = quo
+                f = _divide(f, g)
                 if len(f) > 1:
                     low, top = _weight_range(f, q)
                     w = min(w - 1, top)
                 continue
         w -= 1
-    return parts
+    return parts, f
 
 
 def _weigh(cp: RatPoly, q: int) -> dict[int, RatPoly]:
     """The product h_j, with multiplicity, of the roots of weight j of a
     monic characteristic polynomial, at each weight j.
 
-    _split_weights finds them without factoring over Q.  Where it cannot
-    tell, as on impure input, the product of the weight-j irreducible
-    factors from factor_rational is taken instead, and NotPureError names
-    the first factor that is pure of no integer weight."""
-    parts = _split_weights(list(cp._num), q)
-    if parts is not None:
-        return {j: RatPoly._over(h, h[-1]) for j, h in parts.items()}
-    by_weight: dict[int, RatPoly] = {}
-    for g, mult in factor_rational(cp):
-        j = weil_weight(g, q)
-        by_weight[j] = by_weight.get(j, RatPoly.one()) * g**mult
+    _split_weights places what it can without factoring over Q.  Only the
+    rest it leaves, impure input above all, is factored: the weight-j
+    irreducible factors of the rest from factor_rational join h_j, and
+    NotPureError names the first factor that is pure of no integer
+    weight.  The split takes out pure irreducible factors only, so the
+    rest has the impure factors of cp, and factor_rational's order, by
+    degree and then by coefficients, puts the same one first."""
+    parts, rest = _split_weights(list(cp._num), q)
+    by_weight = {j: RatPoly._over(h, h[-1]) for j, h in parts.items()}
+    if len(rest) > 1:
+        for g, mult in factor_rational(RatPoly._over(rest, rest[-1])):
+            j = weil_weight(g, q)
+            by_weight[j] = by_weight.get(j, RatPoly.one()) * g**mult
     return by_weight
 
 
@@ -593,7 +590,8 @@ def weight_decomposition(f: FrobeniusData) -> WeightDecomposition:
 
     The component of weight j is the kernel of h_j(Phi), with h_j the
     product (with multiplicity) of the roots of weight j of the
-    characteristic polynomial, found by _weigh without factoring over Q.
+    characteristic polynomial, found by _weigh, which factors over Q
+    only what its split cannot place.
     A root that is pure of no integer weight aborts the decomposition
     with NotPureError, which names the irreducible factor it belongs to.
 

@@ -21,9 +21,9 @@ bounds the subsets it may try.
 
 The weights of a characteristic polynomial need no factoring: monodromy
 splits them by real roots and reciprocal gcds.  Within the package this
-module serves only what that split cannot tell, impure input, so that a
-NotPureError names an irreducible factor; factor_rational is also a
-library entry point of its own.
+module factors only the rest that split cannot place, the impure part of
+the input, so that a NotPureError names an irreducible factor;
+factor_rational is also a library entry point of its own.
 """
 
 from __future__ import annotations

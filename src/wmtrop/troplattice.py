@@ -73,7 +73,7 @@ class TropicalLattice(NamedTuple("TropicalLattice", [("generators", Matrix)])):
     def __new__(cls, generators):
         if not generators.is_square():
             raise ValueError("generator matrix must be square")
-        if generators.rows > 0 and generators.det() == 0:
+        if generators.rank() < generators.rows:
             raise ValueError("generator matrix must have full rank")
         return super().__new__(cls, generators)
 

@@ -38,7 +38,7 @@ from wmtrop.cli import (
     serialize_matrix,
     serialize_section,
 )
-from wmtrop.ratlin import Matrix, char_poly
+from wmtrop.ratlin import Matrix, RatPoly, char_poly
 
 
 def run_cli(args):
@@ -587,6 +587,30 @@ class TestErrorContract:
         assert list(report.to_dict()["payload"]["weights"]) == ["2"]
         with pytest.raises(pf.RecombinationLimitError):
             pf.factor_rational(char_poly(Matrix(phi)))
+
+    def test_impure_rest_is_factored_alone(self, monkeypatch):
+        # only the rest that the split cannot place is factored: times the
+        # impure x^2 - 7x + 5, irreducible modulo its Zassenhaus prime, the
+        # Phi_35 part above comes off at weight 2 first, so factoring sees
+        # the quadratic alone and the limit 1 is never reached; factoring
+        # the whole polynomial would recombine 3 modular factors
+        workloads = load_workloads()
+        impure = RatPoly([5, -7, 1])
+        poly = impure * RatPoly(workloads._weil_cyclotomic(35, 2))
+        phi = workloads._companion(list(poly._num))
+        monkeypatch.setattr(pf, "RECOMBINATION_LIMIT", 1)
+        detail = (
+            "RatPoly(x^2 - 7*x + 5) is not weight-pure for q=5: "
+            "a root has squared modulus other than q^1"
+        )
+        report = run(JobSpec("weight-filtration", {"phi": phi, "q": 5}))
+        assert (report.exit_code, report.diagnostics) == (2, (detail,))
+        report = run(JobSpec("wmc-check", {"n": [[0] * 26] * 26, "phi": phi, "q": 5, "i": 0}))
+        assert report.exit_code == 1
+        assert report.to_dict()["payload"]["violations"][0] == {"kind": "not_pure", "detail": detail}
+        assert pf.factor_rational(impure) == [(impure, 1)]
+        with pytest.raises(pf.RecombinationLimitError, match="recombining 3 modular factors"):
+            pf.factor_rational(poly)
 
     def test_component_count_past_the_digit_limit(self, monkeypatch):
         unit_square = {"lattice": {"rank": 2, "generators": [["1", "0"], ["0", "1"]]}}

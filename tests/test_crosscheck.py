@@ -364,6 +364,16 @@ class TestReplacedPaths:
                     # the same ratio not in lowest terms
                     for t in (q, 6, 10**20):
                         assert _exact_q_power(r.numerator * t, r.denominator * t, q) == got, (r, t)
+        # exponents in the thousands, and their near misses q^k +- 1
+        for q, k in ((2, 4099), (5, 4001), (6, 1500), (7, 2048)):
+            for m in (k, -k):
+                power = F(q) ** m
+                a, b = power.numerator, power.denominator
+                assert _exact_q_power(a, b, q) == m
+                assert _exact_q_power(a * 3, b * 3, q) == m
+                for r in (power + 1, power - 1, 1 / (1 / power + 1), 1 / (1 / power - 1)):
+                    assert _exact_q_power(r.numerator, r.denominator, q) is None, (q, m)
+                    assert exact_q_power_recursive(r, q) is None
         assert _exact_q_power(2, 1, 4) is None and _exact_q_power(1, 8, 4) is None
         assert _exact_q_power(1, 36, 6) == -2 and _exact_q_power(4, 9, 6) is None
         assert _exact_q_power(12, 2, 6) == 1 and _exact_q_power(8, 12, 6) is None
@@ -934,11 +944,18 @@ class TestWeightsWithoutFactoring:
     def test_impure_input_falls_back(self, monkeypatch):
         # x^2 - 7x + 5 has roots of product 5 and squared moduli about 38 and
         # 0.7, so the gcd at weight 1 is the whole polynomial and only the
-        # purity check turns it down; random monic rationals are mostly
-        # impure, and every other one is times pure factors that the split
-        # may take out before it meets the impure rest
+        # purity check turns it down; times pure factors of higher weight,
+        # the split takes those out first and factoring sees x^2 - 7x + 5
+        # alone: the real root 25 in phase (a), Phi_35 with its roots times
+        # 5 (weight 2) and a quadratic of weight 4001 in phase (b).  Random
+        # monic rationals are mostly impure, and every other one is times
+        # pure factors that the split may take out before it meets the
+        # impure rest
         rng = random.Random(233)
-        cases = [(RatPoly([5, -7, 1]), 5)]
+        impure = RatPoly([5, -7, 1])
+        peeled = [impure * RatPoly([-25, 1]), impure * _scaled_cyclotomic(35, 2, 5),
+                  impure * RatPoly([5**4001, -1, 1]) * RatPoly([-25, 1]) ** 2]
+        cases = [(impure, 5), *((cp, 5) for cp in peeled)]
         for k in range(300):
             q = rng.choice([2, 3, 5])
             cp = RatPoly([F(rng.randint(-30, 30), rng.randint(1, 2))
@@ -955,7 +972,7 @@ class TestWeightsWithoutFactoring:
             return original(p)
 
         monkeypatch.setattr(monodromy, "factor_rational", spy)
-        impure = 0
+        impure_count = lower = 0
         for cp, q in cases:
             want = _weights(cp, q)
             del factored[:]
@@ -964,16 +981,35 @@ class TestWeightsWithoutFactoring:
             except NotPureError as err:
                 got = str(err)
             assert got == want, (cp, q)
-            split = _split_weights(list(cp._num), q)
-            assert (split is None) == bool(factored), (cp, q)  # falls back exactly when it cannot tell
+            # factoring is reached exactly when the split leaves a rest, and
+            # only on that rest
+            _, rest = _split_weights(list(cp._num), q)
+            assert factored == ([RatPoly._over(rest, rest[-1])] if len(rest) > 1 else []), (cp, q)
+            assert cp not in peeled or factored == [impure], cp
             if isinstance(want, str):
-                impure += 1
-                assert split is None and factored == [cp], (cp, q)
+                impure_count += 1
+                lower += factored[0].degree < cp.degree
         assert _weights(*cases[0]) == (
             "RatPoly(x^2 - 7*x + 5) is not weight-pure for q=5: "
             "a root has squared modulus other than q^1"
         )
-        assert impure > 200 and len(cases) - impure >= 5
+        assert impure_count > 200 and len(cases) - impure_count >= 5
+        assert lower > 100
+
+    def test_part_that_does_not_divide_raises(self, monkeypatch):
+        # a part is a primitive divisor of f, so by Gauss' lemma it divides
+        # f exactly; a part that does not, here x^2 - x + 5 in place of the
+        # gcd x^2 + x + 5 at weight 1, breaks the split, not hands back a rest
+        calls = []
+
+        def gcd(a, b):
+            calls.append(1)
+            return [5, -1, 1] if len(calls) == 1 else _int_gcd(a, b)
+
+        monkeypatch.setattr(monodromy, "_int_gcd", gcd)
+        with pytest.raises(ArithmeticError, match="non-integral quotient"):
+            _split_weights([5, 1, 1], 5)
+        assert len(calls) > 1  # the purity test on the part ran first
 
     @pytest.mark.parametrize("factors, weights", [
         ([[-1, 1], [-(5**4000), 1]], [0, 8000]),
