@@ -235,20 +235,14 @@ class JobSpec(NamedTuple):
     payload: dict
 
 
-class _FaceList:
+class _FaceList(NamedTuple):
     """The faces of a `verify_section` report, left as its integer tuples.
 
     `Report.to_dict()` expands them into one dict per face; `render_json`
     writes them through one template, with no dict.
     """
 
-    __slots__ = ("faces",)
-
-    def __init__(self, faces: tuple[tb.FaceTransition, ...]):
-        self.faces = faces
-
-    def __eq__(self, other) -> bool:
-        return type(other) is _FaceList and self.faces == other.faces
+    faces: tuple[tb.FaceTransition, ...]
 
     def dicts(self) -> list[dict]:
         return [
@@ -650,8 +644,8 @@ _FACE_FIELDS = (
 def _face_list_json(faces: _FaceList, newline: str) -> str:
     """The JSON text of `faces.dicts()` at the indent `newline`, one `%`
     template per face.  Positions and values are digits, "-" and "/", which
-    need no escaping; the slopes come from `parse_section`, which takes no
-    bool, so `%d` spells them as `json` does."""
+    need no escaping; the slopes come from a `TropicalSection`, which takes
+    no bool, so `%d` spells them as `json` does."""
     if not faces.faces:
         return "[]"
     inner = newline + "  "

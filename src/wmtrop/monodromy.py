@@ -87,13 +87,18 @@ class NotPureError(ValueError):
         super().__init__(f"{poly!r} is not weight-pure for q={q}: {reason}")
 
 
-class NilpotentOperator:
+class NilpotentOperator(
+    NamedTuple(
+        "NilpotentOperator",
+        [("n_matrix", Matrix), ("nilpotency_index", int), ("powers", tuple[Matrix, ...])],
+    )
+):
     """Square matrix N with N^dim = 0, its nilpotency index, and its nonzero
-    powers N^0, ..., N^(index-1) in `powers`."""
+    powers N^0, ..., N^(index-1) in `powers`, both derived from N."""
 
-    __slots__ = ("n_matrix", "nilpotency_index", "powers")
+    __slots__ = ()
 
-    def __init__(self, n_matrix: Matrix):
+    def __new__(cls, n_matrix: Matrix):
         if not n_matrix.is_square():
             raise DimensionMismatch("nilpotent operator must be square")
         d = n_matrix.rows
@@ -102,25 +107,15 @@ class NilpotentOperator:
             if len(powers) > d:
                 raise NotNilpotentError("matrix is not nilpotent")
             powers.append(powers[-1] * n_matrix)
-        object.__setattr__(self, "n_matrix", n_matrix)
-        object.__setattr__(self, "nilpotency_index", len(powers) - 1)
-        object.__setattr__(self, "powers", tuple(powers[:-1]))
+        return super().__new__(cls, n_matrix, len(powers) - 1, tuple(powers[:-1]))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("NilpotentOperator is immutable")
-
-    def __reduce__(self):
-        return NilpotentOperator, (self.n_matrix,)
+    # copy and pickle rebuild from N alone, so the checks and powers run again
+    def __getnewargs__(self):
+        return (self.n_matrix,)
 
     @property
     def dimension(self) -> int:
         return self.n_matrix.rows
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NilpotentOperator) and self.n_matrix == other.n_matrix
-
-    def __hash__(self) -> int:
-        return hash(self.n_matrix)
 
     def __repr__(self) -> str:
         return f"NilpotentOperator(dim {self.dimension}, index {self.nilpotency_index})"
@@ -148,7 +143,12 @@ class FrobeniusData(NamedTuple("FrobeniusData", [("phi_matrix", Matrix), ("q", i
         return f"FrobeniusData(dim {self.dimension}, q={self.q})"
 
 
-class Filtration:
+class Filtration(
+    NamedTuple(
+        "Filtration",
+        [("ambient_dim", int), ("pieces", dict[int, Subspace]), ("lo", int), ("hi", int)],
+    )
+):
     """Finite increasing filtration of Q^n indexed by the integers.
 
     Stores the pieces on the jump range [lo, hi]; below lo everything is
@@ -159,9 +159,9 @@ class Filtration:
     subspaces are equal.
     """
 
-    __slots__ = ("ambient_dim", "lo", "hi", "_pieces")
+    __slots__ = ()
 
-    def __init__(self, ambient_dim: int, pieces: dict[int, Subspace], lo: int, hi: int):
+    def __new__(cls, ambient_dim: int, pieces: dict[int, Subspace], lo: int, hi: int):
         if lo > hi:
             raise ValueError("empty index range")
         for j in range(lo, hi + 1):
@@ -171,16 +171,7 @@ class Filtration:
                 raise DimensionMismatch("piece has wrong ambient dimension")
         if not pieces[hi].is_full():
             raise ValueError("top filtration piece must be the full space")
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "_pieces", {j: pieces[j] for j in range(lo, hi + 1)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Filtration is immutable")
-
-    def __reduce__(self):
-        return Filtration, (self.ambient_dim, self._pieces, self.lo, self.hi)
+        return super().__new__(cls, ambient_dim, {j: pieces[j] for j in range(lo, hi + 1)}, lo, hi)
 
     @classmethod
     def trivial(cls, ambient_dim: int) -> "Filtration":
@@ -191,7 +182,7 @@ class Filtration:
             return Subspace.zero(self.ambient_dim)
         if j > self.hi:
             return Subspace.full(self.ambient_dim)
-        return self._pieces[j]
+        return self.pieces[j]
 
     def jump_indices(self) -> list[int]:
         return [j for j in range(self.lo, self.hi + 1) if self.graded_dimension(j)]
@@ -199,12 +190,17 @@ class Filtration:
     def graded_dimension(self, j: int) -> int:
         return self.at(j).dim - self.at(j - 1).dim
 
+    # a plain tuple never equals a filtration: tuple's own comparison would
+    # see only the stored range
     def __eq__(self, other) -> bool:
         if not isinstance(other, Filtration) or self.ambient_dim != other.ambient_dim:
             return False
         lo = min(self.lo, other.lo)
         hi = max(self.hi, other.hi)
         return all(self.at(j) == other.at(j) for j in range(lo, hi + 1))
+
+    def __ne__(self, other) -> bool:
+        return not self == other
 
     def __hash__(self) -> int:
         return hash((self.ambient_dim, tuple(sorted(self.jump_indices()))))

@@ -65,19 +65,11 @@ def _mx_normalize(a: list[int], m: int) -> list[int]:
 
 
 def _mx_add(a: list[int], b: list[int], m: int) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % m
-    return _trim(out)
+    return _mx_sub(a, [-c for c in b], m)
 
 
 def _mx_sub(a: list[int], b: list[int], m: int) -> list[int]:
-    out = list(a) + [0] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % m
-    return _trim(out)
+    return _mx_normalize(_int_sub(a, b), m)
 
 
 def _mx_mul(a: list[int], b: list[int], m: int) -> list[int]:

@@ -30,7 +30,7 @@ import math
 import operator
 from fractions import Fraction
 from itertools import chain, zip_longest
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class DimensionMismatch(ValueError):
@@ -384,7 +384,7 @@ def solve(m: Matrix, target: Sequence) -> tuple[Fraction, ...] | None:
     return tuple(x)
 
 
-class Subspace:
+class Subspace(NamedTuple("Subspace", [("ambient_dim", int), ("basis", Matrix)])):
     """Linear subspace of Q^n, stored as its unique RREF basis.
 
     Equality of subspaces is literal equality of the stored bases, which
@@ -393,19 +393,12 @@ class Subspace:
     from any vectors.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ()
 
-    def __init__(self, ambient_dim: int, basis: Matrix):
+    def __new__(cls, ambient_dim: int, basis: Matrix):
         if basis.cols != ambient_dim:
             raise DimensionMismatch("basis width does not match ambient dimension")
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
-
-    def __reduce__(self):
-        return Subspace, (self.ambient_dim, self.basis)
+        return super().__new__(cls, ambient_dim, basis)
 
     @classmethod
     def span(cls, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -451,16 +444,6 @@ class Subspace:
         if len(w) != self.ambient_dim:
             raise DimensionMismatch("vector length mismatch")
         return not any(self._residual(w))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"

@@ -209,8 +209,11 @@ class TropicalSection(
             raise ValueError("cell width must be positive")
         if not slopes:
             raise ValueError("at least one cell per period required")
-        if not all(map(isinstance, slopes, itertools.repeat(int))):
+        kinds = set(map(type, slopes))
+        if bool in kinds or not all(map(issubclass, kinds, itertools.repeat(int))):
             raise ValueError("slopes must be integers")
+        if not isinstance(slope_increment, int) or isinstance(slope_increment, bool):
+            raise ValueError("slope increment must be an integer")
         return super().__new__(cls, alpha, slopes, base_value, slope_increment, value_increment)
 
     @property

@@ -1,11 +1,14 @@
 """The package's immutable records are NamedTuples, and the validated ones
 check their fields in `__new__`.
 
-Every way of building a record again, `copy.copy` and a pickle round trip
-included, goes back through `__new__`, so the checks run again; only
-`NamedTuple._replace` and `_make` skip them, and the package calls neither
-on a validated record.  The five hand-written `__slots__` classes copy and
-pickle through their constructors instead.
+Every way of building a record again, `copy.copy`, `copy.deepcopy` and a
+pickle round trip included, goes back through `__new__`, so the checks run
+again and derived fields, such as the powers of a `NilpotentOperator`, are
+derived again; only `NamedTuple._replace` and `_make` skip them, and the
+package calls neither on a validated record.  `Filtration` compares its
+pieces at every index rather than its stored fields.  `Matrix` and `RatPoly`
+are the only hand-written `__slots__` classes; they copy and pickle through
+their second constructor, `_over`.
 """
 
 import copy
@@ -38,6 +41,8 @@ def _tate() -> TropicalLattice:
     return TropicalLattice(Matrix([[2]]))
 
 
+_SHIFT = Matrix([[0, 1, 0], [0, 0, F(1, 2)], [0, 0, 0]])
+
 #: one builder per record type; each call builds equal fields from new objects
 RECORDS = {
     "JobSpec": lambda: JobSpec("trop-model", {"alpha": "1"}),
@@ -53,7 +58,32 @@ RECORDS = {
     "TropicalSection": lambda: TropicalSection(F(1), (1, 0), F(0), 1, F(1)),
     "BundleData": lambda: BundleData(_tate(), Matrix([[1]]), [F(1)], False),
     "FrobeniusData": lambda: FrobeniusData(Matrix([[1, 0], [0, 5]]), 5),
+    "Subspace": lambda: Subspace.span(3, [[1, 2, 0], [0, F(1, 3), 1]]),
+    "NilpotentOperator": lambda: NilpotentOperator(_SHIFT),
 }
+
+
+#: every way the tests build a value again
+REBUILDS = (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)))
+
+
+def _rebuilt_through_new(value, monkeypatch) -> list:
+    """value rebuilt each way in REBUILDS, each checked to have called its
+    class's `__new__` exactly once."""
+    cls, built = type(value), []
+    new = cls.__new__
+
+    def counting(klass, *args, **kwargs):
+        built.append(klass)
+        return new(klass, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__new__", counting)
+    copies = []
+    for rebuild in REBUILDS:
+        built.clear()
+        copies.append(rebuild(value))
+        assert built == [cls]
+    return copies
 
 
 @pytest.mark.parametrize("name", RECORDS)
@@ -77,18 +107,7 @@ def test_record_semantics(name, monkeypatch):
     else:
         assert hash(a) == hash(b) == expected
 
-    built = []
-    new = cls.__new__
-
-    def counting(klass, *args, **kwargs):
-        built.append(klass)
-        return new(klass, *args, **kwargs)
-
-    monkeypatch.setattr(cls, "__new__", counting)
-    for rebuild in (copy.copy, lambda r: pickle.loads(pickle.dumps(r))):
-        built.clear()
-        again = rebuild(a)
-        assert built == [cls]
+    for again in _rebuilt_through_new(a, monkeypatch):
         assert type(again) is cls and again == a
 
 
@@ -113,6 +132,15 @@ def test_no_mutable_defaults():
          "Frobenius matrix must be square"),
         (lambda: FrobeniusData(Matrix([[1]]), 1), ValueError, "q must be an integer >= 2"),
         (lambda: FrobeniusData(Matrix([[1]]), F(5)), ValueError, "q must be an integer >= 2"),
+        (lambda: TropicalSection(F(1), (True, False), F(0), 0, F(1)), ValueError,
+         "slopes must be integers"),
+        (lambda: TropicalSection(F(1), (1, True), 0, 0, 0), ValueError, "slopes must be integers"),
+        (lambda: TropicalSection(F(1), (1,), 0, True, 0), ValueError,
+         "slope increment must be an integer"),
+        (lambda: TropicalSection(F(1), (1,), 0, F(1), 0), ValueError,
+         "slope increment must be an integer"),
+        (lambda: TropicalSection(F(1), (1,), 0, 1.0, 0), ValueError,
+         "slope increment must be an integer"),
     ],
 )  # fmt: skip
 def test_validated_constructor_rejects(build, error, message):
@@ -123,19 +151,9 @@ def test_validated_constructor_rejects(build, error, message):
 
 #: one builder per hand-written class, and the fields derived from its
 #: stored ones, which a rebuilt value must repeat
-_SHIFT = Matrix([[0, 1, 0], [0, 0, F(1, 2)], [0, 0, 0]])
 HAND_WRITTEN = {
     "Matrix": (lambda: Matrix([[1, F(1, 2)], [0, -3]]), lambda m: (m.row_tuples, m.rows, m.cols)),
-    "Subspace": (lambda: Subspace.span(3, [[1, 2, 0], [0, F(1, 3), 1]]), lambda s: (s.dim, s.vectors())),
     "RatPoly": (lambda: RatPoly([F(1, 2), 0, -3]), lambda p: (p.coeffs, p.degree)),
-    "NilpotentOperator": (
-        lambda: NilpotentOperator(_SHIFT),
-        lambda n: (n.powers, n.nilpotency_index, n.dimension),
-    ),
-    "Filtration": (
-        lambda: monodromy_filtration(NilpotentOperator(_SHIFT)),
-        lambda f: (f.lo, f.hi, [f.at(j) for j in range(f.lo - 1, f.hi + 2)]),
-    ),
 }
 
 
@@ -145,10 +163,25 @@ def test_hand_written_class_copies_and_pickles(name):
     a = build()
     cls = type(a)
     assert cls.__name__ == name and "__dict__" not in dir(a)
-    for rebuild in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+    assert cls.__slots__ and not issubclass(cls, tuple)
+    for rebuild in REBUILDS:
         again = rebuild(a)
         assert type(again) is cls and again == a and hash(again) == hash(a)
         assert derived(again) == derived(a)
         for slot in cls.__slots__:
             with pytest.raises(AttributeError, match=f"{name} is immutable"):
                 setattr(again, slot, getattr(a, slot))
+
+
+def test_filtration_copies_pickles_and_compares_across_ranges(monkeypatch):
+    a = monodromy_filtration(NilpotentOperator(_SHIFT))
+    lo, hi = a.lo, a.hi
+    wider = Filtration(3, {j: a.at(j) for j in range(lo - 2, hi + 3)}, lo - 2, hi + 2)
+    assert a == wider and not a != wider and hash(a) == hash(wider)
+    assert a != tuple(a) and tuple(a) != a and a != Filtration.trivial(3)
+    with pytest.raises(AttributeError):
+        a.pieces = {}
+
+    for again in _rebuilt_through_new(a, monkeypatch):
+        assert type(again) is Filtration and again == a and hash(again) == hash(a)
+        assert all(again.at(j) == a.at(j) for j in range(lo - 1, hi + 2))

@@ -51,6 +51,22 @@ def test_no_dataclasses():
     assert [(at, name) for at, name in _absolute_imports() if name == "dataclasses"] == []
 
 
+def test_records_are_named_tuples():
+    # a record is a NamedTuple, which copies, pickles and compares with no
+    # hand-written code; only the exact core's arithmetic types and the
+    # renderer's marked list are classes of their own
+    found = []
+    for path in sorted(Path(wmtrop.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"wmtrop.{path.stem}")
+        for name, cls in vars(module).items():
+            if not isinstance(cls, type) or cls.__module__ != module.__name__:
+                continue
+            record = issubclass(cls, tuple) and hasattr(cls, "_fields")
+            if not (record or issubclass(cls, BaseException)):
+                found.append(f"{path.stem}.{name}")
+    assert found == ["cli._IntList", "ratlin.Matrix", "ratlin.RatPoly"]
+
+
 def test_traced_layers_exist():
     # the benchmark's tracer wraps these names; one that no longer exists
     # would only fail a traced benchmark run, so it fails here first

@@ -377,8 +377,8 @@ class TestFaceTransition:
 
 
 class TestSlopeCheck:
-    """TropicalSection takes any int, bools and other subclasses included,
-    and nothing else."""
+    """TropicalSection takes any int but a bool, other subclasses included,
+    and nothing else, as `parse_section` does."""
 
     class Slope(enum.IntEnum):
         UP = 1
@@ -387,11 +387,11 @@ class TestSlopeCheck:
         return TropicalSection(F(1), slopes, F(0), 0, F(0))
 
     def test_integers_accepted(self):
-        for slopes in ((0, -3, 2**80), (True, False), (self.Slope.UP, 2)):
+        for slopes in ((0, -3, 2**80), (self.Slope.UP, 2)):
             assert self.section(slopes).slopes == slopes
 
     def test_others_rejected(self):
-        for slopes in ((1.0,), (1, "2"), (1, None), (F(1),), (1, [2])):
+        for slopes in ((1.0,), (1, "2"), (1, None), (F(1),), (1, [2]), (True, False), (1, True)):
             with pytest.raises(ValueError, match="^slopes must be integers$"):
                 self.section(slopes)
         with pytest.raises(ValueError, match="^at least one cell per period required$"):
