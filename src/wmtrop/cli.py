@@ -215,7 +215,7 @@ def serialize_filtration(f: mono.Filtration) -> dict:
         "ambient_dim": f.ambient_dim,
         "lo": f.lo,
         "hi": f.hi,
-        "pieces": {str(j): serialize_subspace(f.at(j)) for j in range(f.lo, f.hi + 1)},
+        "pieces": {str(j): serialize_subspace(p) for j, p in enumerate(f.pieces, f.lo)},
     }
 
 
@@ -479,6 +479,8 @@ def _cmd_bundle_extend(payload: dict) -> Report:
             diags = (f"minimal level {level}",)
         except tb.NoPLevelError as err:
             diags = (str(err),)
+        except tl.NotPrimeError as err:
+            raise SchemaError("p", str(err)) from None
     return Report(
         "bundle-extend",
         "pass" if ok else "fail",
@@ -493,6 +495,8 @@ def _cmd_bundle_minlevel(payload: dict) -> Report:
     p = _get_int(payload, "p", minimum=2)
     try:
         level = tb.minimal_level(b, alpha, p)
+    except tl.NotPrimeError as err:
+        raise SchemaError("p", str(err)) from None
     except tb.NoPLevelError as err:
         return Report(
             "bundle-minlevel",

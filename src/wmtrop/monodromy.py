@@ -37,7 +37,7 @@ factor.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .polyfactor import _divide, _mx_gcd, factor_rational
 from .ratlin import (
@@ -145,44 +145,49 @@ class FrobeniusData(NamedTuple("FrobeniusData", [("phi_matrix", Matrix), ("q", i
 
 class Filtration(
     NamedTuple(
-        "Filtration",
-        [("ambient_dim", int), ("pieces", dict[int, Subspace]), ("lo", int), ("hi", int)],
+        "Filtration", [("ambient_dim", int), ("lo", int), ("pieces", tuple[Subspace, ...])]
     )
 ):
     """Finite increasing filtration of Q^n indexed by the integers.
 
-    Stores the pieces on the jump range [lo, hi]; below lo everything is
-    zero, from hi on everything is the full space.  The pieces must be
+    `pieces` holds Fil_lo, ..., Fil_hi: below lo everything is zero, from
+    hi on everything is the full space.  The range is trimmed to the
+    jumps, from the first nonzero piece to the first full one (lo = 0 on
+    Q^0), so equal filtrations have equal fields.  The pieces must be
     nested, Fil_j <= Fil_(j+1), which is not checked: both builders nest
-    them by construction.  Equality compares the pieces at every
-    index, so two filtrations with different stored ranges but the same
-    subspaces are equal.
+    them by construction.
     """
 
     __slots__ = ()
 
-    def __new__(cls, ambient_dim: int, pieces: dict[int, Subspace], lo: int, hi: int):
-        if lo > hi:
+    def __new__(cls, ambient_dim: int, lo: int, pieces: Sequence[Subspace]):
+        pieces = tuple(pieces)
+        if not pieces:
             raise ValueError("empty index range")
-        for j in range(lo, hi + 1):
-            if j not in pieces:
-                raise ValueError(f"missing filtration piece at index {j}")
-            if pieces[j].ambient_dim != ambient_dim:
-                raise DimensionMismatch("piece has wrong ambient dimension")
-        if not pieces[hi].is_full():
+        if any(p.ambient_dim != ambient_dim for p in pieces):
+            raise DimensionMismatch("piece has wrong ambient dimension")
+        if not pieces[-1].is_full():
             raise ValueError("top filtration piece must be the full space")
-        return super().__new__(cls, ambient_dim, {j: pieces[j] for j in range(lo, hi + 1)}, lo, hi)
+        dims = [p.dim for p in pieces]
+        start = next((k for k, n in enumerate(dims) if n), len(dims) - 1)
+        stop = dims.index(ambient_dim, start) + 1
+        lo = lo + start if ambient_dim else 0
+        return super().__new__(cls, ambient_dim, lo, pieces[start:stop])
 
     @classmethod
     def trivial(cls, ambient_dim: int) -> "Filtration":
-        return cls(ambient_dim, {0: Subspace.full(ambient_dim)}, 0, 0)
+        return cls(ambient_dim, 0, (Subspace.full(ambient_dim),))
+
+    @property
+    def hi(self) -> int:
+        return self.lo + len(self.pieces) - 1
 
     def at(self, j: int) -> Subspace:
         if j < self.lo:
             return Subspace.zero(self.ambient_dim)
         if j > self.hi:
             return Subspace.full(self.ambient_dim)
-        return self.pieces[j]
+        return self.pieces[j - self.lo]
 
     def jump_indices(self) -> list[int]:
         return [j for j in range(self.lo, self.hi + 1) if self.graded_dimension(j)]
@@ -190,23 +195,8 @@ class Filtration(
     def graded_dimension(self, j: int) -> int:
         return self.at(j).dim - self.at(j - 1).dim
 
-    # a plain tuple never equals a filtration: tuple's own comparison would
-    # see only the stored range
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Filtration) or self.ambient_dim != other.ambient_dim:
-            return False
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        return all(self.at(j) == other.at(j) for j in range(lo, hi + 1))
-
-    def __ne__(self, other) -> bool:
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash((self.ambient_dim, tuple(sorted(self.jump_indices()))))
-
     def __repr__(self) -> str:
-        dims = ", ".join(f"{j}:{self.at(j).dim}" for j in range(self.lo, self.hi + 1))
+        dims = ", ".join(f"{j}:{p.dim}" for j, p in enumerate(self.pieces, self.lo))
         return f"Filtration(Q^{self.ambient_dim}; {dims})"
 
 
@@ -285,14 +275,14 @@ def monodromy_filtration(n: NilpotentOperator) -> Filtration:
     if d == 0:
         return Filtration.trivial(0)
     n_rows = n.n_matrix._num  # the columns of N^T: row b of Fil_(j+2) maps to b N^T
-    fil = {top: Subspace.full(d), top - 1: Subspace.full(d)}
+    fil = [Subspace.full(d), Subspace.full(d)]  # Fil_index, Fil_(index-1), ... downward
     for j in range(top - 2, -top, -1):
         # raw null space vectors: the one span below brings everything to canonical form
         kers = _nullspace_ints(n.powers[j + 1])[0] if j >= 0 else ()
-        fil[j] = _span_ints(d, [*kers, *_int_product(fil[j + 2].basis._num, n_rows)])
+        fil.append(_span_ints(d, [*kers, *_int_product(fil[-2].basis._num, n_rows)]))
     # both ends are jumps: gr_(1-index) = im N^(index-1) is not 0, and N^(index-1)
     # maps gr_(index-1) onto it
-    return Filtration(d, fil, 1 - top, top - 1)
+    return Filtration(d, 1 - top, fil[:0:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -656,14 +646,13 @@ def weight_filtration(w: WeightDecomposition) -> Filtration:
     if not w.components:
         return Filtration.trivial(w.ambient_dim)
     ws = w.weights()
-    lo, hi = ws[0], ws[-1]
-    mapping: dict[int, Subspace] = {}
+    pieces = []
     acc = Subspace.zero(w.ambient_dim)
-    for j in range(lo, hi + 1):
+    for j in range(ws[0], ws[-1] + 1):
         if j in w.components:
             acc = subspace_sum(acc, w.components[j])
-        mapping[j] = acc
-    return Filtration(w.ambient_dim, mapping, lo, hi)
+        pieces.append(acc)
+    return Filtration(w.ambient_dim, ws[0], pieces)
 
 
 def check_commutation(n: NilpotentOperator, f: FrobeniusData) -> bool:

@@ -376,7 +376,7 @@ def factor_rational(p: RatPoly) -> list[tuple[RatPoly, int]]:
     """Factor p over Q into monic irreducibles with multiplicities.
 
     The product of the returned factors (with multiplicity) equals
-    p / leading(p).  Factors come back in a canonical order: by degree,
+    p.monic().  Factors come back in a canonical order: by degree,
     then lexicographically on coefficients.
     """
     if p.is_zero():

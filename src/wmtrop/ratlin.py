@@ -18,7 +18,7 @@ polynomial read the integers as they are, elimination is fraction-free,
 and a row's scale never matters to a row space, so kernels, spans and
 sums pass integer vectors straight to the one elimination loop.
 Fractions are built only on demand, where an entry or coefficient is
-read (`row_tuples`, `coeffs`, `coefficient`, `leading`, ...).
+read (`Matrix[i, j]`, `row_tuples`, `coeffs`, ...).
 
 All values are immutable after construction; operations are pure
 functions, safe to share across threads.

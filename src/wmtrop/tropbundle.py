@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .ratlin import Matrix, _frac, prime_factors, valuation
-from .troplattice import CELL_LIMIT, CellWidth, TropicalLattice, divides
+from .troplattice import CELL_LIMIT, CellWidth, TropicalLattice, check_prime, divides
 
 
 class ModelUndefinedError(ValueError):
@@ -163,12 +163,11 @@ def minimal_level(b: BundleData, alpha: CellWidth, p: int) -> int:
     """Smallest n >= 0 with the bundle extending to the width-alpha/p^n model.
 
     Exists iff each v_i/alpha has a p-power denominator; otherwise raises
-    NoPLevelError carrying the offending prime factors.
+    NoPLevelError carrying the offending prime factors.  p must be prime.
     """
     if not divides(alpha, b.lattice):
         raise ModelUndefinedError("alpha does not divide the lattice; no model at this width")
-    if p < 2:
-        raise ValueError("p must be at least 2")
+    check_prime(p)
     level = 0
     bad: set[int] = set()
     for v in b.chi_vals:
@@ -207,6 +206,7 @@ class TropicalSection(
         alpha, base_value, value_increment = _frac(alpha), _frac(base_value), _frac(value_increment)
         if alpha <= 0:
             raise ValueError("cell width must be positive")
+        slopes = tuple(slopes)
         if not slopes:
             raise ValueError("at least one cell per period required")
         kinds = set(map(type, slopes))

@@ -94,6 +94,14 @@ class TropicalLattice(NamedTuple("TropicalLattice", [("generators", Matrix)])):
         return f"TropicalLattice(rank {self.rank}, generators {self.generators!r})"
 
 
+def check_prime(p: int) -> None:
+    """NotPrimeError unless p is a prime at most FACTOR_LIMIT."""
+    if p > FACTOR_LIMIT:
+        raise NotPrimeError("p is above the primality-test limit 10**12")
+    if prime_factors(p) != (p,):
+        raise NotPrimeError("p must be prime")
+
+
 class QuotientModel(
     NamedTuple(
         "QuotientModel",
@@ -106,10 +114,7 @@ class QuotientModel(
 
     def __new__(cls, lattice, alpha, p, level):
         self = super().__new__(cls, lattice, alpha, p, level)
-        if p > FACTOR_LIMIT:
-            raise NotPrimeError("p is above the primality-test limit 10**12")
-        if prime_factors(p) != (p,):
-            raise NotPrimeError("p must be prime")
+        check_prime(p)
         if level < 0:
             raise ValueError("level must be nonnegative")
         if level > LEVEL_LIMIT:

@@ -453,6 +453,10 @@ class TestErrorContract:
             ("bundle-extend", {"bundle": dict(TATE_BUNDLE, chi=["1/3"]), "alpha": "1", "p": 2}, 1,
              "valuation denominators contain primes coprime to p (3); choose a finer base width"),
             ("bundle-minlevel", {"bundle": TATE_BUNDLE, "alpha": "3/4", "p": 5}, 2, no_model),
+            # 2 divides 4 and 6, so no composite p may report it as a coprime prime
+            *[(command, {"bundle": dict(TATE_BUNDLE, chi=["1/2"]), "alpha": "1", "p": p}, 2,
+               "field 'p': p must be prime")
+              for command in ("bundle-extend", "bundle-minlevel") for p in (4, 6)],
             ("bundle-construct-f", {"bundle": TATE_BUNDLE, "alpha": "3/4"}, 2, no_model),
             ("bundle-construct-f", {"bundle": RANK2_BUNDLE, "alpha": "1"}, 2,
              "explicit witnesses are only constructed for rank 1"),
@@ -490,6 +494,13 @@ class TestErrorContract:
         assert json.loads(out)["diagnostics"] == [
             f"cannot factor {mersenne}: trial division stops at 10**12"
         ]
+        for command in ("bundle-extend", "bundle-minlevel"):
+            payload = {"bundle": dict(TATE_BUNDLE, chi=["1/2"]), "alpha": "1", "p": mersenne}
+            code, out = run_cli([command, "--json", json.dumps(payload)])
+            assert code == 2
+            assert json.loads(out)["diagnostics"] == [
+                "field 'p': p is above the primality-test limit 10**12"
+            ]
 
     def test_numbers_past_the_int_string_limit(self):
         # Python converts at most 4300 digits between int and str; its advice

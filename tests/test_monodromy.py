@@ -433,10 +433,11 @@ class TestCheckWmc:
 
 class TestFiltrationType:
     def test_semantic_equality_across_ranges(self):
-        a = Filtration(2, {0: Subspace.full(2)}, 0, 0)
-        b = Filtration(2, {-1: Subspace.zero(2), 0: Subspace.full(2), 1: Subspace.full(2)}, -1, 1)
+        a = Filtration(2, 0, [Subspace.full(2)])
+        b = Filtration(2, -1, [Subspace.zero(2), Subspace.full(2), Subspace.full(2)])
         assert a == b
+        assert Filtration(0, 5, [Subspace.zero(0)] * 3) == Filtration.trivial(0)
 
     def test_top_must_be_full(self):
         with pytest.raises(ValueError):
-            Filtration(2, {0: Subspace.span(2, [[1, 0]])}, 0, 0)
+            Filtration(2, 0, [Subspace.span(2, [[1, 0]])])

@@ -5,8 +5,12 @@ Every way of building a record again, `copy.copy`, `copy.deepcopy` and a
 pickle round trip included, goes back through `__new__`, so the checks run
 again and derived fields, such as the powers of a `NilpotentOperator`, are
 derived again; only `NamedTuple._replace` and `_make` skip them, and the
-package calls neither on a validated record.  `Filtration` compares its
-pieces at every index rather than its stored fields.  `Matrix` and `RatPoly`
+package calls neither on a validated record.  A validated record keeps one
+stored form per value, with a tuple of its own wherever a caller may pass a
+list, a generator or another sequence, so it hashes and compares by its
+fields: `Filtration` trims the index range it is given to the jumps, so a
+wider range builds the same fields.  Only `FaceTransition` compares values
+rather than fields (see tests/test_tropbundle.py).  `Matrix` and `RatPoly`
 are the only hand-written `__slots__` classes; they copy and pickle through
 their second constructor, `_over`.
 """
@@ -60,6 +64,20 @@ RECORDS = {
     "FrobeniusData": lambda: FrobeniusData(Matrix([[1, 0], [0, 5]]), 5),
     "Subspace": lambda: Subspace.span(3, [[1, 2, 0], [0, F(1, 3), 1]]),
     "NilpotentOperator": lambda: NilpotentOperator(_SHIFT),
+    "Filtration": lambda: monodromy_filtration(NilpotentOperator(_SHIFT)),
+}
+
+
+def _validated(cls) -> bool:
+    """cls has a `__new__` of the package's own, not only the generated one."""
+    return cls.__new__.__module__ == cls.__module__
+
+
+#: the records whose class checks its fields in `__new__`, and a section
+#: built from a list, which must store a tuple of its own
+VALIDATED = {
+    **{name: build for name, build in RECORDS.items() if _validated(type(build()))},
+    "TropicalSection from a list": lambda: TropicalSection(F(1), [1, 0], F(0), 1, F(1)),
 }
 
 
@@ -109,6 +127,30 @@ def test_record_semantics(name, monkeypatch):
 
     for again in _rebuilt_through_new(a, monkeypatch):
         assert type(again) is cls and again == a
+
+
+@pytest.mark.parametrize("name", VALIDATED)
+def test_validated_record_is_a_value(name):
+    # a list, dict or set field could change after the checks ran, and would
+    # leave the record unhashable
+    value = VALIDATED[name]()
+    hash(value)
+    assert [f for f in value._fields if isinstance(getattr(value, f), (list, dict, set))] == []
+
+
+#: slopes in the containers a caller may pass other than a tuple
+SLOPES = {"list": lambda: [1, 0], "generator": lambda: (s for s in (1, 0))}
+
+
+@pytest.mark.parametrize("kind", SLOPES)
+def test_section_keeps_a_tuple_of_its_own(kind):
+    slopes = SLOPES[kind]()
+    s, expected = TropicalSection(F(1), slopes, F(0), 1, F(1)), RECORDS["TropicalSection"]()
+    assert type(s.slopes) is tuple and s == expected and hash(s) == hash(expected)
+    assert s.period_cells == 2
+    if kind == "list":  # a bool appended afterwards does not reach the section
+        slopes.append(True)
+        assert s.slopes == (1, 0)
 
 
 def test_no_mutable_defaults():
@@ -176,11 +218,13 @@ def test_hand_written_class_copies_and_pickles(name):
 def test_filtration_copies_pickles_and_compares_across_ranges(monkeypatch):
     a = monodromy_filtration(NilpotentOperator(_SHIFT))
     lo, hi = a.lo, a.hi
-    wider = Filtration(3, {j: a.at(j) for j in range(lo - 2, hi + 3)}, lo - 2, hi + 2)
+    wider = Filtration(3, lo - 2, [a.at(j) for j in range(lo - 2, hi + 3)])
     assert a == wider and not a != wider and hash(a) == hash(wider)
-    assert a != tuple(a) and tuple(a) != a and a != Filtration.trivial(3)
+    assert tuple(wider) == (3, lo, a.pieces) and a != Filtration.trivial(3)
     with pytest.raises(AttributeError):
-        a.pieces = {}
+        a.pieces = ()
+    with pytest.raises(TypeError):  # a piece cannot be replaced after the checks
+        a.pieces[-1] = Subspace.zero(3)
 
     for again in _rebuilt_through_new(a, monkeypatch):
         assert type(again) is Filtration and again == a and hash(again) == hash(a)

@@ -51,20 +51,36 @@ def test_no_dataclasses():
     assert [(at, name) for at, name in _absolute_imports() if name == "dataclasses"] == []
 
 
-def test_records_are_named_tuples():
-    # a record is a NamedTuple, which copies, pickles and compares with no
-    # hand-written code; only the exact core's arithmetic types and the
-    # renderer's marked list are classes of their own
+def _classes() -> list[tuple[str, type, bool]]:
+    """("module.Name", class, is a NamedTuple) for every class the package defines."""
     found = []
     for path in sorted(Path(wmtrop.__file__).parent.glob("*.py")):
         module = importlib.import_module(f"wmtrop.{path.stem}")
         for name, cls in vars(module).items():
-            if not isinstance(cls, type) or cls.__module__ != module.__name__:
-                continue
-            record = issubclass(cls, tuple) and hasattr(cls, "_fields")
-            if not (record or issubclass(cls, BaseException)):
-                found.append(f"{path.stem}.{name}")
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                record = issubclass(cls, tuple) and hasattr(cls, "_fields")
+                found.append((f"{path.stem}.{name}", cls, record))
+    return found
+
+
+def test_records_are_named_tuples():
+    # a record is a NamedTuple, which copies, pickles and compares with no
+    # hand-written code; only the exact core's arithmetic types and the
+    # renderer's marked list are classes of their own
+    found = [
+        name
+        for name, cls, record in _classes()
+        if not (record or issubclass(cls, BaseException))
+    ]
     assert found == ["cli._IntList", "ratlin.Matrix", "ratlin.RatPoly"]
+
+
+def test_records_compare_their_fields():
+    # a record with one stored form per value needs tuple equality and hash
+    # alone; only a face compares the values it spells from its integers
+    own = {"__eq__", "__ne__", "__hash__"}
+    found = [name for name, cls, record in _classes() if record and own & set(vars(cls))]
+    assert found == ["tropbundle.FaceTransition"]
 
 
 def test_traced_layers_exist():
