@@ -756,14 +756,15 @@ def check_wmc(n: NilpotentOperator, f: FrobeniusData, i: int) -> WmcReport:
         hi = max(mono.hi, weight_fil.hi - i)
         mismatches = []
         for j in range(lo - 1, hi + 1):
-            if mono.at(j) != weight_fil.at(i + j):
+            mono_piece, weight_piece = mono.at(j), weight_fil.at(i + j)
+            if mono_piece != weight_piece:
                 mismatches.append(
                     {
                         "kind": "filtration_mismatch",
                         "index": j,
-                        "monodromy_dim": mono.at(j).dim,
+                        "monodromy_dim": mono_piece.dim,
                         "weight_index": i + j,
-                        "weight_dim": weight_fil.at(i + j).dim,
+                        "weight_dim": weight_piece.dim,
                     }
                 )
         violations.extend(mismatches)

@@ -18,7 +18,12 @@ polynomial read the integers as they are, elimination is fraction-free,
 and a row's scale never matters to a row space, so kernels, spans and
 sums pass integer vectors straight to the one elimination loop.
 Fractions are built only on demand, where an entry or coefficient is
-read (`Matrix[i, j]`, `row_tuples`, `coeffs`, ...).
+read (`Matrix[i, j]`, `row_tuples`, `coeffs`).
+
+The classes keep only the operations the package calls: Matrix has +, -
+and the matrix product (a scalar multiple is `scale`), RatPoly has the
+product and powers, and division, gcds and derivatives run on the
+integer coefficient lists below, with no RatPoly in between.
 
 All values are immutable after construction; operations are pure
 functions, safe to share across threads.
@@ -90,7 +95,7 @@ def _int_identity(n: int) -> list[list[int]]:
 
 def _power(base, k: int, one, mul):
     """base**k for k >= 0 by square-and-multiply, the one power loop: for
-    matrices, polynomials and polynomials modulo another."""
+    polynomials and polynomials modulo another."""
     out = one
     while k:
         if k & 1:
@@ -251,18 +256,9 @@ class Matrix:
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         return Fraction(self._num[ij[0]][ij[1]], self._den)
 
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return _fractions(self._num[i], self._den)
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return _fractions([r[j] for r in self._num], self._den)
-
     @property
     def row_tuples(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(_fractions(r, self._den) for r in self._num)
-
-    def rows_list(self) -> list[list[Fraction]]:
-        return [list(_fractions(r, self._den)) for r in self._num]
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -290,39 +286,18 @@ class Matrix:
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self._combine(other, -1, "subtraction")
 
-    def __neg__(self) -> "Matrix":
-        return Matrix._over([[-x for x in r] for r in self._num], self._den, self.cols)
-
     def scale(self, c) -> "Matrix":
         den = _denominator(c)
         c = c.numerator
         return Matrix._over([[c * x for x in r] for r in self._num], self._den * den, self.cols)
 
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise DimensionMismatch("matrix product shape mismatch")
-            cols = _columns(other._num, other.cols)
-            return Matrix._over(_int_product(self._num, cols), self._den * other._den, other.cols)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def __pow__(self, k: int) -> "Matrix":
-        if not self.is_square():
-            raise DimensionMismatch("power of a non-square matrix")
-        if k < 0:
-            raise ValueError("negative matrix power")
-        return _power(self, k, Matrix.identity(self.rows), operator.mul)
-
-    def apply(self, vec: Sequence) -> tuple[Fraction, ...]:
-        dv = math.lcm(*map(_denominator, vec))
-        if len(vec) != self.cols:
-            raise DimensionMismatch("vector length mismatch")
-        w = _scaled(vec, dv)
-        den = self._den * dv
-        return tuple(Fraction(r[0], den) for r in _int_product(self._num, [w]))
+    def __mul__(self, other: "Matrix") -> "Matrix":
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise DimensionMismatch("matrix product shape mismatch")
+        cols = _columns(other._num, other.cols)
+        return Matrix._over(_int_product(self._num, cols), self._den * other._den, other.cols)
 
     def transpose(self) -> "Matrix":
         return Matrix._over(_columns(self._num, self.cols), self._den, self.rows)
@@ -420,9 +395,6 @@ class Subspace(NamedTuple("Subspace", [("ambient_dim", int), ("basis", Matrix)])
     def dim(self) -> int:
         return self.basis.rows
 
-    def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self.basis.row_tuples
-
     def is_zero(self) -> bool:
         return self.dim == 0
 
@@ -438,12 +410,6 @@ class Subspace(NamedTuple("Subspace", [("ambient_dim", int), ("basis", Matrix)])
         coeffs = [w[c] for c in _pivot_columns(b)]
         proj = _int_product([coeffs], _columns(b, self.ambient_dim))[0]
         return [den * x - y for x, y in zip(w, proj)]
-
-    def contains_vector(self, vec: Sequence) -> bool:
-        w = _int_vector(vec)
-        if len(w) != self.ambient_dim:
-            raise DimensionMismatch("vector length mismatch")
-        return not any(self._residual(w))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -587,10 +553,6 @@ class RatPoly:
         return RatPoly._over, (self._num, self._den)
 
     @classmethod
-    def zero(cls) -> "RatPoly":
-        return cls._over([], 1)
-
-    @classmethod
     def one(cls) -> "RatPoly":
         return cls._over([1], 1)
 
@@ -605,73 +567,21 @@ class RatPoly:
     def is_zero(self) -> bool:
         return not self._num
 
-    def is_one(self) -> bool:
-        return self._num == (1,) and self._den == 1
-
-    def _combine(self, other: "RatPoly", sign: int) -> "RatPoly":
-        den = math.lcm(self._den, other._den)
-        fa, fb = den // self._den, sign * (den // other._den)
-        pairs = zip_longest(self._num, other._num, fillvalue=0)
-        return RatPoly._over([fa * a + fb * b for a, b in pairs], den)
-
-    def __add__(self, other: "RatPoly") -> "RatPoly":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "RatPoly") -> "RatPoly":
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "RatPoly":
-        return RatPoly._over([-x for x in self._num], self._den)
-
-    def __mul__(self, other):
-        if isinstance(other, RatPoly):
-            return RatPoly._over(_int_mul(self._num, other._num), self._den * other._den)
-        den = _denominator(other)
-        return RatPoly._over([other.numerator * x for x in self._num], self._den * den)
-
-    def __rmul__(self, other):
-        return self * other
+    def __mul__(self, other: "RatPoly") -> "RatPoly":
+        if not isinstance(other, RatPoly):
+            return NotImplemented
+        return RatPoly._over(_int_mul(self._num, other._num), self._den * other._den)
 
     def __pow__(self, k: int) -> "RatPoly":
         if k < 0:
             raise ValueError("negative polynomial power")
         return _power(self, k, RatPoly.one(), operator.mul)
 
-    def __divmod__(self, other: "RatPoly") -> tuple["RatPoly", "RatPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        b = other._num
-        lead, k = b[-1], len(self._num) - len(b) + 1
-        if k <= 0:
-            return RatPoly.zero(), self
-        # lead^k self._num = quo b + rem on integers, so each step's top
-        # coefficient is a multiple of lead
-        scale = lead**k
-        quo, rem = _int_divmod([scale * x for x in self._num], b)
-        den = scale * self._den
-        return RatPoly._over([other._den * x for x in quo], den), RatPoly._over(rem, den)
-
-    def __floordiv__(self, other: "RatPoly") -> "RatPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "RatPoly") -> "RatPoly":
-        return divmod(self, other)[1]
-
     def monic(self) -> "RatPoly":
         if self.is_zero():
             raise ValueError("zero polynomial has no monic form")
         lead = self._num[-1]
         return self if lead == self._den else RatPoly._over(self._num, lead)
-
-    def derivative(self) -> "RatPoly":
-        return RatPoly._over(_int_derivative(self._num), self._den)
-
-    def eval(self, x) -> Fraction:
-        x = _frac(x)
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
 
     def eval_matrix(self, m: Matrix) -> Matrix:
         """self(m) by Paterson-Stockmeyer: with s = isqrt(deg) + 1, each run
@@ -739,7 +649,7 @@ class RatPoly:
 # ---------------------------------------------------------------------------
 # polynomials on integer coefficients: lists of ints, lowest degree first,
 # no trailing zeros, the zero polynomial empty; one loop per operation,
-# shared by RatPoly and polyfactor's (Z/m)[x] layer
+# shared by RatPoly, monodromy's weights and polyfactor's (Z/m)[x] layer
 
 
 def _trim(a: list[int]) -> list[int]:

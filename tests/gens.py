@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from oracles import long_product, long_sum
 from wmtrop.ratlin import Matrix, RatPoly, Subspace
 from wmtrop.tropbundle import BundleData
 from wmtrop.troplattice import TropicalLattice
@@ -211,20 +212,16 @@ def swinnerton_dyer(primes: list[int]) -> RatPoly:
     """The monic integer polynomial with roots +-sqrt(p1) +- sqrt(p2) ...:
     irreducible of degree 2^k, yet a product of factors of degree <= 2
     modulo every prime that keeps it squarefree."""
-    poly = RatPoly([0, 1])
+    poly = [0, 1]
     for p in primes:
         # poly(x + t) = a(x) + t b(x) with t^2 = p; the product of the two
         # conjugates is a^2 - p b^2
-        a, b = RatPoly.zero(), RatPoly.zero()
-        for i, c in enumerate(poly.coeffs):
+        a, b = [0] * len(poly), [0] * len(poly)
+        for i, c in enumerate(poly):
             for k in range(i + 1):
-                term = RatPoly([0] * (i - k) + [c * math.comb(i, k) * p ** (k // 2)])
-                if k % 2:
-                    b = b + term
-                else:
-                    a = a + term
-        poly = a * a - b * b * p
-    return poly
+                (b if k % 2 else a)[i - k] += c * math.comb(i, k) * p ** (k // 2)
+        poly = long_sum(long_product(a, a), [-p * x for x in long_product(b, b)])
+    return RatPoly(poly)
 
 
 def load_workloads():

@@ -1,10 +1,19 @@
 """Independent oracles: deliberately different computation paths from the
-production code, used to cross-check it."""
+production code, used to cross-check it.
+
+They read matrices through `row_tuples` and `m[i, j]` and do their own
+arithmetic in Fractions: a matrix applied to a vector is a Fraction
+product, and a vector lies in a span when adding it keeps the Fraction
+rank.  The polynomial oracles run on Fraction coefficient lists, lowest
+degree first, with long division, the derivative and Horner of their
+own, so none of them reaches one of ratlin's Z[x] kernels.
+"""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 import mpmath
 
@@ -88,9 +97,25 @@ def fraction_rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], lis
     return rows, pivots
 
 
+def _rows(m: Matrix) -> list[list[Fraction]]:
+    """m's entries as fresh lists, for an elimination in place."""
+    return [list(r) for r in m.row_tuples]
+
+
+def fraction_rank(rows) -> int:
+    """The rank of Fraction or int rows, by fraction_echelon."""
+    return len(fraction_echelon([list(r) for r in rows])[0])
+
+
+def fraction_apply(m: Matrix, v) -> tuple[Fraction, ...]:
+    """m v, one Fraction dot product per row."""
+    return tuple(sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in m.row_tuples)
+
+
 def fraction_product(a: Matrix, b: Matrix) -> Matrix:
     """a * b with one Fraction multiply-add per nonzero term."""
-    cols_b = [b.column(j) for j in range(b.cols)]
+    rows_b = b.row_tuples
+    cols_b = [[r[j] for r in rows_b] for j in range(b.cols)]
     out = []
     for row in a.row_tuples:
         out_row = []
@@ -105,7 +130,7 @@ def fraction_product(a: Matrix, b: Matrix) -> Matrix:
 
 
 def fraction_det(m: Matrix) -> Fraction:
-    pivots, scale = fraction_echelon(m.rows_list())
+    pivots, scale = fraction_echelon(_rows(m))
     return scale if len(pivots) == m.rows else Fraction(0)
 
 
@@ -122,7 +147,7 @@ def fraction_inverse(m: Matrix) -> Matrix | None:
 def fraction_kernel(m: Matrix) -> Subspace:
     """The kernel read off the Fraction RREF, one vector per free column,
     and brought to canonical form by a second Fraction RREF."""
-    rows, pivots = fraction_rref(m.rows_list())
+    rows, pivots = fraction_rref(_rows(m))
     n = m.cols
     vecs = []
     for f in (c for c in range(n) if c not in pivots):
@@ -152,22 +177,23 @@ def jordan_filtration_pieces(n_matrix: Matrix) -> dict[int, Subspace]:
 
     chains: list[tuple[tuple[Fraction, ...], int]] = []
     for s in range(nilp, 0, -1):
-        covered = [list(v) for v in kers[s - 1].vectors()]
+        covered = list(kers[s - 1].basis.row_tuples)
         for top, length in chains:
-            covered.append(list(powers[length - s].apply(top)))
-        span = Subspace.span(d, covered)
-        for w in kers[s].vectors():
-            if not span.contains_vector(w):
+            covered.append(fraction_apply(powers[length - s], top))
+        rank = fraction_rank(covered)
+        for w in kers[s].basis.row_tuples:
+            if fraction_rank(covered + [w]) > rank:
                 chains.append((w, s))
-                span = subspace_sum(span, Subspace.span(d, [w]))
+                covered.append(w)
+                rank += 1
 
     indexed: list[tuple[int, tuple[Fraction, ...]]] = []
     all_vecs = []
     for top, s in chains:
-        assert all(x == 0 for x in powers[s].apply(top))
-        assert any(x != 0 for x in powers[s - 1].apply(top))
+        assert all(x == 0 for x in fraction_apply(powers[s], top))
+        assert any(x != 0 for x in fraction_apply(powers[s - 1], top))
         for k in range(s):
-            vec = powers[k].apply(top)
+            vec = fraction_apply(powers[k], top)
             indexed.append((s - 1 - 2 * k, vec))
             all_vecs.append(vec)
     assert Subspace.span(d, all_vecs).dim == d, "Jordan chain vectors must form a basis"
@@ -202,25 +228,26 @@ def kernel_intersect(u: Subspace, v: Subspace) -> Subspace:
     """u /\\ v from the kernel of [U^T | -V^T]: x*U = y*V gives the vector x*U."""
     if u.is_zero() or v.is_zero():
         return Subspace.zero(u.ambient_dim)
-    cols = [list(r) for r in u.vectors()] + [[-x for x in r] for r in v.vectors()]
+    u_rows = u.basis.row_tuples
+    cols = [list(r) for r in u_rows] + [[-x for x in r] for r in v.basis.row_tuples]
     stacked = Matrix.from_columns(cols, u.ambient_dim)
     vecs = []
-    for coeffs in kernel(stacked).vectors():
+    for coeffs in kernel(stacked).basis.row_tuples:
         vec = [Fraction(0)] * u.ambient_dim
-        for c, row in zip(coeffs[: u.dim], u.vectors()):
+        for c, row in zip(coeffs[: u.dim], u_rows):
             vec = [a + c * b for a, b in zip(vec, row)]
         vecs.append(vec)
     return Subspace.span(u.ambient_dim, vecs)
 
 
 def greedy_quotient_reps(big: Subspace, small: Subspace) -> list[tuple[Fraction, ...]]:
-    """Rows of big's basis independent modulo small, one membership test each."""
+    """Rows of big's basis independent modulo small, one rank test each."""
     reps = []
-    current = small
-    for v in big.vectors():
-        if not current.contains_vector(v):
+    current = list(small.basis.row_tuples)
+    for v in big.basis.row_tuples:
+        if fraction_rank(current + [v]) > len(current):
             reps.append(v)
-            current = subspace_sum(current, Subspace.span(big.ambient_dim, [v]))
+            current.append(v)
     return reps
 
 
@@ -230,10 +257,10 @@ def solve_induced_matrix(
     """Induced map on quotients, solving for each image on [dst_small | dst reps]."""
     src_reps = greedy_quotient_reps(src_big, src_small)
     dst_reps = greedy_quotient_reps(dst_big, dst_small)
-    basis_cols = [list(v) for v in dst_small.vectors()] + [list(v) for v in dst_reps]
+    basis_cols = [list(v) for v in dst_small.basis.row_tuples] + [list(v) for v in dst_reps]
     cols = []
     for v in src_reps:
-        w = op.apply(v)
+        w = fraction_apply(op, v)
         if not basis_cols:
             if any(c != 0 for c in w):
                 raise ArithmeticError("operator does not map into the target subspace")
@@ -251,7 +278,7 @@ def gaussian_det(m: Matrix) -> Fraction:
     rows below a pivot are cleared, each row swap flips the sign, and the
     first column without a pivot ends the loop with 0."""
     n = m.rows
-    a = m.rows_list()
+    a = _rows(m)
     sign = 1
     out = Fraction(1)
     for c in range(n):
@@ -326,52 +353,97 @@ def factoring_weights(cp: RatPoly, q: int) -> dict[int, RatPoly]:
     return by_weight
 
 
+# polynomials as coefficient lists, lowest degree first, with no trailing
+# zero: the zero polynomial is []
+
+
+def trimmed(c) -> list:
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def long_sum(a: list, b: list) -> list:
+    return trimmed([x + y for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def long_product(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def long_divmod(a: list, b: list) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder over Q, long-hand on Fraction lists, for b != []."""
+    rem, quo = [Fraction(x) for x in a], [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        quo[k] = rem[k + len(b) - 1] / b[-1]
+        for j, y in enumerate(b):
+            rem[k + j] -= quo[k] * y
+    return trimmed(quo), trimmed(rem)
+
+
+def derivative(a: list) -> list:
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def horner(a, x) -> Fraction:
+    """The value at x of the polynomial with coefficients a."""
+    out = Fraction(0)
+    for c in reversed(a):
+        out = out * x + c
+    return out
+
+
+def _euclid(a: list, b: list) -> list[Fraction]:
+    """The monic gcd of two coefficient lists by Euclid's remainders over Q."""
+    while b:
+        a, b = b, long_divmod(a, b)[1]
+    return [Fraction(x) / a[-1] for x in a]
+
+
 def fraction_poly_gcd(a: RatPoly, b: RatPoly) -> RatPoly:
     """Monic gcd by the Euclidean algorithm over Q, in Fraction arithmetic."""
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return RatPoly.zero()
-    return a.monic()
+    return RatPoly(_euclid(list(a.coeffs), list(b.coeffs)))
 
 
 def fraction_squarefree_decomposition(p: RatPoly) -> list[tuple[RatPoly, int]]:
-    """Yun's algorithm over Q on the monic input, with fraction_poly_gcd."""
+    """Yun's algorithm over Q on the monic input, with Euclid's gcd."""
     if p.is_zero():
         raise ValueError("cannot decompose the zero polynomial")
-    f = p.monic()
-    if f.degree < 1:
-        return []
-    fp = f.derivative()
-    g = fraction_poly_gcd(f, fp)
-    if g.is_one():
-        return [(f, 1)]
-    c = f // g
-    d = fp // g - c.derivative()
+    f = _euclid(list(p.coeffs), [])
+    fp = derivative(f)
+    g = _euclid(f, fp)
+    c = long_divmod(f, g)[0]
+    d = long_sum(long_divmod(fp, g)[0], [-x for x in derivative(c)])
     out = []
     i = 1
-    while not c.is_one():
-        a = fraction_poly_gcd(c, d)
-        c = c // a
-        d = d // a - c.derivative()
-        if a.degree > 0:
-            out.append((a, i))
+    while len(c) > 1:
+        a = _euclid(c, d)
+        c = long_divmod(c, a)[0]
+        d = long_sum(long_divmod(d, a)[0], [-x for x in derivative(c)])
+        if len(a) > 1:
+            out.append((RatPoly(a), i))
         i += 1
     return out
 
 
-def fraction_sign_changes(seq: list[RatPoly], x: Fraction) -> int:
-    signs = [v > 0 for v in (p.eval(x) for p in seq) if v != 0]
+def fraction_sign_changes(seq: list[list[Fraction]], x: Fraction) -> int:
+    signs = [v > 0 for v in (horner(a, x) for a in seq) if v != 0]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def fraction_sturm_sequence(f: RatPoly) -> list[RatPoly]:
-    """The classical Sturm sequence of f's squarefree part: negated
-    remainders over Q."""
-    sf = f // fraction_poly_gcd(f, f.derivative())
-    seq = [sf, sf.derivative()]
-    while seq[-1].degree > 0:
-        seq.append(-(seq[-2] % seq[-1]))
+def fraction_sturm_sequence(f: RatPoly) -> list[list[Fraction]]:
+    """The classical Sturm sequence of f's squarefree part, as coefficient
+    lists: negated remainders over Q."""
+    a = list(f.coeffs)
+    sf = long_divmod(a, _euclid(a, derivative(a)))[0]
+    seq = [sf, derivative(sf)]
+    while len(seq[-1]) > 1:
+        seq.append([-x for x in long_divmod(seq[-2], seq[-1])[1]])
     return seq
 
 
@@ -380,8 +452,8 @@ def fraction_roots_in(f: RatPoly, lo: Fraction, hi: Fraction) -> bool:
     sequence counts the squarefree part's distinct roots in (lo, hi]."""
     seq = fraction_sturm_sequence(f)
     sf = seq[0]
-    inside = fraction_sign_changes(seq, lo) - fraction_sign_changes(seq, hi) + (sf.eval(lo) == 0)
-    return inside == sf.degree
+    inside = fraction_sign_changes(seq, lo) - fraction_sign_changes(seq, hi) + (horner(sf, lo) == 0)
+    return inside == len(sf) - 1
 
 
 def _rational_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -543,7 +615,7 @@ def hessenberg_char_poly(m: Matrix) -> RatPoly:
     operations and no matrix product.
     """
     n = m.rows
-    h = m.rows_list()
+    h = _rows(m)
     for c in range(n - 2):
         piv = c + 1
         pr = next((i for i in range(piv, n) if h[i][c] != 0), None)
@@ -625,8 +697,9 @@ def graded_weights_every_piece(
     below_stable = True
     for j in mono.jump_indices():
         piece = mono.at(j)
-        images = (f.phi_matrix.apply(v) for v in piece.vectors())
-        stable = stable_at[j] = piece.is_full() or all(map(piece.contains_vector, images))
+        rows = list(piece.basis.row_tuples)
+        images = [fraction_apply(f.phi_matrix, v) for v in rows]
+        stable = stable_at[j] = piece.is_full() or fraction_rank(rows + images) == piece.dim
         if not stable:
             violations.append(
                 {

@@ -192,7 +192,7 @@ def test_criterion_7_lattice_width_suite():
                 break
             except ValueError:
                 continue
-        entries = [x for i in range(rank) for x in lat.generators.column(i)]
+        entries = [x for row in lat.generators.row_tuples for x in row]
         width = max_dividing_width(lat)
         ok = ok and width.alpha == rational_gcd_bruteforce(entries)
         ok = ok and divides(width, lat)

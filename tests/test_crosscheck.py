@@ -50,14 +50,17 @@ from oracles import (
     gaussian_det,
     graded_weights_every_piece,
     hessenberg_char_poly,
+    horner,
     horner_eval_matrix,
     kernel_intersect,
+    long_product,
+    long_sum,
     numeric_weil_weight,
     rational_gcd_fold,
     solve_induced_matrix,
     verify_section_by_corner_value,
 )
-from wmtrop import cli, monodromy, ratlin
+from wmtrop import cli, monodromy, polyfactor, ratlin
 from wmtrop.monodromy import (
     Filtration,
     FrobeniusData,
@@ -83,6 +86,7 @@ from wmtrop.ratlin import (
     Matrix,
     RatPoly,
     Subspace,
+    _int_derivative,
     _int_gcd,
     _rref,
     char_poly,
@@ -178,7 +182,7 @@ class TestOracleAgreement:
             got = subspace_intersect(u, v)
             dims.add(min(got.dim, 3))
             assert got.basis == kernel_intersect(u, v).basis
-            assert got == Subspace.span(u.ambient_dim, got.vectors())  # canonical as built
+            assert got == Subspace.span(u.ambient_dim, got.basis.row_tuples)  # canonical as built
         assert dims == {0, 1, 2, 3}
 
     def test_induced_matrices_on_filtrations(self):
@@ -430,7 +434,7 @@ class TestIntegerCore:
         rng = random.Random(193)
         deficient = 0
         for m in _integer_core_cases(rng):
-            expected_rows, expected_pivots = fraction_rref(m.rows_list())
+            expected_rows, expected_pivots = fraction_rref([list(r) for r in m.row_tuples])
             rows, pivots = _rref(m.row_tuples)
             assert (rows, pivots) == ([tuple(r) for r in expected_rows], expected_pivots), m
             assert m.rank() == len(expected_pivots), m
@@ -460,8 +464,8 @@ class TestIntegerCore:
         rng = random.Random(199)
         cases = _integer_core_cases(rng)
         for a in cases:
-            vec = [F(_big(rng, 30), rng.randint(1, 9)) for _ in range(a.cols)]
-            assert a.apply(vec) == fraction_product(a, Matrix.from_columns([vec], a.cols)).column(0)
+            vec = Matrix.from_columns([[F(_big(rng, 30), rng.randint(1, 9)) for _ in range(a.cols)]], a.cols)
+            assert a * vec == fraction_product(a, vec), (a, vec)
             for cols in (0, 1, rng.randint(2, 6)):
                 b = rng.choice([m for m in cases if m.rows == a.cols and m.cols == cols]
                                or [Matrix([[random_fraction(rng) for _ in range(cols)]
@@ -499,7 +503,7 @@ def _polynomial_cases(rng):
     """Zero, constants, and seeded products of _poly_factor powers, times a
     rational constant: up to three factors, cubes at most, or every other
     time up to two 100-digit factors, squares at most."""
-    cases = [RatPoly.zero(), RatPoly([1]), RatPoly([F(-3, 7)]), RatPoly([_big(rng)])]
+    cases = [RatPoly([]), RatPoly([1]), RatPoly([F(-3, 7)]), RatPoly([_big(rng)])]
     for k in range(60):
         p = RatPoly([F(rng.choice((-5, -1, 1, 2, 7)), rng.randint(1, 3))])
         for _ in range(rng.randint(1, 3 - k % 2)):
@@ -534,7 +538,7 @@ def _sturm_case(rng, qj):
 def _monic_gcd(a, b):
     """The primitive integer gcd of two polynomials' numerators, made monic."""
     g = _int_gcd(a._num, b._num)
-    return RatPoly._over(g, g[-1]) if g else RatPoly.zero()
+    return RatPoly._over(g, g[-1]) if g else RatPoly([])
 
 
 def _scaled_roots(f, k):
@@ -562,7 +566,7 @@ class TestIntegerPolynomials:
         small = [p for p in cases[4::2] if p.degree <= 9]
         for a in cases:
             b, common = rng.choice(small), _poly_factor(rng, big=False)
-            for x, y in ((a, b), (a * common, b * common), (a, RatPoly.zero()), (a, a)):
+            for x, y in ((a, b), (a * common, b * common), (a, RatPoly([])), (a, a)):
                 got = _monic_gcd(x, y)
                 assert got == fraction_poly_gcd(x, y) == _monic_gcd(y, x), (x, y)
                 nontrivial += 0 < got.degree < min(x.degree, y.degree)
@@ -598,9 +602,39 @@ class TestIntegerPolynomials:
                     assert got == fraction_roots_in(f, F(0), 4 * qj), (f, qj)
                     verdicts.append(got)
                     if got:  # a root at an end of the interval counts as inside
-                        ends.update(end for end in (0, 4 * qj) if f.eval(end) == 0)
+                        ends.update(end for end in (0, 4 * qj) if horner(f.coeffs, end) == 0)
         assert verdicts.count(True) > 60 and verdicts.count(False) > 150
         assert 0 in ends and len(ends) > 5
+
+    def test_oracles_reach_no_integer_kernel(self, monkeypatch):
+        # the oracles check the Z[x] kernels under _int_gcd, Yun and the
+        # Sturm count, so they must not run on those kernels themselves
+        rng = random.Random(251)
+        polys = _polynomial_cases(rng)[1:24]
+        common = _poly_factor(rng, big=False)
+        sturm = [(_sturm_case(rng, F(q)), F(q)) for q in (2, 3, 5) for _ in range(4)]
+
+        def oracles():
+            return (
+                [fraction_poly_gcd(p * common, polys[-1] * common) for p in polys],
+                [fraction_squarefree_decomposition(p) for p in polys],
+                [fraction_sturm_sequence(f) for f, _ in sturm],
+                [fraction_sign_changes(fraction_sturm_sequence(f), qj) for f, qj in sturm],
+                [fraction_roots_in(f, F(0), 4 * qj) for f, qj in sturm],
+            )
+
+        expected = oracles()
+
+        def refuse(*args):
+            raise AssertionError("an oracle reached a Z[x] kernel")
+
+        for module in (ratlin, monodromy, polyfactor):
+            for name in ("_int_divmod", "_int_gcd", "_int_prem", "_int_exact_div", "_int_derivative"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert oracles() == expected
+        with pytest.raises(AssertionError, match="reached a Z"):
+            squarefree_decomposition(polys[-1])  # the patch is live
 
 
 def _kernels_of_h(phi, q):
@@ -664,6 +698,17 @@ class _MulCounter:
         monkeypatch.setattr(ratlin, "_int_product", counting)
 
 
+def _trace_poly(p, qj, m):
+    """x^m P(x + q^j/x) for P of degree at most m: the sum of
+    p_k (x^2 + q^j)^k x^(m-k)."""
+    shift = [qj, 0, 1]
+    g, power = [], [1]
+    for k, c in enumerate(p.coeffs):
+        g = long_sum(g, long_product(power, [0] * (m - k) + [c]))
+        power = long_product(power, shift)
+    return RatPoly(g)
+
+
 def _trace_factor(rng, q, j):
     """(g, built_pure): g = x^m P(x + q^j/x), m <= 3, for a seeded monic P,
     built as the sum of p_k (x^2 + q^j)^k x^(m-k).  P has random
@@ -686,11 +731,8 @@ def _trace_factor(rng, q, j):
                 if a * a < 4 * qj:
                     quadratic = p.degree + 2 <= m and rng.random() < 0.4
                     p = p * (RatPoly([-abs(a), 0, 1]) if quadratic else RatPoly([-a, 1]))
-        shift = RatPoly([qj, 0, 1])
-        g = RatPoly.zero()
-        for k, c in enumerate(p.coeffs):
-            g = g + shift**k * RatPoly([0] * (m - k) + [c])
-        if len(_int_gcd(g._num, g.derivative()._num)) == 1:  # simple roots, for the numeric side
+        g = _trace_poly(p, qj, m)
+        if len(_int_gcd(g._num, _int_derivative(g._num))) == 1:  # simple roots, for the numeric side
             return g, kind == 0
 
 
@@ -710,11 +752,7 @@ def _reciprocal_poly(rng, q):
         bound = 2 * math.isqrt(int(4 * qj) + 1)
         p = RatPoly([rng.randint(-c, c) for c in
                      (math.comb(m, k) * bound ** (m - k) // 2 for k in range(m))] + [1])
-        shift = RatPoly([qj, 0, 1])
-        g = RatPoly.zero()
-        for k, c in enumerate(p.coeffs):
-            g = g + shift**k * RatPoly([0] * (m - k) + [c])
-        return g, (0, 1)
+        return _trace_poly(p, qj, m), (0, 1)
     c0 = sign * qj ** (n // 2) * (F(q) ** (j // 2) if n % 2 else 1)
     coeffs = [c0] + [F(0)] * (n - 1) + [F(1)]
     for i in range(1, (n + 1) // 2):
@@ -933,9 +971,9 @@ class TestWeightsWithoutFactoring:
         # every kind is drawn: several weights, repeated roots, negative
         # weights, the real roots +-q^k, rational coefficients, q = 2
         assert sum(len(want) >= 3 for _, _, want in cases) > 30
-        assert sum(len(_int_gcd(cp._num, cp.derivative()._num)) > 1 for cp, _, _ in cases) > 30
+        assert sum(len(_int_gcd(cp._num, _int_derivative(cp._num))) > 1 for cp, _, _ in cases) > 30
         assert sum(min(want) < 0 for _, _, want in cases) > 30
-        assert sum(any(h.eval(r) == 0 for j, h in want.items() if j % 2 == 0
+        assert sum(any(horner(h.coeffs, r) == 0 for j, h in want.items() if j % 2 == 0
                        for r in (F(q) ** (j // 2), -F(q) ** (j // 2)))
                    for _, q, want in cases) > 30
         assert sum(cp._den > 1 for cp, _, _ in cases) > 30
@@ -995,6 +1033,40 @@ class TestWeightsWithoutFactoring:
         )
         assert impure_count > 200 and len(cases) - impure_count >= 5
         assert lower > 100
+
+    def test_pure_factors_of_the_rest_are_placed(self, monkeypatch):
+        # _weigh places each pure irreducible factor of the rest at its
+        # weight, g**mult into h_j: at q = 2^61 - 1, which is _SPLIT_PRIME,
+        # the split returns at once and factoring places all of diag(1, q, q);
+        # before x^2 - 7x + 5 the rest's first factor x^2 + x + 1 goes to
+        # weight 0, and then the impure one raises
+        placed = []
+        original = RatPoly.__pow__
+        monkeypatch.setattr(RatPoly, "__pow__", lambda g, k: placed.append((g, k)) or original(g, k))
+        q = monodromy._SPLIT_PRIME
+        cp = char_poly(Matrix.diagonal([1, q, q]))
+        assert _split_weights(list(cp._num), q) == ({}, list(cp._num))
+        want = factoring_weights(cp, q)
+        del placed[:]
+        assert _weigh(cp, q) == want == {0: RatPoly([-1, 1]), 2: RatPoly([q * q, -2 * q, 1])}
+        assert placed == [(RatPoly([-q, 1]), 2), (RatPoly([-1, 1]), 1)]  # factor_rational's order
+        phi = [[1, 0, 0], [0, q, 0], [0, 0, q]]
+        report = cli.run(cli.JobSpec("weight-filtration", {"phi": phi, "q": q})).to_dict()
+        assert report["status"] == "pass"
+        assert {w: c["dim"] for w, c in report["payload"]["weights"].items()} == {"0": 1, "2": 2}
+
+        cp = RatPoly([1, 1, 1]) * RatPoly([5, -7, 1])
+        assert _split_weights(list(cp._num), 5) == ({}, list(cp._num))
+        detail = _weights(cp, 5)
+        assert detail == (
+            "RatPoly(x^2 - 7*x + 5) is not weight-pure for q=5: "
+            "a root has squared modulus other than q^1"
+        )
+        del placed[:]
+        with pytest.raises(NotPureError) as err:
+            _weigh(cp, 5)
+        assert str(err.value) == detail
+        assert placed == [(RatPoly([1, 1, 1]), 1)]
 
     def test_part_that_does_not_divide_raises(self, monkeypatch):
         # a part is a primitive divisor of f, so by Gauss' lemma it divides
@@ -1165,7 +1237,7 @@ class TestSympyDifferential:
         rng = random.Random(113)
         for ambient, u, v in _subspace_pairs(rng, 80):
             got = subspace_intersect(u, v)
-            stacked = Matrix(list(u.vectors()) + list(v.vectors()), cols=ambient)
+            stacked = Matrix(u.basis.row_tuples + v.basis.row_tuples, cols=ambient)
             assert got.dim == u.dim + v.dim - _to_sympy(sympy, stacked).rank()
             if got.dim:
                 basis = _to_sympy(sympy, got.basis)

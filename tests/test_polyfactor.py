@@ -37,9 +37,9 @@ def test_repeated_root():
 
 def test_zero_polynomial_rejected():
     with pytest.raises(ValueError):
-        factor_rational(RatPoly.zero())
+        factor_rational(RatPoly([]))
     with pytest.raises(ValueError):
-        squarefree_decomposition(RatPoly.zero())
+        squarefree_decomposition(RatPoly([]))
 
 
 def test_constant_polynomial():

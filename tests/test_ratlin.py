@@ -1,7 +1,6 @@
 import math
 import random
 from fractions import Fraction as F
-from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +14,7 @@ from gens import (
     random_subspace,
     random_unimodular,
 )
+from oracles import horner, long_divmod, long_product, long_sum, trimmed
 from wmtrop.monodromy import NilpotentOperator, monodromy_filtration
 from wmtrop.polyfactor import squarefree_decomposition
 from wmtrop.ratlin import (
@@ -22,6 +22,7 @@ from wmtrop.ratlin import (
     Matrix,
     RatPoly,
     Subspace,
+    _int_derivative,
     _int_divmod,
     _int_exact_div,
     _int_gcd,
@@ -66,8 +67,7 @@ class TestKernelImage:
         m = Matrix([[1, 2, 3]])
         k = kernel(m)
         assert k.dim == 2
-        for v in k.vectors():
-            assert all(x == 0 for x in m.apply(v))
+        assert (m * k.basis.transpose()).is_zero()
 
 
 class TestSubspaceLattice:
@@ -199,7 +199,7 @@ class TestMatrixBasics:
     def test_solve(self):
         m = Matrix([[1, 2], [3, 4]])
         x = solve(m, [5, 11])
-        assert x is not None and m.apply(x) == (F(5), F(11))
+        assert x is not None and m * Matrix.from_columns([x], 2) == Matrix([[5], [11]])
 
     def test_solve_inconsistent(self):
         assert solve(Matrix([[1, 0], [1, 0]]), [1, 2]) is None
@@ -212,6 +212,13 @@ class TestMatrixBasics:
         m = Matrix([[1]])
         with pytest.raises(AttributeError):
             m.rows = 5
+
+    def test_scalar_multiples_go_through_scale(self):
+        m, p = Matrix([[1, 2]]), RatPoly([1, 2])
+        for product in (lambda: m * 2, lambda: 2 * m, lambda: p * F(1, 2), lambda: F(1, 2) * p):
+            with pytest.raises(TypeError):
+                product()
+        assert m.scale(F(1, 2)) == Matrix([[F(1, 2), 1]])
 
 
 class TestRatPoly:
@@ -226,11 +233,6 @@ class TestRatPoly:
         }
         for text, coeffs in cases.items():
             assert repr(RatPoly(coeffs)) == text
-
-    def test_divmod(self):
-        p = RatPoly([2, 0, 1]) * RatPoly([-1, 1]) + RatPoly([7])
-        q, r = divmod(p, RatPoly([2, 0, 1]))
-        assert q == RatPoly([-1, 1]) and r == RatPoly([7])
 
     def test_gcd(self):
         a = RatPoly([-1, 1]) * RatPoly([1, 1])
@@ -249,7 +251,7 @@ class TestRatPoly:
         p = RatPoly([1, -3, 0, 2])
         m = Matrix.diagonal([2, F(1, 2)])
         got = p.eval_matrix(m)
-        assert got == Matrix.diagonal([p.eval(2), p.eval(F(1, 2))])
+        assert got == Matrix.diagonal([horner(p.coeffs, 2), horner(p.coeffs, F(1, 2))])
 
 
 def _stored_form_ok(m: Matrix) -> bool:
@@ -295,7 +297,6 @@ class TestStoredForm:
                 Matrix.diagonal([c] * rows) * Matrix.diagonal([1 / c] * rows) * a,
                 a.transpose().transpose(),
                 a + Matrix.zero(rows, cols),
-                -(-a),
                 Matrix._over([[6 * x for x in r] for r in a._num], 6 * a._den, cols),
             )
             if rows:
@@ -352,7 +353,7 @@ class TestStoredForm:
                 Subspace.span(n, scaled),
                 Subspace.span(n, shuffled),
                 Subspace.span(n, mixed),
-                Subspace.span(n, s.vectors()),
+                Subspace.span(n, s.basis.row_tuples),
                 subspace_sum(s, s),
                 subspace_sum(Subspace.zero(n), s),
             ]
@@ -361,7 +362,7 @@ class TestStoredForm:
                 assert t == s and hash(t) == hash(s)
             # two kernels: s is the kernel of a basis of its annihilator
             ann = kernel(Matrix(vecs, cols=n)) if vecs else Subspace.full(n)
-            from_kernel = kernel(Matrix(ann.vectors(), cols=n)) if ann.dim else Subspace.full(n)
+            from_kernel = kernel(ann.basis) if ann.dim else Subspace.full(n)
             assert from_kernel == s and hash(from_kernel) == hash(s)
 
     def test_full_and_zero_subspaces(self):
@@ -389,35 +390,6 @@ def _poly_form_ok(p: RatPoly) -> bool:
     return p._den > 0 and math.gcd(p._den, *p._num) == 1 and p._num[-1:] != (0,)
 
 
-def _trimmed(c: list) -> list:
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _long_product(a: list, b: list) -> list:
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _long_sum(a: list, b: list) -> list:
-    return _trimmed([x + y for x, y in zip_longest(a, b, fillvalue=0)])
-
-
-def _long_divmod(a: list, b: list) -> tuple[list[F], list[F]]:
-    """Quotient and remainder over Q, long-hand on Fraction lists."""
-    rem, quo = [F(x) for x in a], [F(0)] * max(len(a) - len(b) + 1, 0)
-    for k in range(len(quo) - 1, -1, -1):
-        quo[k] = rem[k + len(b) - 1] / b[-1]
-        for j, y in enumerate(b):
-            rem[k + j] -= quo[k] * y
-    return _trimmed(quo), _trimmed(rem)
-
-
 class TestPolyStoredForm:
     """One stored (numerators, denominator) form per polynomial, as for
     Matrix, and its arithmetic equal to the same computation on Fraction
@@ -440,53 +412,36 @@ class TestPolyStoredForm:
         )
         self.assert_same(RatPoly([2, -4]), RatPoly._over([-6, 12], -3), RatPoly([F(4, 2), F(-8, 2)]))
         assert RatPoly([2, -4])._den == 1
-        zero = RatPoly.zero()
+        zero = RatPoly([])
         assert zero._num == () and zero._den == 1
-        self.assert_same(zero, RatPoly([]), RatPoly([0, F(0, 3)]), RatPoly._over([0, 0], -5), p - p, p * 0)
+        self.assert_same(zero, RatPoly([0, F(0, 3)]), RatPoly._over([0, 0], -5), p * zero)
 
     @given(st.lists(fractions_st, max_size=6))
     @settings(max_examples=80, deadline=None)
     def test_round_trip(self, c):
         p = RatPoly(c)
         assert _poly_form_ok(p)
-        assert list(p.coeffs) == _trimmed(c)
+        assert list(p.coeffs) == trimmed(c)
         self.assert_same(p, RatPoly(p.coeffs), RatPoly._over([5 * x for x in p._num], 5 * p._den))
 
-    @given(
-        st.lists(fractions_st, max_size=6),
-        st.lists(fractions_st, max_size=5),
-        fractions_st,
-    )
+    @given(st.lists(fractions_st, max_size=6), st.lists(fractions_st, max_size=5), st.integers(0, 3))
     @settings(max_examples=120, deadline=None)
-    def test_arithmetic_matches_fraction_lists(self, a, b, c):
+    def test_arithmetic_matches_fraction_lists(self, a, b, k):
         pa, pb = RatPoly(a), RatPoly(b)
-        a, b = _trimmed(a), _trimmed(b)
-        n = max(len(a), len(b))
-        a0, b0 = a + [F(0)] * (n - len(a)), b + [F(0)] * (n - len(b))
-        expected = [
-            (pa + pb, [x + y for x, y in zip(a0, b0)]),
-            (pa - pb, [x - y for x, y in zip(a0, b0)]),
-            (pa * pb, _long_product(a, b)),
-            (pa * c, [c * x for x in a]),
-            (c * pa, [c * x for x in a]),
-            (pa.derivative(), [i * x for i, x in enumerate(a)][1:]),
-        ]
+        a, b = trimmed(a), trimmed(b)
+        power = [1]
+        for _ in range(k):
+            power = long_product(power, a)
+        expected = [(pa * pb, long_product(a, b)), (pa**k, power)]
         if a:
             expected.append((pa.monic(), [x / a[-1] for x in a]))
-        if b:
-            quo, rem = _long_divmod(a, b)
-            q, r = divmod(pa, pb)
-            expected += [(q, quo), (r, rem), (pa // pb, quo), (pa % pb, rem)]
-        else:
-            with pytest.raises(ZeroDivisionError):
-                divmod(pa, pb)
         for got, want in expected:
             assert _poly_form_ok(got), got
-            assert list(got.coeffs) == _trimmed(want), (got, want)
+            assert list(got.coeffs) == trimmed(want), (got, want)
 
 
 small_ints = st.integers(-30, 30)
-int_polys = st.lists(small_ints, max_size=7).map(_trimmed)
+int_polys = st.lists(small_ints, max_size=7).map(trimmed)
 nonzero = st.integers(-6, 6).filter(bool)
 divisors = st.builds(lambda low, lead: low + [lead], st.lists(small_ints, max_size=4), nonzero)
 #: divisors with a 100-digit leading coefficient
@@ -507,9 +462,9 @@ class TestIntegerKernels:
     def test_divmod(self, q, b, r, multiple):
         # a is q b plus a remainder of lower degree, so its quotient is
         # integral, or q itself, whose quotient by b mostly is not
-        a = _long_sum(_long_product(q, b), r[: len(b) - 1]) if multiple else q
-        assert _int_mul(q, b) == _long_product(q, b)
-        quo, rem = _long_divmod(a, b)
+        a = long_sum(long_product(q, b), r[: len(b) - 1]) if multiple else q
+        assert _int_mul(q, b) == long_product(q, b)
+        quo, rem = long_divmod(a, b)
         got = _int_divmod(a, b)
         if any(x.denominator != 1 for x in quo):
             assert got is None and _int_exact_div(a, b) is None
@@ -517,7 +472,7 @@ class TestIntegerKernels:
         gq, gr = got
         assert gq == quo and gr == rem and len(gr) < len(b)
         assert all(type(x) is int for x in gq + gr)
-        assert _long_sum(_long_product(gq, b), gr) == a
+        assert long_sum(long_product(gq, b), gr) == a
         assert _int_exact_div(a, b) == (None if gr else gq)
         if multiple:
             assert gq == q
@@ -527,7 +482,7 @@ class TestIntegerKernels:
     def test_prem_is_a_positive_multiple_of_the_remainder(self, a, b, negate):
         if negate:
             b = [-x for x in b]
-        rem = _long_divmod(a, b)[1]
+        rem = long_divmod(a, b)[1]
         got = _int_prem(a, b)
         assert all(type(x) is int for x in got)
         if not rem:
@@ -566,17 +521,16 @@ class TestIntegerKernels:
         big = 10**100 + 7
         assert _int_prem([0, 0, 1], [1, big]) == [1]
 
-    @given(st.lists(fractions_st, max_size=4), st.lists(fractions_st, min_size=4, max_size=4), st.integers(0, 9))
+    @given(st.lists(fractions_st, max_size=4), fractions_st, st.integers(0, 9))
     @settings(max_examples=60, deadline=None)
-    def test_power_matches_repeated_products(self, c, entries, k):
+    def test_power_matches_repeated_products(self, c, r, k):
         calls = []
 
         def mul(x, y):
             calls.append(None)
             return x * y
 
-        m = Matrix([entries[:2], entries[2:]])
-        for base, one in ((RatPoly(c), RatPoly.one()), (m, Matrix.identity(2)), (entries[0], 1)):
+        for base, one in ((RatPoly(c), RatPoly.one()), (r, 1)):
             want = one
             for _ in range(k):
                 want = want * base
@@ -585,7 +539,6 @@ class TestIntegerKernels:
             # one squaring per bit below the top, one product per set bit
             assert len(calls) == (k.bit_length() - 1 + bin(k).count("1") if k else 0)
         assert RatPoly(c) ** k == _power(RatPoly(c), k, RatPoly.one(), mul)
-        assert m**k == _power(m, k, Matrix.identity(2), mul)
 
 
 class TestNoBoxing:
@@ -623,7 +576,7 @@ class TestNoBoxing:
             square = cp * cp
             cases = [
                 (lambda: char_poly(a)),
-                (lambda: _int_gcd(square._num, cp.derivative()._num)),
+                (lambda: _int_gcd(square._num, _int_derivative(cp._num))),
                 (lambda: squarefree_decomposition(square)),
                 (lambda: cp.eval_matrix(a)),
             ]

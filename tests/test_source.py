@@ -9,6 +9,7 @@ from collections import Counter
 from pathlib import Path
 
 import wmtrop
+from wmtrop.ratlin import Matrix, RatPoly
 
 
 def test_no_assert_statements():
@@ -81,6 +82,23 @@ def test_records_compare_their_fields():
     own = {"__eq__", "__ne__", "__hash__"}
     found = [name for name, cls, record in _classes() if record and own & set(vars(cls))]
     assert found == ["tropbundle.FaceTransition"]
+
+
+_ARITHMETIC = {"add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "divmod", "pow",
+               "lshift", "rshift", "and", "xor", "or"}  # fmt: skip
+_OPERATORS = {
+    f"__{prefix}{op}__" for op in _ARITHMETIC for prefix in ("", "r", "i")
+} | {"__neg__", "__pos__", "__abs__", "__invert__"}
+
+
+def test_core_operators_have_package_callers():
+    # test_public_names_are_reached skips dunders, so an operator that only
+    # tests use is pinned out here.  The callers: Matrix + in
+    # monodromy.log_unipotent and exp_nilpotent, - in log_unipotent, * in
+    # NilpotentOperator's powers, check_commutation and tropbundle.form_matrix;
+    # RatPoly * in monodromy._split, ** in _weigh's g**mult
+    found = {cls.__name__: sorted(_OPERATORS & set(vars(cls))) for cls in (Matrix, RatPoly)}
+    assert found == {"Matrix": ["__add__", "__mul__", "__sub__"], "RatPoly": ["__mul__", "__pow__"]}
 
 
 def test_traced_layers_exist():

@@ -51,9 +51,7 @@ class TestWidths:
         rng = random.Random(61)
         for _ in range(60):
             lat = random_lattice(rng, rng.randint(1, 4))
-            entries = [
-                x for i in range(lat.rank) for x in lat.generators.column(i)
-            ]
+            entries = [x for row in lat.generators.row_tuples for x in row]
             expect = rational_gcd_bruteforce(entries)
             got = max_dividing_width(lat)
             assert got.alpha == expect
