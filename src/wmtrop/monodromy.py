@@ -231,18 +231,13 @@ def log_unipotent(u: Matrix) -> NilpotentOperator:
     """Nilpotent logarithm of a unipotent matrix, as a finite series."""
     if not u.is_square():
         raise DimensionMismatch("logarithm of a non-square matrix")
-    d = u.rows
-    x = u - Matrix.identity(d)
-    out = Matrix.zero(d, d)
-    power = Matrix.identity(d)
-    for k in range(1, d + 1):
-        power = power * x
-        if power.is_zero():
-            break
-        out = out + power.scale(Fraction((-1) ** (k + 1), k))
-    else:
-        if d > 0:
-            raise NotUnipotentError("matrix minus identity is not nilpotent")
+    try:
+        x = NilpotentOperator(u - Matrix.identity(u.rows))
+    except NotNilpotentError:
+        raise NotUnipotentError("matrix minus identity is not nilpotent") from None
+    out = Matrix.zero(u.rows, u.rows)
+    for k in range(1, x.nilpotency_index):
+        out = out + x.powers[k].scale(Fraction((-1) ** (k + 1), k))
     return NilpotentOperator(out)
 
 
@@ -666,50 +661,33 @@ def check_commutation(n: NilpotentOperator, f: FrobeniusData) -> bool:
 # induced maps on graded pieces
 
 
-def induced_quotient_matrix(
-    op: Matrix,
-    src_big: Subspace,
-    src_small: Subspace,
-    dst_big: Subspace,
-    dst_small: Subspace,
-) -> Matrix:
-    """Matrix of the map src_big/src_small -> dst_big/dst_small induced by op.
+def induced_quotient_matrix(op: Matrix, big: Subspace, small: Subspace) -> Matrix | None:
+    """Matrix of the map big/small -> big/small induced by op, or None if
+    op leaves big.
 
-    Assumes op(src_big) <= dst_big and op(src_small) <= dst_small.  One
-    RREF per side, on vectors as columns.  The pivots of
-    [src_small | src_big] past src_small pick the source representatives,
-    greedily independent modulo src_small.  In the RREF of
-    [dst_small | dst_big | op(reps)] the pivots past dst_small pick the
-    destination representatives the same way, a pivot among the images
-    means op leaves dst_big, and each image's coordinates on the
-    representatives are its entries in their pivot rows.
+    small must lie in big, and the matrix is the induced map only when
+    op(small) <= small.  One RREF, on vectors as columns, of
+    [small | big | op(big)]: a pivot among the images means an image
+    leaves big.  Otherwise the pivots among big's columns pick the
+    representatives, greedily independent modulo small, and each
+    representative's image has its coordinates on them in the pivot rows
+    past small.
 
-    All of it runs on the integer rows of the bases.  With src_big = b / s,
-    dst_big = c / t and op = a / e, the integer image a b of a row b is
-    e s times op's image of its representative, and each column c is t
-    times a basis vector of dst_big, so a pivot row holding `last` times
-    an image's coordinates on the columns c holds last e s / t times its
-    coordinates on dst_big's representatives.
+    All of it runs on the integer rows of big's basis.  With big = b / s
+    and op = a / e, the integer image a b of a row b is e s times op's
+    image of the representative b / s, and the column b is s times that
+    representative, so a pivot row holding `last` times an image's
+    coordinates on the columns b holds last e times its coordinates on the
+    representatives.
     """
-    src_rows = src_big.basis._num
-    _, pivots, _, _ = _echelon(list(zip(*src_small.basis._num, *src_rows)))
-    reps = [src_rows[c - src_small.dim] for c in pivots[src_small.dim :]]
-    dst_cols = dst_small.basis._num + dst_big.basis._num
-    images = _int_product(reps, op._num)
-    rows, pivots, last, _ = _echelon(list(zip(*dst_cols, *images)))
-    if pivots and pivots[-1] >= len(dst_cols):
-        raise ArithmeticError("operator does not map into the target subspace")
-    t = dst_big.basis._den
-    coords = [[t * x for x in row[len(dst_cols) :]] for row in rows[dst_small.dim : len(pivots)]]
-    return Matrix._over(coords, last * op._den * src_big.basis._den, len(images))
-
-
-def _graded_frobenius_weights(f: FrobeniusData, fil: Filtration, j: int) -> list[tuple[int, int]]:
-    """Weights (with multiplicity) of Phi acting on gr_j of the filtration."""
-    induced = induced_quotient_matrix(
-        f.phi_matrix, fil.at(j), fil.at(j - 1), fil.at(j), fil.at(j - 1)
-    )
-    return sorted((w, h.degree) for w, h in _weigh(char_poly(induced), f.q).items())
+    cols = small.basis._num + big.basis._num
+    images = _int_product(big.basis._num, op._num)
+    rows, pivots, last, _ = _echelon(list(zip(*cols, *images)))
+    if pivots and pivots[-1] >= len(cols):
+        return None
+    reps = [c + big.dim for c in pivots[small.dim :]]  # the columns of the reps' images
+    coords = [[row[c] for c in reps] for row in rows[small.dim : len(pivots)]]
+    return Matrix._over(coords, last * op._den, len(reps))
 
 
 def check_wmc(n: NilpotentOperator, f: FrobeniusData, i: int) -> WmcReport:
@@ -722,7 +700,7 @@ def check_wmc(n: NilpotentOperator, f: FrobeniusData, i: int) -> WmcReport:
     preserves both Fil_j and Fil_(j-1), so that it induces a map there.
     Failures land in `violations`; nothing raises.
 
-    Two facts decide the pieces without testing them:
+    Two facts about the pieces:
 
     (a) If N Phi = q Phi N, Phi preserves every Fil_j: from
         Phi N^k = q^-k N^k Phi, Phi maps each ker N^a and im N^b into
@@ -731,8 +709,11 @@ def check_wmc(n: NilpotentOperator, f: FrobeniusData, i: int) -> WmcReport:
         [(i+j, dim gr_j)]: the pieces are sums of Phi-stable weight
         components, so gr_j is Phi-isomorphic to the component of weight i+j.
 
-    Only when neither holds is each piece tested for stability and the
-    map induced on each gr_j weighed.
+    Fact (b) decides the pieces without testing them.  Otherwise one
+    elimination per jump piece (induced_quotient_matrix) tells whether Phi
+    preserves Fil_j and gives the map on gr_j, which is weighed when
+    Fil_(j-1) is stable too.  Fact (a) needs no test of its own: a
+    commuting pair finds every piece stable in that same elimination.
     """
     if n.dimension != f.dimension:
         raise DimensionMismatch("operator dimensions differ")
@@ -775,18 +756,10 @@ def check_wmc(n: NilpotentOperator, f: FrobeniusData, i: int) -> WmcReport:
         return WmcReport(commutation_ok, filtrations_equal, weights, violations)
 
     graded_weights: dict[int, list[tuple[int, int]]] = {}
-    phi_rows = f.phi_matrix._num
     below_stable = True  # Phi preserves Fil_(j-1), the previous jump's piece or 0
     for j in mono.jump_indices():
-        piece = mono.at(j)
-        # fact (a), before any image is computed; the images of the integer
-        # basis rows are multiples of Phi's images, and a multiple lies in
-        # the piece exactly when the vector does
-        stable = (
-            commutation_ok
-            or piece.is_full()
-            or not any(any(piece._residual(w)) for w in _int_product(piece.basis._num, phi_rows))
-        )
+        induced = induced_quotient_matrix(f.phi_matrix, mono.at(j), mono.at(j - 1))
+        stable = induced is not None
         if not stable:
             violations.append(
                 {
@@ -795,12 +768,12 @@ def check_wmc(n: NilpotentOperator, f: FrobeniusData, i: int) -> WmcReport:
                     "detail": "Phi does not preserve the filtration piece",
                 }
             )
-        induced = stable and below_stable
+        weighed = stable and below_stable
         below_stable = stable
-        if not induced:
+        if not weighed:
             continue
         try:
-            pairs = _graded_frobenius_weights(f, mono, j)
+            pairs = sorted((w, h.degree) for w, h in _weigh(char_poly(induced), f.q).items())
         except NotPureError as err:
             violations.append({"kind": "graded_not_pure", "index": j, "detail": str(err)})
             continue

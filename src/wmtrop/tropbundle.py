@@ -224,10 +224,6 @@ class TropicalSection(
     def period(self) -> Fraction:
         return self.alpha * len(self.slopes)
 
-    def slope_in_cell(self, j: int) -> int:
-        t, i = divmod(j, len(self.slopes))
-        return self.slopes[i] + t * self.slope_increment
-
     def corner_value(self, j: int) -> Fraction:
         """Value at the cell corner j*alpha, for any integer j."""
         t, i = divmod(j, len(self.slopes))
@@ -240,11 +236,6 @@ class TropicalSection(
             val += t * (self.slope_increment * u0 + self.value_increment)
             val += Fraction(t * (t - 1), 2) * self.slope_increment * lam
         return val
-
-    def eval(self, u) -> Fraction:
-        u = _frac(u)
-        j = math.floor(u / self.alpha)
-        return self.corner_value(j) + self.slope_in_cell(j) * (u - j * self.alpha)
 
 
 class FaceTransition(NamedTuple):
@@ -306,8 +297,8 @@ class SectionReport(NamedTuple):
     faces: tuple[FaceTransition, ...]
 
 
-def _rank1_generator_data(b: BundleData) -> tuple[Fraction, int, int, Fraction]:
-    """(period, orientation, slope increment, value increment) for rank 1.
+def _rank1_generator_data(b: BundleData) -> tuple[Fraction, int, Fraction]:
+    """(period, slope increment, value increment) for rank 1.
 
     The period is the positive generator of the valuation lattice; if the
     stored generator is negative, the data is re-expressed through the
@@ -320,7 +311,7 @@ def _rank1_generator_data(b: BundleData) -> tuple[Fraction, int, int, Fraction]:
     lam = abs(g)
     d_eff = sign * int(b.sigma[0, 0])
     v_eff = chi_valuation(b, (sign,))
-    return lam, sign, d_eff, v_eff
+    return lam, d_eff, v_eff
 
 
 def construct_f(b: BundleData, alpha: CellWidth) -> TropicalSection:
@@ -337,7 +328,7 @@ def construct_f(b: BundleData, alpha: CellWidth) -> TropicalSection:
         raise ModelUndefinedError(
             "bundle does not extend at this width; refine alpha (see minimal_level)"
         )
-    lam, _, d_eff, v_eff = _rank1_generator_data(b)
+    lam, d_eff, v_eff = _rank1_generator_data(b)
     k_frac, total_frac = lam / alpha.alpha, v_eff / alpha.alpha
     if k_frac.denominator != 1 or total_frac.denominator != 1:
         raise ArithmeticError("cell count or slope sum over a period is not an integer")
@@ -369,7 +360,7 @@ def verify_section(b: BundleData, f: TropicalSection) -> SectionReport:
     each face keeps those integers; a Fraction is built only to spell a
     discontinuity.
     """
-    lam, _, d_eff, v_eff = _rank1_generator_data(b)
+    lam, d_eff, v_eff = _rank1_generator_data(b)
     failures: list[str] = []
     if f.alpha * f.period_cells != lam:
         failures.append(

@@ -3,10 +3,12 @@ production code, used to cross-check it.
 
 They read matrices through `row_tuples` and `m[i, j]` and do their own
 arithmetic in Fractions: a matrix applied to a vector is a Fraction
-product, and a vector lies in a span when adding it keeps the Fraction
-rank.  The polynomial oracles run on Fraction coefficient lists, lowest
-degree first, with long division, the derivative and Horner of their
-own, so none of them reaches one of ratlin's Z[x] kernels.
+product, a vector lies in a span when adding it keeps the Fraction rank,
+and a map induced on quotients is solved for by a Fraction RREF, so the
+induced-map oracles never run on ratlin's integer elimination.  The
+polynomial oracles run on Fraction coefficient lists, lowest degree
+first, with long division, the derivative and Horner of their own, so
+none of them reaches one of ratlin's Z[x] kernels.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ from wmtrop.monodromy import (
     FrobeniusData,
     NilpotentOperator,
     NotPureError,
-    _graded_frobenius_weights,
-    induced_quotient_matrix,
-    monodromy_filtration,
+    _weigh,
     weil_weight,
 )
 from wmtrop.polyfactor import factor_rational
@@ -32,9 +32,9 @@ from wmtrop.ratlin import (
     Matrix,
     RatPoly,
     Subspace,
+    char_poly,
     image,
     kernel,
-    solve,
     subspace_intersect,
     subspace_sum,
 )
@@ -254,22 +254,18 @@ def greedy_quotient_reps(big: Subspace, small: Subspace) -> list[tuple[Fraction,
 def solve_induced_matrix(
     op: Matrix, src_big: Subspace, src_small: Subspace, dst_big: Subspace, dst_small: Subspace
 ) -> Matrix:
-    """Induced map on quotients, solving for each image on [dst_small | dst reps]."""
+    """Induced map on quotients: the image of each source representative
+    is solved for on [dst_small | dst reps] by a Fraction RREF of its own."""
     src_reps = greedy_quotient_reps(src_big, src_small)
     dst_reps = greedy_quotient_reps(dst_big, dst_small)
-    basis_cols = [list(v) for v in dst_small.basis.row_tuples] + [list(v) for v in dst_reps]
+    basis = [*dst_small.basis.row_tuples, *dst_reps]
     cols = []
     for v in src_reps:
         w = fraction_apply(op, v)
-        if not basis_cols:
-            if any(c != 0 for c in w):
-                raise ArithmeticError("operator does not map into the target subspace")
-            cols.append(())
-            continue
-        x = solve(Matrix.from_columns(basis_cols, dst_big.ambient_dim), w)
-        if x is None:
+        rows, pivots = fraction_rref([[*(b[r] for b in basis), x] for r, x in enumerate(w)])
+        if len(basis) in pivots:
             raise ArithmeticError("operator does not map into the target subspace")
-        cols.append(x[dst_small.dim :])
+        cols.append([rows[k][-1] for k in range(dst_small.dim, len(basis))])
     return Matrix.from_columns(cols, len(dst_reps))
 
 
@@ -486,6 +482,20 @@ def rational_gcd_bruteforce(values: list[Fraction]) -> Fraction:
     return Fraction(g, den)
 
 
+def slope_in_cell(f: TropicalSection, j: int) -> int:
+    """The slope of f on the cell [j*alpha, (j+1)*alpha], for any integer j."""
+    t, i = divmod(j, len(f.slopes))
+    return f.slopes[i] + t * f.slope_increment
+
+
+def section_value(f: TropicalSection, u) -> Fraction:
+    """f(u): the value at the corner left of u plus the cell's slope times
+    the distance from it."""
+    u = Fraction(u)
+    j = math.floor(u / f.alpha)
+    return f.corner_value(j) + slope_in_cell(f, j) * (u - j * f.alpha)
+
+
 def section_ok_bruteforce(b: BundleData, f: TropicalSection) -> bool:
     """Sample-based verdict on a rank-1 witness.
 
@@ -510,7 +520,7 @@ def section_ok_bruteforce(b: BundleData, f: TropicalSection) -> bool:
         left = j * f.alpha
         mid = left + half
         right = left + f.alpha
-        v_left, v_mid, v_right = f.eval(left), f.eval(mid), f.eval(right)
+        v_left, v_mid, v_right = (section_value(f, u) for u in (left, mid, right))
         slope = (v_mid - v_left) / half
         if slope.denominator != 1:
             return False
@@ -521,13 +531,13 @@ def section_ok_bruteforce(b: BundleData, f: TropicalSection) -> bool:
     # one-sided limits agree at every interior face (continuity)
     for j in range(1, 2 * k + 1):
         c = j * f.alpha
-        left_limit = 2 * f.eval(c - half) - f.eval(c - f.alpha)
-        if left_limit != f.eval(c):
+        left_limit = 2 * section_value(f, c - half) - section_value(f, c - f.alpha)
+        if left_limit != section_value(f, c):
             return False
     # periodicity against the bundle's own affine data
     for j in range(2 * k):
         for u in (j * f.alpha, j * f.alpha + half):
-            if f.eval(u + lam) - f.eval(u) != z_slope * u + z_const:
+            if section_value(f, u + lam) - section_value(f, u) != z_slope * u + z_const:
                 return False
     return True
 
@@ -535,7 +545,7 @@ def section_ok_bruteforce(b: BundleData, f: TropicalSection) -> bool:
 def verify_section_by_corner_value(b: BundleData, f: TropicalSection) -> SectionReport:
     """verify_section with its quadratic face loop: each face calls
     corner_value, which re-sums the slope prefix in Fractions."""
-    lam, _, d_eff, v_eff = _rank1_generator_data(b)
+    lam, d_eff, v_eff = _rank1_generator_data(b)
     failures: list[str] = []
     if f.alpha * f.period_cells != lam:
         failures.append(
@@ -563,8 +573,8 @@ def verify_section_by_corner_value(b: BundleData, f: TropicalSection) -> Section
     faces = []
     for j in range(2 * k):
         pos = (j + 1) * f.alpha
-        left_slope = f.slope_in_cell(j)
-        right_slope = f.slope_in_cell(j + 1)
+        left_slope = slope_in_cell(f, j)
+        right_slope = slope_in_cell(f, j + 1)
         left_value = f.corner_value(j) + left_slope * f.alpha
         right_value = f.corner_value(j + 1)
         den = left_value.denominator * right_value.denominator
@@ -673,24 +683,24 @@ def graded_map_is_bijective(n: NilpotentOperator, fil: Filtration, j: int) -> bo
         return True
     if j >= n.nilpotency_index:
         return False  # N^j = 0 kills a nonzero graded piece
-    induced = induced_quotient_matrix(
+    induced = solve_induced_matrix(
         n.powers[j], fil.at(j), fil.at(j - 1), fil.at(-j), fil.at(-j - 1)
     )
-    return induced.rank() == dim_src
+    return fraction_rank(induced.row_tuples) == dim_src
 
 
 def graded_weights_every_piece(
-    n: NilpotentOperator, f: FrobeniusData, i: int
+    mono: Filtration, f: FrobeniusData, i: int
 ) -> tuple[dict[int, list[tuple[int, int]]], list[dict], dict[int, bool]]:
-    """The graded-piece part of check_wmc with neither of its shortcuts.
+    """The graded-piece part of check_wmc on the N-filtration `mono`,
+    with no shortcut.
 
-    Every jump piece of the N-filtration is tested for Phi-stability, and
+    Every jump piece is tested for Phi-stability by a Fraction rank, and
     the map Phi induces on every gr_j whose Fil_j and Fil_(j-1) are both
-    stable is factored and weighed.  Returns the graded weights, the
-    graded violations in check_wmc's order, and each jump piece's
-    stability.
+    stable is solved for (solve_induced_matrix) and weighed.  Returns the
+    graded weights, the graded violations in check_wmc's order, and each
+    jump piece's stability.
     """
-    mono = monodromy_filtration(n)
     graded_weights: dict[int, list[tuple[int, int]]] = {}
     violations: list[dict] = []
     stable_at: dict[int, bool] = {}
@@ -708,12 +718,14 @@ def graded_weights_every_piece(
                     "detail": "Phi does not preserve the filtration piece",
                 }
             )
-        induced = stable and below_stable
+        weighed = stable and below_stable
         below_stable = stable
-        if not induced:
+        if not weighed:
             continue
+        below = mono.at(j - 1)
+        induced = solve_induced_matrix(f.phi_matrix, piece, below, piece, below)
         try:
-            pairs = _graded_frobenius_weights(f, mono, j)
+            pairs = sorted((w, h.degree) for w, h in _weigh(char_poly(induced), f.q).items())
         except NotPureError as err:
             violations.append({"kind": "graded_not_pure", "index": j, "detail": str(err)})
             continue

@@ -37,18 +37,22 @@ from oracles import (
     exact_q_power_recursive,
     factoring_weights,
     faddeev_leverrier_char_poly,
+    fraction_apply,
     fraction_det,
     fraction_inverse,
     fraction_kernel,
     fraction_poly_gcd,
     fraction_product,
+    fraction_rank,
     fraction_roots_in,
     fraction_rref,
     fraction_sign_changes,
     fraction_squarefree_decomposition,
     fraction_sturm_sequence,
     gaussian_det,
+    graded_map_is_bijective,
     graded_weights_every_piece,
+    greedy_quotient_reps,
     hessenberg_char_poly,
     horner,
     horner_eval_matrix,
@@ -187,41 +191,108 @@ class TestOracleAgreement:
 
     def test_induced_matrices_on_filtrations(self):
         rng = random.Random(103)
-        checked = raised = 0
+        checked = left = 0
         for _ in range(25):
             n_mat, phi, _ = random_wmc_pair(rng, 3, max_dim=7, center=rng.choice([None, 2]))
-            op = NilpotentOperator(n_mat)
-            fil = monodromy_filtration(op)
+            fil = monodromy_filtration(NilpotentOperator(n_mat))
             unstable = random_invertible(rng, n_mat.rows)
             for j in fil.jump_indices():
-                src = (fil.at(j), fil.at(j - 1))
-                maps = [(m, *src, *src) for m in (phi, unstable)]
-                if 0 <= j < op.nilpotency_index:
-                    maps.append((op.powers[j], *src, fil.at(-j), fil.at(-j - 1)))
-                for args in maps:
-                    got = _outcome(induced_quotient_matrix, *args)
-                    assert got == _outcome(solve_induced_matrix, *args)
+                for op in (phi, unstable):
+                    got = induced_quotient_matrix(op, fil.at(j), fil.at(j - 1))
+                    assert got == _induced_oracle(op, fil.at(j), fil.at(j - 1))
                     checked += 1
-                    raised += got == "raises"
-        assert 0 < raised < checked
+                    left += got is None
+        assert 0 < left < checked
 
     def test_induced_matrices_on_random_nests(self):
+        # op preserves small by construction, and big about half the time
         rng = random.Random(107)
         outcomes = set()
         for _ in range(150):
             ambient = rng.randint(1, 6)
-            src_small = random_subspace(rng, ambient)
-            src_big = subspace_sum(src_small, random_subspace(rng, ambient))
-            dst_small = random_subspace(rng, ambient)
-            dst_big = subspace_sum(dst_small, random_subspace(rng, ambient))
-            if rng.random() < 0.5:
-                dst_big = Subspace.full(ambient)
-            op = random_matrix(rng, ambient, ambient)
-            args = (op, src_big, src_small, dst_big, dst_small)
-            got = _outcome(induced_quotient_matrix, *args)
-            assert got == _outcome(solve_induced_matrix, *args)
-            outcomes.add(got == "raises")
+            small = random_subspace(rng, ambient)
+            big = subspace_sum(small, random_subspace(rng, ambient))
+            op = _preserving(rng, small, big, keep_big=rng.random() < 0.5)
+            got = induced_quotient_matrix(op, big, small)
+            assert got == _induced_oracle(op, big, small)
+            outcomes.add(got is None)
         assert outcomes == {False, True}
+
+    def test_graded_loop_eliminates_once_per_piece(self, monkeypatch):
+        # a commutation-variant Tate job fails the comparison, so check_wmc
+        # weighs every jump piece: one elimination each, no residual test
+        job = load_workloads()._wmc_job(random.Random(11), 3, 2, "commutation")
+        calls = {"induced": 0, "residual": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            monodromy, "induced_quotient_matrix", counted("induced", induced_quotient_matrix)
+        )
+        monkeypatch.setattr(Subspace, "_residual", counted("residual", Subspace._residual))
+        report = cli.run(cli.JobSpec(job.command, job.payload)).to_dict()
+        assert job.oracle(report) is None
+        assert calls == {"induced": 4, "residual": 0}
+        assert len(report["payload"]["graded_weights"]) == 4
+
+    def test_induced_map_oracles_reach_no_elimination(self, monkeypatch):
+        # the induced-map oracles check induced_quotient_matrix, which runs
+        # on _echelon, so they must not run on it themselves
+        cases = []
+        for _, op, fd, i in _wmc_cases(random.Random(263), 3):
+            cases.append((op, monodromy_filtration(op), fd, i))
+
+        def oracles():
+            out = []
+            for op, fil, fd, i in cases:
+                for j in fil.jump_indices():
+                    piece = (fil.at(j), fil.at(j - 1))
+                    out.append(_outcome(solve_induced_matrix, fd.phi_matrix, *piece, *piece))
+                out.append([graded_map_is_bijective(op, fil, j) for j in range(fil.hi + 1)])
+                out.append(graded_weights_every_piece(fil, fd, i))
+            return out
+
+        expected = oracles()
+        assert "raises" in expected
+
+        def refuse(*args):
+            raise AssertionError("an oracle reached _echelon")
+
+        for module in (ratlin, monodromy):
+            monkeypatch.setattr(module, "_echelon", refuse)
+        assert oracles() == expected
+        op, fil, fd, _ = cases[0]
+        with pytest.raises(AssertionError, match="reached _echelon"):
+            induced_quotient_matrix(fd.phi_matrix, fil.at(fil.hi), fil.at(fil.hi - 1))
+
+
+def _induced_oracle(op, big, small):
+    """None if op leaves big, by a Fraction rank test, else the matrix
+    solve_induced_matrix finds."""
+    rows = list(big.basis.row_tuples)
+    if fraction_rank(rows + [fraction_apply(op, v) for v in rows]) > big.dim:
+        return None
+    return solve_induced_matrix(op, big, small, big, small)
+
+
+def _preserving(rng, small, big, keep_big):
+    """A random map that preserves small, and big too if keep_big: block
+    triangular on a basis of small, then big, then the rest."""
+    n = small.ambient_dim
+    reps = greedy_quotient_reps(big, small)
+    basis = [*small.basis.row_tuples, *reps, *greedy_quotient_reps(Subspace.full(n), big)]
+    ends = [small.dim, small.dim + len(reps)] if keep_big else [small.dim]
+    rows = [list(r) for r in random_matrix(rng, n, n).row_tuples]
+    for end in ends:
+        for r in range(end, n):
+            rows[r][:end] = [F(0)] * end
+    p = Matrix.from_columns(basis, n)
+    return fraction_product(fraction_product(p, Matrix(rows, cols=n)), fraction_inverse(p))
 
 
 def _wmc_cases(rng, count):
@@ -258,7 +329,7 @@ def _against_every_piece(op, fd, i):
     """check_wmc's report, and whether its graded weights and violations
     are those of the loop over every piece; checks fact (a) on that loop."""
     report = check_wmc(op, fd, i)
-    weights, graded, stable = graded_weights_every_piece(op, fd, i)
+    weights, graded, stable = graded_weights_every_piece(monodromy_filtration(op), fd, i)
     if check_commutation(op, fd):
         assert all(stable.values()), (op.n_matrix, fd.phi_matrix)
     ungraded = [v for v in report.violations if not v["kind"].startswith("graded_")]
