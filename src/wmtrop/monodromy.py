@@ -13,7 +13,8 @@ degree i.  The module computes
   filtration it spans;
 * the comparison of the two filtrations: Fil_j must equal W_(i+j), and
   the Frobenius eigenvalues on each graded piece of the N-filtration
-  must be pure of weight i+j.
+  must be pure of weight i+j.  For a commuting pair with pure Phi the
+  multiplicities of the weights and the ranks of the N^k decide it.
 
 Weight recognition is exact: a constant-term power-of-q test, the
 reciprocal functional equation, and a Sturm count on the trace
@@ -63,9 +64,10 @@ from .ratlin import (
     subspace_sum,
 )
 
-#: largest |i| that wmc-check takes; check_wmc compares the filtrations at
-#: about |i| indices and reports each mismatch, so time and report size
-#: grow linearly with it (the 2x2 Tate pair lists 1003 at the limit)
+#: largest |i| that wmc-check takes; a report that fact (c) of check_wmc
+#: does not decide compares the filtrations at about |i| indices and lists
+#: each mismatch, so its time and size grow linearly with |i| (the 2x2 Tate
+#: pair lists 1003 at the limit)
 DEGREE_LIMIT = 1000
 
 
@@ -189,11 +191,19 @@ class Filtration(
             return Subspace.full(self.ambient_dim)
         return self.pieces[j - self.lo]
 
+    def dim_at(self, j: int) -> int:
+        """dim Fil_j, with no subspace built outside the stored range."""
+        if j < self.lo:
+            return 0
+        if j > self.hi:
+            return self.ambient_dim
+        return self.pieces[j - self.lo].dim
+
     def jump_indices(self) -> list[int]:
         return [j for j in range(self.lo, self.hi + 1) if self.graded_dimension(j)]
 
     def graded_dimension(self, j: int) -> int:
-        return self.at(j).dim - self.at(j - 1).dim
+        return self.dim_at(j) - self.dim_at(j - 1)
 
     def __repr__(self) -> str:
         dims = ", ".join(f"{j}:{p.dim}" for j, p in enumerate(self.pieces, self.lo))
@@ -657,6 +667,27 @@ def check_commutation(n: NilpotentOperator, f: FrobeniusData) -> bool:
     return n.n_matrix * f.phi_matrix == (f.phi_matrix * n.n_matrix).scale(f.q)
 
 
+def _multiplicities(weights: list[tuple[int, RatPoly]], i: int) -> dict[int, int]:
+    """d_j = dim V_(i+j) = deg h_(i+j) at each j with d_j > 0, in increasing
+    j, from the sorted (weight, h) pairs of _weigh."""
+    return {w - i: h.degree for w, h in weights}
+
+
+def _dimensions_agree(n: NilpotentOperator, dims: dict[int, int]) -> bool:
+    """Fact (c) of check_wmc: whether d = `dims` is symmetric, d_j = d_(-j),
+    and rank N^k >= R_k(d) = sum over j of min(d_j, d_(j-2k)) for every k
+    from 1 to max j.  Every such k is tested, with R_k(d) = 0 or not: a gap
+    in the weights makes a later R_k(d) positive again.  N^k = 0 from the
+    nilpotency index on."""
+    if any(dims.get(-j) != m for j, m in dims.items()):
+        return False
+    for k in range(1, max(dims, default=0) + 1):
+        bound = sum(min(m, dims.get(j - 2 * k, 0)) for j, m in dims.items())
+        if bound and (k >= n.nilpotency_index or n.powers[k].rank() < bound):
+            return False
+    return True
+
+
 # ---------------------------------------------------------------------------
 # induced maps on graded pieces
 
@@ -700,7 +731,7 @@ def check_wmc(n: NilpotentOperator, f: FrobeniusData, i: int) -> WmcReport:
     preserves both Fil_j and Fil_(j-1), so that it induces a map there.
     Failures land in `violations`; nothing raises.
 
-    Two facts about the pieces:
+    Three facts:
 
     (a) If N Phi = q Phi N, Phi preserves every Fil_j: from
         Phi N^k = q^-k N^k Phi, Phi maps each ker N^a and im N^b into
@@ -708,12 +739,33 @@ def check_wmc(n: NilpotentOperator, f: FrobeniusData, i: int) -> WmcReport:
     (b) If Fil_j = W_(i+j) for every j, gr_j has the weights
         [(i+j, dim gr_j)]: the pieces are sums of Phi-stable weight
         components, so gr_j is Phi-isomorphic to the component of weight i+j.
+    (c) If N Phi = q Phi N and Phi is pure, let
+        d_j = dim V_(i+j) = deg h_(i+j) (_multiplicities).  Then
+        Fil_j = W_(i+j) for every j exactly when d is symmetric,
+        d_j = d_(-j), and rank N^k >= R_k(d) = sum over j of
+        min(d_j, d_(j-2k)) for every k >= 1 (_dimensions_agree).  N maps
+        V_w into V_(w-2), so N^k is the sum of its maps
+        V_(i+j) -> V_(i+j-2k), which land in different components: rank
+        N^k is the sum of their ranks, and so at most R_k(d).  If it
+        reaches R_k(d), each of them has full rank, and for a symmetric d
+        N^k : V_(i+k) -> V_(i-k) is an isomorphism.  Then the weight
+        filtration shifted by i has N W_(i+j) <= W_(i+j-2) and N^k an
+        isomorphism gr_k -> gr_(-k), which only the N-filtration has
+        (Deligne, Weil II, 1.6.1).  Conversely, if the filtrations agree,
+        d is the graded dimension of the N-filtration, which is symmetric,
+        and N, graded by the V_w, is a sum of strings of weights centred at
+        i: a string of length s gives max(s - k, 0) to rank N^k, and, as
+        the strings share their centre, to R_k(d) too.
 
-    Fact (b) decides the pieces without testing them.  Otherwise one
-    elimination per jump piece (induced_quotient_matrix) tells whether Phi
-    preserves Fil_j and gives the map on gr_j, which is weighed when
-    Fil_(j-1) is stable too.  Fact (a) needs no test of its own: a
-    commuting pair finds every piece stable in that same elimination.
+    Fact (c) decides a commuting pair with pure Phi from the degrees of
+    the h_j and the ranks of the N^k, with no subspace built, and fact (b)
+    then gives its report.  Every other pair builds both filtrations and
+    compares them index by index.  When they agree, fact (b) decides the
+    pieces without testing them.  Otherwise one elimination per jump piece
+    (induced_quotient_matrix) tells whether Phi preserves Fil_j and gives
+    the map on gr_j, which is weighed when Fil_(j-1) is stable too.  Fact
+    (a) needs no test of its own: a commuting pair finds every piece
+    stable in that same elimination.
     """
     if n.dimension != f.dimension:
         raise DimensionMismatch("operator dimensions differ")
@@ -722,38 +774,45 @@ def check_wmc(n: NilpotentOperator, f: FrobeniusData, i: int) -> WmcReport:
     if not commutation_ok:
         violations.append({"kind": "commutation", "detail": "N Phi != q Phi N"})
 
-    mono = monodromy_filtration(n)
-
-    weight_fil = None
+    weights = None
     try:
-        decomp = weight_decomposition(f)
-        weight_fil = weight_filtration(decomp)
+        weights = sorted(_weigh(char_poly(f.phi_matrix), f.q).items())
     except NotPureError as err:
         violations.append({"kind": "not_pure", "detail": str(err)})
+    else:
+        dims = _multiplicities(weights, i)
+        equal_weights = {j: [(i + j, m)] for j, m in dims.items()}  # fact (b)
+        if commutation_ok and _dimensions_agree(n, dims):  # fact (c)
+            return WmcReport(True, True, equal_weights, [])
 
+    mono = monodromy_filtration(n)
     filtrations_equal = False
-    if weight_fil is not None:
+    if weights is not None:
+        d = f.dimension
+        weight_fil = weight_filtration(
+            WeightDecomposition(d, _split(f.phi_matrix, Subspace.full(d), weights))
+        )
         lo = min(mono.lo, weight_fil.lo - i)
         hi = max(mono.hi, weight_fil.hi - i)
         mismatches = []
         for j in range(lo - 1, hi + 1):
-            mono_piece, weight_piece = mono.at(j), weight_fil.at(i + j)
-            if mono_piece != weight_piece:
+            mono_dim, weight_dim = mono.dim_at(j), weight_fil.dim_at(i + j)
+            # canonical pieces of equal dimension 0 or d are equal
+            if mono_dim != weight_dim or (0 < mono_dim < d and mono.at(j) != weight_fil.at(i + j)):
                 mismatches.append(
                     {
                         "kind": "filtration_mismatch",
                         "index": j,
-                        "monodromy_dim": mono_piece.dim,
+                        "monodromy_dim": mono_dim,
                         "weight_index": i + j,
-                        "weight_dim": weight_piece.dim,
+                        "weight_dim": weight_dim,
                     }
                 )
         violations.extend(mismatches)
         filtrations_equal = not mismatches
 
     if filtrations_equal:  # fact (b)
-        weights = {j: [(i + j, mono.graded_dimension(j))] for j in mono.jump_indices()}
-        return WmcReport(commutation_ok, filtrations_equal, weights, violations)
+        return WmcReport(commutation_ok, filtrations_equal, equal_weights, violations)
 
     graded_weights: dict[int, list[tuple[int, int]]] = {}
     below_stable = True  # Phi preserves Fil_(j-1), the previous jump's piece or 0

@@ -25,6 +25,9 @@ from wmtrop.monodromy import (
     NilpotentOperator,
     NotPureError,
     _weigh,
+    monodromy_filtration,
+    weight_decomposition,
+    weight_filtration,
     weil_weight,
 )
 from wmtrop.polyfactor import factor_rational
@@ -742,3 +745,25 @@ def graded_weights_every_piece(
                     }
                 )
     return graded_weights, violations, stable_at
+
+
+def filtration_mismatches(n: NilpotentOperator, f: FrobeniusData, i: int) -> list[dict]:
+    """check_wmc's filtration_mismatch violations by the full comparison:
+    both filtrations built, and Fil_j compared with W_(i+j) as subspaces
+    at every index of both ranges and one below.  Raises NotPureError when
+    Phi is not pure."""
+    mono = monodromy_filtration(n)
+    weight_fil = weight_filtration(weight_decomposition(f))
+    lo = min(mono.lo, weight_fil.lo - i)
+    hi = max(mono.hi, weight_fil.hi - i)
+    return [
+        {
+            "kind": "filtration_mismatch",
+            "index": j,
+            "monodromy_dim": mono.at(j).dim,
+            "weight_index": i + j,
+            "weight_dim": weight_fil.at(i + j).dim,
+        }
+        for j in range(lo - 1, hi + 1)
+        if mono.at(j) != weight_fil.at(i + j)
+    ]

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gens import load_workloads, swinnerton_dyer
+from oracles import filtration_mismatches
 from wmtrop import monodromy as mono
 from wmtrop import polyfactor as pf
 from wmtrop import tropbundle as tb
@@ -533,6 +534,23 @@ class TestErrorContract:
         monkeypatch.setattr(mono, "DEGREE_LIMIT", 3)
         for i, code in ((3, 1), (-3, 1), (4, 2), (-4, 2)):
             assert run(JobSpec("wmc-check", dict(TATE_WMC, i=i))).exit_code == code
+
+    def test_mismatches_outside_the_ranges_build_no_piece(self, monkeypatch):
+        # outside a filtration's stored range the comparison reads dimensions,
+        # so the 1001 mismatches of the Tate pair at the limit build no subspace
+        payload = dict(TATE_WMC, i=mono.DEGREE_LIMIT)
+        op = mono.NilpotentOperator(Matrix(payload["n"]))
+        frob = mono.FrobeniusData(Matrix(payload["phi"]), payload["q"])
+        expected = filtration_mismatches(op, frob, payload["i"])
+        built = []
+        original = Matrix._over
+        monkeypatch.setattr(
+            Matrix, "_over", classmethod(lambda cls, *args: built.append(1) or original(*args))
+        )
+        report = run(JobSpec("wmc-check", payload))
+        mismatches = report.payload["violations"][: len(expected)]
+        assert len(expected) == 1001 and mismatches == expected
+        assert len(built) == 22
 
     def test_dimension_is_bounded(self):
         def identity(d):

@@ -47,6 +47,7 @@ from oracles import (
     fraction_roots_in,
     fraction_rref,
     fraction_sign_changes,
+    filtration_mismatches,
     fraction_squarefree_decomposition,
     fraction_sturm_sequence,
     gaussian_det,
@@ -70,6 +71,7 @@ from wmtrop.monodromy import (
     FrobeniusData,
     NilpotentOperator,
     NotPureError,
+    WmcReport,
     _exact_q_power,
     _exactly_pure,
     _roots_in,
@@ -356,11 +358,176 @@ class TestWmcShortcuts:
         }
 
     def test_a_wrong_multiplicity_is_caught(self, monkeypatch):
+        # one more in every d_j: wherever N != 0, R_1(d) then exceeds rank N,
+        # so fact (c) refuses d and the full comparison runs
         rng = random.Random(181)
         centred = [c for c in _wmc_cases(rng, 4) if c[0] == "centred"]
-        original = Filtration.graded_dimension
-        monkeypatch.setattr(Filtration, "graded_dimension", lambda fil, j: original(fil, j) + 1)
+        original = monodromy._multiplicities
+        monkeypatch.setattr(
+            monodromy,
+            "_multiplicities",
+            lambda weights, i: {j: m + 1 for j, m in original(weights, i).items()},
+        )
+        built = []
+
+        def counted(op):
+            built.append(op)
+            return monodromy_filtration(op)
+
+        monkeypatch.setattr(monodromy, "monodromy_filtration", counted)
         assert not any(_against_every_piece(op, fd, i)[1] for _, op, fd, i in centred)
+        nonzero = [op for _, op, _, _ in centred if not op.n_matrix.is_zero()]
+        assert built == nonzero and 0 < len(nonzero) < len(centred)
+
+
+def _graded_pair(rng, q, dims, full_rank):
+    """(N, Phi) on a block of dims[w] coordinates at each even weight w:
+    Phi is q^(w/2) on the block of weight w, and N maps it into the block
+    of weight w - 2 by a random matrix, of the largest rank if full_rank
+    (almost always) and of a random rank otherwise, so N Phi = q Phi N.
+    Both are conjugated by one random invertible matrix."""
+    ws = sorted(dims)
+    start = dict(zip(ws, itertools.accumulate([0] + [dims[w] for w in ws])))
+    d = sum(dims.values())
+    n_rows = [[F(0)] * d for _ in range(d)]
+    phi_rows = [[F(0)] * d for _ in range(d)]
+    for w in ws:
+        for t in range(start[w], start[w] + dims[w]):
+            phi_rows[t][t] = F(q) ** (w // 2)
+        if w - 2 in dims:
+            rows, cols = dims[w - 2], dims[w]
+            rank = min(rows, cols) if full_rank else rng.randint(0, min(rows, cols))
+            if rank == 0:
+                continue
+            block = random_matrix(rng, rows, rank) * random_matrix(rng, rank, cols)
+            for r, row in enumerate(block.row_tuples):
+                n_rows[start[w - 2] + r][start[w] : start[w] + cols] = row
+    p = random_invertible(rng, d)
+    p_inv = p.inverse()
+    return p * Matrix(n_rows, cols=d) * p_inv, p * Matrix(phi_rows, cols=d) * p_inv
+
+
+def _graded_cases(rng, count):
+    """`count` (N, (Phi, q), i) from _graded_pair: half with d symmetric
+    about i, the weights i + j for a random set of j >= 0 with gaps and
+    their mirrors, and half on random even weights."""
+    cases = []
+    for t in range(count):
+        q, i = rng.choice([2, 3]), rng.randint(-2, 4)
+        if t % 2:
+            js = rng.sample(range(i % 2, 7, 2), rng.randint(1, 3))
+            dims = {}
+            for j in js:
+                dims[i + j] = dims[i - j] = rng.randint(1, 2)
+        else:
+            dims = {w: rng.randint(1, 2) for w in rng.sample(range(-2, 9, 2), rng.randint(1, 4))}
+        if sum(dims.values()) > 8:
+            continue
+        n_mat, phi = _graded_pair(rng, q, dims, full_rank=rng.random() < 0.7)
+        cases.append(("graded", NilpotentOperator(n_mat), FrobeniusData(phi, q), i))
+    return cases
+
+
+def _symmetric(dims):
+    return all(dims.get(-j) == m for j, m in dims.items())
+
+
+class TestDimensionTest:
+    """Fact (c) of check_wmc against the full comparison of the filtrations."""
+
+    def test_matches_the_full_comparison(self):
+        rng = random.Random(331)
+        empty = Matrix.zero(0, 0)
+        cases = _wmc_cases(rng, 10) + _graded_cases(rng, 160)
+        cases += [("empty", NilpotentOperator(empty), FrobeniusData(empty, 2), i) for i in (0, 3)]
+        # N = 0 and weights i -+ 1: R_1(d) = 1 at the nilpotency index 1
+        zero = NilpotentOperator(Matrix.zero(2, 2))
+        cases.append(("past_index", zero, FrobeniusData(Matrix.diagonal([1, 9]), 3), 1))
+        # gaps in the weights: R_1(d) is met, and R_2(d) = 1 at or past the index
+        for dims in ({0: 1, 4: 1}, {0: 1, 2: 1, 6: 1, 8: 1}):
+            n_mat, phi = _graded_pair(rng, 3, dims, full_rank=True)
+            i = (min(dims) + max(dims)) // 2
+            cases.append(("past_index", NilpotentOperator(n_mat), FrobeniusData(phi, 3), i))
+        seen = set()
+        for kind, op, fd, i in cases:
+            report = check_wmc(op, fd, i)
+            try:
+                mismatches = filtration_mismatches(op, fd, i)
+            except NotPureError:
+                assert any(v["kind"] == "not_pure" for v in report.violations)
+                continue
+            got = [v for v in report.violations if v["kind"] == "filtration_mismatch"]
+            assert got == mismatches, (kind, op.n_matrix, fd.phi_matrix, i)
+            assert report.filtrations_equal == (not mismatches)
+            if not check_commutation(op, fd):
+                continue
+            weights = sorted(_weigh(char_poly(fd.phi_matrix), fd.q).items())
+            dims = monodromy._multiplicities(weights, i)
+            decided = monodromy._dimensions_agree(op, dims)
+            assert decided == (not mismatches), (kind, op.n_matrix, fd.phi_matrix, i)
+            if decided:  # the report of fact (b) on the full path
+                mono = monodromy_filtration(op)
+                weights = {j: [(i + j, mono.graded_dimension(j))] for j in mono.jump_indices()}
+                assert report == WmcReport(True, True, weights, [])
+            short = _symmetric(dims) and not decided
+            seen.add((kind, decided, short, op.nilpotency_index > 1))
+        assert seen >= {
+            ("centred", True, False, True),
+            ("centred", True, False, False),
+            ("uncentred", False, False, True),
+            ("empty", True, False, False),
+            ("past_index", False, True, False),
+            ("past_index", False, True, True),
+            ("graded", True, False, True),
+            ("graded", False, True, True),  # symmetric, but rank N^k short of R_k(d)
+            ("graded", False, False, True),
+        }
+
+    def test_a_gap_in_the_weights_is_not_skipped(self):
+        # d = {-2: 1, 2: 1}: R_1(d) = 0, but R_2(d) = 1 > rank N^2 = 0
+        report = check_wmc(
+            NilpotentOperator(Matrix.zero(2, 2)), FrobeniusData(Matrix.diagonal([1, 4]), 2), 2
+        )
+        mismatches = [
+            {
+                "kind": "filtration_mismatch",
+                "index": j,
+                "monodromy_dim": m,
+                "weight_index": 2 + j,
+                "weight_dim": 1,
+            }
+            for j, m in ((-2, 0), (-1, 0), (0, 2), (1, 2))
+        ]
+        graded = [
+            {"kind": "graded_weight", "index": 0, "weight": w, "multiplicity": 1, "expected": 2}
+            for w in (0, 4)
+        ]
+        assert report == WmcReport(True, False, {0: [(0, 1), (4, 1)]}, mismatches + graded)
+
+    def test_counts_on_the_benchmark_jobs(self, monkeypatch):
+        # a passing job builds no filtration; a failing commuting one takes
+        # the characteristic polynomial of Phi and weighs it once
+        workloads = load_workloads()
+        args = {"monodromy_filtration": [], "_split": [], "char_poly": [], "_weigh": []}
+        for name, seen in args.items():
+            fn = getattr(monodromy, name)
+            monkeypatch.setattr(
+                monodromy, name, lambda *a, fn=fn, seen=seen: seen.append(a[0]) or fn(*a)
+            )
+        for variant in ("pass", "wrong_i"):
+            for seen in args.values():
+                seen.clear()
+            job = workloads._wmc_job(random.Random(13), 3, 2, variant)
+            report = cli.run(cli.JobSpec(job.command, job.payload)).to_dict()
+            assert job.oracle(report) is None
+            phi = cli.parse_matrix(job.payload["phi"], "phi")
+            weighed = [cp for cp in args["_weigh"] if cp.degree == phi.rows]
+            assert [m for m in args["char_poly"] if m.rows == phi.rows] == [phi]
+            assert weighed == [char_poly(phi)]
+            if variant == "pass":
+                assert args["monodromy_filtration"] == args["_split"] == []
+            else:
+                assert len(args["monodromy_filtration"]) == 1 and args["_split"]
 
 
 def _needs_swaps(rng, n):
