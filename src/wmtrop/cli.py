@@ -110,19 +110,46 @@ def parse_matrix(value: Any, fieldname: str = "matrix") -> Matrix:
             raise SchemaError(
                 fieldname, f"{count} {what} are above the dimension limit {DIMENSION_LIMIT}"
             )
-    rows = []
-    for i, r in enumerate(value):
-        row = []
-        for j, x in enumerate(r):
-            try:
-                row.append(_rational_ints(x, fieldname))
-            except SchemaError:
-                _rational_ints(x, f"{fieldname}[{i}][{j}]")  # raises again, naming the entry
-        rows.append(row)
+    rows = [_matrix_row(r, i, fieldname) for i, r in enumerate(value)]
     if not rows:
         raise SchemaError(fieldname, "matrix must have at least one row")
-    den = math.lcm(*[b for row in rows for _, b in row])
-    return Matrix._over([[a * (den // b) for a, b in row] for row in rows], den, len(rows[0]))
+    den = math.lcm(*[b for _, b in rows])
+    return Matrix._over(
+        [row if b == den else [a * (den // b) for a in row] for row, b in rows], den, len(value[0])
+    )
+
+
+#: a row of integer strings joined by NUL, a character no integer string holds
+_INT_ROW_RE = re.compile(r"[+-]?\d+(?:\x00[+-]?\d+)*")
+
+
+def _matrix_row(row: list, i: int, fieldname: str) -> tuple[list[int], int]:
+    """(nums, den) with row i of a matrix == nums / den.
+
+    A row of integer strings with no padding is tested in one match of
+    its entries joined by NUL and read with int(), over den 1.  Every
+    other row, and one with more digits than int() converts, is read
+    entry by entry, so that a SchemaError names the first bad entry.
+    """
+    try:
+        text = "\x00".join(row)
+    except TypeError:  # an entry that is not a string: an int, a bool, ...
+        pass
+    else:
+        # as many parts as entries: no entry holds a NUL, and each part is a plain str
+        if _INT_ROW_RE.fullmatch(text) and len(parts := text.split("\x00")) == len(row):
+            try:
+                return list(map(int, parts)), 1
+            except ValueError:  # more digits than int() converts
+                pass
+    pairs = []
+    for j, x in enumerate(row):
+        try:
+            pairs.append(_rational_ints(x, fieldname))
+        except SchemaError:
+            _rational_ints(x, f"{fieldname}[{i}][{j}]")  # raises again, naming the entry
+    den = math.lcm(*[b for _, b in pairs])
+    return [a * (den // b) for a, b in pairs], den
 
 
 def serialize_matrix(m: Matrix) -> list[list[str]]:

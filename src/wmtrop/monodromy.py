@@ -37,7 +37,9 @@ factor.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import NamedTuple, Sequence
 
 from .polyfactor import _divide, _mx_gcd, factor_rational
@@ -92,26 +94,36 @@ class NotPureError(ValueError):
 class NilpotentOperator(
     NamedTuple(
         "NilpotentOperator",
-        [("n_matrix", Matrix), ("nilpotency_index", int), ("powers", tuple[Matrix, ...])],
+        [("n_matrix", Matrix), ("nilpotency_index", int), ("ranks", tuple[int, ...])],
     )
 ):
-    """Square matrix N with N^dim = 0, its nilpotency index, and its nonzero
-    powers N^0, ..., N^(index-1) in `powers`, both derived from N."""
+    """Square matrix N with N^dim = 0, its nilpotency index, and the ranks
+    of N^0, ..., N^index in `ranks`, N's Jordan type, both derived from N.
+
+    The ranks come from a shrinking chain of row spaces, with no power of
+    N multiplied out: the row space of N^(k+1) is that of E_k N, where E_k
+    is an echelon basis of the row space of N^k (E_0 N is N itself), so
+    each step is one product of r_k x d by d x d and one elimination of
+    its r_k rows.  The chain stops at rank 0, after index steps.  The row
+    spaces are nested, so a rank that stops falling short of 0 stays
+    there, and N is not nilpotent."""
 
     __slots__ = ()
 
     def __new__(cls, n_matrix: Matrix):
         if not n_matrix.is_square():
             raise DimensionMismatch("nilpotent operator must be square")
-        d = n_matrix.rows
-        powers = [Matrix.identity(d)]
-        while not powers[-1].is_zero():
-            if len(powers) > d:
+        cols = _columns(n_matrix._num, n_matrix.cols)
+        ranks, rows = [n_matrix.rows], n_matrix._num
+        while ranks[-1]:
+            ints, pivots, _, _ = _echelon(rows)
+            if len(pivots) == ranks[-1]:
                 raise NotNilpotentError("matrix is not nilpotent")
-            powers.append(powers[-1] * n_matrix)
-        return super().__new__(cls, n_matrix, len(powers) - 1, tuple(powers[:-1]))
+            ranks.append(len(pivots))
+            rows = _int_product(ints[: len(pivots)], cols)
+        return super().__new__(cls, n_matrix, len(ranks) - 1, tuple(ranks))
 
-    # copy and pickle rebuild from N alone, so the checks and powers run again
+    # copy and pickle rebuild from N alone, so the checks and ranks run again
     def __getnewargs__(self):
         return (self.n_matrix,)
 
@@ -123,19 +135,30 @@ class NilpotentOperator(
         return f"NilpotentOperator(dim {self.dimension}, index {self.nilpotency_index})"
 
 
-class FrobeniusData(NamedTuple("FrobeniusData", [("phi_matrix", Matrix), ("q", int)])):
-    """Invertible Frobenius matrix together with the residue cardinality q."""
+class FrobeniusData(
+    NamedTuple(
+        "FrobeniusData", [("phi_matrix", Matrix), ("q", int), ("char_poly", RatPoly)]
+    )
+):
+    """Invertible Frobenius matrix together with the residue cardinality q,
+    and Phi's characteristic polynomial, derived from Phi.  Phi is
+    invertible exactly when the constant term, +-det Phi, is not 0."""
 
     __slots__ = ()
 
     def __new__(cls, phi_matrix, q):
         if not phi_matrix.is_square():
             raise DimensionMismatch("Frobenius matrix must be square")
-        if phi_matrix.rank() < phi_matrix.rows:
+        cp = char_poly(phi_matrix)
+        if not cp._num[0]:
             raise ValueError("Frobenius matrix must be invertible")
         if not isinstance(q, int) or q < 2:
             raise ValueError("q must be an integer >= 2")
-        return super().__new__(cls, phi_matrix, q)
+        return super().__new__(cls, phi_matrix, q, cp)
+
+    # copy and pickle rebuild from Phi and q, so the checks and char_poly run again
+    def __getnewargs__(self):
+        return (self.phi_matrix, self.q)
 
     @property
     def dimension(self) -> int:
@@ -237,6 +260,11 @@ class WmcReport(NamedTuple):
 # logarithm / exponential of unipotent and nilpotent matrices
 
 
+def _powers(n: NilpotentOperator) -> list[Matrix]:
+    """The exact powers N^1, ..., N^(index-1), the nonzero ones past N^0."""
+    return list(accumulate(repeat(n.n_matrix, n.nilpotency_index - 1), operator.mul))
+
+
 def log_unipotent(u: Matrix) -> NilpotentOperator:
     """Nilpotent logarithm of a unipotent matrix, as a finite series."""
     if not u.is_square():
@@ -246,8 +274,8 @@ def log_unipotent(u: Matrix) -> NilpotentOperator:
     except NotNilpotentError:
         raise NotUnipotentError("matrix minus identity is not nilpotent") from None
     out = Matrix.zero(u.rows, u.rows)
-    for k in range(1, x.nilpotency_index):
-        out = out + x.powers[k].scale(Fraction((-1) ** (k + 1), k))
+    for k, power in enumerate(_powers(x), 1):
+        out = out + power.scale(Fraction((-1) ** (k + 1), k))
     return NilpotentOperator(out)
 
 
@@ -255,9 +283,9 @@ def exp_nilpotent(n: NilpotentOperator) -> Matrix:
     """Exact exponential of a nilpotent operator (the series terminates)."""
     out = Matrix.identity(n.dimension)
     fact = 1
-    for k in range(1, n.nilpotency_index):
+    for k, power in enumerate(_powers(n), 1):
         fact *= k
-        out = out + n.powers[k].scale(Fraction(1, fact))
+        out = out + power.scale(Fraction(1, fact))
     return out
 
 
@@ -280,10 +308,11 @@ def monodromy_filtration(n: NilpotentOperator) -> Filtration:
     if d == 0:
         return Filtration.trivial(0)
     n_rows = n.n_matrix._num  # the columns of N^T: row b of Fil_(j+2) maps to b N^T
+    powers = _powers(n)  # N^(j+1) at j
     fil = [Subspace.full(d), Subspace.full(d)]  # Fil_index, Fil_(index-1), ... downward
     for j in range(top - 2, -top, -1):
         # raw null space vectors: the one span below brings everything to canonical form
-        kers = _nullspace_ints(n.powers[j + 1])[0] if j >= 0 else ()
+        kers = _nullspace_ints(powers[j])[0] if j >= 0 else ()
         fil.append(_span_ints(d, [*kers, *_int_product(fil[-2].basis._num, n_rows)]))
     # both ends are jumps: gr_(1-index) = im N^(index-1) is not 0, and N^(index-1)
     # maps gr_(index-1) onto it
@@ -595,7 +624,7 @@ def weight_decomposition(f: FrobeniusData) -> WeightDecomposition:
     d = f.dimension
     if d == 0:
         return WeightDecomposition(0, {})
-    weights = sorted(_weigh(char_poly(f.phi_matrix), f.q).items())
+    weights = sorted(_weigh(f.char_poly, f.q).items())
     return WeightDecomposition(d, _split(f.phi_matrix, Subspace.full(d), weights))
 
 
@@ -677,13 +706,14 @@ def _dimensions_agree(n: NilpotentOperator, dims: dict[int, int]) -> bool:
     """Fact (c) of check_wmc: whether d = `dims` is symmetric, d_j = d_(-j),
     and rank N^k >= R_k(d) = sum over j of min(d_j, d_(j-2k)) for every k
     from 1 to max j.  Every such k is tested, with R_k(d) = 0 or not: a gap
-    in the weights makes a later R_k(d) positive again.  N^k = 0 from the
-    nilpotency index on."""
+    in the weights makes a later R_k(d) positive again.  n.ranks ends at
+    rank N^index = 0, and N^k = 0 past it too."""
     if any(dims.get(-j) != m for j, m in dims.items()):
         return False
+    ranks = n.ranks
     for k in range(1, max(dims, default=0) + 1):
         bound = sum(min(m, dims.get(j - 2 * k, 0)) for j, m in dims.items())
-        if bound and (k >= n.nilpotency_index or n.powers[k].rank() < bound):
+        if bound and (k >= len(ranks) or ranks[k] < bound):
             return False
     return True
 
@@ -776,7 +806,7 @@ def check_wmc(n: NilpotentOperator, f: FrobeniusData, i: int) -> WmcReport:
 
     weights = None
     try:
-        weights = sorted(_weigh(char_poly(f.phi_matrix), f.q).items())
+        weights = sorted(_weigh(f.char_poly, f.q).items())
     except NotPureError as err:
         violations.append({"kind": "not_pure", "detail": str(err)})
     else:

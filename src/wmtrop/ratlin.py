@@ -263,9 +263,6 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_zero(self) -> bool:
-        return not any(map(any, self._num))
-
     def is_integral(self) -> bool:
         return self._den == 1
 

@@ -63,6 +63,18 @@ def random_subspace(rng: random.Random, ambient: int) -> Subspace:
     return Subspace.span(ambient, [[random_fraction(rng) for _ in range(ambient)] for _ in range(k)])
 
 
+def jordan_matrix(sizes: list[int]) -> Matrix:
+    """The direct sum of nilpotent Jordan blocks of the given sizes."""
+    d = sum(sizes)
+    rows = [[0] * d for _ in range(d)]
+    pos = 0
+    for s in sizes:
+        for i in range(s - 1):
+            rows[pos + i][pos + i + 1] = 1
+        pos += s
+    return Matrix(rows, cols=d)
+
+
 def random_jordan_nilpotent(rng: random.Random, dim: int) -> tuple[Matrix, list[int]]:
     """Nilpotent matrix with known Jordan type, conjugated by a random basis."""
     blocks = []
@@ -71,13 +83,7 @@ def random_jordan_nilpotent(rng: random.Random, dim: int) -> tuple[Matrix, list[
         b = rng.randint(1, remaining)
         blocks.append(b)
         remaining -= b
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    pos = 0
-    for b in blocks:
-        for i in range(b - 1):
-            rows[pos + i][pos + i + 1] = Fraction(1)
-        pos += b
-    j = Matrix(rows)
+    j = jordan_matrix(blocks)
     p = random_invertible(rng, dim)
     return p * j * p.inverse(), sorted(blocks, reverse=True)
 

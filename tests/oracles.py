@@ -19,6 +19,7 @@ from itertools import zip_longest
 
 import mpmath
 
+from wmtrop.cli import DIMENSION_LIMIT, SchemaError, _rational_ints
 from wmtrop.monodromy import (
     Filtration,
     FrobeniusData,
@@ -130,6 +131,28 @@ def fraction_product(a: Matrix, b: Matrix) -> Matrix:
             out_row.append(acc)
         out.append(out_row)
     return Matrix(out, cols=b.cols)
+
+
+def fraction_power(m: Matrix, k: int) -> Matrix:
+    """m^k, for a square m and k >= 0, by k fraction_products."""
+    out = Matrix.identity(m.rows)
+    for _ in range(k):
+        out = fraction_product(out, m)
+    return out
+
+
+def power_ranks(n_matrix: Matrix) -> tuple[int, ...] | None:
+    """(rank N^0, ..., rank N^index) of a nilpotent N, each power by
+    fraction_product and each rank by fraction_rank, or None when
+    N^d != 0, d = dim, so that N is not nilpotent."""
+    d = n_matrix.rows
+    power, ranks = Matrix.identity(d), [d]
+    while ranks[-1]:
+        if len(ranks) > d:
+            return None
+        power = fraction_product(power, n_matrix)
+        ranks.append(fraction_rank(power.row_tuples))
+    return tuple(ranks)
 
 
 def fraction_det(m: Matrix) -> Fraction:
@@ -687,7 +710,7 @@ def graded_map_is_bijective(n: NilpotentOperator, fil: Filtration, j: int) -> bo
     if j >= n.nilpotency_index:
         return False  # N^j = 0 kills a nonzero graded piece
     induced = solve_induced_matrix(
-        n.powers[j], fil.at(j), fil.at(j - 1), fil.at(-j), fil.at(-j - 1)
+        fraction_power(n.n_matrix, j), fil.at(j), fil.at(j - 1), fil.at(-j), fil.at(-j - 1)
     )
     return fraction_rank(induced.row_tuples) == dim_src
 
@@ -767,3 +790,30 @@ def filtration_mismatches(n: NilpotentOperator, f: FrobeniusData, i: int) -> lis
         for j in range(lo - 1, hi + 1)
         if mono.at(j) != weight_fil.at(i + j)
     ]
+
+
+def parse_matrix_by_entry(value, fieldname: str = "matrix") -> Matrix:
+    """cli.parse_matrix with every entry read on its own by
+    cli._rational_ints, as before integer rows were read in one match."""
+    if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
+        raise SchemaError(fieldname, "expected an array of arrays")
+    if value and any(len(r) != len(value[0]) for r in value):
+        raise SchemaError(fieldname, "ragged matrix")
+    for count, what in ((len(value), "rows"), (len(value[0]) if value else 0, "columns")):
+        if count > DIMENSION_LIMIT:
+            raise SchemaError(
+                fieldname, f"{count} {what} are above the dimension limit {DIMENSION_LIMIT}"
+            )
+    rows = []
+    for i, r in enumerate(value):
+        row = []
+        for j, x in enumerate(r):
+            try:
+                row.append(_rational_ints(x, fieldname))
+            except SchemaError:
+                _rational_ints(x, f"{fieldname}[{i}][{j}]")  # raises again, naming the entry
+        rows.append(row)
+    if not rows:
+        raise SchemaError(fieldname, "matrix must have at least one row")
+    entries = [[Fraction(a, b) for a, b in row] for row in rows]
+    return Matrix(entries, cols=len(rows[0]))

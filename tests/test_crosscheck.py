@@ -23,12 +23,14 @@ from fractions import Fraction as F
 import pytest
 
 from gens import (
+    jordan_matrix,
     load_workloads,
     random_fraction,
     random_invertible,
     random_lattice,
     random_matrix,
     random_subspace,
+    random_unimodular,
     random_wmc_pair,
     weight_block,
 )
@@ -61,6 +63,7 @@ from oracles import (
     long_product,
     long_sum,
     numeric_weil_weight,
+    power_ranks,
     rational_gcd_fold,
     solve_induced_matrix,
     verify_section_by_corner_value,
@@ -70,6 +73,7 @@ from wmtrop.monodromy import (
     Filtration,
     FrobeniusData,
     NilpotentOperator,
+    NotNilpotentError,
     NotPureError,
     WmcReport,
     _exact_q_power,
@@ -129,17 +133,11 @@ def _outcome(fn, *args):
         return "raises"
 
 
-def _jordan_sum(rng, sizes):
-    """Direct sum of nilpotent Jordan blocks of the given sizes, conjugated."""
-    d = sum(sizes)
-    rows = [[0] * d for _ in range(d)]
-    pos = 0
-    for s in sizes:
-        for i in range(s - 1):
-            rows[pos + i][pos + i + 1] = 1
-        pos += s
-    p = random_invertible(rng, d)
-    return p * Matrix(rows) * p.inverse()
+def _jordan_sum(rng, sizes, p=None):
+    """Direct sum of nilpotent Jordan blocks of the given sizes, conjugated
+    by p, a random invertible integer matrix by default."""
+    p = p or random_invertible(rng, sum(sizes))
+    return p * jordan_matrix(sizes) * p.inverse()
 
 
 class TestOracleAgreement:
@@ -376,7 +374,7 @@ class TestWmcShortcuts:
 
         monkeypatch.setattr(monodromy, "monodromy_filtration", counted)
         assert not any(_against_every_piece(op, fd, i)[1] for _, op, fd, i in centred)
-        nonzero = [op for _, op, _, _ in centred if not op.n_matrix.is_zero()]
+        nonzero = [op for _, op, _, _ in centred if op.nilpotency_index > 1]
         assert built == nonzero and 0 < len(nonzero) < len(centred)
 
 
@@ -505,8 +503,8 @@ class TestDimensionTest:
         assert report == WmcReport(True, False, {0: [(0, 1), (4, 1)]}, mismatches + graded)
 
     def test_counts_on_the_benchmark_jobs(self, monkeypatch):
-        # a passing job builds no filtration; a failing commuting one takes
-        # the characteristic polynomial of Phi and weighs it once
+        # a passing job builds no filtration; each job takes the characteristic
+        # polynomial of Phi once, in FrobeniusData, and weighs it once
         workloads = load_workloads()
         args = {"monodromy_filtration": [], "_split": [], "char_poly": [], "_weigh": []}
         for name, seen in args.items():
@@ -528,6 +526,82 @@ class TestDimensionTest:
                 assert args["monodromy_filtration"] == args["_split"] == []
             else:
                 assert len(args["monodromy_filtration"]) == 1 and args["_split"]
+
+
+def _counting_echelon(monkeypatch, limit):
+    """Count monodromy's _echelon calls in the returned list, and fail at
+    call limit + 1, so that a chain that never stops fails, not hangs."""
+    calls, echelon = [], ratlin._echelon
+
+    def counting(rows):
+        calls.append(len(rows))
+        assert len(calls) <= limit, "the rank chain ran past its bound"
+        return echelon(rows)
+
+    monkeypatch.setattr(monodromy, "_echelon", counting)
+    return calls
+
+
+class TestRankChain:
+    """NilpotentOperator's shrinking chain of row spaces against the ranks
+    of the Fraction powers (oracles.power_ranks)."""
+
+    def test_matches_the_ranks_of_the_powers(self, monkeypatch):
+        rng = random.Random(211)
+        seen = set()
+        for _ in range(80):
+            d = rng.randint(1, 8)
+            sizes = []
+            while sum(sizes) < d:
+                sizes.append(rng.randint(1, d - sum(sizes)))
+            kind = rng.choice(["integer", "rational", "scaled", "graded"])
+            if kind == "integer":  # a unimodular p has an integral inverse
+                n_mat = _jordan_sum(rng, sizes, random_unimodular(rng, d))
+            elif kind == "rational":
+                n_mat = _jordan_sum(rng, sizes)
+            elif kind == "scaled":
+                n_mat = _jordan_sum(rng, sizes).scale(random_fraction(rng) or F(1, 3))
+            else:
+                n_mat = random_wmc_pair(rng, 3, max_dim=8)[0]
+            calls = _counting_echelon(monkeypatch, n_mat.rows + 1)
+            op = NilpotentOperator(n_mat)
+            ranks = power_ranks(n_mat)
+            assert op.ranks == ranks and op.nilpotency_index == len(ranks) - 1, n_mat
+            assert len(calls) == op.nilpotency_index  # one elimination per step
+            seen.add((kind, n_mat.is_integral(), op.nilpotency_index > 2))
+        assert {("integer", True, True), ("rational", False, True), ("scaled", False, True)} <= seen
+        assert any(kind == "graded" and deep for kind, _, deep in seen)
+
+    def test_refuses_what_is_not_nilpotent(self, monkeypatch):
+        rng = random.Random(223)
+        nil = _jordan_sum(rng, [3, 1])  # ranks 4, 2, 1, 0
+        p = random_invertible(rng, 6)
+        cases = {
+            "invertible": (random_invertible(rng, 4), 1),
+            "scalar": (Matrix.diagonal([F(2, 3)] * 3), 1),
+            # ranks 6, 4, 3, 2, 2: the chain stalls at rank 2 after four steps
+            "nilpotent + invertible": (_block_diagonal([nil, random_invertible(rng, 2)]), 4),
+            "conjugated": (p * _block_diagonal([nil, Matrix.diagonal([1, -1])]) * p.inverse(), 4),
+        }
+        for name, (n_mat, steps) in cases.items():
+            assert power_ranks(n_mat) is None, name
+            calls = _counting_echelon(monkeypatch, n_mat.rows + 1)
+            with pytest.raises(NotNilpotentError) as err:
+                NilpotentOperator(n_mat)
+            assert str(err.value) == "matrix is not nilpotent"
+            assert len(calls) == steps, name
+
+    def test_an_invertible_operator_is_refused_after_one_elimination(self, monkeypatch):
+        # a dense invertible 64 x 64 N: unit upper triangular, its rows
+        # shuffled so that the elimination must swap
+        rng = random.Random(227)
+        d = 64
+        rows = [[int(i == j) or rng.randint(-3, 3) * (j > i) for j in range(d)] for i in range(d)]
+        rng.shuffle(rows)
+        calls = _counting_echelon(monkeypatch, 1)
+        with pytest.raises(NotNilpotentError, match="^matrix is not nilpotent$"):
+            NilpotentOperator(Matrix(rows))
+        assert calls == [d]
 
 
 def _needs_swaps(rng, n):

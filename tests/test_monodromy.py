@@ -3,8 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from gens import count_fractions, random_jordan_nilpotent, random_unipotent, random_wmc_pair
-from oracles import graded_map_is_bijective, jordan_filtration_pieces
+from gens import (
+    count_fractions,
+    jordan_matrix,
+    random_jordan_nilpotent,
+    random_unipotent,
+    random_wmc_pair,
+)
+from oracles import graded_map_is_bijective, jordan_filtration_pieces, power_ranks
 from wmtrop import monodromy
 from wmtrop.monodromy import (
     Filtration,
@@ -37,7 +43,7 @@ TATE_PHI = Matrix.diagonal([1, 5])
 
 class TestLogExp:
     def test_log_identity(self):
-        assert log_unipotent(Matrix.identity(3)).n_matrix.is_zero()
+        assert log_unipotent(Matrix.identity(3)).n_matrix == Matrix.zero(3, 3)
 
     def test_log_single_block(self):
         got = log_unipotent(Matrix([[1, 1], [0, 1]]))
@@ -68,17 +74,24 @@ class TestNilpotentOperator:
         with pytest.raises(NotNilpotentError):
             NilpotentOperator(Matrix.identity(2))
 
-    def test_powers_are_the_nonzero_powers(self):
+    def test_ranks_are_the_jordan_type(self):
+        # rank N^k = sum over the Jordan blocks of max(s - k, 0), for k from 0
+        # to the index, the largest block; each against the Fraction powers too
         rng = random.Random(53)
+        cases = [(Matrix.zero(d, d), [1] * d) for d in (1, 3)]
+        for sizes in ([1], [2], [3, 1], [4, 2, 2], [3, 3, 1]):
+            cases.append((jordan_matrix(sizes), sizes))
         for _ in range(20):
-            n_mat, blocks = random_jordan_nilpotent(rng, rng.randint(1, 6))
+            cases.append(random_jordan_nilpotent(rng, rng.randint(1, 6)))  # conjugated
+        for n_mat, blocks in cases:
             op = NilpotentOperator(n_mat)
-            assert op.nilpotency_index == blocks[0]
-            powers = [Matrix.identity(n_mat.rows)]
-            while len(powers) < blocks[0]:
-                powers.append(powers[-1] * n_mat)
-            assert op.powers == tuple(powers)
-        assert NilpotentOperator(Matrix([], cols=0)).powers == ()
+            index = max(blocks)
+            assert op.nilpotency_index == index
+            assert op.ranks == tuple(sum(max(s - k, 0) for s in blocks) for k in range(index + 1))
+            assert op.ranks == power_ranks(n_mat)
+        empty = NilpotentOperator(Matrix([], cols=0))
+        assert (empty.nilpotency_index, empty.ranks) == (0, (0,))
+        assert power_ranks(empty.n_matrix) == (0,)
 
 
 class TestMonodromyFiltration:

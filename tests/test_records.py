@@ -3,8 +3,9 @@ check their fields in `__new__`.
 
 Every way of building a record again, `copy.copy`, `copy.deepcopy` and a
 pickle round trip included, goes back through `__new__`, so the checks run
-again and derived fields, such as the powers of a `NilpotentOperator`, are
-derived again; only `NamedTuple._replace` and `_make` skip them, and the
+again and derived fields, such as the ranks of the powers of a
+`NilpotentOperator` and the characteristic polynomial of `FrobeniusData`,
+are derived again; only `NamedTuple._replace` and `_make` skip them, and the
 package calls neither on a validated record.  A validated record keeps one
 stored form per value, with a tuple of its own wherever a caller may pass a
 list, a generator or another sequence, so it hashes and compares by its
@@ -30,7 +31,7 @@ from wmtrop.monodromy import (
     WmcReport,
     monodromy_filtration,
 )
-from wmtrop.ratlin import DimensionMismatch, Matrix, RatPoly, Subspace
+from wmtrop.ratlin import DimensionMismatch, Matrix, RatPoly, Subspace, char_poly
 from wmtrop.tropbundle import BundleData, FaceTransition, SectionReport, TropicalSection
 from wmtrop.troplattice import (
     CellWidth,
@@ -174,6 +175,8 @@ def test_no_mutable_defaults():
          "Frobenius matrix must be square"),
         (lambda: FrobeniusData(Matrix([[1]]), 1), ValueError, "q must be an integer >= 2"),
         (lambda: FrobeniusData(Matrix([[1]]), F(5)), ValueError, "q must be an integer >= 2"),
+        (lambda: FrobeniusData(Matrix([[1, 2], [2, 4]]), 5), ValueError,
+         "Frobenius matrix must be invertible"),
         (lambda: TropicalSection(F(1), (True, False), F(0), 0, F(1)), ValueError,
          "slopes must be integers"),
         (lambda: TropicalSection(F(1), (1, True), 0, 0, 0), ValueError, "slopes must be integers"),
@@ -229,3 +232,38 @@ def test_filtration_copies_pickles_and_compares_across_ranges(monkeypatch):
     for again in _rebuilt_through_new(a, monkeypatch):
         assert type(again) is Filtration and again == a and hash(again) == hash(a)
         assert all(again.at(j) == a.at(j) for j in range(lo - 1, hi + 2))
+
+
+def test_frobenius_checks_keep_their_order():
+    # square, then invertible, then q: the characteristic polynomial that
+    # tests invertibility runs between the first two checks and the last
+    singular = Matrix([[1, 2], [2, 4]])
+    cases = [
+        (lambda: FrobeniusData(Matrix([[0, 0]]), 1), DimensionMismatch,
+         "Frobenius matrix must be square"),
+        (lambda: FrobeniusData(singular, 1), ValueError, "Frobenius matrix must be invertible"),
+        (lambda: FrobeniusData(Matrix.zero(3, 3), F(5)), ValueError,
+         "Frobenius matrix must be invertible"),
+        (lambda: FrobeniusData(Matrix([[0, 1], [1, 0]]), True), ValueError,
+         "q must be an integer >= 2"),
+    ]  # fmt: skip
+    for build, error, message in cases:
+        with pytest.raises(error) as err:
+            build()
+        assert type(err.value) is error and str(err.value) == message
+
+
+def test_frobenius_data_derives_its_characteristic_polynomial(monkeypatch):
+    phis = [
+        Matrix([], cols=0),
+        Matrix([[F(-2, 3)]]),
+        Matrix([[1, 0], [0, 5]]),
+        Matrix([[0, -5], [1, 1]]),
+        Matrix([[F(1, 2), 3, 0], [1, F(-7, 4), 2], [0, 5, 9]]),
+    ]
+    for phi in phis:
+        f = FrobeniusData(phi, 5)
+        assert f.char_poly == char_poly(phi) and f == (phi, 5, char_poly(phi))
+        for again in _rebuilt_through_new(f, monkeypatch):
+            assert again.char_poly == char_poly(phi) and again == f
+        monkeypatch.undo()
