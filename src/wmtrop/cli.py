@@ -396,7 +396,7 @@ def _cmd_wmc_check(payload: dict) -> Report:
     if abs(i) > mono.DEGREE_LIMIT:
         raise SchemaError("i", f"|i| is above the degree limit {mono.DEGREE_LIMIT}")
     op = mono.NilpotentOperator(n_mat)
-    frob = mono.FrobeniusData(phi, q)
+    frob = mono.FrobeniusData(phi, q, op)
     try:
         report = mono.check_wmc(op, frob, i)
     except RecombinationLimitError as err:

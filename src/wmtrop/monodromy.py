@@ -39,10 +39,11 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, repeat
 from typing import NamedTuple, Sequence
 
-from .polyfactor import _divide, _mx_gcd, factor_rational
+from .polyfactor import RecombinationLimitError, _divide, _mx_gcd, factor_rational
 from .ratlin import (
     DimensionMismatch,
     Matrix,
@@ -58,6 +59,7 @@ from .ratlin import (
     _int_prem,
     _int_product,
     _int_sub,
+    _null_vectors,
     _nullspace_ints,
     _pivot_columns,
     _primitive,
@@ -94,36 +96,44 @@ class NotPureError(ValueError):
 class NilpotentOperator(
     NamedTuple(
         "NilpotentOperator",
-        [("n_matrix", Matrix), ("nilpotency_index", int), ("ranks", tuple[int, ...])],
+        [
+            ("n_matrix", Matrix),
+            ("nilpotency_index", int),
+            ("row_spaces", tuple[Subspace, ...]),
+        ],
     )
 ):
-    """Square matrix N with N^dim = 0, its nilpotency index, and the ranks
-    of N^0, ..., N^index in `ranks`, N's Jordan type, both derived from N.
+    """Square matrix N with N^dim = 0, its nilpotency index, and the row
+    spaces of N^0, ..., N^index in `row_spaces`, as canonical subspaces,
+    both derived from N.  ker N^k is the null space of row_spaces[k], read
+    off its RREF (_null_vectors) with no elimination, and `ranks`, N's
+    Jordan type, are their dimensions.
 
-    The ranks come from a shrinking chain of row spaces, with no power of
-    N multiplied out: the row space of N^(k+1) is that of E_k N, where E_k
-    is an echelon basis of the row space of N^k (E_0 N is N itself), so
-    each step is one product of r_k x d by d x d and one elimination of
-    its r_k rows.  The chain stops at rank 0, after index steps.  The row
-    spaces are nested, so a rank that stops falling short of 0 stays
-    there, and N is not nilpotent."""
+    The row spaces come from a shrinking chain, with no power of N
+    multiplied out: the row space of N^(k+1) is that of E_k N, where E_k
+    is the RREF basis of the row space of N^k (E_0 N is N itself), so each
+    step is one product of r_k x d by d x d and one elimination of its r_k
+    rows.  The chain stops at rank 0, after index steps.  The row spaces
+    are nested, so a rank that stops falling short of 0 stays there, and N
+    is not nilpotent."""
 
     __slots__ = ()
 
     def __new__(cls, n_matrix: Matrix):
         if not n_matrix.is_square():
             raise DimensionMismatch("nilpotent operator must be square")
-        cols = _columns(n_matrix._num, n_matrix.cols)
-        ranks, rows = [n_matrix.rows], n_matrix._num
-        while ranks[-1]:
-            ints, pivots, _, _ = _echelon(rows)
-            if len(pivots) == ranks[-1]:
+        d = n_matrix.rows
+        cols = _columns(n_matrix._num, d)
+        spaces, rows = [Subspace.full(d)], n_matrix._num
+        while spaces[-1].dim:
+            ints, pivots, last, _ = _echelon(rows)
+            if len(pivots) == spaces[-1].dim:
                 raise NotNilpotentError("matrix is not nilpotent")
-            ranks.append(len(pivots))
-            rows = _int_product(ints[: len(pivots)], cols)
-        return super().__new__(cls, n_matrix, len(ranks) - 1, tuple(ranks))
+            spaces.append(Subspace(d, Matrix._over(ints[: len(pivots)], last, d)))
+            rows = _int_product(spaces[-1].basis._num, cols)
+        return super().__new__(cls, n_matrix, len(spaces) - 1, tuple(spaces))
 
-    # copy and pickle rebuild from N alone, so the checks and ranks run again
+    # copy and pickle rebuild from N alone, so the checks and row spaces run again
     def __getnewargs__(self):
         return (self.n_matrix,)
 
@@ -131,34 +141,73 @@ class NilpotentOperator(
     def dimension(self) -> int:
         return self.n_matrix.rows
 
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        """rank N^0, ..., rank N^index, the last one 0."""
+        return tuple(s.dim for s in self.row_spaces)
+
     def __repr__(self) -> str:
         return f"NilpotentOperator(dim {self.dimension}, index {self.nilpotency_index})"
 
 
 class FrobeniusData(
     NamedTuple(
-        "FrobeniusData", [("phi_matrix", Matrix), ("q", int), ("char_poly", RatPoly)]
+        "FrobeniusData",
+        [
+            ("phi_matrix", Matrix),
+            ("q", int),
+            ("char_poly", RatPoly),
+            ("n", NilpotentOperator | None),
+            ("pieces", tuple[RatPoly, ...] | None),
+        ],
     )
 ):
     """Invertible Frobenius matrix together with the residue cardinality q,
     and Phi's characteristic polynomial, derived from Phi.  Phi is
-    invertible exactly when the constant term, +-det Phi, is not 0."""
+    invertible exactly when the constant term, +-det Phi, is not 0.
+
+    An optional nilpotent operator n of Phi's dimension with
+    N Phi = q Phi N gives the characteristic polynomial by pieces.  By
+    induction N^k Phi = q^k Phi N^k (N^(k+1) Phi = q^k N Phi N^k =
+    q^(k+1) Phi N^(k+1)), so N^k v = 0 gives N^k Phi v = q^k Phi N^k v =
+    0: Phi preserves every ker N^k (Deligne, Weil II, 1.6), and is
+    block-triangular along 0 <= ker N <= ... <= ker N^index = Q^d.
+    `pieces` holds the characteristic polynomial of the map Phi induces
+    on each G_k = ker N^(k+1) / ker N^k (_graded_char_polys), and
+    `char_poly` is their product, the same RatPoly as Berkowitz's on Phi,
+    at about one d x d x d product and sum over k of e_k^4, e_k = dim G_k,
+    against d^4.  `pieces` is None when n is absent, of another
+    dimension or does not q-commute with Phi, and Berkowitz runs on Phi;
+    so with this same n, pieces is not None exactly when N Phi = q Phi N.
+    Commutation is tried only for an int q >= 2, and the checks keep
+    their order: square, invertible, q."""
 
     __slots__ = ()
 
-    def __new__(cls, phi_matrix, q):
+    def __new__(cls, phi_matrix, q, n=None):
         if not phi_matrix.is_square():
             raise DimensionMismatch("Frobenius matrix must be square")
-        cp = char_poly(phi_matrix)
+        pieces = None
+        if (
+            n is not None
+            and isinstance(q, int)
+            and q >= 2
+            and n.dimension == phi_matrix.rows
+            and _q_commutes(n.n_matrix, phi_matrix, q)
+        ):
+            pieces = _graded_char_polys(n, phi_matrix)
+            cp = reduce(operator.mul, pieces, RatPoly.one())
+        else:
+            cp = char_poly(phi_matrix)
         if not cp._num[0]:
             raise ValueError("Frobenius matrix must be invertible")
         if not isinstance(q, int) or q < 2:
             raise ValueError("q must be an integer >= 2")
-        return super().__new__(cls, phi_matrix, q, cp)
+        return super().__new__(cls, phi_matrix, q, cp, n, pieces)
 
-    # copy and pickle rebuild from Phi and q, so the checks and char_poly run again
+    # copy and pickle rebuild from Phi, q and n, so the checks and char_poly run again
     def __getnewargs__(self):
-        return (self.phi_matrix, self.q)
+        return (self.phi_matrix, self.q, self.n)
 
     @property
     def dimension(self) -> int:
@@ -298,7 +347,8 @@ def monodromy_filtration(n: NilpotentOperator) -> Filtration:
 
     One span per index, downward by Fil_j = ker N^(j+1) + N Fil_(j+2) from
     Fil_index = Fil_(index-1) = Q^d, with ker N^k = 0 for k <= 0; pieces
-    below Fil_(1-index) are 0.  This is the closed formula Fil_j = sum over
+    below Fil_(1-index) are 0, and ker N^(j+1) is read off the row space
+    of N^(j+1) that the operator keeps.  This is the closed formula Fil_j = sum over
     j1 - j2 = j of ker N^(j1+1) /\\ im N^(j2): as ker N^a /\\ im N^b =
     N^b(ker N^(a+b)), Fil_j = sum over b >= 0 of N^b ker N^(j+2b+1), where
     terms with j + b < 0 vanish, b = 0 gives ker N^(j+1), and the terms
@@ -308,11 +358,12 @@ def monodromy_filtration(n: NilpotentOperator) -> Filtration:
     if d == 0:
         return Filtration.trivial(0)
     n_rows = n.n_matrix._num  # the columns of N^T: row b of Fil_(j+2) maps to b N^T
-    powers = _powers(n)  # N^(j+1) at j
     fil = [Subspace.full(d), Subspace.full(d)]  # Fil_index, Fil_(index-1), ... downward
     for j in range(top - 2, -top, -1):
-        # raw null space vectors: the one span below brings everything to canonical form
-        kers = _nullspace_ints(powers[j])[0] if j >= 0 else ()
+        kers = []  # ker N^(j+1), as raw null vectors: the one span below
+        if j >= 0:  # brings everything to canonical form
+            basis = n.row_spaces[j + 1].basis
+            kers = _null_vectors(d, basis._num, _pivot_columns(basis._num), basis._den)
         fil.append(_span_ints(d, [*kers, *_int_product(fil[-2].basis._num, n_rows)]))
     # both ends are jumps: gr_(1-index) = im N^(index-1) is not 0, and N^(index-1)
     # maps gr_(index-1) onto it
@@ -693,7 +744,39 @@ def check_commutation(n: NilpotentOperator, f: FrobeniusData) -> bool:
     """True iff N Phi = q Phi N exactly."""
     if n.dimension != f.dimension:
         raise DimensionMismatch("operator dimensions differ")
-    return n.n_matrix * f.phi_matrix == (f.phi_matrix * n.n_matrix).scale(f.q)
+    return _q_commutes(n.n_matrix, f.phi_matrix, f.q)
+
+
+def _q_commutes(n: Matrix, phi: Matrix, q: int) -> bool:
+    """N Phi == q Phi N, for square N and Phi of one dimension, by two
+    exact products on the integer rows: both sides have the denominator
+    of N times that of Phi.  Row by row, so the first row that differs
+    ends the test."""
+    phi_cols, n_cols = _columns(phi._num, phi.cols), _columns(n._num, n.cols)
+    mul = operator.mul
+    return all(
+        [sum(map(mul, a, c)) for c in phi_cols] == [q * sum(map(mul, b, c)) for c in n_cols]
+        for a, b in zip(n._num, phi._num)
+    )
+
+
+def _weights(f: FrobeniusData) -> list[tuple[int, RatPoly]]:
+    """The sorted (j, h_j) of f.char_poly, from _weigh.  With f.pieces each
+    h_j is the product of the pieces' h_j, as char_poly is the product of
+    the pieces; a piece that is not pure, or whose factoring passes
+    RECOMBINATION_LIMIT, makes the whole polynomial impure, and it is
+    weighed whole, so that the error is the one it gives."""
+    if f.pieces is not None:
+        by_weight: dict[int, RatPoly] = {}
+        try:
+            for cp in f.pieces:
+                for j, h in _weigh(cp, f.q).items():
+                    by_weight[j] = by_weight[j] * h if j in by_weight else h
+        except (NotPureError, RecombinationLimitError):
+            pass
+        else:
+            return sorted(by_weight.items())
+    return sorted(_weigh(f.char_poly, f.q).items())
 
 
 def _multiplicities(weights: list[tuple[int, RatPoly]], i: int) -> dict[int, int]:
@@ -720,6 +803,43 @@ def _dimensions_agree(n: NilpotentOperator, dims: dict[int, int]) -> bool:
 
 # ---------------------------------------------------------------------------
 # induced maps on graded pieces
+
+
+def _graded_char_polys(n: NilpotentOperator, phi: Matrix) -> tuple[RatPoly, ...]:
+    """The characteristic polynomial of the map Phi induces on each
+    G_k = ker N^(k+1) / ker N^k, k = 0, ..., index - 1, for a Phi that
+    preserves every ker N^k (FrobeniusData).
+
+    Let R_k be the RREF of the row space of N^k and P_k its pivot
+    columns; the row spaces are nested, so P_(k+1) lies in P_k.  At each
+    new column f, in P_k but not P_(k+1), let v_f be the null vector of
+    R_(k+1) at f: 1 at f, 0 at every other column free in R_(k+1).
+    There are e_k = rank N^k - rank N^(k+1) of them, and they span a
+    complement of ker N^k in ker N^(k+1): their combinations are 0 at
+    every column free in R_k, and a vector of ker N^k that is 0 there is
+    0.  For x in ker N^(k+1), row g of R_k (pivot g) applied to x is x's
+    coordinate on v_g modulo ker N^k: the row vanishes on ker N^k, and
+    v_f lies on the columns P_k (f and P_(k+1)), where the row is 1 at g
+    and 0 elsewhere.  So the map on G_k has the matrix R_new Phi V, with
+    R_new the new rows of R_k and V the v_f as columns: Phi V is one
+    d x d x d product over all k together, and the coordinates cost
+    e_k x d x e_k.  With N = 0 the one piece is Q^d, and its matrix Phi.
+    """
+    if n.nilpotency_index == 1:
+        return (char_poly(phi),)
+    d, spaces = n.dimension, n.row_spaces
+    pivots = [_pivot_columns(s.basis._num) for s in spaces]
+    out = []
+    for k in range(n.nilpotency_index):
+        low, high = spaces[k].basis, spaces[k + 1].basis
+        kept = set(pivots[k + 1])
+        new = [r for r, c in enumerate(pivots[k]) if c not in kept]
+        vecs = _null_vectors(d, high._num, pivots[k + 1], high._den, [pivots[k][r] for r in new])
+        # the columns of Phi V (vecs hold high._den v_f), then their coordinates
+        images = _int_product(vecs, phi._num)
+        coords = _int_product([low._num[r] for r in new], images)
+        out.append(char_poly(Matrix._over(coords, low._den * phi._den * high._den, len(new))))
+    return tuple(out)
 
 
 def induced_quotient_matrix(op: Matrix, big: Subspace, small: Subspace) -> Matrix | None:
@@ -796,17 +916,30 @@ def check_wmc(n: NilpotentOperator, f: FrobeniusData, i: int) -> WmcReport:
     the map on gr_j, which is weighed when Fil_(j-1) is stable too.  Fact
     (a) needs no test of its own: a commuting pair finds every piece
     stable in that same elimination.
+
+    The h_j come from the pieces of f when it has them (_weights).  By
+    induction, N Phi = q Phi N gives N^k Phi = q^k Phi N^k, so
+    N^k Phi v = q^k Phi N^k v = 0 for v in ker N^k: Phi preserves every
+    ker N^k, and its characteristic polynomial is the product of those
+    of the maps on G_k = ker N^(k+1) / ker N^k, which FrobeniusData keeps
+    when it was built with a commuting N.  The h_j of a product are the
+    products of the factors' h_j, so each piece is weighed alone, and only
+    an impure piece sends the whole polynomial to _weigh, whose error
+    names the same factor as without pieces.  The commutation test that
+    FrobeniusData ran is reused only when f was built with this N (equal
+    fields); any other pair runs check_commutation.
     """
     if n.dimension != f.dimension:
         raise DimensionMismatch("operator dimensions differ")
     violations: list[dict] = []
-    commutation_ok = check_commutation(n, f)
+    # f built with this N has tested N Phi = q Phi N already (FrobeniusData)
+    commutation_ok = f.pieces is not None if f.n == n else check_commutation(n, f)
     if not commutation_ok:
         violations.append({"kind": "commutation", "detail": "N Phi != q Phi N"})
 
     weights = None
     try:
-        weights = sorted(_weigh(f.char_poly, f.q).items())
+        weights = _weights(f)
     except NotPureError as err:
         violations.append({"kind": "not_pure", "detail": str(err)})
     else:

@@ -90,7 +90,10 @@ def _columns(rows: Sequence[Sequence], ncols: int) -> list[tuple]:
 
 
 def _int_identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        row[i] = 1
+    return rows
 
 
 def _power(base, k: int, one, mul):
@@ -415,8 +418,9 @@ class Subspace(NamedTuple("Subspace", [("ambient_dim", int), ("basis", Matrix)])
 def _pivot_columns(rows: Sequence[Sequence[int]]) -> list[int]:
     """The pivot column of each row of an RREF basis, its first nonzero
     entry.  A vector in the row space is the combination of the rows with
-    its entries at these columns as coefficients."""
-    return [next(j for j, x in enumerate(row) if x) for row in rows]
+    its entries at these columns as coefficients.  Each row is read twice
+    in C: the first nonzero value, then its first position."""
+    return [row.index(next(filter(None, row))) for row in rows]
 
 
 def _span_ints(n: int, rows: Sequence[Sequence[int]]) -> Subspace:
@@ -429,25 +433,39 @@ def _nullspace_ints(m: Matrix) -> tuple[list[list[int]], list[int]]:
     """A basis of {v : m v = 0} as integer vectors, not in canonical form,
     and the pivot columns, whose columns of m are a basis of its image.
 
-    With R the RREF of m's integer rows times its pivot `last`, each free
-    column f gives the integer kernel vector with `last` at f and
-    -R[r][f] at pivot column r.  Row operations keep every linear relation
-    among the columns, so m's columns at R's pivots are independent and
-    span the rest.
+    The vectors are _null_vectors of the RREF of m's integer rows, one
+    per free column.  Row operations keep every linear relation among the
+    columns, so m's columns at the RREF's pivots are independent and span
+    the rest.
     """
     rows, pivots, last, _ = _echelon(m._num)
-    n = m.cols
-    pivset = set(pivots)
+    return _null_vectors(m.cols, rows, pivots, last), pivots
+
+
+def _null_vectors(
+    n: int,
+    rows: Sequence[Sequence[int]],
+    pivots: Sequence[int],
+    last: int,
+    free: Iterable[int] | None = None,
+) -> list[list[int]]:
+    """The kernel read off an RREF of width n, given as its pivot columns
+    and its rows times `last`: for each free column f in `free`, the
+    integer vector with `last` at f, -rows[r][f] at pivot column
+    pivots[r] and 0 elsewhere, which the rows annihilate.  `free`
+    defaults to every column that is not a pivot, and then the vectors
+    are a basis of the null space."""
+    if free is None:
+        pivset = set(pivots)
+        free = [f for f in range(n) if f not in pivset]
     vecs = []
-    for f in range(n):
-        if f in pivset:
-            continue
+    for f in free:
         v = [0] * n
         v[f] = last
         for row, c in zip(rows, pivots):
             v[c] = -row[f]
         vecs.append(v)
-    return vecs, pivots
+    return vecs
 
 
 def kernel(m: Matrix) -> Subspace:

@@ -115,7 +115,11 @@ def weight_block(rng: random.Random, q: int, w: int) -> Matrix:
 
 
 def random_wmc_pair(
-    rng: random.Random, q: int, max_dim: int = 8, center: int | None = None
+    rng: random.Random,
+    q: int,
+    max_dim: int = 8,
+    center: int | None = None,
+    conjugator=random_invertible,
 ) -> tuple[Matrix, Matrix, int]:
     """(N, Phi, i) with N Phi = q Phi N built from strings of weight blocks.
 
@@ -123,7 +127,8 @@ def random_wmc_pair(
     step and letting N shift one step down; its graded weights sit
     symmetrically around base_weight + L - 1.  With `center` fixed, every
     string shares that central weight, so the pair satisfies the full
-    weight/monodromy comparison at i = center.
+    weight/monodromy comparison at i = center.  Both are conjugated by
+    conjugator(rng, dim), an invertible matrix.
     """
     dim = 0
     phi_blocks: list[Matrix] = []
@@ -163,7 +168,7 @@ def random_wmc_pair(
             dst_off, _ = segs[t - 1]
             for i in range(m):
                 n_rows[dst_off + i][src_off + i] = Fraction(1)
-    p = random_invertible(rng, dim)
+    p = conjugator(rng, dim)
     pinv = p.inverse()
     phi = p * Matrix(phi_rows) * pinv
     n = p * Matrix(n_rows) * pinv

@@ -599,7 +599,9 @@ class TestErrorContract:
     def test_mismatches_outside_the_ranges_build_no_piece(self, monkeypatch):
         # outside a filtration's stored range the comparison reads dimensions,
         # so the 1001 mismatches of the Tate pair at the limit build no subspace:
-        # the count is the same at every i
+        # the count is the same at every i.  21 counts the three row spaces of
+        # N's powers and Phi's matrix on the two pieces ker N, ker N^2 / ker N,
+        # and no Matrix for the test N Phi = q Phi N, which compares integer rows
         payload = dict(TATE_WMC, i=mono.DEGREE_LIMIT)
         op = mono.NilpotentOperator(Matrix(payload["n"]))
         frob = mono.FrobeniusData(Matrix(payload["phi"]), payload["q"])
@@ -612,7 +614,11 @@ class TestErrorContract:
         report = run(JobSpec("wmc-check", payload))
         mismatches = report.payload["violations"][: len(expected)]
         assert len(expected) == 1001 and mismatches == expected
-        assert len(built) == 19
+        assert len(built) == 21
+        for i in (3, 50, -1000):
+            built.clear()
+            run(JobSpec("wmc-check", dict(payload, i=i)))
+            assert len(built) == 21, i
 
     def test_dimension_is_bounded(self):
         def identity(d):

@@ -18,6 +18,7 @@ meet sympy.
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -32,6 +33,7 @@ from gens import (
     random_subspace,
     random_unimodular,
     random_wmc_pair,
+    swinnerton_dyer,
     weight_block,
 )
 from oracles import (
@@ -44,6 +46,7 @@ from oracles import (
     fraction_inverse,
     fraction_kernel,
     fraction_poly_gcd,
+    fraction_power,
     fraction_product,
     fraction_rank,
     fraction_roots_in,
@@ -503,28 +506,37 @@ class TestDimensionTest:
         assert report == WmcReport(True, False, {0: [(0, 1), (4, 1)]}, mismatches + graded)
 
     def test_counts_on_the_benchmark_jobs(self, monkeypatch):
-        # a passing job builds no filtration; each job takes the characteristic
-        # polynomial of Phi once, in FrobeniusData, and weighs it once
+        # a passing job builds no filtration; N Phi = q Phi N is tested once,
+        # in FrobeniusData, which takes the characteristic polynomial of Phi
+        # on each piece ker N^(k+1) / ker N^k, never on Phi itself, and each
+        # piece is weighed once
         workloads = load_workloads()
-        args = {"monodromy_filtration": [], "_split": [], "char_poly": [], "_weigh": []}
+        names = ("monodromy_filtration", "_split", "char_poly", "_weigh", "_q_commutes")
+        args = {name: [] for name in names}
         for name, seen in args.items():
             fn = getattr(monodromy, name)
             monkeypatch.setattr(
                 monodromy, name, lambda *a, fn=fn, seen=seen: seen.append(a[0]) or fn(*a)
             )
         for variant in ("pass", "wrong_i"):
+            job = workloads._wmc_job(random.Random(13), 3, 2, variant)
+            phi = cli.parse_matrix(job.payload["phi"], "phi")
+            op = NilpotentOperator(cli.parse_matrix(job.payload["n"], "n"))
+            pieces = FrobeniusData(phi, job.payload["q"], op).pieces
             for seen in args.values():
                 seen.clear()
-            job = workloads._wmc_job(random.Random(13), 3, 2, variant)
             report = cli.run(cli.JobSpec(job.command, job.payload)).to_dict()
             assert job.oracle(report) is None
-            phi = cli.parse_matrix(job.payload["phi"], "phi")
-            weighed = [cp for cp in args["_weigh"] if cp.degree == phi.rows]
-            assert [m for m in args["char_poly"] if m.rows == phi.rows] == [phi]
-            assert weighed == [char_poly(phi)]
+            assert len(pieces) == op.nilpotency_index == 4
+            assert [m.rows for m in args["char_poly"][:4]] == [2, 2, 2, 2]
+            assert [m for m in args["char_poly"] if m.rows == phi.rows] == []
+            assert args["_weigh"][:4] == list(pieces)
+            assert args["_q_commutes"] == [op.n_matrix]
             if variant == "pass":
+                assert len(args["char_poly"]) == len(args["_weigh"]) == 4
                 assert args["monodromy_filtration"] == args["_split"] == []
-            else:
+            else:  # and one each for the map on each of the 4 jumps of gr
+                assert len(args["char_poly"]) == len(args["_weigh"]) == 8
                 assert len(args["monodromy_filtration"]) == 1 and args["_split"]
 
 
@@ -602,6 +614,215 @@ class TestRankChain:
         with pytest.raises(NotNilpotentError, match="^matrix is not nilpotent$"):
             NilpotentOperator(Matrix(rows))
         assert calls == [d]
+
+
+def _rational_conjugator(rng, d):
+    """An invertible matrix with rational entries."""
+    return random_invertible(rng, d) * Matrix.diagonal([random_fraction(rng) or F(1, 3)] * d)
+
+
+def _tate_strings(rng, q, lengths):
+    """(N, Phi): a Jordan string of each length in `lengths`, with Phi
+    q^(w + t) at step t of a string of base weight 2w, conjugated by a
+    random invertible matrix, so N Phi = q Phi N."""
+    bases = rng.choices(range(3), k=len(lengths))
+    diag = [q ** (w + t) for s, w in zip(lengths, bases) for t in range(s)]
+    p = random_invertible(rng, sum(lengths))
+    p_inv = p.inverse()
+    return p * jordan_matrix(lengths) * p_inv, p * Matrix.diagonal(diag) * p_inv
+
+
+def _commuting_pairs(rng, count):
+    """(kind, N, Phi, q) with N Phi = q Phi N: random_wmc_pair conjugated
+    by integer (unimodular), integer and rational matrices, conjugated Tate
+    strings of different lengths, N = 0, and 0x0 and 1x1 pairs."""
+    cases = [
+        ("empty", Matrix.zero(0, 0), Matrix.zero(0, 0), 2),
+        ("one", Matrix.zero(1, 1), Matrix([[F(-9, 2)]]), 3),
+        ("zero", Matrix.zero(3, 3), random_invertible(rng, 3), 5),
+    ]
+    conjugators = {
+        "unimodular": random_unimodular,
+        "integer": random_invertible,
+        "rational": _rational_conjugator,
+    }
+    for t in range(count):
+        q = rng.choice([2, 3, 5])
+        for kind, conjugator in conjugators.items():
+            n_mat, phi, _ = random_wmc_pair(rng, q, max_dim=8, conjugator=conjugator)
+            cases.append((kind, n_mat, phi, q))
+        lengths = rng.sample([1, 2, 3, 4], rng.randint(2, 3))
+        cases.append(("strings", *_tate_strings(rng, q, lengths), q))
+    return cases
+
+
+def _piece_oracle(n_mat, phi, k):
+    """det(xI - Phi) on ker N^(k+1) / ker N^k, all in Fractions: the
+    kernels of the Fraction powers, the map by solve_induced_matrix and
+    its polynomial by Faddeev-LeVerrier."""
+    big = fraction_kernel(fraction_power(n_mat, k + 1))
+    small = fraction_kernel(fraction_power(n_mat, k))
+    return faddeev_leverrier_char_poly(solve_induced_matrix(phi, big, small, big, small))
+
+
+def _unequal_strings(op):
+    """Whether N's strings have more than one length: the drops
+    rank N^k - rank N^(k+1) are not all equal."""
+    ranks = op.ranks
+    return len({a - b for a, b in zip(ranks, ranks[1:])}) > 1
+
+
+def _without_pieces(phi, q, n=None):
+    """FrobeniusData as the CLI built it before it passed N."""
+    return FrobeniusData(phi, q)
+
+
+class TestGradedPieces:
+    """FrobeniusData's characteristic polynomial from the pieces
+    ker N^(k+1) / ker N^k of a q-commuting N, against Berkowitz on Phi,
+    Faddeev-LeVerrier, and the Fraction maps on the pieces."""
+
+    def test_pieces_match_the_oracles(self):
+        rng = random.Random(401)
+        seen = set()
+        for kind, n_mat, phi, q in _commuting_pairs(rng, 8):
+            op = NilpotentOperator(n_mat)
+            f = FrobeniusData(phi, q, op)
+            assert f.char_poly == char_poly(phi) == faddeev_leverrier_char_poly(phi), kind
+            assert len(f.pieces) == op.nilpotency_index
+            for k, piece in enumerate(f.pieces):
+                assert piece.degree == op.ranks[k] - op.ranks[k + 1]
+                assert piece == _piece_oracle(n_mat, phi, k), (kind, n_mat, phi, k)
+            seen.add((kind, n_mat.is_integral(), _unequal_strings(op)))
+        kinds = {kind for kind, _, _ in seen}
+        assert kinds == {"empty", "one", "zero", "unimodular", "integer", "rational", "strings"}
+        assert ("unimodular", True, True) in seen and ("strings", False, True) in seen
+        assert ("rational", False, True) in seen
+
+    def test_reports_match_those_without_pieces(self):
+        # every report equals the one of FrobeniusData(phi, q), which has no
+        # pieces: for the N it was built with, for another commuting N, and
+        # for one that does not commute, whose products then run in check_wmc
+        rng = random.Random(409)
+        for kind, n_mat, phi, q in _commuting_pairs(rng, 4):
+            op = NilpotentOperator(n_mat)
+            f, plain = FrobeniusData(phi, q, op), FrobeniusData(phi, q)
+            d = phi.rows
+            others = [op, NilpotentOperator(n_mat), NilpotentOperator(Matrix.zero(d, d))]
+            if d > 1:
+                others.append(NilpotentOperator(jordan_matrix([d])))
+            for other in others:
+                for i in range(-1, 5):
+                    assert check_wmc(other, f, i) == check_wmc(other, plain, i), (kind, i)
+
+    def test_commutation_matches_the_fraction_products(self):
+        # row by row on the integers, with the first differing row ending it:
+        # commuting pairs, and ones changed in one entry of N or Phi
+        rng = random.Random(439)
+        outcomes = set()
+        for _, n_mat, phi, q in _commuting_pairs(rng, 6):
+            d = phi.rows
+            pairs = [(n_mat, phi, q), (n_mat, phi, q + 1)]
+            if d:
+                r, c = rng.randrange(d), rng.randrange(d)
+                bump = Matrix([[F(int((i, j) == (r, c)), 7) for j in range(d)] for i in range(d)])
+                pairs += [(n_mat + bump, phi, q), (n_mat, phi + bump, q)]
+            for a, b, qq in pairs:
+                expected = fraction_product(a, b) == fraction_product(b, a).scale(qq)
+                assert monodromy._q_commutes(a, b, qq) == expected, (a, b, qq)
+                outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_impure_pieces_give_the_whole_polynomials_error(self):
+        # x - 3 and x - 15 on the pieces, and (x - 3)(x - 15) for the whole: the
+        # not_pure text names the factor that weighing the whole names
+        rng = random.Random(419)
+        cases = [(NilpotentOperator(jordan_matrix([2])), Matrix.diagonal([3, 15]), 5)]
+        for _ in range(6):
+            n_mat, _ = _tate_strings(rng, 2, [1, 3])
+            p = random_invertible(rng, 4)
+            block = Matrix.diagonal([3, 7, 14, 28])  # impure on every piece for q = 2
+            cases.append((NilpotentOperator(jordan_matrix([1, 3])), block, 2))
+            cases.append((NilpotentOperator(p * jordan_matrix([1, 3]) * p.inverse()),
+                          p * block * p.inverse(), 2))  # fmt: skip
+        for op, phi, q in cases:
+            f = FrobeniusData(phi, q, op)
+            assert f.pieces is not None
+            report = check_wmc(op, f, 1)
+            assert report == check_wmc(op, FrobeniusData(phi, q), 1)
+            assert report.violations[0]["kind"] == "not_pure"
+
+    def test_recombination_limit_gives_the_same_report(self, monkeypatch):
+        # each piece is a Swinnerton-Dyer block, 8 modular factors that take
+        # 162 trials, and the whole polynomial has 16: a piece stops at the
+        # limit 161 and is found impure at 162, and either way the whole
+        # polynomial stops at the limit, as without pieces
+        sd4 = swinnerton_dyer([2, 3, 5, 7])
+        n = sd4.degree
+        c = [[int(i == j + 1) for j in range(n - 1)] + [-sd4._num[i]] for i in range(n)]
+        zero = [0] * n
+        phi = [row + zero for row in c] + [zero + [5 * x for x in row] for row in c]
+        shift = [zero + [int(i == j) for j in range(n)] for i in range(n)] + [zero + zero] * n
+        job = cli.JobSpec("wmc-check", {"n": shift, "phi": phi, "q": 5, "i": 0})
+        pieces = FrobeniusData(Matrix(phi), 5, NilpotentOperator(Matrix(shift))).pieces
+        for limit, piece_error in ((161, polyfactor.RecombinationLimitError), (162, NotPureError)):
+            monkeypatch.setattr(polyfactor, "RECOMBINATION_LIMIT", limit)
+            with pytest.raises(piece_error):
+                _weigh(pieces[0], 5)
+            report = cli.run(job).to_dict()
+            assert report["status"] == "error"
+            assert report["diagnostics"] == [
+                "field 'phi': recombining 16 modular factors of a degree-32 factor of the "
+                f"characteristic polynomial needs more than {limit} trials, the recombination limit"
+            ]
+            monkeypatch.setattr(monodromy, "FrobeniusData", _without_pieces)
+            assert report == cli.run(job).to_dict()
+            monkeypatch.undo()
+
+    def test_the_filtration_reads_kernels_off_the_row_spaces(self, monkeypatch):
+        # one elimination per piece of the filtration, the span, and none for
+        # the kernels of the powers of N
+        rng = random.Random(421)
+        for _, n_mat, _, _ in _commuting_pairs(rng, 3):
+            op = NilpotentOperator(n_mat)
+            calls = []
+            echelon = ratlin._echelon
+            monkeypatch.setattr(ratlin, "_echelon", lambda rows: calls.append(1) or echelon(rows))
+            fil = monodromy_filtration(op)
+            monkeypatch.undo()
+            assert len(calls) == max(2 * op.nilpotency_index - 2, 0)
+            closed = closed_formula_pieces(n_mat)
+            assert fil.pieces == tuple(closed[j] for j in range(fil.lo, fil.hi + 1))
+
+    def test_zero_n_takes_phi_itself(self, monkeypatch):
+        # with N = 0 the one piece is Q^d, and its matrix is Phi, not Phi I
+        rng = random.Random(431)
+        d = 64
+        phi = Matrix([[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)])
+        op = NilpotentOperator(Matrix.zero(d, d))
+        seen, products = [], []
+        original, product = monodromy.char_poly, monodromy._int_product
+        monkeypatch.setattr(monodromy, "char_poly", lambda m: seen.append(m) or original(m))
+        monkeypatch.setattr(monodromy, "_int_product", lambda *a: products.append(1) or product(*a))
+        f = FrobeniusData(phi, 5, op)
+        assert len(seen) == 1 and seen[0] is phi and products == []
+        assert f.pieces == (f.char_poly,) and f.char_poly._num[0]
+
+    def test_row_spaces_of_a_64_jordan_block_stay_small(self):
+        # the row spaces of N^0, ..., N^64 hold 64 * 65 / 2 rows of 64 entries:
+        # about 1.1 MB of references at 8 bytes each, whatever the integers
+        workloads = load_workloads()
+        d = 64
+        p, p_inv = workloads.conjugator(random.Random(433), d)
+        n_mat = Matrix(workloads._conjugate(jordan_matrix([d])._num, p, p_inv))
+        tracemalloc.start()
+        try:
+            op = NilpotentOperator(n_mat)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert op.ranks == tuple(range(d, -1, -1))
+        assert held < 2_000_000, held
 
 
 def _needs_swaps(rng, n):

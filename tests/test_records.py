@@ -3,9 +3,9 @@ check their fields in `__new__`.
 
 Every way of building a record again, `copy.copy`, `copy.deepcopy` and a
 pickle round trip included, goes back through `__new__`, so the checks run
-again and derived fields, such as the ranks of the powers of a
-`NilpotentOperator` and the characteristic polynomial of `FrobeniusData`,
-are derived again; only `NamedTuple._replace` and `_make` skip them, and the
+again and derived fields, such as the row spaces of the powers of a
+`NilpotentOperator` and the characteristic polynomial of `FrobeniusData`
+and its pieces, are derived again; only `NamedTuple._replace` and `_make` skip them, and the
 package calls neither on a validated record.  A validated record keeps one
 stored form per value, with a tuple of its own wherever a caller may pass a
 list, a generator or another sequence, so it hashes and compares by its
@@ -79,6 +79,9 @@ def _validated(cls) -> bool:
 VALIDATED = {
     **{name: build for name, build in RECORDS.items() if _validated(type(build()))},
     "TropicalSection from a list": lambda: TropicalSection(F(1), [1, 0], F(0), 1, F(1)),
+    "FrobeniusData with n": lambda: FrobeniusData(
+        Matrix.diagonal([1, 5, 25]), 5, NilpotentOperator(Matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]))
+    ),
 }
 
 
@@ -236,15 +239,36 @@ def test_filtration_copies_pickles_and_compares_across_ranges(monkeypatch):
 
 def test_frobenius_checks_keep_their_order():
     # square, then invertible, then q: the characteristic polynomial that
-    # tests invertibility runs between the first two checks and the last
+    # tests invertibility runs between the first two checks and the last,
+    # by pieces or not, and an n that cannot give pieces changes nothing
     singular = Matrix([[1, 2], [2, 4]])
+    shift = NilpotentOperator(Matrix([[0, 1], [0, 0]]))
+    zero3 = NilpotentOperator(Matrix.zero(3, 3))
+    swap = Matrix([[0, 1], [1, 0]])
     cases = [
         (lambda: FrobeniusData(Matrix([[0, 0]]), 1), DimensionMismatch,
+         "Frobenius matrix must be square"),
+        (lambda: FrobeniusData(Matrix([[0, 0]]), 5, shift), DimensionMismatch,
          "Frobenius matrix must be square"),
         (lambda: FrobeniusData(singular, 1), ValueError, "Frobenius matrix must be invertible"),
         (lambda: FrobeniusData(Matrix.zero(3, 3), F(5)), ValueError,
          "Frobenius matrix must be invertible"),
-        (lambda: FrobeniusData(Matrix([[0, 1], [1, 0]]), True), ValueError,
+        # singular and commuting: the product of the pieces has constant term 0
+        (lambda: FrobeniusData(Matrix.zero(3, 3), 5, zero3), ValueError,
+         "Frobenius matrix must be invertible"),
+        (lambda: FrobeniusData(Matrix.diagonal([0, 5]), 5, shift), ValueError,
+         "Frobenius matrix must be invertible"),
+        # n of another dimension: no pieces, and still invertibility first
+        (lambda: FrobeniusData(singular, 5, zero3), ValueError,
+         "Frobenius matrix must be invertible"),
+        (lambda: FrobeniusData(singular, "x", shift), ValueError,
+         "Frobenius matrix must be invertible"),
+        (lambda: FrobeniusData(swap, True), ValueError, "q must be an integer >= 2"),
+        (lambda: FrobeniusData(swap, "x", shift), ValueError, "q must be an integer >= 2"),
+        (lambda: FrobeniusData(swap, 1.5, shift), ValueError, "q must be an integer >= 2"),
+        (lambda: FrobeniusData(Matrix.diagonal([1, 5]), 1.5, shift), ValueError,
+         "q must be an integer >= 2"),
+        (lambda: FrobeniusData(Matrix.diagonal([1, 5]), F(5), shift), ValueError,
          "q must be an integer >= 2"),
     ]  # fmt: skip
     for build, error, message in cases:
@@ -263,7 +287,45 @@ def test_frobenius_data_derives_its_characteristic_polynomial(monkeypatch):
     ]
     for phi in phis:
         f = FrobeniusData(phi, 5)
-        assert f.char_poly == char_poly(phi) and f == (phi, 5, char_poly(phi))
+        assert f.char_poly == char_poly(phi) and f == (phi, 5, char_poly(phi), None, None)
         for again in _rebuilt_through_new(f, monkeypatch):
             assert again.char_poly == char_poly(phi) and again == f
         monkeypatch.undo()
+
+
+def test_frobenius_data_keeps_its_pieces(monkeypatch):
+    # with a q-commuting n, char_poly is the product of the pieces on
+    # ker N^(k+1) / ker N^k; an n that does not commute, or of another
+    # dimension, gives no pieces; a copy hands n back and derives them again
+    shift = NilpotentOperator(_SHIFT)  # Q^3 = ker N^3 > ker N^2 > ker N > 0
+    p = Matrix.identity(3) + _SHIFT  # commutes with N, so N Phi = 5 Phi N
+    phi = p * Matrix.diagonal([3, 15, 75]) * p.inverse()
+    cases = [
+        (shift, phi, (RatPoly([-3, 1]), RatPoly([-15, 1]), RatPoly([-75, 1]))),
+        (NilpotentOperator(Matrix.zero(3, 3)), phi, (char_poly(phi),)),
+        (NilpotentOperator(Matrix([], cols=0)), Matrix([], cols=0), ()),
+        (shift, Matrix.diagonal([1, 2, 3]), None),
+        (NilpotentOperator(Matrix.zero(2, 2)), phi, None),
+    ]
+    for n, phi, pieces in cases:
+        f = FrobeniusData(phi, 5, n)
+        assert f == (phi, 5, char_poly(phi), n, pieces) and f.n is n
+        assert f.__getnewargs__() == (phi, 5, n)
+        for again in _rebuilt_through_new(f, monkeypatch):
+            assert again.pieces == pieces and again.char_poly == char_poly(phi)
+            assert again.n == n and again == f and hash(again) == hash(f)
+        monkeypatch.undo()
+
+
+def test_nilpotent_operator_keeps_the_row_spaces_of_its_powers(monkeypatch):
+    op = NilpotentOperator(_SHIFT)
+    assert op.row_spaces == (
+        Subspace.full(3),
+        Subspace.span(3, [[0, 1, 0], [0, 0, 1]]),
+        Subspace.span(3, [[0, 0, 1]]),
+        Subspace.zero(3),
+    )
+    assert op.ranks == (3, 2, 1, 0) and op.__getnewargs__() == (_SHIFT,)
+    for again in _rebuilt_through_new(op, monkeypatch):
+        assert again.row_spaces == op.row_spaces and again.ranks == op.ranks
+        assert again.row_spaces is not op.row_spaces
