@@ -13,8 +13,9 @@ degree i.  The module computes
   filtration it spans;
 * the comparison of the two filtrations: Fil_j must equal W_(i+j), and
   the Frobenius eigenvalues on each graded piece of the N-filtration
-  must be pure of weight i+j.  For a commuting pair with pure Phi the
-  multiplicities of the weights and the ranks of the N^k decide it.
+  must be pure of weight i+j.  For a commuting pair with pure Phi, N's
+  weight strings, counted from the weights of Phi on the pieces
+  ker N^(k+1) / ker N^k, decide the whole comparison.
 
 Weight recognition is exact: a constant-term power-of-q test, the
 reciprocal functional equation, and a Sturm count on the trace
@@ -43,7 +44,7 @@ from functools import reduce
 from itertools import accumulate, repeat
 from typing import NamedTuple, Sequence
 
-from .polyfactor import RecombinationLimitError, _divide, _mx_gcd, factor_rational
+from .polyfactor import _divide, _mx_gcd, factor_rational
 from .ratlin import (
     DimensionMismatch,
     Matrix,
@@ -68,10 +69,10 @@ from .ratlin import (
     subspace_sum,
 )
 
-#: largest |i| that wmc-check takes; a report that fact (c) of check_wmc
-#: does not decide compares the filtrations at about |i| indices and lists
-#: each mismatch, so its time and size grow linearly with |i| (the 2x2 Tate
-#: pair lists 1003 at the limit)
+#: largest |i| that wmc-check takes; check_wmc compares the filtrations,
+#: or counts N's strings, at about |i| indices and lists each mismatch, so
+#: a report's time and size grow linearly with |i| (the 2x2 Tate pair lists
+#: 1003 at the limit)
 DEGREE_LIMIT = 1000
 
 
@@ -760,45 +761,78 @@ def _q_commutes(n: Matrix, phi: Matrix, q: int) -> bool:
     )
 
 
-def _weights(f: FrobeniusData) -> list[tuple[int, RatPoly]]:
-    """The sorted (j, h_j) of f.char_poly, from _weigh.  With f.pieces each
-    h_j is the product of the pieces' h_j, as char_poly is the product of
-    the pieces; a piece that is not pure, or whose factoring passes
-    RECOMBINATION_LIMIT, makes the whole polynomial impure, and it is
-    weighed whole, so that the error is the one it gives."""
-    if f.pieces is not None:
-        by_weight: dict[int, RatPoly] = {}
-        try:
-            for cp in f.pieces:
-                for j, h in _weigh(cp, f.q).items():
-                    by_weight[j] = by_weight[j] * h if j in by_weight else h
-        except (NotPureError, RecombinationLimitError):
-            pass
-        else:
-            return sorted(by_weight.items())
-    return sorted(_weigh(f.char_poly, f.q).items())
+def _strings(pieces: Sequence[RatPoly], q: int) -> dict[tuple[int, int], int] | None:
+    """N's weight strings (check_wmc, fact (b)) as {(b, s): count}, over
+    bottom weights b and lengths s, from the characteristic polynomials of
+    a pure Phi on the pieces G_k = ker N^(k+1) / ker N^k, or None when
+    _split_weights leaves a rest on a piece.  Position k of a string spans
+    its part of G_k, at weight b + 2k, so m_k(b), the multiplicity of
+    weight b + 2k in piece k, counts the strings of bottom b longer than
+    k, and m_(s-1)(b) - m_s(b) have length s; a negative count raises
+    ArithmeticError."""
+    mult = []  # m_k, at each k
+    for k, cp in enumerate(pieces):
+        parts, rest = _split_weights(list(cp._num), q)
+        if len(rest) > 1:
+            return None
+        mult.append({w - 2 * k: len(h) - 1 for w, h in parts.items()})
+    strings = {}
+    for s, (longer, past) in enumerate(zip(mult, [*mult[1:], {}]), 1):
+        for b in sorted(longer.keys() | past.keys()):
+            count = longer.get(b, 0) - past.get(b, 0)
+            if count < 0:
+                raise ArithmeticError(f"{count} strings of bottom weight {b} and length {s}")
+            if count:
+                strings[b, s] = count
+    return strings
 
 
-def _multiplicities(weights: list[tuple[int, RatPoly]], i: int) -> dict[int, int]:
-    """d_j = dim V_(i+j) = deg h_(i+j) at each j with d_j > 0, in increasing
-    j, from the sorted (weight, h) pairs of _weigh."""
-    return {w - i: h.degree for w, h in weights}
+def _string_report(strings: dict[tuple[int, int], int], i: int) -> WmcReport:
+    """check_wmc's report from N's strings, by fact (b).  Position p of a
+    string (b, s) has N-degree e = 2p - (s-1) and weight b + 2p; outside
+    the range of the e and the weights minus i, the three counts are all
+    0 or all d."""
+    counts: dict[tuple[int, int], int] = {}  # positions, by (e, weight)
+    for (b, s), c in strings.items():
+        for p in range(s):
+            key = (2 * p - s + 1, b + 2 * p)
+            counts[key] = counts.get(key, 0) + c
+    positions = sorted(counts.items())
+    keys = [k for (e, w), _ in positions for k in (e, w - i)]
+    violations = []
+    for j in range(min(keys, default=0), max(keys, default=0)):
+        fil = sum(c for (e, _), c in positions if e <= j)
+        weight = sum(c for (_, w), c in positions if w <= i + j)
+        both = sum(c for (e, w), c in positions if e <= j and w <= i + j)
+        if not fil == weight == both:
+            violations.append(_mismatch(j, fil, i, weight))
+    filtrations_equal = not violations
+    graded_weights: dict[int, list[tuple[int, int]]] = {}
+    for (e, w), c in positions:
+        graded_weights.setdefault(e, []).append((w, c))
+    for j, pairs in graded_weights.items():
+        violations += _off_weight(j, pairs, i)
+    return WmcReport(True, filtrations_equal, graded_weights, violations)
 
 
-def _dimensions_agree(n: NilpotentOperator, dims: dict[int, int]) -> bool:
-    """Fact (c) of check_wmc: whether d = `dims` is symmetric, d_j = d_(-j),
-    and rank N^k >= R_k(d) = sum over j of min(d_j, d_(j-2k)) for every k
-    from 1 to max j.  Every such k is tested, with R_k(d) = 0 or not: a gap
-    in the weights makes a later R_k(d) positive again.  n.ranks ends at
-    rank N^index = 0, and N^k = 0 past it too."""
-    if any(dims.get(-j) != m for j, m in dims.items()):
-        return False
-    ranks = n.ranks
-    for k in range(1, max(dims, default=0) + 1):
-        bound = sum(min(m, dims.get(j - 2 * k, 0)) for j, m in dims.items())
-        if bound and (k >= len(ranks) or ranks[k] < bound):
-            return False
-    return True
+def _mismatch(j: int, mono_dim: int, i: int, weight_dim: int) -> dict:
+    """The violation Fil_j != W_(i+j), of dimensions mono_dim and weight_dim."""
+    return {
+        "kind": "filtration_mismatch",
+        "index": j,
+        "monodromy_dim": mono_dim,
+        "weight_index": i + j,
+        "weight_dim": weight_dim,
+    }
+
+
+def _off_weight(j: int, pairs: list[tuple[int, int]], i: int) -> list[dict]:
+    """The violations of gr_j's (weight, multiplicity) pairs off weight i+j."""
+    return [
+        {"kind": "graded_weight", "index": j, "weight": w, "multiplicity": m, "expected": i + j}
+        for w, m in pairs
+        if w != i + j
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -881,72 +915,54 @@ def check_wmc(n: NilpotentOperator, f: FrobeniusData, i: int) -> WmcReport:
     preserves both Fil_j and Fil_(j-1), so that it induces a map there.
     Failures land in `violations`; nothing raises.
 
-    Three facts:
+    Two facts:
 
     (a) If N Phi = q Phi N, Phi preserves every Fil_j: from
         Phi N^k = q^-k N^k Phi, Phi maps each ker N^a and im N^b into
         itself, and so every sum of their intersections.
-    (b) If Fil_j = W_(i+j) for every j, gr_j has the weights
-        [(i+j, dim gr_j)]: the pieces are sums of Phi-stable weight
-        components, so gr_j is Phi-isomorphic to the component of weight i+j.
-    (c) If N Phi = q Phi N and Phi is pure, let
-        d_j = dim V_(i+j) = deg h_(i+j) (_multiplicities).  Then
-        Fil_j = W_(i+j) for every j exactly when d is symmetric,
-        d_j = d_(-j), and rank N^k >= R_k(d) = sum over j of
-        min(d_j, d_(j-2k)) for every k >= 1 (_dimensions_agree).  N maps
-        V_w into V_(w-2), so N^k is the sum of its maps
-        V_(i+j) -> V_(i+j-2k), which land in different components: rank
-        N^k is the sum of their ranks, and so at most R_k(d).  If it
-        reaches R_k(d), each of them has full rank, and for a symmetric d
-        N^k : V_(i+k) -> V_(i-k) is an isomorphism.  Then the weight
-        filtration shifted by i has N W_(i+j) <= W_(i+j-2) and N^k an
-        isomorphism gr_k -> gr_(-k), which only the N-filtration has
-        (Deligne, Weil II, 1.6.1).  Conversely, if the filtrations agree,
-        d is the graded dimension of the N-filtration, which is symmetric,
-        and N, graded by the V_w, is a sum of strings of weights centred at
-        i: a string of length s gives max(s - k, 0) to rank N^k, and, as
-        the strings share their centre, to R_k(d) too.
+    (b) If N Phi = q Phi N and Phi is pure, N maps V_w into V_(w-2), and
+        is a direct sum of strings (Deligne, Weil II, 1.6): a string of
+        bottom weight b and length s has a basis v_0, ..., v_(s-1) with
+        N v_0 = 0, N v_p = v_(p-1) and v_p in V_(b+2p).  The N-filtration
+        is the sum of those of the strings, in which v_p has degree
+        e = 2p - (s-1), and W_(i+j) is spanned by the v_p of weight at
+        most i+j.  Both are spanned by vectors of one basis, so
+        Fil_j = W_(i+j) exactly when the v_p with e <= j, those of weight
+        <= i+j and those with both are equally many, and gr_j, which Phi
+        preserves by (a), has the weights of the v_p with e = j.  The
+        strings are counted from the weights of Phi on the pieces
+        G_k = ker N^(k+1) / ker N^k (_strings), and the report follows
+        with no subspace built (_string_report).
 
-    Fact (c) decides a commuting pair with pure Phi from the degrees of
-    the h_j and the ranks of the N^k, with no subspace built, and fact (b)
-    then gives its report.  Every other pair builds both filtrations and
-    compares them index by index.  When they agree, fact (b) decides the
-    pieces without testing them.  Otherwise one elimination per jump piece
-    (induced_quotient_matrix) tells whether Phi preserves Fil_j and gives
-    the map on gr_j, which is weighed when Fil_(j-1) is stable too.  Fact
-    (a) needs no test of its own: a commuting pair finds every piece
-    stable in that same elimination.
-
-    The h_j come from the pieces of f when it has them (_weights).  By
-    induction, N Phi = q Phi N gives N^k Phi = q^k Phi N^k, so
-    N^k Phi v = q^k Phi N^k v = 0 for v in ker N^k: Phi preserves every
-    ker N^k, and its characteristic polynomial is the product of those
-    of the maps on G_k = ker N^(k+1) / ker N^k, which FrobeniusData keeps
-    when it was built with a commuting N.  The h_j of a product are the
-    products of the factors' h_j, so each piece is weighed alone, and only
-    an impure piece sends the whole polynomial to _weigh, whose error
-    names the same factor as without pieces.  The commutation test that
-    FrobeniusData ran is reused only when f was built with this N (equal
-    fields); any other pair runs check_commutation.
+    A commuting pair takes the pieces from f when f was built with this N
+    (equal fields), which has tested N Phi = q Phi N already
+    (FrobeniusData); any other N runs check_commutation, and
+    _graded_char_polys if it commutes.  A pair that does not commute, an
+    impure Phi, or a piece whose weights _split_weights cannot place takes
+    the full path: both filtrations built and compared index by index,
+    and one elimination per jump piece (induced_quotient_matrix) that
+    tells whether Phi preserves Fil_j and gives the map on gr_j, which is
+    weighed when Fil_(j-1) is stable too.  It weighs only the whole
+    characteristic polynomial, so that a not_pure text does not depend on
+    the pieces.
     """
     if n.dimension != f.dimension:
         raise DimensionMismatch("operator dimensions differ")
+    own = f.n == n
+    commutation_ok = f.pieces is not None if own else check_commutation(n, f)
+    if commutation_ok:
+        strings = _strings(f.pieces if own else _graded_char_polys(n, f.phi_matrix), f.q)
+        if strings is not None:
+            return _string_report(strings, i)
     violations: list[dict] = []
-    # f built with this N has tested N Phi = q Phi N already (FrobeniusData)
-    commutation_ok = f.pieces is not None if f.n == n else check_commutation(n, f)
     if not commutation_ok:
         violations.append({"kind": "commutation", "detail": "N Phi != q Phi N"})
 
     weights = None
     try:
-        weights = _weights(f)
+        weights = sorted(_weigh(f.char_poly, f.q).items())
     except NotPureError as err:
         violations.append({"kind": "not_pure", "detail": str(err)})
-    else:
-        dims = _multiplicities(weights, i)
-        equal_weights = {j: [(i + j, m)] for j, m in dims.items()}  # fact (b)
-        if commutation_ok and _dimensions_agree(n, dims):  # fact (c)
-            return WmcReport(True, True, equal_weights, [])
 
     mono = monodromy_filtration(n)
     filtrations_equal = False
@@ -962,20 +978,9 @@ def check_wmc(n: NilpotentOperator, f: FrobeniusData, i: int) -> WmcReport:
             mono_dim, weight_dim = mono.dim_at(j), weight_fil.dim_at(i + j)
             # canonical pieces of equal dimension 0 or d are equal
             if mono_dim != weight_dim or (0 < mono_dim < d and mono.at(j) != weight_fil.at(i + j)):
-                mismatches.append(
-                    {
-                        "kind": "filtration_mismatch",
-                        "index": j,
-                        "monodromy_dim": mono_dim,
-                        "weight_index": i + j,
-                        "weight_dim": weight_dim,
-                    }
-                )
+                mismatches.append(_mismatch(j, mono_dim, i, weight_dim))
         violations.extend(mismatches)
         filtrations_equal = not mismatches
-
-    if filtrations_equal:  # fact (b)
-        return WmcReport(commutation_ok, filtrations_equal, equal_weights, violations)
 
     graded_weights: dict[int, list[tuple[int, int]]] = {}
     below_stable = True  # Phi preserves Fil_(j-1), the previous jump's piece or 0
@@ -1000,17 +1005,7 @@ def check_wmc(n: NilpotentOperator, f: FrobeniusData, i: int) -> WmcReport:
             violations.append({"kind": "graded_not_pure", "index": j, "detail": str(err)})
             continue
         graded_weights[j] = pairs
-        for w, mult in pairs:
-            if w != i + j:
-                violations.append(
-                    {
-                        "kind": "graded_weight",
-                        "index": j,
-                        "weight": w,
-                        "multiplicity": mult,
-                        "expected": i + j,
-                    }
-                )
+        violations += _off_weight(j, pairs, i)
     return WmcReport(
         commutation_ok=commutation_ok,
         filtrations_equal=filtrations_equal,

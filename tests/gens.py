@@ -128,8 +128,12 @@ def random_wmc_pair(
     symmetrically around base_weight + L - 1.  With `center` fixed, every
     string shares that central weight, so the pair satisfies the full
     weight/monodromy comparison at i = center.  Both are conjugated by
-    conjugator(rng, dim), an invertible matrix.
+    conjugator(rng, dim), an invertible matrix.  Raises ValueError when no
+    string fits in max_dim: around an odd center a string of length 1 or 3
+    repeats a 2x2 block of odd weight, and one of length 2 has 2 steps.
     """
+    if max_dim < (2 if center is not None and center % 2 else 1):
+        raise ValueError(f"no string fits in dimension {max_dim} around center {center}")
     dim = 0
     phi_blocks: list[Matrix] = []
     string_layout: list[tuple[int, int]] = []  # (offset, block size) per segment, per string

@@ -597,28 +597,33 @@ class TestErrorContract:
             assert run(JobSpec("wmc-check", dict(TATE_WMC, i=i))).exit_code == code
 
     def test_mismatches_outside_the_ranges_build_no_piece(self, monkeypatch):
-        # outside a filtration's stored range the comparison reads dimensions,
-        # so the 1001 mismatches of the Tate pair at the limit build no subspace:
-        # the count is the same at every i.  21 counts the three row spaces of
-        # N's powers and Phi's matrix on the two pieces ker N, ker N^2 / ker N,
-        # and no Matrix for the test N Phi = q Phi N, which compares integer rows
-        payload = dict(TATE_WMC, i=mono.DEGREE_LIMIT)
-        op = mono.NilpotentOperator(Matrix(payload["n"]))
-        frob = mono.FrobeniusData(Matrix(payload["phi"]), payload["q"])
-        expected = filtration_mismatches(op, frob, payload["i"])
-        built = []
-        original = Matrix._over
-        monkeypatch.setattr(
-            Matrix, "_over", classmethod(lambda cls, *args: built.append(1) or original(*args))
-        )
-        report = run(JobSpec("wmc-check", payload))
-        mismatches = report.payload["violations"][: len(expected)]
-        assert len(expected) == 1001 and mismatches == expected
-        assert len(built) == 21
-        for i in (3, 50, -1000):
-            built.clear()
-            run(JobSpec("wmc-check", dict(payload, i=i)))
-            assert len(built) == 21, i
+        # no Matrix is built per mismatch, so the count is the same at every i.
+        # The Tate pair commutes, and its report comes from N's strings: 7
+        # counts the two parsed matrices, the three row spaces of N's powers
+        # (the full one from the identity) and Phi's matrix on the two pieces
+        # ker N, ker N^2 / ker N; the test N Phi = q Phi N compares integer
+        # rows, with no Matrix.  With Phi diag(1, 25) the pair does not
+        # commute, and the full comparison reads dimensions outside a
+        # filtration's stored range
+        for phi, count in (([[1, 0], [0, 5]], 7), ([[1, 0], [0, 25]], 19)):
+            payload = dict(TATE_WMC, phi=phi, i=mono.DEGREE_LIMIT)
+            op = mono.NilpotentOperator(Matrix(payload["n"]))
+            frob = mono.FrobeniusData(Matrix(phi), payload["q"])
+            expected = filtration_mismatches(op, frob, payload["i"])
+            built = []
+            original = Matrix._over
+            monkeypatch.setattr(
+                Matrix, "_over", classmethod(lambda cls, *args: built.append(1) or original(*args))
+            )
+            violations = run(JobSpec("wmc-check", payload)).payload["violations"]
+            mismatches = [v for v in violations if v["kind"] == "filtration_mismatch"]
+            assert len(expected) == 1001 and mismatches == expected
+            assert len(built) == count, phi
+            for i in (3, 50, -1000):
+                built.clear()
+                run(JobSpec("wmc-check", dict(payload, i=i)))
+                assert len(built) == count, (phi, i)
+            monkeypatch.undo()
 
     def test_dimension_is_bounded(self):
         def identity(d):

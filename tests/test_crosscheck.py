@@ -350,7 +350,8 @@ class TestWmcShortcuts:
             weighed = bool(report.graded_weights)
             seen.add((kind, report.commutation_ok, report.filtrations_equal, moved, weighed))
         assert {k for k in seen if k[0] == "centred"} == {("centred", True, True, False, True)}
-        # fact (a) alone, fact (b) alone, and neither: some pieces weighed, some moved
+        # commuting alone, equal filtrations alone, and neither: some pieces
+        # weighed, some moved
         assert seen >= {
             ("uncentred", True, False, False, True),
             ("perturbed", False, True, False, True),
@@ -359,26 +360,20 @@ class TestWmcShortcuts:
         }
 
     def test_a_wrong_multiplicity_is_caught(self, monkeypatch):
-        # one more in every d_j: wherever N != 0, R_1(d) then exceeds rank N,
-        # so fact (c) refuses d and the full comparison runs
+        # one more of every string changes the multiplicities of gr_j, so no
+        # centred pair's report agrees with the loop over every piece
         rng = random.Random(181)
         centred = [c for c in _wmc_cases(rng, 4) if c[0] == "centred"]
-        original = monodromy._multiplicities
-        monkeypatch.setattr(
-            monodromy,
-            "_multiplicities",
-            lambda weights, i: {j: m + 1 for j, m in original(weights, i).items()},
-        )
-        built = []
+        original, counted = monodromy._strings, []
 
-        def counted(op):
-            built.append(op)
-            return monodromy_filtration(op)
+        def one_more(pieces, q):
+            strings = original(pieces, q)
+            counted.append(strings)
+            return {key: count + 1 for key, count in strings.items()}
 
-        monkeypatch.setattr(monodromy, "monodromy_filtration", counted)
+        monkeypatch.setattr(monodromy, "_strings", one_more)
         assert not any(_against_every_piece(op, fd, i)[1] for _, op, fd, i in centred)
-        nonzero = [op for _, op, _, _ in centred if op.nilpotency_index > 1]
-        assert built == nonzero and 0 < len(nonzero) < len(centred)
+        assert len(counted) == len(centred) and all(counted)
 
 
 def _graded_pair(rng, q, dims, full_rank):
@@ -434,55 +429,74 @@ def _symmetric(dims):
 
 
 class TestDimensionTest:
-    """Fact (c) of check_wmc against the full comparison of the filtrations."""
+    """N's strings (fact (b) of check_wmc) against the full comparison of
+    the filtrations and the loop over every graded piece."""
 
-    def test_matches_the_full_comparison(self):
+    def test_matches_the_full_comparison(self, monkeypatch):
         rng = random.Random(331)
         empty = Matrix.zero(0, 0)
         cases = _wmc_cases(rng, 10) + _graded_cases(rng, 160)
         cases += [("empty", NilpotentOperator(empty), FrobeniusData(empty, 2), i) for i in (0, 3)]
-        # N = 0 and weights i -+ 1: R_1(d) = 1 at the nilpotency index 1
+        # N = 0 and weights i -+ 1: two strings of length 1, off centre
         zero = NilpotentOperator(Matrix.zero(2, 2))
         cases.append(("past_index", zero, FrobeniusData(Matrix.diagonal([1, 9]), 3), 1))
-        # gaps in the weights: R_1(d) is met, and R_2(d) = 1 at or past the index
+        # gaps in the weights: d is symmetric about i, but the strings are
+        # centred elsewhere, with N = 0 and with two strings of length 2
         for dims in ({0: 1, 4: 1}, {0: 1, 2: 1, 6: 1, 8: 1}):
             n_mat, phi = _graded_pair(rng, 3, dims, full_rank=True)
             i = (min(dims) + max(dims)) // 2
             cases.append(("past_index", NilpotentOperator(n_mat), FrobeniusData(phi, 3), i))
+        decided = []
+        original = monodromy._string_report
+        monkeypatch.setattr(
+            monodromy, "_string_report", lambda *a: decided.append(a) or original(*a)
+        )
         seen = set()
         for kind, op, fd, i in cases:
+            decided.clear()
             report = check_wmc(op, fd, i)
             try:
                 mismatches = filtration_mismatches(op, fd, i)
             except NotPureError:
                 assert any(v["kind"] == "not_pure" for v in report.violations)
                 continue
-            got = [v for v in report.violations if v["kind"] == "filtration_mismatch"]
-            assert got == mismatches, (kind, op.n_matrix, fd.phi_matrix, i)
-            assert report.filtrations_equal == (not mismatches)
-            if not check_commutation(op, fd):
-                continue
-            weights = sorted(_weigh(char_poly(fd.phi_matrix), fd.q).items())
-            dims = monodromy._multiplicities(weights, i)
-            decided = monodromy._dimensions_agree(op, dims)
-            assert decided == (not mismatches), (kind, op.n_matrix, fd.phi_matrix, i)
-            if decided:  # the report of fact (b) on the full path
-                mono = monodromy_filtration(op)
-                weights = {j: [(i + j, mono.graded_dimension(j))] for j in mono.jump_indices()}
-                assert report == WmcReport(True, True, weights, [])
-            short = _symmetric(dims) and not decided
-            seen.add((kind, decided, short, op.nilpotency_index > 1))
+            weights, graded, _ = graded_weights_every_piece(monodromy_filtration(op), fd, i)
+            commutes = check_commutation(op, fd)
+            ungraded = [] if commutes else [{"kind": "commutation", "detail": "N Phi != q Phi N"}]
+            expected = WmcReport(commutes, not mismatches, weights, ungraded + mismatches + graded)
+            assert report == expected, (kind, op.n_matrix, fd.phi_matrix, i)
+            assert list(report.graded_weights) == sorted(report.graded_weights)
+            assert bool(decided) == commutes, (kind, op.n_matrix, fd.phi_matrix, i)
+            dims = {}
+            for pairs in weights.values():
+                for w, m in pairs:
+                    dims[w - i] = dims.get(w - i, 0) + m
+            seen.add((kind, commutes, not mismatches, _symmetric(dims), op.nilpotency_index > 1))
         assert seen >= {
-            ("centred", True, False, True),
-            ("centred", True, False, False),
-            ("uncentred", False, False, True),
-            ("empty", True, False, False),
-            ("past_index", False, True, False),
-            ("past_index", False, True, True),
-            ("graded", True, False, True),
-            ("graded", False, True, True),  # symmetric, but rank N^k short of R_k(d)
-            ("graded", False, False, True),
+            ("centred", True, True, True, True),
+            ("centred", True, True, True, False),
+            ("uncentred", True, False, False, True),
+            ("perturbed", False, True, True, True),
+            ("perturbed", False, False, False, True),
+            ("unstable", False, False, False, True),
+            ("empty", True, True, True, False),
+            ("past_index", True, False, True, False),
+            ("past_index", True, False, True, True),
+            ("graded", True, True, True, True),
+            ("graded", True, False, True, True),  # symmetric, but off centre
+            ("graded", True, False, False, True),
         }
+
+    def test_swapped_pieces_are_refused(self):
+        # the pieces of a string of length 2 and one of length 3, in reverse:
+        # a longer string than there are shorter ones of its bottom weight
+        rng = random.Random(337)
+        for lengths in ([2], [2, 3], [1, 3]):
+            n_mat, phi = _tate_strings(rng, 3, lengths)
+            pieces = FrobeniusData(phi, 3, NilpotentOperator(n_mat)).pieces
+            assert monodromy._strings(pieces, 3)
+            with pytest.raises(ArithmeticError, match="^-[0-9]+ strings of bottom weight"):
+                monodromy._strings(pieces[::-1], 3)
 
     def test_a_gap_in_the_weights_is_not_skipped(self):
         # d = {-2: 1, 2: 1}: R_1(d) = 0, but R_2(d) = 1 > rank N^2 = 0
@@ -506,12 +520,20 @@ class TestDimensionTest:
         assert report == WmcReport(True, False, {0: [(0, 1), (4, 1)]}, mismatches + graded)
 
     def test_counts_on_the_benchmark_jobs(self, monkeypatch):
-        # a passing job builds no filtration; N Phi = q Phi N is tested once,
-        # in FrobeniusData, which takes the characteristic polynomial of Phi
-        # on each piece ker N^(k+1) / ker N^k, never on Phi itself, and each
-        # piece is weighed once
+        # a commuting job builds no filtration, passing or not; N Phi = q Phi N
+        # is tested once, in FrobeniusData, which takes the characteristic
+        # polynomial of Phi on each piece ker N^(k+1) / ker N^k, never on Phi
+        # itself, and each piece is split by weight once, with nothing factored
         workloads = load_workloads()
-        names = ("monodromy_filtration", "_split", "char_poly", "_weigh", "_q_commutes")
+        names = (
+            "monodromy_filtration",
+            "_split",
+            "induced_quotient_matrix",
+            "char_poly",
+            "_split_weights",
+            "_weigh",
+            "_q_commutes",
+        )
         args = {name: [] for name in names}
         for name, seen in args.items():
             fn = getattr(monodromy, name)
@@ -527,17 +549,13 @@ class TestDimensionTest:
                 seen.clear()
             report = cli.run(cli.JobSpec(job.command, job.payload)).to_dict()
             assert job.oracle(report) is None
+            assert (report["status"] == "pass") == (variant == "pass")
             assert len(pieces) == op.nilpotency_index == 4
-            assert [m.rows for m in args["char_poly"][:4]] == [2, 2, 2, 2]
-            assert [m for m in args["char_poly"] if m.rows == phi.rows] == []
-            assert args["_weigh"][:4] == list(pieces)
+            assert [m.rows for m in args["char_poly"]] == [2, 2, 2, 2]
+            assert args["_split_weights"] == [list(p._num) for p in pieces]
             assert args["_q_commutes"] == [op.n_matrix]
-            if variant == "pass":
-                assert len(args["char_poly"]) == len(args["_weigh"]) == 4
-                assert args["monodromy_filtration"] == args["_split"] == []
-            else:  # and one each for the map on each of the 4 jumps of gr
-                assert len(args["char_poly"]) == len(args["_weigh"]) == 8
-                assert len(args["monodromy_filtration"]) == 1 and args["_split"]
+            assert args["monodromy_filtration"] == args["_split"] == []
+            assert args["induced_quotient_matrix"] == args["_weigh"] == []
 
 
 def _counting_echelon(monkeypatch, limit):
@@ -752,11 +770,36 @@ class TestGradedPieces:
             assert report == check_wmc(op, FrobeniusData(phi, q), 1)
             assert report.violations[0]["kind"] == "not_pure"
 
+    def test_an_impure_phi_is_factored_once_per_use(self, monkeypatch):
+        # N = 0: the one piece, all of Phi, is split by weight and not
+        # factored; the full path factors the whole characteristic
+        # polynomial for the weight filtration and the map on gr_0 once each
+        op = NilpotentOperator(Matrix.zero(2, 2))
+        phi = Matrix([[0, -5], [1, 7]])
+        calls, factor = [], monodromy.factor_rational
+        monkeypatch.setattr(monodromy, "factor_rational", lambda p: calls.append(p) or factor(p))
+        report = check_wmc(op, FrobeniusData(phi, 5, op), 1)
+        assert calls == [char_poly(phi)] * 2
+        detail = (
+            "RatPoly(x^2 - 7*x + 5) is not weight-pure for q=5: "
+            "a root has squared modulus other than q^1"
+        )
+        assert report == WmcReport(
+            True,
+            False,
+            {},
+            [
+                {"kind": "not_pure", "detail": detail},
+                {"kind": "graded_not_pure", "index": 0, "detail": detail},
+            ],
+        )
+
     def test_recombination_limit_gives_the_same_report(self, monkeypatch):
         # each piece is a Swinnerton-Dyer block, 8 modular factors that take
-        # 162 trials, and the whole polynomial has 16: a piece stops at the
-        # limit 161 and is found impure at 162, and either way the whole
-        # polynomial stops at the limit, as without pieces
+        # 162 trials, and the whole polynomial has 16: factored alone, a piece
+        # stops at the limit 161 and is found impure at 162, but check_wmc
+        # factors no piece, and the whole polynomial stops at the limit, as
+        # without pieces
         sd4 = swinnerton_dyer([2, 3, 5, 7])
         n = sd4.degree
         c = [[int(i == j + 1) for j in range(n - 1)] + [-sd4._num[i]] for i in range(n)]

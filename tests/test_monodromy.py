@@ -379,6 +379,14 @@ class TestCheckWmc:
             report = check_wmc(NilpotentOperator(n_mat), FrobeniusData(phi, 3), i)
             assert report.passed, report.violations
 
+    def test_string_constructions_that_cannot_fit_are_refused(self):
+        for max_dim, center in ((1, 1), (1, -3), (0, None), (0, 2)):
+            with pytest.raises(ValueError, match="^no string fits in dimension"):
+                random_wmc_pair(random.Random(0), 5, max_dim=max_dim, center=center)
+        for max_dim, center in ((2, 1), (1, 2), (1, None)):
+            n_mat, phi, i = random_wmc_pair(random.Random(0), 5, max_dim=max_dim, center=center)
+            assert n_mat.rows == phi.rows <= max_dim and i == (center or 0)
+
     def test_misaligned_centers_fail(self):
         # two commuting strings whose graded weights center at 1 and 3: no
         # single shift i can make both filtrations agree

@@ -98,8 +98,8 @@ def test_core_operators_have_package_callers():
     # monodromy._powers (operator.mul, the exact powers of N that
     # log_unipotent and exp_nilpotent build) and tropbundle.form_matrix
     # (check_commutation compares integer rows, with no Matrix); RatPoly * in
-    # monodromy._split, _weigh, _weights and FrobeniusData (operator.mul,
-    # the product of the pieces), ** in _weigh's g**mult
+    # monodromy._split, _weigh and FrobeniusData (operator.mul, the product
+    # of the pieces), ** in _weigh's g**mult
     found = {cls.__name__: sorted(_OPERATORS & set(vars(cls))) for cls in (Matrix, RatPoly)}
     assert found == {"Matrix": ["__add__", "__mul__", "__sub__"], "RatPoly": ["__mul__", "__pow__"]}
 
