@@ -37,7 +37,7 @@ def main() -> int:
 
     print("== weight/monodromy comparison for the degenerate H^1 data ==")
     n = NilpotentOperator(Matrix([[0, 1], [0, 0]]))
-    frob = FrobeniusData(Matrix.diagonal([1, p]), p)
+    frob = FrobeniusData(Matrix.diagonal([1, p]), p, n)
     report = check_wmc(n, frob, 1)
     print(f"  N Phi = q Phi N: {report.commutation_ok}")
     print(f"  filtrations agree: {report.filtrations_equal}")

@@ -274,14 +274,15 @@ class _FaceList(NamedTuple):
     def dicts(self) -> list[dict]:
         return [
             {
-                "position": format_ratio(pos_num, pos_den),
+                "position": f"{pos_num}" if pos_den == 1 else f"{pos_num}/{pos_den}",
                 "left_slope": left_slope,
                 "right_slope": right_slope,
                 "slope_difference": left_slope - right_slope,
-                "value": format_ratio(left_num, den),
-                "continuous": left_num == right_num,
+                "value": f"{left_num}" if left_den == 1 else f"{left_num}/{left_den}",
+                "continuous": left_num == right_num and left_den == right_den,
             }
-            for pos_num, pos_den, left_slope, right_slope, left_num, right_num, den in self.faces
+            for pos_num, pos_den, left_slope, right_slope, left_num, left_den, right_num, right_den
+            in self.faces
         ]
 
 
@@ -683,11 +684,12 @@ def _face_list_json(faces: _FaceList, newline: str) -> str:
     template = "{" + inner + "  " + ("," + inner + "  ").join(_FACE_FIELDS) + inner + "}"
     body = ("," + inner).join([
         template % (
-            "true" if left_num == right_num else "false", left_slope,
-            format_ratio(pos_num, pos_den), right_slope, left_slope - right_slope,
-            format_ratio(left_num, den),
+            "true" if left_num == right_num and left_den == right_den else "false", left_slope,
+            pos_num if pos_den == 1 else f"{pos_num}/{pos_den}", right_slope,
+            left_slope - right_slope, left_num if left_den == 1 else f"{left_num}/{left_den}",
         )
-        for pos_num, pos_den, left_slope, right_slope, left_num, right_num, den in faces.faces
+        for pos_num, pos_den, left_slope, right_slope, left_num, left_den, right_num, right_den
+        in faces.faces
     ])  # fmt: skip
     return "[" + inner + body + newline + "]"
 

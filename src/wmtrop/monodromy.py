@@ -28,12 +28,13 @@ The weight-j part h_j of a characteristic polynomial, the product of
 its roots of weight j, comes without factoring over Q, in three phases
 (_split_weights): the real roots +-q^k are divided out, then, from an
 integer Fujiwara bound down, gcd(f, x^n f(q^w/x)) gives the part of the
-top weight w left; a gcd mod 2^61 - 1 passes over the weights where it
-is 1.  Soundness rests on the third phase alone: each part must pass
-the exact purity test at its weight.  The split stops at a part that
-fails it, and only the rest it could not place, impure input above
-all, is factored over Q, so that NotPureError names an irreducible
-factor.
+top weight w left; a gcd mod 2^61 - 1, or 2^127 - 1 if the first
+divides q f_0 f_n (if both do, nothing is split), passes over the
+weights where it is 1.  Soundness rests on the third phase alone: each
+part must pass the exact purity test at its weight.  The split stops at
+a part that fails it, and only the rest it could not place, impure input
+above all, is factored over Q, so that NotPureError names an
+irreducible factor.
 """
 
 from __future__ import annotations
@@ -525,10 +526,10 @@ def weil_weight(g: RatPoly, q: int) -> int:
     return j
 
 
-#: the prime the weight splitter reduces modulo, to pass over the candidate
-#: roots and weights that cannot divide before any exact step; a small prime
-#: lets nearly every weight through (powers of 5 collide mod 3)
-_SPLIT_PRIME = 2**61 - 1
+#: the primes the weight splitter may reduce modulo, to pass over candidate
+#: roots and weights before any exact step; a small prime lets nearly every
+#: weight through (powers of 5 collide mod 3)
+_SPLIT_PRIMES = (2**61 - 1, 2**127 - 1)
 
 
 def _top_weight(f: list[int], q: int) -> int:
@@ -560,11 +561,11 @@ def _split_weights(f: list[int], q: int) -> tuple[dict[int, list[int]], list[int
 
     (a) the real pure roots +-q^k, of weight 2k, are divided out first,
         for k from the top of the weight range down, wherever f(+-q^k)
-        vanishes mod _SPLIT_PRIME and as often as x -+ q^k (or
-        q^-k x -+ 1, for k < 0) divides exactly;
+        vanishes mod p and as often as x -+ q^k (or q^-k x -+ 1, for
+        k < 0) divides exactly;
     (b) for w from the top of what is left down, the reciprocal
-        T = x^n f(q^w / x) meets f in gcd(f, T), tried mod _SPLIT_PRIME
-        first.  A root a of weight u meets q^w / a, of weight 2w - u, so
+        T = x^n f(q^w / x) meets f in gcd(f, T), tried mod p first.
+        A root a of weight u meets q^w / a, of weight 2w - u, so
         at the top weight w of f's roots the gcd holds exactly the roots
         of weight w, with their multiplicities (q^w / a is a's conjugate);
         it is divided out and the bounds are taken again, so each weight
@@ -575,15 +576,16 @@ def _split_weights(f: list[int], q: int) -> tuple[dict[int, list[int]], list[int
         (a) and (b) only find the parts: each is a product of pure
         irreducible factors of f, so rest keeps every impure one.
 
-    A prime that divides q f_0 f_n, a weight below the range or a part
-    that fails (c) stops the split, and what is left of f is the rest, so
-    this never raises on a polynomial of degree >= 1.  A part divides f
-    exactly, by Gauss' lemma, as a primitive divisor over Q; a division
-    that is not exact raises ArithmeticError.
+    p is the first of _SPLIT_PRIMES that does not divide q f_0 f_n; if
+    both do, the split returns at once.  That, a weight below the range or
+    a part that fails (c) stops the split, and what is left of f is the
+    rest, so this never raises on a polynomial of degree >= 1.  A part
+    divides f exactly, by Gauss' lemma, as a primitive divisor over Q; a
+    division that is not exact raises ArithmeticError.
     """
-    p = _SPLIT_PRIME
     parts: dict[int, list[int]] = {}
-    if len(f) == 1 or f[0] * f[-1] * q % p == 0:
+    p = next((p for p in _SPLIT_PRIMES if f[0] * f[-1] * q % p), None)
+    if len(f) == 1 or p is None:
         return parts, f
 
     def take(w: int, part: list[int]) -> None:
@@ -934,43 +936,41 @@ def check_wmc(n: NilpotentOperator, f: FrobeniusData, i: int) -> WmcReport:
         G_k = ker N^(k+1) / ker N^k (_strings), and the report follows
         with no subspace built (_string_report).
 
-    A commuting pair takes the pieces from f when f was built with this N
-    (equal fields), which has tested N Phi = q Phi N already
-    (FrobeniusData); any other N runs check_commutation, and
-    _graded_char_polys if it commutes.  A pair that does not commute, an
-    impure Phi, or a piece whose weights _split_weights cannot place takes
-    the full path: both filtrations built and compared index by index,
-    and one elimination per jump piece (induced_quotient_matrix) that
-    tells whether Phi preserves Fil_j and gives the map on gr_j, which is
+    The pair is read through FrobeniusData(Phi, q, N), which tests
+    N Phi = q Phi N and, if it holds, keeps Phi's characteristic
+    polynomial on each piece; an f built with another N is built again
+    with this one.  A pair that does not commute, an impure Phi, or a
+    piece whose weights _split_weights cannot place takes the full path:
+    both filtrations built and compared index by index, and one
+    elimination per jump piece (induced_quotient_matrix) that tells
+    whether Phi preserves Fil_j and gives the map on gr_j, which is
     weighed when Fil_(j-1) is stable too.  It weighs only the whole
     characteristic polynomial, so that a not_pure text does not depend on
     the pieces.
     """
     if n.dimension != f.dimension:
         raise DimensionMismatch("operator dimensions differ")
-    own = f.n == n
-    commutation_ok = f.pieces is not None if own else check_commutation(n, f)
+    if f.n != n:
+        f = FrobeniusData(f.phi_matrix, f.q, n)
+    commutation_ok = f.pieces is not None
     if commutation_ok:
-        strings = _strings(f.pieces if own else _graded_char_polys(n, f.phi_matrix), f.q)
+        strings = _strings(f.pieces, f.q)
         if strings is not None:
             return _string_report(strings, i)
     violations: list[dict] = []
     if not commutation_ok:
         violations.append({"kind": "commutation", "detail": "N Phi != q Phi N"})
 
-    weights = None
+    weight_fil = None
     try:
-        weights = sorted(_weigh(f.char_poly, f.q).items())
+        weight_fil = weight_filtration(weight_decomposition(f))
     except NotPureError as err:
         violations.append({"kind": "not_pure", "detail": str(err)})
 
     mono = monodromy_filtration(n)
     filtrations_equal = False
-    if weights is not None:
+    if weight_fil is not None:
         d = f.dimension
-        weight_fil = weight_filtration(
-            WeightDecomposition(d, _split(f.phi_matrix, Subspace.full(d), weights))
-        )
         lo = min(mono.lo, weight_fil.lo - i)
         hi = max(mono.hi, weight_fil.hi - i)
         mismatches = []

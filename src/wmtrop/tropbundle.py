@@ -241,11 +241,11 @@ class TropicalSection(
 class FaceTransition(NamedTuple):
     """Data at a shared cell face: the valuation shadow of a transition unit.
 
-    Stored as integers: the face sits at u = pos_num/pos_den, and the
-    pieces on its left and right take the values left_num/den and
-    right_num/den there.  `position`, `left_value`, `right_value`,
-    `slope_difference` and `continuous` are built on demand, and equality
-    and hash compare those values, not the stored form.
+    Integers in lowest terms, with positive denominators, not checked:
+    verify_section builds them so, and tuple equality and hash are the
+    values'.  The face sits at u = pos_num/pos_den, and the pieces on its
+    left and right take the values left_num/left_den and
+    right_num/right_den there; the properties build the Fractions.
     """
 
     pos_num: int
@@ -253,8 +253,9 @@ class FaceTransition(NamedTuple):
     left_slope: int
     right_slope: int
     left_num: int
+    left_den: int
     right_num: int
-    den: int
+    right_den: int
 
     @property
     def position(self) -> Fraction:
@@ -262,11 +263,11 @@ class FaceTransition(NamedTuple):
 
     @property
     def left_value(self) -> Fraction:
-        return Fraction(self.left_num, self.den)
+        return Fraction(self.left_num, self.left_den)
 
     @property
     def right_value(self) -> Fraction:
-        return Fraction(self.right_num, self.den)
+        return Fraction(self.right_num, self.right_den)
 
     @property
     def slope_difference(self) -> int:
@@ -274,21 +275,7 @@ class FaceTransition(NamedTuple):
 
     @property
     def continuous(self) -> bool:
-        return self.left_num == self.right_num
-
-    def _values(self) -> tuple:
-        return (self.position, self.left_slope, self.right_slope, self.left_value, self.right_value)
-
-    # a plain tuple never equals a face: tuple's own comparison would see
-    # only the stored form
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FaceTransition) and self._values() == other._values()
-
-    def __ne__(self, other) -> bool:
-        return not self == other
-
-    def __hash__(self) -> int:
-        return hash(self._values())
+        return self.left_num == self.right_num and self.left_den == self.right_den
 
 
 class SectionReport(NamedTuple):
@@ -357,8 +344,8 @@ def verify_section(b: BundleData, f: TropicalSection) -> SectionReport:
     Integer slopes need no check here: TropicalSection rejects any other.
     Linear in the number of cells: the slope prefix is summed once, values
     are compared as integer numerators over one common denominator, and
-    each face keeps those integers; a Fraction is built only to spell a
-    discontinuity.
+    each face keeps those integers, reduced to lowest terms at the end; a
+    Fraction is built only to spell a discontinuity.
     """
     lam, d_eff, v_eff = _rank1_generator_data(b)
     failures: list[str] = []
@@ -406,10 +393,19 @@ def verify_section(b: BundleData, f: TropicalSection) -> SectionReport:
             f"left piece gives {Fraction(ends[j], den)}, "
             f"right piece gives {Fraction(corners[j], den)}"
         )
+    # lowest terms: alpha is, so face j's position (j+1) a_num / a_den reduces by gcd(j+1, a_den)
+    a_dens, dens, div = itertools.repeat(a_den), itertools.repeat(den), operator.floordiv
+    pos_gcds = list(map(math.gcd, range(1, 2 * k + 1), a_dens))
+    left_gcds = list(map(math.gcd, ends, dens))
+    right_gcds = list(map(math.gcd, corners, dens))
     positions = range(a_num, (2 * k + 1) * a_num, a_num)
     # FaceTransition._make, without its length check in Python per face
     faces = map(
         functools.partial(tuple.__new__, FaceTransition),
-        zip(positions, itertools.repeat(a_den), cells, cells[1:], ends, corners, itertools.repeat(den)),
-    )
+        zip(
+            map(div, positions, pos_gcds), map(div, a_dens, pos_gcds), cells, cells[1:],
+            map(div, ends, left_gcds), map(div, dens, left_gcds),
+            map(div, corners, right_gcds), map(div, dens, right_gcds),
+        ),
+    )  # fmt: skip
     return SectionReport(ok=not failures, failures=tuple(failures), faces=tuple(faces))

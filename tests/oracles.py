@@ -603,16 +603,16 @@ def verify_section_by_corner_value(b: BundleData, f: TropicalSection) -> Section
         right_slope = slope_in_cell(f, j + 1)
         left_value = f.corner_value(j) + left_slope * f.alpha
         right_value = f.corner_value(j + 1)
-        den = left_value.denominator * right_value.denominator
         faces.append(
             FaceTransition(
                 pos_num=pos.numerator,
                 pos_den=pos.denominator,
                 left_slope=left_slope,
                 right_slope=right_slope,
-                left_num=left_value.numerator * right_value.denominator,
-                right_num=right_value.numerator * left_value.denominator,
-                den=den,
+                left_num=left_value.numerator,
+                left_den=left_value.denominator,
+                right_num=right_value.numerator,
+                right_den=right_value.denominator,
             )
         )
         if left_value != right_value:

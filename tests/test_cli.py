@@ -690,6 +690,28 @@ class TestErrorContract:
         with pytest.raises(pf.RecombinationLimitError):
             pf.factor_rational(char_poly(Matrix(phi)))
 
+    def test_split_prime_dividing_q_takes_the_other(self, monkeypatch):
+        # q = 2^61 - 1 is prime, so a valid residue field size, and it and
+        # 2(2^61 - 1) are split mod 2^127 - 1: the companion of
+        # Phi_35 Phi_120, pure of weight 0, is never factored (factoring it
+        # would recombine 24 modular factors, past the limit) and reports
+        # as at q = 5
+        workloads = load_workloads()
+        poly = RatPoly(workloads._cyclotomic(35)) * RatPoly(workloads._cyclotomic(120))
+        phi = workloads._companion(list(poly._num))
+        zero = [[0] * len(phi)] * len(phi)
+        jobs = [("weight-filtration", {"phi": phi}), ("wmc-check", {"phi": phi, "n": zero, "i": 0})]
+        expected = [render_json(run(JobSpec(command, {**payload, "q": 5}))) for command, payload in jobs]
+        assert all('"status": "pass"' in text for text in expected)
+
+        def no_factoring(p):
+            raise AssertionError(f"factored {p}")
+
+        monkeypatch.setattr(mono, "factor_rational", no_factoring)
+        for q in (2**61 - 1, 2 * (2**61 - 1)):
+            got = [render_json(run(JobSpec(command, {**payload, "q": q}))) for command, payload in jobs]
+            assert got == expected, q
+
     def test_impure_rest_is_factored_alone(self, monkeypatch):
         # only the rest that the split cannot place is factored: times the
         # impure x^2 - 7x + 5, irreducible modulo its Zassenhaus prime, the

@@ -1612,14 +1612,15 @@ class TestWeightsWithoutFactoring:
 
     def test_pure_factors_of_the_rest_are_placed(self, monkeypatch):
         # _weigh places each pure irreducible factor of the rest at its
-        # weight, g**mult into h_j: at q = 2^61 - 1, which is _SPLIT_PRIME,
-        # the split returns at once and factoring places all of diag(1, q, q);
+        # weight, g**mult into h_j: at q = (2^61 - 1)(2^127 - 1), which both
+        # _SPLIT_PRIMES divide, the split returns at once and factoring
+        # places all of diag(1, q, q);
         # before x^2 - 7x + 5 the rest's first factor x^2 + x + 1 goes to
         # weight 0, and then the impure one raises
         placed = []
         original = RatPoly.__pow__
         monkeypatch.setattr(RatPoly, "__pow__", lambda g, k: placed.append((g, k)) or original(g, k))
-        q = monodromy._SPLIT_PRIME
+        q = (2**61 - 1) * (2**127 - 1)
         cp = char_poly(Matrix.diagonal([1, q, q]))
         assert _split_weights(list(cp._num), q) == ({}, list(cp._num))
         want = factoring_weights(cp, q)
@@ -1734,7 +1735,7 @@ def _perturbed(f, **changes):
 
 def _face_fields(report) -> list[tuple]:
     """Every field of every face, read through the properties, so that the
-    comparison does not rest on FaceTransition's own equality."""
+    comparison covers the values they build as well as the stored integers."""
     return [
         (f.position, f.left_slope, f.right_slope, f.slope_difference)
         + (f.left_value, f.right_value, f.continuous)

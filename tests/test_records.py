@@ -10,10 +10,10 @@ package calls neither on a validated record.  A validated record keeps one
 stored form per value, with a tuple of its own wherever a caller may pass a
 list, a generator or another sequence, so it hashes and compares by its
 fields: `Filtration` trims the index range it is given to the jumps, so a
-wider range builds the same fields.  Only `FaceTransition` compares values
-rather than fields (see tests/test_tropbundle.py).  `Matrix` and `RatPoly`
-are the only hand-written `__slots__` classes; they copy and pickle through
-their second constructor, `_over`.
+wider range builds the same fields, and `verify_section` builds each
+`FaceTransition` in lowest terms.  `Matrix` and `RatPoly` are the only
+hand-written `__slots__` classes; they copy and pickle through their
+second constructor, `_over`.
 """
 
 import copy
@@ -54,7 +54,7 @@ RECORDS = {
     "Report": lambda: Report("trop-model", "pass", {"components": 2}, ("note",)),
     "WeightDecomposition": lambda: WeightDecomposition(2, {0: Subspace.full(2)}),
     "WmcReport": lambda: WmcReport(True, False, {0: [(0, 2)]}, [{"kind": "x"}]),
-    "SectionReport": lambda: SectionReport(True, (), (FaceTransition(1, 1, 0, 0, 0, 0, 1),)),
+    "SectionReport": lambda: SectionReport(True, (), (FaceTransition(1, 1, 0, 0, 0, 1, 0, 1),)),
     "DualGraph": lambda: DualGraph((0, 1), ((0, 1, 2),)),
     "ModelDescriptor": lambda: ModelDescriptor(1, ((F(2),),), F(1), 2, 1, 4),
     "CellWidth": lambda: CellWidth(F(1, 2)),

@@ -78,10 +78,10 @@ def test_records_are_named_tuples():
 
 def test_records_compare_their_fields():
     # a record with one stored form per value needs tuple equality and hash
-    # alone; only a face compares the values it spells from its integers
+    # alone
     own = {"__eq__", "__ne__", "__hash__"}
     found = [name for name, cls, record in _classes() if record and own & set(vars(cls))]
-    assert found == ["tropbundle.FaceTransition"]
+    assert found == []
 
 
 _ARITHMETIC = {"add", "sub", "mul", "matmul", "truediv", "floordiv", "mod", "divmod", "pow",

@@ -1,4 +1,5 @@
 import enum
+import math
 import random
 from fractions import Fraction as F
 
@@ -335,34 +336,54 @@ class TestConstructVerify:
 
 
 class TestFaceTransition:
-    """Faces are stored as integers; their values are built on demand."""
+    """Faces are stored as integers in lowest terms; their values are built on demand."""
 
     def test_values_on_demand(self):
         face = FaceTransition(
-            pos_num=4, pos_den=6, left_slope=3, right_slope=-1, left_num=-10, right_num=-10, den=4
-        )
+            pos_num=2, pos_den=3, left_slope=3, right_slope=-1,
+            left_num=-5, left_den=2, right_num=-5, right_den=2,
+        )  # fmt: skip
         assert face.position == F(2, 3) and type(face.position) is F
         assert face.left_value == face.right_value == F(-5, 2)
         assert face.slope_difference == 4
         assert face.continuous
-        broken = face._replace(right_num=-9)
-        assert not broken.continuous and broken.right_value == F(-9, 4)
+        for broken, value in ((face._replace(right_num=-9, right_den=4), F(-9, 4)),
+                              (face._replace(right_den=1), F(-5))):  # fmt: skip
+            assert not broken.continuous and broken.right_value == value
 
-    def test_equality_and_hash_compare_values(self):
-        face = FaceTransition(2, 3, 1, 0, 5, 7, 3)
-        same = FaceTransition(-4, -6, 1, 0, 10, 14, 6)
-        assert face == same and not face != same and hash(face) == hash(same)
-        assert tuple(face) != tuple(same)
-        for other in (
-            face._replace(pos_num=3),
-            face._replace(left_slope=2),
-            face._replace(right_slope=1),
-            face._replace(left_num=6),
-            face._replace(right_num=6),
-            face._replace(den=6),
-        ):
-            assert face != other and not face == other
-        assert face != tuple(face) and not face == tuple(face) and tuple(face) != face
+    def test_faces_are_in_lowest_terms(self):
+        # each stored fraction is reduced with a positive denominator, so
+        # tuple equality and hash are the values'
+        rng = random.Random(151)
+        seen = set()
+        for _ in range(150):
+            sign = rng.choice((1, -1))
+            alpha = F(rng.randint(1, 6), rng.choice((1, 2, 3, 4, 6, 9)))
+            k = rng.randint(1, 8)
+            lattice = TropicalLattice(Matrix([[sign * alpha * k]]))
+            b = BundleData(lattice, Matrix([[rng.randint(-3, 3)]]), [alpha * rng.randint(-9, 9)])
+            f = construct_f(b, CellWidth(alpha))
+            slopes = tuple(s + rng.choice((0, 0, 1, -2)) for s in f.slopes)
+            base = rng.choice((F(0), F(rng.randint(-6, 6), rng.randint(1, 12))))
+            f = TropicalSection(f.alpha, slopes, base, f.slope_increment, f.value_increment)
+            faces = verify_section(b, f).faces
+            assert len(faces) == 2 * k
+            for face in faces:
+                values = [(face.left_num, face.left_den), (face.right_num, face.right_den)]
+                for num, den in [(face.pos_num, face.pos_den), *values]:
+                    assert den > 0 and math.gcd(num, den) == 1, face
+                seen.update("zero value" for num, _ in values if num == 0)
+                seen.update("value with denominator" for _, den in values if den > 1)
+                if not face.continuous:
+                    seen.add("discontinuity")
+            if sign < 0:
+                seen.add("negative generator")
+            if alpha.denominator > 1:
+                seen.add("alpha with denominator")
+        assert seen == {
+            "zero value", "value with denominator", "discontinuity", "negative generator",
+            "alpha with denominator",
+        }  # fmt: skip
 
     def test_verify_section_builds_no_fraction_per_face(self, monkeypatch):
         counts = []
