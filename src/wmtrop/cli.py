@@ -234,7 +234,7 @@ def serialize_section(s: tb.TropicalSection) -> dict:
 
 
 def serialize_subspace(s: Subspace) -> dict:
-    return {"dim": s.dim, "basis": serialize_matrix(s.basis) if s.dim else []}
+    return {"dim": s.dim, "basis": serialize_matrix(s.basis)}
 
 
 def serialize_filtration(f: mono.Filtration) -> dict:
@@ -714,12 +714,10 @@ def _emit(value: Any, out: list[str], newline: str) -> None:
     """Append the JSON text of `value` to `out`; `newline` is "\\n" plus the current indent.
 
     Containers look their items' types up in `_SCALARS` themselves, so a
-    scalar item costs no call of `_emit`.
+    scalar item costs no call of `_emit`: `_emit` sees only containers and
+    the subclasses of scalars.
     """
-    encode = _SCALARS.get(type(value))
-    if encode is not None:
-        out.append(encode(value))
-    elif isinstance(value, dict):
+    if isinstance(value, dict):
         if not value:
             out.append("{}")
             return

@@ -77,13 +77,12 @@ def _mx_mul(a: list[int], b: list[int], m: int) -> list[int]:
 
 
 def _mx_divmod_monic(a: list[int], b: list[int], m: int) -> tuple[list[int], list[int]]:
-    """Division by a monic polynomial; valid over any modulus."""
+    """Division by a monic polynomial; valid over any modulus.  The
+    remainder is always reduced mod m, also when `a` has the lower degree."""
     if not b or b[-1] != 1:
         raise ArithmeticError("divisor must be monic")
     rem = list(a)
     db = len(b) - 1
-    if len(rem) - 1 < db:
-        return [], _trim(rem)
     quo = [0] * (len(rem) - db)
     for k in range(len(rem) - db - 1, -1, -1):
         c = rem[k + db] % m
@@ -250,23 +249,19 @@ def _center(c: int, m: int) -> int:
 
 
 def _zassenhaus_monic(g: list[int], rng: random.Random) -> list[list[int]]:
-    """Irreducible factors over Z of a monic squarefree integer polynomial."""
+    """Irreducible factors over Z of a monic squarefree integer polynomial
+    of degree >= 2.  Being monic, it keeps its degree mod every prime, and
+    with one modular factor recombination tries no subset and returns g."""
     n = len(g) - 1
-    if n <= 1:
-        return [g]
     p = None
     for cand in _PRIMES:
         fp = _mx_normalize(g, cand)
-        if len(fp) - 1 != n:
-            continue
         if _mx_gcd(fp, _mx_normalize(_int_derivative(fp), cand), cand) == [1]:
             p = cand
             break
     if p is None:  # pragma: no cover - squarefree inputs always find a prime here
         raise ArithmeticError("no small prime keeps the polynomial squarefree")
     modular = _factor_mod_p(_mx_normalize(g, p), p, rng)
-    if len(modular) == 1:
-        return [g]
     bound = 2 * (2**n) * (math.isqrt(sum(c * c for c in g)) + 1) + 1
     target = p
     while target < bound:

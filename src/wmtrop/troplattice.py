@@ -88,7 +88,7 @@ class TropicalLattice(NamedTuple("TropicalLattice", [("generators", Matrix)])):
 
     def covolume(self) -> Fraction:
         """|det| of the generator matrix (1 for rank 0)."""
-        return abs(self.generators.det()) if self.rank > 0 else Fraction(1)
+        return abs(self.generators.det())
 
     def __repr__(self) -> str:
         return f"TropicalLattice(rank {self.rank}, generators {self.generators!r})"
@@ -192,9 +192,7 @@ def dual_graph(q: QuotientModel) -> DualGraph:
     if k > CELL_LIMIT:
         raise ValueError(f"{k} components are above the cell limit {CELL_LIMIT}")
     vertices = tuple(range(k))
-    if k == 1:
-        edges = ((0, 0, 1),)
-    elif k == 2:
+    if k == 2:
         edges = ((0, 1, 2),)
     else:
         edges = tuple((j, (j + 1) % k, 1) for j in range(k))
@@ -275,8 +273,6 @@ def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:
 
 def lattice_hnf(lat: TropicalLattice) -> Matrix:
     """Canonical rational basis of the lattice: equal lattices compare equal."""
-    if lat.rank == 0:
-        return Matrix([], cols=0)
     g = lat.generators
     return Matrix._over(_hnf_rows(list(zip(*g._num))), g._den, lat.rank)
 

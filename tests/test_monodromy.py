@@ -19,6 +19,7 @@ from wmtrop.monodromy import (
     NotNilpotentError,
     NotPureError,
     NotUnipotentError,
+    WeightDecomposition,
     check_commutation,
     check_wmc,
     exp_nilpotent,
@@ -116,7 +117,7 @@ class TestMonodromyFiltration:
 
     def test_dim_zero(self):
         fil = monodromy_filtration(NilpotentOperator(Matrix([], cols=0)))
-        assert fil.ambient_dim == 0
+        assert fil == Filtration.trivial(0)
 
     def test_defining_properties_random(self):
         rng = random.Random(37)
@@ -334,8 +335,9 @@ class TestWeightFiltration:
         assert fil.jump_indices() == [1]
 
     def test_dim_zero(self):
-        fil = weight_filtration(weight_decomposition(FrobeniusData(Matrix([], cols=0), 5)))
-        assert fil.ambient_dim == 0
+        w = weight_decomposition(FrobeniusData(Matrix([], cols=0), 5))
+        assert w == WeightDecomposition(0, {})
+        assert weight_filtration(w) == Filtration.trivial(0)
 
 
 class TestCommutation:

@@ -275,6 +275,13 @@ class TestDescriptor:
         b = QuotientModel(TropicalLattice.from_columns([[-2]]), CellWidth(1), 3, 0)
         assert descriptor(a) == descriptor(b)
 
+    def test_rank_zero(self):
+        lat = TropicalLattice(Matrix([], cols=0))
+        assert lattice_hnf(lat) == Matrix([], cols=0)
+        assert lat.covolume() == 1
+        d = descriptor(QuotientModel(lat, CellWidth(1), 2, 0))
+        assert d.canonical_string() == "rank=0|lattice=[]|alpha=1|p=2|level=0|components=1"
+
     def test_hnf_basis_change_invariance(self):
         # same rank-2 lattice presented by different generator pairs
         a = TropicalLattice.from_columns([[2, 0], [0, 3]])
