@@ -34,7 +34,7 @@ from . import monodromy as mono
 from . import tropbundle as tb
 from . import troplattice as tl
 from .polyfactor import RecombinationLimitError
-from .ratlin import Matrix, Subspace, format_ratio
+from .ratlin import Matrix, Subspace
 
 SCHEMA_VERSION = 1
 
@@ -152,9 +152,24 @@ def _matrix_row(row: list, i: int, fieldname: str) -> tuple[list[int], int]:
     return [a * (den // b) for a, b in pairs], den
 
 
+class _RatRow(list):
+    """A matrix row of `serialize_matrix`'s strings, which hold only digits,
+    "-" and "/": `render_json` writes it with one join and no escaping."""
+
+    __slots__ = ()
+
+
 def serialize_matrix(m: Matrix) -> list[list[str]]:
+    """Each row as a `_RatRow` of its entries spelled as `str(Fraction)`
+    spells them, one gcd per entry when the denominator is not 1."""
     den = m._den
-    return [[format_ratio(a, den) for a in row] for row in m._num]
+    if den == 1:
+        return [_RatRow(map(str, row)) for row in m._num]
+    return [
+        _RatRow([f"{a // g}" if g == den else f"{a // g}/{den // g}"
+                 for a, g in zip(row, map(math.gcd, row, itertools.repeat(den)))])
+        for row in m._num
+    ]  # fmt: skip
 
 
 def parse_lattice(value: Any, fieldname: str = "lattice") -> tl.TropicalLattice:
@@ -703,10 +718,19 @@ def _int_list_json(values: _IntList, newline: str) -> str:
     return "[" + inner + json.dumps(values, separators=("," + inner, ": "))[1:-1] + newline + "]"
 
 
+def _rat_row_json(row: _RatRow, newline: str) -> str:
+    """The JSON text of a matrix row at the indent `newline`, one join."""
+    if not row:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + '"' + ('",' + inner + '"').join(row) + '"' + newline + "]"
+
+
 #: JSON text of a list whose producer marked it by its type, at the indent `newline`
 _LISTS: dict[type, Callable[[Any, str], str]] = {
     _FaceList: _face_list_json,
     _IntList: _int_list_json,
+    _RatRow: _rat_row_json,
 }
 
 

@@ -380,7 +380,10 @@ def _log_floor(a: int, b: int, q: int) -> int:
     if a < b:  # q^-m <= a/b exactly when q^m >= ceil(b/a), i.e. q^m > ceil(b/a) - 1
         return -1 - _log_floor(-(-b // a) - 1, 1, q)
     x = a // b  # q^L <= a/b exactly when q^L <= x, for L >= 0
-    lo, hi = (x.bit_length() - 1) // q.bit_length(), x.bit_length()  # q^lo <= x < q^hi
+    # q^lo <= x < q^hi: 2^(k-1) <= q < 2^k for k = q.bit_length(), and
+    # 2^(n-1) <= x < 2^n for n = x.bit_length(), so q^lo <= 2^(n-1) and
+    # q^hi >= 2^((k-1) hi) >= 2^n
+    lo, hi = (x.bit_length() - 1) // q.bit_length(), -(-x.bit_length() // (q.bit_length() - 1))
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if q**mid <= x:
@@ -728,17 +731,32 @@ def _split(phi: Matrix, piece: Subspace, weights: list[tuple[int, RatPoly]]) -> 
 
 
 def weight_filtration(w: WeightDecomposition) -> Filtration:
-    """Increasing filtration W_m = sum of components of weight <= m."""
+    """Increasing filtration W_m = sum of components of weight <= m.
+
+    The components are direct summands that span Q^d.  _split checks
+    each piece's dimension against sum(deg h_j); where Phi's
+    characteristic polynomial on a piece is H_A H_B, with H_A and H_B
+    coprime, those dimensions force ker H_A(Phi) = V_A and
+    im H_A(Phi) = V_B, the sums of the components of each half.  So the
+    two ends need no elimination: W_lo is the lowest component, which is
+    canonical already, and W_hi is Q^d; only the weights strictly between
+    them call subspace_sum.  A record whose component dimensions do not
+    add up to d raises ValueError.
+    """
+    d = w.ambient_dim
     if not w.components:
-        return Filtration.trivial(w.ambient_dim)
+        return Filtration.trivial(d)
+    if sum(c.dim for c in w.components.values()) != d:
+        raise ValueError("top filtration piece must be the full space")
     ws = w.weights()
-    pieces = []
-    acc = Subspace.zero(w.ambient_dim)
-    for j in range(ws[0], ws[-1] + 1):
+    acc = w.components[ws[0]]
+    pieces = [acc]
+    for j in range(ws[0] + 1, ws[-1]):
         if j in w.components:
             acc = subspace_sum(acc, w.components[j])
         pieces.append(acc)
-    return Filtration(w.ambient_dim, ws[0], pieces)
+    pieces.append(Subspace.full(d))
+    return Filtration(d, ws[0], pieces)
 
 
 def check_commutation(n: NilpotentOperator, f: FrobeniusData) -> bool:

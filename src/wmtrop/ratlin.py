@@ -770,8 +770,8 @@ def char_poly(m: Matrix) -> RatPoly:
     T on the column (1, -t, -R S, -R a_r S, ..., -R a_r^(r-1) S)
     (Berkowitz, Inform. Process. Lett. 18, 1984).  Every intermediate is
     a polynomial in the entries, so nothing is divided: O(n^4) integer
-    operations in about n^2/2 matrix-vector products, and no matrix
-    product.
+    operations in (n-1)(n-2)/2 matrix-vector products, a_r^k S for
+    1 <= k < r at each r, and no matrix product.
     """
     if not m.is_square():
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
@@ -784,9 +784,11 @@ def char_poly(m: Matrix) -> RatPoly:
         left = row[:r]
         v = [b[r] for b in a[:r]]
         col = [1, -row[r]]
-        for _ in range(r):
+        for _ in range(r - 1):
             col.append(-sum(map(mul, left, v)))
             v = [sum(map(mul, b, v)) for b in block]
+        # -R a_r^(r-1) S; at r = 0 a 0 beyond the r + 2 terms that p's product reads
+        col.append(-sum(map(mul, left, v)))
         p = [sum(map(mul, col[i::-1], p)) for i in range(r + 2)]
     return RatPoly._over([p[n - k] * d**k for k in range(n + 1)], d**n)
 

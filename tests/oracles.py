@@ -25,6 +25,7 @@ from wmtrop.monodromy import (
     FrobeniusData,
     NilpotentOperator,
     NotPureError,
+    WeightDecomposition,
     _weigh,
     monodromy_filtration,
     weight_decomposition,
@@ -264,6 +265,21 @@ def kernel_intersect(u: Subspace, v: Subspace) -> Subspace:
             vec = [a + c * b for a, b in zip(vec, row)]
         vecs.append(vec)
     return Subspace.span(u.ambient_dim, vecs)
+
+
+def running_sum_weight_filtration(w: WeightDecomposition) -> Filtration:
+    """W_m as the running subspace_sum of the components of weight <= m,
+    from the zero space up, one sum per weight: no end taken as given."""
+    if not w.components:
+        return Filtration.trivial(w.ambient_dim)
+    ws = w.weights()
+    pieces = []
+    acc = Subspace.zero(w.ambient_dim)
+    for j in range(ws[0], ws[-1] + 1):
+        if j in w.components:
+            acc = subspace_sum(acc, w.components[j])
+        pieces.append(acc)
+    return Filtration(w.ambient_dim, ws[0], pieces)
 
 
 def greedy_quotient_reps(big: Subspace, small: Subspace) -> list[tuple[Fraction, ...]]:

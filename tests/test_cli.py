@@ -27,7 +27,6 @@ from wmtrop.cli import (
     JobSpec,
     Report,
     SchemaError,
-    format_ratio,
     main,
     parse_bundle,
     parse_lattice,
@@ -37,10 +36,12 @@ from wmtrop.cli import (
     render,
     render_json,
     run,
+    serialize_filtration,
     serialize_matrix,
     serialize_section,
+    serialize_subspace,
 )
-from wmtrop.ratlin import Matrix, RatPoly, char_poly
+from wmtrop.ratlin import Matrix, RatPoly, Subspace, char_poly, format_ratio
 
 
 def _parsed(parse, value):
@@ -604,8 +605,10 @@ class TestErrorContract:
         # ker N, ker N^2 / ker N; the test N Phi = q Phi N compares integer
         # rows, with no Matrix.  With Phi diag(1, 25) the pair does not
         # commute, and the full comparison reads dimensions outside a
-        # filtration's stored range
-        for phi, count in (([[1, 0], [0, 5]], 7), ([[1, 0], [0, 25]], 19)):
+        # filtration's stored range; the weight filtration's two pieces are
+        # its lowest component and Q^2, so it builds no zero start and no
+        # sum at the top
+        for phi, count in (([[1, 0], [0, 5]], 7), ([[1, 0], [0, 25]], 17)):
             payload = dict(TATE_WMC, phi=phi, i=mono.DEGREE_LIMIT)
             op = mono.NilpotentOperator(Matrix(payload["n"]))
             frob = mono.FrobeniusData(Matrix(phi), payload["q"])
@@ -735,6 +738,21 @@ class TestErrorContract:
         assert pf.factor_rational(impure) == [(impure, 1)]
         with pytest.raises(pf.RecombinationLimitError, match="recombining 3 modular factors"):
             pf.factor_rational(poly)
+
+    def test_impure_companion_at_a_large_q(self):
+        # the companion of (x^2 - 7x + 5)(x^2 + 3x + q^9)(x^2 + q^12)(x^2 + x + q^2)
+        # at q = 2^61 - 1: its weight range comes from base-q logarithms of
+        # ratios of its coefficients, integers far above q, and the report
+        # names the impure quadratic
+        q = 2**61 - 1
+        poly = RatPoly([5, -7, 1]) * RatPoly([q**9, 3, 1]) * RatPoly([q**12, 0, 1])
+        phi = load_workloads()._companion(list((poly * RatPoly([q**2, 1, 1]))._num))
+        report = run(JobSpec("weight-filtration", {"phi": phi, "q": q}))
+        assert render_json(report) == (
+            '{\n  "command": "weight-filtration",\n  "diagnostics": [\n    "RatPoly(x^2 - 7*x + 5) '
+            'is not weight-pure for q=2305843009213693951: constant term squared is not a power '
+            'of q"\n  ],\n  "payload": {},\n  "schema_version": 1,\n  "status": "error"\n}\n'
+        )
 
     def test_component_count_past_the_digit_limit(self, monkeypatch):
         unit_square = {"lattice": {"rank": 2, "generators": [["1", "0"], ["0", "1"]]}}
@@ -1162,6 +1180,41 @@ class TestRenderContract:
         }
         report = Report("batch", "pass", payload=payload)
         assert render_json(report) == json_dumps_oracle(report)
+
+    def test_matrix_rows(self):
+        # bases with rational and negative entries, and integers over a
+        # denominator other than 1 (the pivot of each fractional RREF row),
+        # alone and in a batch; the CLI refuses Q^0 and rational forms, so
+        # those reports, and one with a 0-dimensional piece and rows of no
+        # entry, are built from what the handlers serialize
+        p = Matrix([[2, 1, 0], [-3, 1, 4], [1, 0, 5]])
+        phi = p * Matrix.diagonal([1, 5, 25]) * p.inverse()
+        job = {"phi": serialize_matrix(phi), "q": 5}
+        bundle = {"lattice": {"rank": 2, "generators": [[2, 0], [0, 1]]}, "sigma": [[1, -3], [-6, 2]],
+                  "chi": ["1/3", "-2"]}  # fmt: skip
+        reports = [
+            run(JobSpec("weight-filtration", job)),
+            run(JobSpec("bundle-ample", {"bundle": bundle})),
+            run(JobSpec("batch", {"jobs": [{"command": "weight-filtration", "input": job}]})),
+        ]
+        for phi in (phi, Matrix([], cols=0)):
+            decomp = mono.weight_decomposition(mono.FrobeniusData(phi, 5))
+            weights = {str(j): serialize_subspace(s) for j, s in decomp.components.items()}
+            fil = serialize_filtration(mono.weight_filtration(decomp))
+            reports.append(Report("weight-filtration", "pass", {"weights": weights, "filtration": fil}))
+        form = Matrix([[F(1, 2), F(-3, 4), F(8, 4)], [F(-3, 4), F(5, 6), 0]])
+        zero = serialize_subspace(Subspace.zero(3))
+        reports.append(Report("bundle-ample", "fail", {"form": serialize_matrix(form), "zero": zero,
+                                                       "empty_rows": serialize_matrix(Matrix([[], []]))}))
+        texts = [render_json(report) for report in reports]
+        for report, text in zip(reports, texts):
+            assert text == json_dumps_oracle(report)
+            assert json.loads(text) == report.to_dict()
+        assert [report.status for report in reports] == ["pass", "fail", "pass", "pass", "pass", "fail"]
+        empty_rows = '"empty_rows": [\n      [],\n      []\n    ]'
+        for spelling in ('"-3/2",', '"1",', '"-3/4",', '"2"\n', '"basis": []', empty_rows):
+            assert any(spelling in text for text in texts), spelling
+        assert '"basis": []' in texts[4]  # Q^0
 
     @pytest.mark.parametrize("payload", [{"x": F(1, 2)}, {"x": {1, 2}}, {1: "a"}])
     def test_unknown_types_raise(self, payload):

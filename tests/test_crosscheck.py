@@ -68,6 +68,7 @@ from oracles import (
     numeric_weil_weight,
     power_ranks,
     rational_gcd_fold,
+    running_sum_weight_filtration,
     solve_induced_matrix,
     verify_section_by_corner_value,
 )
@@ -181,6 +182,26 @@ class TestOracleAgreement:
             assert all(contains(fil.at(j + 1), fil.at(j)) for j in span), fil
             assert fil.jump_indices() == [j for j in span if fil.at(j) != fil.at(j - 1)], fil
         assert {len(fil.jump_indices()) for fil in filtrations} >= {1, 2, 3, 4}
+
+    def test_weight_filtration_matches_the_running_sum(self):
+        # the ends taken from the decomposition (the lowest component and
+        # Q^d) against the running sum from the zero space, on conjugated
+        # Weil products of 1 to 5 weights, some of them repeated, and on Q^0
+        rng = random.Random(239)
+        counts = set()
+        for k in range(40):
+            q = rng.choice([2, 3, 5])
+            weights = rng.sample(range(-2, 6), k % 5 + 1)
+            blocks = [weight_block(rng, q, w) for w in weights for _ in range(rng.randint(1, 2))]
+            phi = _block_diagonal(blocks)
+            p = random_invertible(rng, phi.rows)
+            decomp = weight_decomposition(FrobeniusData(p * phi * p.inverse(), q))
+            assert decomp.weights() == sorted(weights)
+            assert weight_filtration(decomp) == running_sum_weight_filtration(decomp), weights
+            counts.add(len(weights))
+        assert counts == {1, 2, 3, 4, 5}
+        empty = weight_decomposition(FrobeniusData(Matrix([], cols=0), 5))
+        assert weight_filtration(empty) == running_sum_weight_filtration(empty) == Filtration.trivial(0)
 
     def test_intersection_matches_kernel_construction(self):
         rng = random.Random(101)
@@ -1242,11 +1263,13 @@ def _block_diagonal(blocks):
 
 
 def _hessenberg_cases(rng):
-    """Square matrices for char_poly: 0x0 and 1x1, integral and rational,
-    nilpotent, block upper triangular, and ones whose first column makes the
-    Hessenberg reduction of the reference swap rows or skip a zero column
-    below the diagonal."""
-    cases = [Matrix([], cols=0), Matrix([[F(-7, 3)]]), Matrix([[0]])]
+    """Square matrices for char_poly: 0x0, 1x1 and 2x2, the rows of
+    Berkowitz's loop that take no matrix-vector product, integral and
+    rational, nilpotent, block upper triangular, and ones whose first column
+    makes the Hessenberg reduction of the reference swap rows or skip a zero
+    column below the diagonal."""
+    cases = [Matrix([], cols=0), Matrix([[F(-7, 3)]]), Matrix([[0]]), Matrix.zero(2, 2),
+             Matrix([[0, 1], [0, 0]]), Matrix([[F(1, 2), -3], [F(5, 4), F(-2, 7)]])]
     for _ in range(25):
         n = rng.randint(1, 7)
         cases.append(Matrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]))

@@ -11,7 +11,7 @@ from gens import (
     random_wmc_pair,
 )
 from oracles import graded_map_is_bijective, jordan_filtration_pieces, power_ranks
-from wmtrop import monodromy
+from wmtrop import monodromy, ratlin
 from wmtrop.monodromy import (
     Filtration,
     FrobeniusData,
@@ -20,6 +20,7 @@ from wmtrop.monodromy import (
     NotPureError,
     NotUnipotentError,
     WeightDecomposition,
+    _log_floor,
     check_commutation,
     check_wmc,
     exp_nilpotent,
@@ -225,6 +226,24 @@ class TestWeilWeight:
         with pytest.raises(NotPureError):
             weil_weight(g, 5)
 
+    def test_log_floor_brackets_the_ratio(self):
+        # q^L <= a/b < q^(L+1), on both sides of 1, at exact powers and one off them
+        rng = random.Random(241)
+        for q in (2, 3, 4, 5, 2**61 - 1, 2**127 - 1, 10**30):
+            pairs = [(1, 1), (q, 1), (1, q), (q - 1, 1), (1, q + 1), (q**7, q**3), (q**5 - 1, q**9)]
+            for _ in range(60):
+                a, b = (rng.randrange(1, 2 ** rng.randint(1, 600)) for _ in range(2))
+                k = rng.randint(0, 5)
+                pairs += [(a, b), (a * q**k, a), (a * q**k - 1, a), (a, a * q**k + 1)]
+            for a, b in pairs:
+                low = _log_floor(a, b, q)
+                above = low + 1
+                if low >= 0:
+                    assert q**low * b <= a < q**above * b, (a, b, q)
+                else:
+                    assert b <= a * q**-low and a * q**-above < b, (a, b, q)
+            assert any(a < b for a, b in pairs) and any(a > b for a, b in pairs)
+
     def test_large_weight_keeps_precision(self):
         # q^j is ~1e28 here; the exact test must still tell 5^40 + 1 from 5^40
         assert weil_weight(RatPoly([-(F(5) ** 40), 1]), 5) == 80
@@ -338,6 +357,29 @@ class TestWeightFiltration:
         w = weight_decomposition(FrobeniusData(Matrix([], cols=0), 5))
         assert w == WeightDecomposition(0, {})
         assert weight_filtration(w) == Filtration.trivial(0)
+
+    def test_two_weights_need_no_elimination(self, monkeypatch):
+        # W_lo is the lowest component and the top is Q^d: only a weight
+        # strictly between the lowest and the highest takes an elimination
+        phis = (Matrix([[0, -5], [1, 1]]), TATE_PHI, Matrix.diagonal([1, 5, 25]))
+        decomps = [weight_decomposition(FrobeniusData(phi, 5)) for phi in phis]
+        assert [len(w.components) for w in decomps] == [1, 2, 3]
+        eliminations = []
+        original = ratlin._echelon
+        monkeypatch.setattr(ratlin, "_echelon", lambda rows: eliminations.append(1) or original(rows))
+        counts = []
+        for w in decomps:
+            eliminations.clear()
+            weight_filtration(w)
+            counts.append(len(eliminations))
+        assert counts == [0, 0, 1]
+
+    def test_components_that_do_not_span_raise(self):
+        # a hand-built record whose component dimensions fall short of d, or go over it
+        line = Subspace.span(2, [[1, 0]])
+        for components in ({0: line}, {0: line, 2: Subspace.full(2)}, {0: line, 1: line, 2: line}):
+            with pytest.raises(ValueError, match="^top filtration piece must be the full space$"):
+                weight_filtration(WeightDecomposition(2, components))
 
 
 class TestCommutation:

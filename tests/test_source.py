@@ -67,13 +67,13 @@ def _classes() -> list[tuple[str, type, bool]]:
 def test_records_are_named_tuples():
     # a record is a NamedTuple, which copies, pickles and compares with no
     # hand-written code; only the exact core's arithmetic types and the
-    # renderer's marked list are classes of their own
+    # renderer's marked lists are classes of their own
     found = [
         name
         for name, cls, record in _classes()
         if not (record or issubclass(cls, BaseException))
     ]
-    assert found == ["cli._IntList", "ratlin.Matrix", "ratlin.RatPoly"]
+    assert found == ["cli._RatRow", "cli._IntList", "ratlin.Matrix", "ratlin.RatPoly"]
 
 
 def test_records_compare_their_fields():
